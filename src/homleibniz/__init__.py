@@ -27,7 +27,6 @@ from .cochain import (
     calibrate_convention,
     calibration_report,
     coboundary,
-    cohomology_dim,
 )
 from .deformation import (
     MorphismDeformation,
@@ -58,8 +57,6 @@ from .morphism_complex import (
     HypothesisNotMet,
     MorphismCochain,
     MorphismComplex,
-    morphism_cohomology_dim,
-    vanishing_transfer_witness,
 )
 from .report import RunReport
 

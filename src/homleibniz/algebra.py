@@ -294,7 +294,8 @@ def _identity_residual(rep, xs, ys, module_slot=None):
         rhs_tag = tag
         for k, v in combo.items():
             cadd(rhs, k, v)
-    assert rhs_tag is None or rhs_tag == lhs[0] or not rhs
+    if rhs and rhs_tag != lhs[0]:
+        raise ValueError("the two sides of the identity land in different spaces")
     return csub(lhs[1], rhs)
 
 
@@ -302,26 +303,51 @@ def _identity_residual(rep, xs, ys, module_slot=None):
 # checkers
 
 
-def check_hom_leibniz(a: HomNaryAlgebra):
-    """Evaluate the n-Hom-Leibniz identity on every basis tuple; empty iff valid."""
+def hom_composition(a: HomNaryAlgebra, pairs):
+    """Sum of B(F, G) over the (F, G) pairs, on every basis tuple of L^(2n-1).
+
+    B(F, G)(X, Y) = F(G(X), abar Y) - sum_k F(alpha x_1, .., G(x_k, Y), .., alpha x_n)
+    is the Hom analogue of Gerstenhaber's composition of n-linear tensors:
+    B(mu, mu) = 0 is the n-Hom-Leibniz identity, and sum_{i+j=l} B(xi_i, xi_j)
+    = 0 is the order-l deformation equation.  Pairs with an empty member
+    contribute nothing and are skipped.
+
+    Returns {(x_1..x_n, y_1..y_{n-1}): residual combo}, nonzero entries only,
+    in lexicographic key order.
+    """
+    pairs = [(f, g) for f, g in pairs if f and g]
     n = a.arity
-    report = []
+    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    out = {}
     for tup in a.basis_tuples(2 * n - 1):
         xs, ys = tup[:n], tup[n:]
-        inner = a.bracket_apply([_basis_combo(i) for i in xs])
-        lhs = a.bracket_apply([inner] + [a.alpha_combo(j) for j in ys])
-        rhs = {}
-        for i in range(n):
-            inner_i = a.bracket_apply([_basis_combo(xs[i])] + [_basis_combo(j) for j in ys])
-            args = [a.alpha_combo(xs[j]) for j in range(n)]
-            args[i] = inner_i
-            for k, v in a.bracket_apply(args).items():
-                cadd(rhs, k, v)
-        v = _residual_violation("hom-leibniz", tup, csub(lhs, rhs))
-        if v:
-            report.append(v)
-    report.sort(key=lambda v: v.where)
-    return report
+        ycols = [alpha[y] for y in ys]
+        res = {}
+        for f, g in pairs:
+            gx = g.get(xs)
+            if gx:
+                for k, v in apply_multimap(f, [gx] + ycols).items():
+                    cadd(res, k, v)
+            for pos in range(n):
+                inner = g.get((xs[pos],) + ys)
+                if not inner:
+                    continue
+                args = [alpha[x] for x in xs]
+                args[pos] = inner
+                for k, v in apply_multimap(f, args).items():
+                    cadd(res, k, -v)
+        if res:
+            out[tup] = res
+    return out
+
+
+def check_hom_leibniz(a: HomNaryAlgebra):
+    """Evaluate the n-Hom-Leibniz identity B(mu, mu) = 0 on every basis tuple;
+    empty iff valid."""
+    return [
+        _residual_violation("hom-leibniz", tup, res)
+        for tup, res in hom_composition(a, [(a.bracket, a.bracket)]).items()
+    ]
 
 
 def check_multiplicative(a: HomNaryAlgebra):

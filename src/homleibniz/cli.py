@@ -158,6 +158,7 @@ def cmd_cohomology(args):
     a = parse_algebra(obj)
     report = RunReport(command=_echo(args), convention=conv.label())
     report.digests[os.path.basename(args.algebra)] = digest(obj)
+    _validate_algebra(report, os.path.basename(args.algebra), a)
     if args.module == "adjoint":
         rep = adjoint_representation(a)
     else:
@@ -166,6 +167,14 @@ def cmd_cohomology(args):
         if rep.algebra != a:
             raise DocumentError("representation document is over a different algebra")
         report.digests[os.path.basename(args.module)] = digest(rep_obj)
+        bad = check_representation(rep)
+        report.add_check(
+            f"{os.path.basename(args.module)}: representation identities",
+            not bad,
+            _violation_details(bad),
+        )
+    if report.exit_code:
+        return report
     complex_ = CochainComplex(a, rep, conv)
     rows = []
     try:
@@ -193,10 +202,13 @@ def cmd_morphism_cohomology(args):
     obj = load_json(args.morphism)
     phi = parse_morphism(obj, os.path.dirname(args.morphism))
     report = RunReport(command=_echo(args), convention=conv.label())
-    report.digests[os.path.basename(args.morphism)] = digest(obj)
+    name = os.path.basename(args.morphism)
+    report.digests[name] = digest(obj)
+    _validate_algebra(report, f"{name}:source", phi.source)
+    _validate_algebra(report, f"{name}:target", phi.target)
     bad = check_morphism(phi)
     report.add_check("morphism identities", not bad, _violation_details(bad))
-    if bad:
+    if report.exit_code:
         return report
     mc = MorphismComplex(phi, conv)
     rows = []

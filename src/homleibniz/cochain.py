@@ -119,10 +119,6 @@ def input_length(n, p):
     return 1 + (n - 1) * (p - 1)
 
 
-def input_tuples(algebra, p):
-    return itertools.product(range(algebra.dim), repeat=input_length(algebra.arity, p))
-
-
 def ambient_dim(algebra, rep, p):
     return rep.module_dim * algebra.dim ** input_length(algebra.arity, p)
 
@@ -246,42 +242,21 @@ class Cochain:
         if check:
             space.coords(self.coeffs)
 
-    def value(self, inp, out_idx):
-        d = self.space.algebra.dim
-        return self.coeffs[_flat(inp, d) * self.space.rep.module_dim + out_idx]
-
-    def evaluate(self, input_combo):
-        """Apply the cochain to a combo over full input tuples; module combo out."""
-        m = self.space.rep.module_dim
-        d = self.space.algebra.dim
-        out = {}
-        for key, v in input_combo.items():
-            base = _flat(key, d) * m
-            for mo in range(m):
-                c = self.coeffs[base + mo]
-                if c:
-                    cadd(out, mo, v * c)
-        return out
-
     def is_zero(self):
         return all(x == 0 for x in self.coeffs)
 
     def __add__(self, other):
-        assert self.space is other.space
+        if self.space is not other.space:
+            raise ValueError("cochains belong to different spaces")
         return Cochain(self.space, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
-        assert self.space is other.space
+        if self.space is not other.space:
+            raise ValueError("cochains belong to different spaces")
         return Cochain(self.space, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def scaled(self, c):
         return Cochain(self.space, [c * x for x in self.coeffs])
-
-
-def cochain_space(algebra, rep, p, convention=None):
-    """Assemble C^p; the convention argument is accepted for interface
-    symmetry but the constraint does not depend on it."""
-    return CochainSpace(algebra, rep, p)
 
 
 # ---------------------------------------------------------------------------
@@ -522,10 +497,6 @@ class CochainComplex:
                 f"{self.convention.label()}"
             )
         return kernel_dim - rank(dprev)
-
-
-def cohomology_dim(algebra, rep, p, convention=DEFAULT_CONVENTION):
-    return CochainComplex(algebra, rep, convention).cohomology_dim(p)
 
 
 # ---------------------------------------------------------------------------

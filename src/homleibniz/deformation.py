@@ -7,9 +7,12 @@ is an order-by-order condition: the order-l structure equations must have
 exactly zero residual for every l up to the truncation order.  Coefficients
 above the stored order count as zero.
 
-The order-l equations are affine-linear in the order-l coefficient triple;
-their linear part is the degree-2 differential of the morphism complex and
-their constant part is the obstruction cochain F_l = (O1, O2, O3).
+The algebra equation of order l is sum_{i+j=l} B(xi_i, xi_j) = 0, with B
+the Hom-Leibniz composition of algebra.hom_composition.  The order-l
+equations are affine-linear in the order-l coefficient triple; their linear
+part is the degree-2 differential of the morphism complex and their
+constant part is the obstruction cochain F_l = (O1, O2, O3): the order-l
+residual at a zero order-l triple, its morphism component negated.
 solve_extension exploits exactly that structure, and every returned triple
 is re-verified against the direct residual evaluators.
 """
@@ -24,7 +27,9 @@ from .algebra import (
     Morphism,
     apply_multimap,
     cadd,
+    cscale,
     csub,
+    hom_composition,
     matrix_combo,
     normalize_multimap,
     _basis_combo,
@@ -66,45 +71,14 @@ class TruncatedDeformation:
         return self.coeffs[i] if 0 <= i <= self.order else {}
 
 
-def _alpha_cols(a):
-    return [a.alpha_combo(i) for i in range(a.dim)]
-
-
 def algebra_order_residual(d: TruncatedDeformation, l):
-    """LHS - RHS of the order-l structure equation on all basis tuples.
+    """LHS - RHS of the order-l structure equation, sum_{i+j=l} B(xi_i, xi_j),
+    on all basis tuples.
 
     Returns {(x_1..x_n, y_1..y_{n-1}): residual combo}, nonzero entries
     only; an empty dict means the order-l equation holds exactly.
     """
-    a = d.base
-    n = a.arity
-    alpha = _alpha_cols(a)
-    out = {}
-    for tup in a.basis_tuples(2 * n - 1):
-        xs, ys = tup[:n], tup[n:]
-        ycols = [alpha[y] for y in ys]
-        res = {}
-        for i in range(l + 1):
-            j = l - i
-            fj = apply_multimap(d.coeff(j), [_basis_combo(x) for x in xs])
-            if fj:
-                for k, v in apply_multimap(d.coeff(i), [fj] + ycols).items():
-                    cadd(res, k, v)
-        for pos in range(n):
-            for j in range(l + 1):
-                k_ord = l - j
-                inner = apply_multimap(
-                    d.coeff(k_ord), [_basis_combo(xs[pos])] + [_basis_combo(y) for y in ys]
-                )
-                if not inner:
-                    continue
-                args = [alpha[x] for x in xs]
-                args[pos] = inner
-                for k, v in apply_multimap(d.coeff(j), args).items():
-                    cadd(res, k, -v)
-        if res:
-            out[tup] = res
-    return out
+    return hom_composition(d.base, [(d.coeff(i), d.coeff(l - i)) for i in range(l + 1)])
 
 
 def regrouping_identity_check(d: TruncatedDeformation, l):
@@ -121,7 +95,7 @@ def regrouping_identity_check(d: TruncatedDeformation, l):
         raise ValueError("regrouping is stated for orders l >= 1")
     a = d.base
     n = a.arity
-    alpha = _alpha_cols(a)
+    alpha = [a.alpha_combo(i) for i in range(a.dim)]
     full = algebra_order_residual(d, l)
     mismatches = []
     fl = d.coeff(l)
@@ -232,13 +206,9 @@ class MorphismDeformation:
         )
 
 
-def _compositions(total, parts, bound):
-    """All tuples of `parts` nonnegative integers <= bound summing to total."""
-    return (
-        t
-        for t in itertools.product(range(min(total, bound) + 1), repeat=parts)
-        if sum(t) == total
-    )
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to total."""
+    return (t for t in itertools.product(range(total + 1), repeat=parts) if sum(t) == total)
 
 
 def morphism_order_residual(md: MorphismDeformation, l):
@@ -253,12 +223,12 @@ def morphism_order_residual(md: MorphismDeformation, l):
         res = {}
         for i in range(l + 1):
             j = l - i
-            xj = apply_multimap(md.xi.coeff(j), [_basis_combo(x) for x in X])
+            xj = md.xi.coeff(j).get(X)
             if xj:
                 for k, v in matrix_combo(md.phi_coeff(i), xj).items():
                     cadd(res, k, v)
         for i in range(l + 1):
-            for js in _compositions(l - i, n, l - i):
+            for js in _compositions(l - i, n):
                 args = [md.phi_col(js[r], X[r]) for r in range(n)]
                 for k, v in apply_multimap(md.eta.coeff(i), args).items():
                     cadd(res, k, -v)
@@ -315,100 +285,25 @@ class ObstructionCochain:
         return not (self.o1 or self.o2 or self.o3)
 
 
-def _quadratic_part(d: TruncatedDeformation, l):
-    """sum_{i+j=l, i,j>0} [ xi_i(xi_j(X), abar Y) - sum_k xi_i(..., xi_j(x_k, Y), ...) ]."""
-    a = d.base
-    n = a.arity
-    alpha = _alpha_cols(a)
-    out = {}
-    for tup in a.basis_tuples(2 * n - 1):
-        xs, ys = tup[:n], tup[n:]
-        ycols = [alpha[y] for y in ys]
-        res = {}
-        for i in range(1, l):
-            j = l - i
-            fj = apply_multimap(d.coeff(j), [_basis_combo(x) for x in xs])
-            if fj:
-                for k, v in apply_multimap(d.coeff(i), [fj] + ycols).items():
-                    cadd(res, k, v)
-            for pos in range(n):
-                inner = apply_multimap(
-                    d.coeff(j), [_basis_combo(xs[pos])] + [_basis_combo(y) for y in ys]
-                )
-                if not inner:
-                    continue
-                args = [alpha[x] for x in xs]
-                args[pos] = inner
-                for k, v in apply_multimap(d.coeff(i), args).items():
-                    cadd(res, k, -v)
-        if res:
-            out[tup] = res
-    return out
+def obstruction(md: MorphismDeformation, l) -> ObstructionCochain:
+    """The obstruction cochain F_l for extending an order-(l-1) deformation.
 
-
-def _mixed_index_tuples(l, n, three_sum=False):
-    """Index tuples (i, j_1..j_n) entering the primed sum of O3.
-
-    The set reading: every tuple with i + sum(j) = l except those
-    containing an order-l coefficient (i = l, or some j_r = l), each
-    counted once.  A three-sum decomposition sometimes seen in the
-    literature counts tuples with several vanishing j_r's once per
-    vanishing coordinate (a discrepancy for arity >= 3); it is kept
-    behind three_sum for comparison.
+    F_l is the constant part of the order-l equations: md cut to order l-1,
+    extended by a zero order-l triple, has order-l residuals (O1, O2, -O3).
     """
-    if not three_sum:
-        seen = []
-        for i in range(l):  # i = l excluded
-            for js in _compositions(l - i, n, l):
-                if any(j == l for j in js):
-                    continue
-                seen.append((i,) + js)
-        return seen
-    out = []
-    # first partial sum: i = 1..l-1, one distinguished vanishing j_r
-    for i in range(1, l):
-        for r in range(n):
-            for js in _compositions(l - i, n, l - i):
-                if js[r] == 0:
-                    out.append((i,) + js)
-    # second: i = 0, all j_r <= l-1
-    for js in _compositions(l, n, l - 1):
-        out.append((0,) + js)
-    # third: i = 1..l-1, all j_r > 0
-    for i in range(1, l):
-        for js in _compositions(l - i, n, l - i):
-            if all(j > 0 for j in js):
-                out.append((i,) + js)
-    return out
-
-
-def obstruction(md: MorphismDeformation, l, three_sum=False) -> ObstructionCochain:
-    """The obstruction cochain F_l for extending an order-(l-1) deformation."""
     if l < 1:
         raise ValueError("obstruction order must be at least 1")
     if not is_valid_through(md, l - 1):
         raise ValueError(f"deformation is not valid through order {l - 1}")
-    src = md.phi.source
-    n = src.arity
-    o1 = _quadratic_part(md.xi, l)
-    o2 = _quadratic_part(md.eta, l)
-    o3 = {}
-    for X in src.basis_tuples():
-        res = {}
-        for idx in _mixed_index_tuples(l, n, three_sum):
-            i, js = idx[0], idx[1:]
-            args = [md.phi_col(js[r], X[r]) for r in range(n)]
-            for k, v in apply_multimap(md.eta.coeff(i), args).items():
-                cadd(res, k, v)
-        for i in range(1, l):
-            j = l - i
-            xj = apply_multimap(md.xi.coeff(j), [_basis_combo(x) for x in X])
-            if xj:
-                for k, v in matrix_combo(md.phi_coeff(i), xj).items():
-                    cadd(res, k, -v)
-        if res:
-            o3[X] = res
-    return ObstructionCochain(l, o1, o2, o3)
+    phi = md.phi
+    head = MorphismDeformation(
+        phi,
+        TruncatedDeformation(phi.source, [md.xi.coeff(i) for i in range(l)] + [{}]),
+        TruncatedDeformation(phi.target, [md.eta.coeff(i) for i in range(l)] + [{}]),
+        [md.phi_coeff(i) for i in range(l)] + [Matrix.zeros(phi.target.dim, phi.source.dim)],
+    )
+    o1, o2, r3 = morphism_order_residual(head, l)
+    return ObstructionCochain(l, o1, o2, {X: cscale(res, -1) for X, res in r3.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +344,6 @@ def ambient_to_matrix(vec, rows, cols):
     return Matrix(rows, cols, entries)
 
 
-def sparse_to_ambient(keyed, in_dims, d_in, module_dim):
-    return multimap_to_ambient(keyed, in_dims, d_in, module_dim)
-
-
 # ---------------------------------------------------------------------------
 # the extension solver
 
@@ -472,8 +363,7 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
         raise ValueError("extension order must be at least 1")
     if md.order < l - 1:
         raise ValueError(f"deformation must carry coefficients through order {l - 1}")
-    if not is_valid_through(md, l - 1):
-        raise ValueError(f"deformation is not valid through order {l - 1}")
+    fl = obstruction(md, l)
 
     mc = MorphismComplex(md.phi, convention)
     L, M = md.phi.source, md.phi.target
@@ -506,11 +396,10 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
         dw = mc.mixed.delta_ambient(1, unit)
         cols.append(zero_u + zero_v + [-x for x in dw])
 
-    fl = obstruction(md, l)
     rhs = (
-        sparse_to_ambient(fl.o1, 2 * n - 1, L.dim, L.dim)
-        + sparse_to_ambient(fl.o2, 2 * n - 1, M.dim, M.dim)
-        + sparse_to_ambient(fl.o3, n, L.dim, M.dim)
+        multimap_to_ambient(fl.o1, 2 * n - 1, L.dim, L.dim)
+        + multimap_to_ambient(fl.o2, 2 * n - 1, M.dim, M.dim)
+        + multimap_to_ambient(fl.o3, n, L.dim, M.dim)
     )
 
     rows = out_u + out_v + out_w

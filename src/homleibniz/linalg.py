@@ -2,7 +2,7 @@
 
 Everything downstream (cochain-space bases, coboundary ranks, deformation
 solves) reduces to the four operations here: rank, kernel_basis, solve and
-quotient_dim.  Matrices are dense, entries are Fraction, and pivoting is
+coords_in_basis.  Matrices are dense, entries are Fraction, and pivoting is
 "first nonzero entry in column order", so every result is deterministic.
 Dimensions stay at desk scale (a few thousand columns at most), which makes
 dense elimination both the simplest and a fast-enough choice.
@@ -104,9 +104,6 @@ class Matrix:
     def column(self, j):
         return [row[j] for row in self.entries]
 
-    def transpose(self):
-        return Matrix(self.cols, self.rows, [list(c) for c in zip(*self.entries)] or [[] for _ in range(self.cols)])
-
     def power(self, k):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")
@@ -195,22 +192,6 @@ def solve(m: Matrix, b):
     for r, p in enumerate(pivots):
         x[p] = red[r][m.cols]
     return x
-
-
-def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
-    """dim span(z) - dim span(b); rejects b not contained in span(z)."""
-    if z.ambient_dim != b.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if z.vectors:
-        rank_z = rank(Matrix.from_rows(z.vectors, z.ambient_dim))
-    else:
-        rank_z = 0
-    stacked = z.vectors + b.vectors
-    rank_zb = rank(Matrix.from_rows(stacked, z.ambient_dim)) if stacked else 0
-    if rank_zb != rank_z:
-        raise ValueError("second basis is not contained in the span of the first")
-    rank_b = rank(Matrix.from_rows(b.vectors, b.ambient_dim)) if b.vectors else 0
-    return rank_z - rank_b
 
 
 def coords_in_basis(basis: SubspaceBasis, vec):

@@ -285,7 +285,8 @@ class MorphismComplex:
             )
         u1c = solve(self.left.delta(p - 1), c.u.space.coords(c.u.coeffs))
         v1c = solve(self.right.delta(p - 1), c.v.space.coords(c.v.coeffs))
-        assert u1c is not None and v1c is not None, "solve failed despite vanishing cohomology"
+        if u1c is None or v1c is None:
+            raise RuntimeError("solve failed despite vanishing cohomology")
         u1 = self.left.space(p - 1).from_coords(u1c)
         v1 = self.right.space(p - 1).from_coords(v1c)
         residue = self.push(u1) - self.pull(v1)
@@ -296,15 +297,18 @@ class MorphismComplex:
             w1c = solve(
                 self.mixed.delta(p - 2), residue.space.coords(residue.coeffs)
             )
-            assert w1c is not None, "solve failed despite vanishing cohomology"
+            if w1c is None:
+                raise RuntimeError("solve failed despite vanishing cohomology")
             w1 = self.mixed.space(p - 2).from_coords(w1c)
         else:
             # C^0 = 0 and H^1(L,M) = 0 force the residue itself to vanish
-            assert residue.is_zero(), "nonzero 1-cocycle contradicts H^1(L,M) = 0"
+            if not residue.is_zero():
+                raise RuntimeError("nonzero 1-cocycle contradicts H^1(L,M) = 0")
             w1 = None
         out = MorphismCochain(p - 1, u1, v1, w1)
         back = self.d_matrix(p - 1).matvec(self.coords(out))
-        assert back == self.coords(c), "witness failed exact verification"
+        if back != self.coords(c):
+            raise RuntimeError("witness failed exact verification")
         return out
 
 
@@ -322,11 +326,3 @@ def _paste(entries, block: Matrix, r0, c0):
         for j in range(block.cols):
             if row[j]:
                 entries[r0 + i][c0 + j] = row[j]
-
-
-def morphism_cohomology_dim(mc: MorphismComplex, p) -> int:
-    return mc.cohomology_dim(p)
-
-
-def vanishing_transfer_witness(mc: MorphismComplex, p, c: MorphismCochain) -> MorphismCochain:
-    return mc.vanishing_transfer_witness(p, c)

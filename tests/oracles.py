@@ -1,25 +1,29 @@
 """Independent oracles used by the test suite.
 
-Two deliberately separate implementations:
+Three deliberately separate implementations:
 
 * the classical right-Leibniz coboundary for binary algebras with identity
   twist, written directly from the textbook formula over raw ambient
-  tensors, sharing no code with the production coboundary; and
+  tensors, sharing no code with the production coboundary;
+* the obstruction cochain F_l written out term by term from the explicit
+  primed-sum formulas, sharing no code with the production residuals; and
 * a brute-force affine assembly of the order-l deformation equations built
   purely from the residual evaluators, used to cross-check the extension
-  solver and the recorded fixture verdicts.
+  solver and the recorded fixture verdicts.  It lives in
+  scripts/make_fixtures.py, which recorded the battery verdicts with it,
+  and is re-exported here.
 """
 
 import itertools
+import os
+import sys
 from fractions import Fraction as Q
 
-from homleibniz.algebra import _basis_combo, cadd
-from homleibniz.deformation import (
-    MorphismDeformation,
-    TruncatedDeformation,
-    morphism_order_residual,
-)
-from homleibniz.linalg import Matrix, kernel_basis, solve
+from homleibniz.algebra import _basis_combo, apply_multimap, cadd, matrix_combo
+from homleibniz.deformation import ObstructionCochain
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
+from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
 
 
 # ---------------------------------------------------------------------------
@@ -87,96 +91,66 @@ def _expand(combos):
 
 
 # ---------------------------------------------------------------------------
-# brute-force order-l equation assembly
+# the obstruction cochain by its explicit formulas
 
 
-def triple_slots(phi):
-    L, M = phi.source, phi.target
-    n = L.arity
-    slots = []
-    for key in itertools.product(range(L.dim), repeat=n):
-        for k in range(L.dim):
-            slots.append(("xi", key, k))
-    for key in itertools.product(range(M.dim), repeat=n):
-        for k in range(M.dim):
-            slots.append(("eta", key, k))
-    for j in range(L.dim):
-        for r in range(M.dim):
-            slots.append(("phi", j, r))
-    return slots
-
-
-def triple_from_vector(phi, slots, vec):
-    L, M = phi.source, phi.target
-    xi, eta = {}, {}
-    pm = [[Q(0)] * L.dim for _ in range(M.dim)]
-    for (kind, a, b), v in zip(slots, vec):
-        if not v:
-            continue
-        if kind == "xi":
-            xi.setdefault(a, {})[b] = v
-        elif kind == "eta":
-            eta.setdefault(a, {})[b] = v
-        else:
-            pm[b][a] = v
-    return xi, eta, Matrix(M.dim, L.dim, pm)
-
-
-def residual_vector(md, l):
-    L, M = md.phi.source, md.phi.target
-    n = L.arity
-    r1, r2, r3 = morphism_order_residual(md, l)
-    out = []
-    for key in itertools.product(range(L.dim), repeat=2 * n - 1):
-        ent = r1.get(key, {})
-        out.extend(ent.get(k, Q(0)) for k in range(L.dim))
-    for key in itertools.product(range(M.dim), repeat=2 * n - 1):
-        ent = r2.get(key, {})
-        out.extend(ent.get(k, Q(0)) for k in range(M.dim))
-    for key in itertools.product(range(L.dim), repeat=n):
-        ent = r3.get(key, {})
-        out.extend(ent.get(k, Q(0)) for k in range(M.dim))
+def quadratic_part(d, l):
+    """sum_{i+j=l, i,j>0} [ xi_i(xi_j(X), abar Y) - sum_k xi_i(..., xi_j(x_k, Y), ...) ]."""
+    a = d.base
+    n = a.arity
+    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    out = {}
+    for tup in a.basis_tuples(2 * n - 1):
+        xs, ys = tup[:n], tup[n:]
+        ycols = [alpha[y] for y in ys]
+        res = {}
+        for i in range(1, l):
+            j = l - i
+            fj = apply_multimap(d.coeff(j), [_basis_combo(x) for x in xs])
+            for k, v in apply_multimap(d.coeff(i), [fj] + ycols).items():
+                cadd(res, k, v)
+            for pos in range(n):
+                inner = apply_multimap(
+                    d.coeff(j), [_basis_combo(xs[pos])] + [_basis_combo(y) for y in ys]
+                )
+                args = [alpha[x] for x in xs]
+                args[pos] = inner
+                for k, v in apply_multimap(d.coeff(i), args).items():
+                    cadd(res, k, -v)
+        if res:
+            out[tup] = res
     return out
 
 
-def order_l_system(md, l):
-    """(A, b) with the order-l equations reading A.c = b in the unknown triple."""
-    phi = md.phi
-    slots = triple_slots(phi)
-    zero = triple_from_vector(phi, slots, [Q(0)] * len(slots))
-    base = residual_vector(md.extended(*zero), l)
-    cols = []
-    for i in range(len(slots)):
-        unit = [Q(0)] * len(slots)
-        unit[i] = Q(1)
-        r = residual_vector(md.extended(*triple_from_vector(phi, slots, unit)), l)
-        cols.append([x - y for x, y in zip(r, base)])
-    a = Matrix(
-        len(base), len(slots), [[cols[j][i] for j in range(len(slots))] for i in range(len(base))]
-    )
-    return a, [-x for x in base], slots
+def primed_index_tuples(l, n):
+    """Index tuples (i, j_1..j_n) of the primed sum in O3.
+
+    The set reading: every tuple with i + sum(j) = l except those containing
+    an order-l coefficient (i = l, or some j_r = l), each counted once.
+    """
+    return [t for t in itertools.product(range(l), repeat=n + 1) if sum(t) == l]
 
 
-def oracle_extends(md, l):
-    a, b, _ = order_l_system(md, l)
-    return solve(a, b) is not None
+def obstruction_by_formula(md, l):
+    """F_l = (O1, O2, O3) from the explicit formulas.
 
-
-def random_valid_order1(phi, rng):
-    """Random order-1 morphism deformation sampled from the order-1 kernel."""
-    base = MorphismDeformation.trivial(phi, 0)
-    a, b, slots = order_l_system(base, 1)
-    assert all(x == 0 for x in b)
-    basis = kernel_basis(a)
-    vec = [Q(0)] * len(slots)
-    for kv in basis.vectors:
-        c = Q(rng.randint(-2, 2), rng.choice([1, 1, 2]))
-        if c:
-            vec = [x + c * y for x, y in zip(vec, kv)]
-    xi1, eta1, phi1 = triple_from_vector(phi, slots, vec)
-    return MorphismDeformation(
-        phi,
-        TruncatedDeformation.from_higher(phi.source, [xi1]),
-        TruncatedDeformation.from_higher(phi.target, [eta1]),
-        [phi.matrix, phi1],
-    )
+    O1, O2 are the quadratic parts of the source and target equations;
+    O3(X) = sum' eta_i(phi_{j_1} x_1, .., phi_{j_n} x_n)
+            - sum_{i=1}^{l-1} phi_i(xi_{l-i}(X)).
+    """
+    src = md.phi.source
+    n = src.arity
+    o3 = {}
+    for X in src.basis_tuples():
+        res = {}
+        for i, *js in primed_index_tuples(l, n):
+            args = [md.phi_col(js[r], X[r]) for r in range(n)]
+            for k, v in apply_multimap(md.eta.coeff(i), args).items():
+                cadd(res, k, v)
+        for i in range(1, l):
+            xj = apply_multimap(md.xi.coeff(l - i), [_basis_combo(x) for x in X])
+            for k, v in matrix_combo(md.phi_coeff(i), xj).items():
+                cadd(res, k, -v)
+        if res:
+            o3[X] = res
+    return ObstructionCochain(l, quadratic_part(md.xi, l), quadratic_part(md.eta, l), o3)

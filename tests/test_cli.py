@@ -28,6 +28,56 @@ def test_validate_fails_on_bad_bracket(capsys):
     assert "hom-leibniz" in out and "FAIL" in out
 
 
+def _non_multiplicative_algebra(tmp_path):
+    from homleibniz.algebra import HomNaryAlgebra
+    from homleibniz.documents import dump_json, serialize_algebra, serialize_morphism
+    from homleibniz.fixtures import diag, identity_morphism
+
+    a = HomNaryAlgebra(2, 2, ("e", "f"), {(1, 1): {0: 1}}, diag(2, 1))
+    dump_json(serialize_algebra(a), str(tmp_path / "ff_e_diag21.json"))
+    dump_json(serialize_morphism(identity_morphism(a)), str(tmp_path / "id_ff_e_diag21.json"))
+    return str(tmp_path / "ff_e_diag21.json"), str(tmp_path / "id_ff_e_diag21.json")
+
+
+def test_cohomology_reports_non_multiplicative_input(capsys, tmp_path):
+    algebra, morphism = _non_multiplicative_algebra(tmp_path)
+    for argv in (["cohomology", algebra], ["morphism-cohomology", morphism]):
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert code == 1
+        report = json.loads(out)
+        failed = [c["name"] for c in report["checks"] if c["verdict"] == "fail"]
+        assert failed and all("multiplicativity" in name for name in failed)
+        assert report["tables"] == []
+        assert "Traceback" not in err
+
+
+def test_cohomology_blames_the_invalid_bracket(capsys):
+    code, out, err = run(capsys, "cohomology", fx("bad_bracket.json"), "--format", "json")
+    assert code == 1
+    failed = [c for c in json.loads(out)["checks"] if c["verdict"] == "fail"]
+    assert [c["name"] for c in failed] == ["bad_bracket.json: hom-leibniz identity"]
+    assert "convention" not in failed[0]["details"]
+    assert "Traceback" not in err
+
+
+def test_cohomology_checks_a_module_document(capsys, tmp_path):
+    from homleibniz.algebra import Representation, adjoint_representation
+    from homleibniz.documents import dump_json, serialize_representation
+    from homleibniz.fixtures import leibniz_ff_e
+
+    a = leibniz_ff_e()
+    adj = adjoint_representation(a)
+    broken = Representation(a, 2, adj.alpha_module, ({(1, 0): {1: 1}},) + adj.actions[1:])
+    for name, rep, code in (("adj.json", adj, 0), ("broken.json", broken, 1)):
+        path = str(tmp_path / name)
+        dump_json(serialize_representation(rep, ["m0", "m1"]), path)
+        got, out, _ = run(capsys, "cohomology", fx("leibniz_ff_e.json"), "--module", path,
+                          "--degrees", "1", "--format", "json")
+        assert got == code
+        verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
+        assert verdicts[f"{name}: representation identities"] == ("pass" if code == 0 else "fail")
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "validate", fx("no_such_file.json"))
     assert code == 2

@@ -80,6 +80,18 @@ def test_constraint_violation_raised_for_incompatible_tensor():
     assert not space.contains(off_diagonal)
 
 
+def test_cochains_of_different_spaces_do_not_combine():
+    a = leibniz_ff_e()
+    rep = adjoint_representation(a)
+    f = CochainSpace(a, rep, 1).zero()
+    g = CochainSpace(a, rep, 1).zero()  # same shape, another space
+    with pytest.raises(ValueError):
+        f + g
+    with pytest.raises(ValueError):
+        f - g
+    assert (f + f).is_zero() and (f - f).is_zero()
+
+
 # ---------------------------------------------------------------------------
 # operator behaviour
 

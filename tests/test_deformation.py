@@ -1,3 +1,4 @@
+import os
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -8,7 +9,6 @@ from homleibniz.cochain import ConstraintViolation
 from homleibniz.deformation import (
     MorphismDeformation,
     TruncatedDeformation,
-    _mixed_index_tuples,
     algebra_order_residual,
     ambient_to_matrix,
     ambient_to_multimap,
@@ -21,8 +21,8 @@ from homleibniz.deformation import (
     obstruction,
     regrouping_identity_check,
     solve_extension,
-    sparse_to_ambient,
 )
+from homleibniz.documents import load_json, parse_deformation
 from homleibniz.fixtures import (
     abelian_algebra,
     aff1,
@@ -33,6 +33,9 @@ from homleibniz.fixtures import (
 )
 from homleibniz.linalg import Matrix
 from homleibniz.morphism_complex import MorphismComplex, pull_tensor, push_tensor
+from oracles import obstruction_by_formula, primed_index_tuples
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def rand_mm(a, rng, span=2):
@@ -158,7 +161,7 @@ def test_obstruction_requires_validity_below():
 def test_primed_sum_set_excludes_order_l_and_counts_once():
     for n in (2, 3):
         for l in (2, 3):
-            tuples = _mixed_index_tuples(l, n)
+            tuples = primed_index_tuples(l, n)
             counts = Counter(tuples)
             assert max(counts.values()) == 1
             for t in tuples:
@@ -166,16 +169,50 @@ def test_primed_sum_set_excludes_order_l_and_counts_once():
                 assert t[0] != l and all(j != l for j in t[1:])
 
 
-def test_three_sum_decomposition_double_counts_for_ternary():
-    # binary: the decomposition agrees with the set reading
-    for l in (2, 3):
-        assert Counter(_mixed_index_tuples(l, 2, three_sum=True)) == Counter(
-            _mixed_index_tuples(l, 2)
+def _check_chain_obstructions(md, top):
+    """Extend md order by order up to top, comparing every obstruction with
+    the explicit-formula oracle; returns the number of orders compared."""
+    compared = 0
+    for l in range(md.order + 1, top + 1):
+        assert obstruction(md, l) == obstruction_by_formula(md, l), l
+        compared += 1
+        ext = solve_extension(md, l)
+        if ext is None:
+            break
+        md = md.extended(*ext)
+    return compared
+
+
+def test_obstruction_matches_explicit_formula_along_battery_chains():
+    battery = load_json(os.path.join(FIXTURES, "deform_battery.json"))
+    compared = Counter()
+    for entry in battery["entries"][:12]:
+        md = parse_deformation(load_json(os.path.join(FIXTURES, entry["file"])), FIXTURES)
+        compared[_check_chain_obstructions(md, 6)] += 1
+    # both obstructed chains and chains reaching the top order occur
+    assert compared[1] and compared[5]
+
+
+def test_obstruction_matches_explicit_formula_for_ternary():
+    # over an abelian ternary base, (xi_1, xi_1, phi_1) is valid at order 1
+    # for any xi_1 and phi_1; primed-sum tuples with two vanishing inner
+    # indices then enter O3
+    rng = random.Random(19)
+    ab = abelian_algebra(2, 3)
+    phi = identity_morphism(ab)
+    fff_e = ternary_fff_e().bracket
+    orders = 0
+    for xi1 in [fff_e, fff_e, rand_mm(ab, rng), rand_mm(ab, rng)]:
+        w = Matrix(2, 2, [[Q(rng.randint(-2, 2)) for _ in range(2)] for _ in range(2)])
+        md = MorphismDeformation(
+            phi,
+            TruncatedDeformation.from_higher(ab, [xi1]),
+            TruncatedDeformation.from_higher(ab, [dict(xi1)]),
+            [phi.matrix, w],
         )
-    # ternary: tuples with two vanishing inner indices appear twice
-    c = Counter(_mixed_index_tuples(2, 3, three_sum=True))
-    assert c[(1, 1, 0, 0)] == 2
-    assert set(Counter(_mixed_index_tuples(2, 3))) == set(c)
+        assert not obstruction(md, 2).is_zero()
+        orders += _check_chain_obstructions(md, 4)
+    assert orders == 8
 
 
 def test_residual_equals_differential_minus_obstruction():
@@ -201,9 +238,9 @@ def test_residual_equals_differential_minus_obstruction():
     n, dL = L.arity, L.dim
     mc = MorphismComplex(phi)
     f = obstruction(md, 2)
-    fo1 = sparse_to_ambient(f.o1, 2 * n - 1, dL, dL)
-    fo2 = sparse_to_ambient(f.o2, 2 * n - 1, dL, dL)
-    fo3 = sparse_to_ambient(f.o3, n, dL, dL)
+    fo1 = multimap_to_ambient(f.o1, 2 * n - 1, dL, dL)
+    fo2 = multimap_to_ambient(f.o2, 2 * n - 1, dL, dL)
+    fo3 = multimap_to_ambient(f.o3, n, dL, dL)
     assert any(fo1) and any(fo3)  # the instance actually exercises the signs
     for _ in range(5):
         xi, eta = rand_mm(L, rng), rand_mm(L, rng)
@@ -220,9 +257,9 @@ def test_residual_equals_differential_minus_obstruction():
                 push_tensor(phi, u, dL), pull_tensor(phi, 2, v), mc.mixed.delta_ambient(1, wv)
             )
         ]
-        assert sparse_to_ambient(r1, 2 * n - 1, dL, dL) == [y - x for x, y in zip(du, fo1)]
-        assert sparse_to_ambient(r2, 2 * n - 1, dL, dL) == [y - x for x, y in zip(dv, fo2)]
-        assert sparse_to_ambient(r3, n, dL, dL) == [x - y for x, y in zip(third, fo3)]
+        assert multimap_to_ambient(r1, 2 * n - 1, dL, dL) == [y - x for x, y in zip(du, fo1)]
+        assert multimap_to_ambient(r2, 2 * n - 1, dL, dL) == [y - x for x, y in zip(dv, fo2)]
+        assert multimap_to_ambient(r3, n, dL, dL) == [x - y for x, y in zip(third, fo3)]
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,11 @@
 from fractions import Fraction as Q
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from homleibniz.linalg import (
     Matrix,
-    SubspaceBasis,
     coords_in_basis,
     kernel_basis,
-    quotient_dim,
     rank,
     solve,
 )
@@ -59,14 +56,6 @@ def test_solve_exact_example():
 def test_solve_inconsistent_returns_none():
     m = Matrix(2, 1, [[1], [1]])
     assert solve(m, [Q(0), Q(1)]) is None
-
-
-def test_quotient_dim_rejects_non_subspace():
-    z = SubspaceBasis(2, [[Q(1), Q(0)]])
-    b = SubspaceBasis(2, [[Q(0), Q(1)]])
-    with pytest.raises(ValueError):
-        quotient_dim(z, b)
-    assert quotient_dim(SubspaceBasis(2, [[Q(1), Q(0)], [Q(0), Q(1)]]), z) == 1
 
 
 def test_coords_in_basis_outside_span():
