@@ -30,6 +30,7 @@ from .cochain import (
 )
 from .deformation import (
     MorphismDeformation,
+    NotValidBelow,
     ObstructionCochain,
     TruncatedDeformation,
     algebra_order_residual,

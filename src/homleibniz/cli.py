@@ -27,7 +27,7 @@ from .cochain import (
     SignConvention,
 )
 from .deformation import (
-    is_valid_through,
+    NotValidBelow,
     morphism_order_residual,
     obstruction,
     solve_extension,
@@ -35,6 +35,7 @@ from .deformation import (
 from .documents import (
     DocumentError,
     digest,
+    dump_json,
     load_json,
     parse_algebra,
     parse_deformation,
@@ -42,6 +43,7 @@ from .documents import (
     parse_representation,
     serialize_deformation,
 )
+from .linalg import rank
 from .morphism_complex import MorphismComplex
 from .report import RunReport
 
@@ -100,6 +102,13 @@ def _validate_algebra(report, label, a):
     report.add_check(f"{label}: multiplicativity", not bad, _violation_details(bad))
 
 
+def _validate_morphism(report, name, phi, row="morphism identities"):
+    _validate_algebra(report, f"{name}:source", phi.source)
+    _validate_algebra(report, f"{name}:target", phi.target)
+    bad = check_morphism(phi)
+    report.add_check(row, not bad, _violation_details(bad))
+
+
 def cmd_validate(args):
     paths = list(args.files)
     if not paths and os.environ.get(FIXTURES_ENV):
@@ -122,10 +131,7 @@ def cmd_validate(args):
             _validate_algebra(report, name, parse_algebra(obj))
         elif kind == "morphism":
             phi = parse_morphism(obj, base_dir)
-            _validate_algebra(report, f"{name}:source", phi.source)
-            _validate_algebra(report, f"{name}:target", phi.target)
-            bad = check_morphism(phi)
-            report.add_check(f"{name}: morphism identities", not bad, _violation_details(bad))
+            _validate_morphism(report, name, phi, f"{name}: morphism identities")
         elif kind == "representation":
             rep, _ = parse_representation(obj, base_dir)
             _validate_algebra(report, f"{name}:algebra", rep.algebra)
@@ -133,10 +139,7 @@ def cmd_validate(args):
             report.add_check(f"{name}: representation identities", not bad, _violation_details(bad))
         else:
             md = parse_deformation(obj, base_dir)
-            _validate_algebra(report, f"{name}:source", md.phi.source)
-            _validate_algebra(report, f"{name}:target", md.phi.target)
-            bad = check_morphism(md.phi)
-            report.add_check(f"{name}: morphism identities", not bad, _violation_details(bad))
+            _validate_morphism(report, name, md.phi, f"{name}: morphism identities")
             for l in range(md.order + 1):
                 r1, r2, r3 = morphism_order_residual(md, l)
                 ok = not (r1 or r2 or r3)
@@ -178,8 +181,6 @@ def cmd_cohomology(args):
     complex_ = CochainComplex(a, rep, conv)
     rows = []
     try:
-        from .linalg import rank
-
         for p in _degrees(args.degrees):
             rows.append(
                 (
@@ -204,17 +205,12 @@ def cmd_morphism_cohomology(args):
     report = RunReport(command=_echo(args), convention=conv.label())
     name = os.path.basename(args.morphism)
     report.digests[name] = digest(obj)
-    _validate_algebra(report, f"{name}:source", phi.source)
-    _validate_algebra(report, f"{name}:target", phi.target)
-    bad = check_morphism(phi)
-    report.add_check("morphism identities", not bad, _violation_details(bad))
+    _validate_morphism(report, name, phi)
     if report.exit_code:
         return report
     mc = MorphismComplex(phi, conv)
     rows = []
     try:
-        from .linalg import rank
-
         for p in _degrees(args.degrees):
             hp = mc.cohomology_dim(p)
             rows.append((p, mc.total_dim(p), rank(mc.d_matrix(p)), hp))
@@ -250,10 +246,19 @@ def cmd_deform(args):
     obj = load_json(args.deformation)
     md = parse_deformation(obj, os.path.dirname(args.deformation))
     report = RunReport(command=_echo(args), convention=conv.label())
-    report.digests[os.path.basename(args.deformation)] = digest(obj)
+    name = os.path.basename(args.deformation)
+    report.digests[name] = digest(obj)
     order = args.order if args.order is not None else md.order + (args.mode != "check")
     if order < (1 if args.mode != "check" else 0):
         raise DocumentError("--order must be at least 1 for obstruct/extend")
+    if args.mode != "check" and md.order < order - 1:
+        raise DocumentError(
+            f"deformation carries coefficients through order {md.order}; "
+            f"order-{order} {args.mode} needs order {order - 1}"
+        )
+    _validate_morphism(report, name, md.phi)
+    if report.exit_code:
+        return report
 
     if args.mode == "check":
         rows = []
@@ -269,18 +274,18 @@ def cmd_deform(args):
         )
         return report
 
-    if md.order < order - 1:
-        raise DocumentError(
-            f"deformation carries coefficients through order {md.order}; "
-            f"order-{order} {args.mode} needs order {order - 1}"
-        )
-    valid = is_valid_through(md, order - 1)
-    report.add_check(f"valid through order {order - 1}", valid)
-    if not valid:
+    # obstruction and solve_extension check validity below the order themselves
+    try:
+        if args.mode == "obstruct":
+            f = obstruction(md, order)
+        else:
+            ext = solve_extension(md, order, conv)
+    except NotValidBelow:
+        report.add_check(f"valid through order {order - 1}", False)
         return report
+    report.add_check(f"valid through order {order - 1}", True)
 
     if args.mode == "obstruct":
-        f = obstruction(md, order)
         report.add_check(f"obstruction F_{order} vanishes", f.is_zero())
         report.add_table(
             "obstruction support",
@@ -293,13 +298,10 @@ def cmd_deform(args):
         )
         return report
 
-    # extend
-    ext = solve_extension(md, order, conv)
     if ext is None:
         report.add_check(f"extension to order {order}", False, "obstructed")
         return report
     report.add_check(f"extension to order {order}", True, "residuals re-verified")
-    extended = md.extended(*ext)
     report.add_table(
         "extended coefficient support",
         ["component", "nonzero entries"],
@@ -310,8 +312,7 @@ def cmd_deform(args):
         ],
     )
     if args.emit:
-        from .documents import dump_json
-
+        extended = md.truncated(order - 1).extended(*ext)
         dump_json(serialize_deformation(extended), args.emit)
         report.note(f"extended deformation written to {args.emit}")
     return report

@@ -234,13 +234,11 @@ class CochainSpace:
 class Cochain:
     """A member of a CochainSpace: ambient coefficient tensor plus its space."""
 
-    def __init__(self, space, coeffs, check=False):
+    def __init__(self, space, coeffs):
         if len(coeffs) != space.ambient:
             raise ValueError("coefficient length does not match ambient dimension")
         self.space = space
         self.coeffs = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
-        if check:
-            space.coords(self.coeffs)
 
     def is_zero(self):
         return all(x == 0 for x in self.coeffs)
@@ -406,46 +404,78 @@ def apply_operator(op_cols, coeffs, out_dim):
     return out
 
 
-def coboundary_tensor(algebra, rep, p, coeffs, convention=DEFAULT_CONVENTION, op_cols=None):
+def coboundary_tensor(algebra, rep, p, coeffs, convention=DEFAULT_CONVENTION):
     """Raw delta^p on an ambient coefficient tensor (no membership checks).
 
-    Accepts tensors that need not be twist-compatible; the deformation
-    solver relies on that.
+    Accepts tensors that need not be twist-compatible.
     """
-    if op_cols is None:
-        op_cols = coboundary_operator(algebra, rep, p, convention)
+    op_cols = coboundary_operator(algebra, rep, p, convention)
     return apply_operator(op_cols, coeffs, ambient_dim(algebra, rep, p + 1))
 
 
-def coboundary(f: Cochain, convention=DEFAULT_CONVENTION, target_space=None):
-    """delta^p f as a checked member of C^{p+1}.
+def coboundary(f: Cochain, convention, target_space):
+    """delta^p f as a checked member of target_space, which is C^{p+1}.
 
     Raises ConstraintViolation when the image leaves the twist-compatible
     subspace, which signals an invalid convention or an invalid algebra.
     """
     sp = f.space
     raw = coboundary_tensor(sp.algebra, sp.rep, sp.degree, f.coeffs, convention)
-    if target_space is None:
-        target_space = CochainSpace(sp.algebra, sp.rep, sp.degree + 1)
     target_space.coords(raw)
     return Cochain(target_space, raw)
 
 
-def coboundary_matrix(space: CochainSpace, convention=DEFAULT_CONVENTION, target_space=None, op_cols=None):
-    """Matrix of delta^p between the computed bases of C^p and C^{p+1}."""
-    if target_space is None:
-        target_space = CochainSpace(space.algebra, space.rep, space.degree + 1)
+def coboundary_matrix(space: CochainSpace, convention, target_space, op_cols=None):
+    """Matrix of delta^p between the computed bases of C^p and of target_space."""
     if op_cols is None:
         op_cols = coboundary_operator(space.algebra, space.rep, space.degree, convention)
+    return restrict_operator(op_cols, [space], [target_space])
+
+
+def restrict_operator(op_cols, sources, targets) -> Matrix:
+    """Matrix of a sparse ambient operator between direct sums of cochain spaces.
+
+    The ambient coordinates of the sources (and of the targets) are stacked
+    in list order.  Column j is the image of the j-th direct-sum basis
+    vector, in coordinates over the targets' bases; an image that leaves
+    them raises ConstraintViolation.
+    """
+    in_ambient = sum(s.ambient for s in sources)
+    out_ambient = sum(t.ambient for t in targets)
     cols = []
-    for bv in space.basis.vectors:
-        raw = apply_operator(op_cols, bv, target_space.ambient)
-        cols.append(target_space.coords(raw))
-    if cols:
-        entries = [[cols[j][i] for j in range(len(cols))] for i in range(target_space.dim)]
-    else:
-        entries = [[] for _ in range(target_space.dim)]
-    return Matrix(target_space.dim, len(cols), entries)
+    offset = 0
+    for s in sources:
+        for bv in s.basis.vectors:
+            vec = [Q(0)] * in_ambient
+            vec[offset : offset + s.ambient] = bv
+            raw = apply_operator(op_cols, vec, out_ambient)
+            col, start = [], 0
+            for t in targets:
+                col += t.coords(raw[start : start + t.ambient])
+                start += t.ambient
+            cols.append(col)
+        offset += s.ambient
+    rows = sum(t.dim for t in targets)
+    return Matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+
+
+def cohomology_dim_of(differential, p, symbol, convention) -> int:
+    """dim H^p = dim ker d^p - rank d^{p-1}, where d^p = differential(p) and C^0 = 0.
+
+    d^p o d^{p-1} = 0 is checked exactly first; NotACochainComplex names the
+    differential by symbol and gives the convention."""
+    if p < 1:
+        raise ValueError("cohomology degree must be at least 1")
+    dp = differential(p)
+    kernel_dim = dp.cols - rank(dp)
+    if p == 1:
+        return kernel_dim
+    dprev = differential(p - 1)
+    if not (dp @ dprev).is_zero():
+        raise NotACochainComplex(
+            f"{symbol}^{p} o {symbol}^{p-1} is nonzero with convention {convention.label()}"
+        )
+    return kernel_dim - rank(dprev)
 
 
 class CochainComplex:
@@ -484,19 +514,7 @@ class CochainComplex:
         return self._matrices[p]
 
     def cohomology_dim(self, p) -> int:
-        if p < 1:
-            raise ValueError("cohomology degree must be at least 1")
-        dp = self.delta(p)
-        kernel_dim = dp.cols - rank(dp)
-        if p == 1:
-            return kernel_dim
-        dprev = self.delta(p - 1)
-        if not (dp @ dprev).is_zero():
-            raise NotACochainComplex(
-                f"delta^{p} o delta^{p-1} is nonzero with convention "
-                f"{self.convention.label()}"
-            )
-        return kernel_dim - rank(dprev)
+        return cohomology_dim_of(self.delta, p, "delta", self.convention)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ equations are affine-linear in the order-l coefficient triple; their linear
 part is the degree-2 differential of the morphism complex and their
 constant part is the obstruction cochain F_l = (O1, O2, O3): the order-l
 residual at a zero order-l triple, its morphism component negated.
-solve_extension exploits exactly that structure, and every returned triple
-is re-verified against the direct residual evaluators.
+solve_extension exploits exactly that structure: it solves one linear
+system against MorphismComplex.operator(2), the ambient d^2 that the
+morphism complex assembles, with F_l on the right-hand side.  Every
+returned triple is re-verified against the direct residual evaluators.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ from .algebra import (
     normalize_multimap,
     _basis_combo,
 )
-from .cochain import DEFAULT_CONVENTION, ConstraintViolation, ambient_dim, _flat
+from .cochain import DEFAULT_CONVENTION, Cochain, ConstraintViolation, _flat
 from .linalg import Matrix, Q, solve
-from .morphism_complex import MorphismCochain, MorphismComplex, pull_tensor, push_tensor
+from .morphism_complex import MorphismCochain, MorphismComplex
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,15 @@ class MorphismDeformation:
         m = self.phi_coeff(i)
         return {r: m.entries[r][j] for r in range(m.rows) if m.entries[r][j]}
 
+    def truncated(self, k):
+        """This deformation cut, or padded with zero coefficients, to order k."""
+        return MorphismDeformation(
+            self.phi,
+            TruncatedDeformation(self.phi.source, [self.xi.coeff(i) for i in range(k + 1)]),
+            TruncatedDeformation(self.phi.target, [self.eta.coeff(i) for i in range(k + 1)]),
+            [self.phi_coeff(i) for i in range(k + 1)],
+        )
+
     def extended(self, xi_l, eta_l, phi_l):
         return MorphismDeformation(
             self.phi,
@@ -235,6 +246,10 @@ def morphism_order_residual(md: MorphismDeformation, l):
         if res:
             res_phi[X] = res
     return res_xi, res_eta, res_phi
+
+
+class NotValidBelow(ValueError):
+    """The deformation fails a structure equation below the requested order."""
 
 
 def is_valid_through(md: MorphismDeformation, order):
@@ -294,14 +309,8 @@ def obstruction(md: MorphismDeformation, l) -> ObstructionCochain:
     if l < 1:
         raise ValueError("obstruction order must be at least 1")
     if not is_valid_through(md, l - 1):
-        raise ValueError(f"deformation is not valid through order {l - 1}")
-    phi = md.phi
-    head = MorphismDeformation(
-        phi,
-        TruncatedDeformation(phi.source, [md.xi.coeff(i) for i in range(l)] + [{}]),
-        TruncatedDeformation(phi.target, [md.eta.coeff(i) for i in range(l)] + [{}]),
-        [md.phi_coeff(i) for i in range(l)] + [Matrix.zeros(phi.target.dim, phi.source.dim)],
-    )
+        raise NotValidBelow(f"deformation is not valid through order {l - 1}")
+    head = md.truncated(l - 1).truncated(l)
     o1, o2, r3 = morphism_order_residual(head, l)
     return ObstructionCochain(l, o1, o2, {X: cscale(res, -1) for X, res in r3.items()})
 
@@ -353,11 +362,11 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     obstructed.
 
     The order-l equations are solved as d(xi_l, eta_l, phi_l) = F_l at the
-    ambient tensor level, with d assembled from the coboundary operators of
-    the morphism complex; the unknowns are not constrained to the
-    twist-compatible subspaces.  Any returned triple is re-verified against
-    the direct order-l residual evaluators, a disagreement being a hard
-    failure.
+    ambient tensor level, with d the morphism complex's operator(2); the
+    unknowns are not constrained to the twist-compatible subspaces.
+    Coefficients of md above order l-1 are ignored.  Any returned triple is
+    re-verified, on md cut to order l-1, against the direct order-l residual
+    evaluators, a disagreement being a hard failure.
     """
     if l < 1:
         raise ValueError("extension order must be at least 1")
@@ -368,52 +377,26 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     mc = MorphismComplex(md.phi, convention)
     L, M = md.phi.source, md.phi.target
     n = L.arity
-    amb_u = ambient_dim(L, mc.left.rep, 2)
-    amb_v = ambient_dim(M, mc.right.rep, 2)
-    amb_w = ambient_dim(L, mc.mixed.rep, 1)
-    out_u = ambient_dim(L, mc.left.rep, 3)
-    out_v = ambient_dim(M, mc.right.rep, 3)
-    out_w = ambient_dim(L, mc.mixed.rep, 2)
-
-    cols = []
-    zero_u = [Q(0)] * out_u
-    zero_v = [Q(0)] * out_v
-    for j in range(amb_u):
-        unit = [Q(0)] * amb_u
-        unit[j] = Q(1)
-        du = mc.left.delta_ambient(2, unit)
-        third = push_tensor(md.phi, unit, L.dim)
-        cols.append(du + zero_v + third)
-    for j in range(amb_v):
-        unit = [Q(0)] * amb_v
-        unit[j] = Q(1)
-        dv = mc.right.delta_ambient(2, unit)
-        third = [-x for x in pull_tensor(md.phi, 2, unit)]
-        cols.append(zero_u + dv + third)
-    for j in range(amb_w):
-        unit = [Q(0)] * amb_w
-        unit[j] = Q(1)
-        dw = mc.mixed.delta_ambient(1, unit)
-        cols.append(zero_u + zero_v + [-x for x in dw])
-
+    au, av, aw = mc.ambient_dims(2)
+    rows, cols = sum(mc.ambient_dims(3)), au + av + aw
+    entries = [[Q(0)] * cols for _ in range(rows)]
+    for j, col in mc.operator(2).items():
+        for r, v in col:
+            entries[r][j] = v
     rhs = (
         multimap_to_ambient(fl.o1, 2 * n - 1, L.dim, L.dim)
         + multimap_to_ambient(fl.o2, 2 * n - 1, M.dim, M.dim)
         + multimap_to_ambient(fl.o3, n, L.dim, M.dim)
     )
-
-    rows = out_u + out_v + out_w
-    mat = Matrix(rows, len(cols), [[cols[j][i] for j in range(len(cols))] for i in range(rows)])
-    x = solve(mat, rhs)
+    x = solve(Matrix(rows, cols, entries), rhs)
     if x is None:
         return None
 
-    xi_l = ambient_to_multimap(x[:amb_u], n, L.dim, L.dim)
-    eta_l = ambient_to_multimap(x[amb_u : amb_u + amb_v], n, M.dim, M.dim)
-    phi_l = ambient_to_matrix(x[amb_u + amb_v :], M.dim, L.dim)
+    xi_l = ambient_to_multimap(x[:au], n, L.dim, L.dim)
+    eta_l = ambient_to_multimap(x[au : au + av], n, M.dim, M.dim)
+    phi_l = ambient_to_matrix(x[au + av :], M.dim, L.dim)
 
-    ext = md.extended(xi_l, eta_l, phi_l)
-    r1, r2, r3 = morphism_order_residual(ext, l)
+    r1, r2, r3 = morphism_order_residual(md.truncated(l - 1).extended(xi_l, eta_l, phi_l), l)
     if r1 or r2 or r3:
         raise RuntimeError(
             "solver produced a triple whose order-l residual is nonzero; "
@@ -446,6 +429,4 @@ def infinitesimal(md: MorphismDeformation, convention=DEFAULT_CONVENTION) -> Mor
             "order-1 coefficients are not twist-compatible; the infinitesimal "
             "does not define a morphism cochain"
         ) from exc
-    from .cochain import Cochain
-
     return MorphismCochain(2, Cochain(mc.left.space(2), u_raw), Cochain(mc.right.space(2), v_raw), Cochain(mc.mixed.space(1), w_raw))

@@ -3,30 +3,35 @@
 C^p(phi) = C^p(L;L) + C^p(M;M) + C^{p-1}(L;M), where the mixed summand uses
 the target as a module over the source through phi, and C^0 := 0.  The
 differential is d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w).
-All three summands share one sign convention; cohomology dimensions come
-from the block matrix of d over the computed bases.
+All three summands share one sign convention.
+
+d^p is assembled in one place, MorphismComplex.operator: a sparse ambient
+operator built from the three summand complexes' coboundary operators plus
+the push and pull columns.  d_matrix restricts it to the direct-sum bases
+for cohomology, and deformation.solve_extension solves against it at the
+ambient level.  MorphismComplex.differential evaluates d blockwise through
+push_tensor and pull_tensor, independently of the operator.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
-from .algebra import (
-    Morphism,
-    adjoint_representation,
-    check_morphism,
-    pullback_representation,
-)
+from .algebra import Morphism, adjoint_representation, pullback_representation
 from .cochain import (
     Cochain,
     CochainComplex,
     ConstraintViolation,
-    NotACochainComplex,
     DEFAULT_CONVENTION,
+    ambient_dim,
+    cohomology_dim_of,
     input_length,
+    restrict_operator,
     _flat,
 )
-from .linalg import Matrix, Q, rank, solve
+from .linalg import Matrix, Q, solve
 
 
 class HypothesisNotMet(Exception):
@@ -35,7 +40,6 @@ class HypothesisNotMet(Exception):
 
 def push_tensor(phi: Morphism, coeffs, module_dim_in):
     """Compose a C^p(L;L) ambient tensor with phi on the output."""
-    d_src = phi.source.dim
     d_tgt = phi.target.dim
     n_inputs = len(coeffs) // module_dim_in
     out = [Q(0)] * (n_inputs * d_tgt)
@@ -59,8 +63,6 @@ def pull_tensor(phi: Morphism, p, coeffs):
     in_len = input_length(n, p)
     out = [Q(0)] * (d_src ** in_len * m)
     cols = [phi.column(j) for j in range(d_src)]
-    import itertools
-
     for inp in itertools.product(range(d_src), repeat=in_len):
         # expand phi applied componentwise to the whole input tuple
         expanded = {(): Q(1)}
@@ -113,9 +115,8 @@ class MorphismComplex:
     """The three summand complexes of a morphism, wired to one convention."""
 
     def __init__(self, phi: Morphism, convention=DEFAULT_CONVENTION):
-        bad = check_morphism(phi)
-        if bad:
-            raise ValueError(f"not a morphism ({len(bad)} violated identities)")
+        # pullback_representation checks that phi is a morphism
+        mixed_rep = pullback_representation(phi)
         self.phi = phi
         self.convention = convention
         self.left = CochainComplex(
@@ -124,14 +125,22 @@ class MorphismComplex:
         self.right = CochainComplex(
             phi.target, adjoint_representation(phi.target), convention
         )
-        self.mixed = CochainComplex(
-            phi.source, pullback_representation(phi), convention
-        )
+        self.mixed = CochainComplex(phi.source, mixed_rep, convention)
+        self._operators = {}
         self._d_matrices = {}
-        self._push = {}
-        self._pull = {}
 
     # -- summand dimensions -------------------------------------------------
+
+    def summands(self, p):
+        """The cochain spaces whose direct sum is C^p(phi)."""
+        w = [self.mixed.space(p - 1)] if p >= 2 else []
+        return [self.left.space(p), self.right.space(p)] + w
+
+    def ambient_dims(self, p):
+        """Ambient sizes of the u, v and w tensors in degree p (w is 0 in degree 1)."""
+        L, M = self.phi.source, self.phi.target
+        aw = ambient_dim(L, self.mixed.rep, p - 1) if p >= 2 else 0
+        return ambient_dim(L, self.left.rep, p), ambient_dim(M, self.right.rep, p), aw
 
     def space_dims(self, p):
         wd = self.mixed.space(p - 1).dim if p >= 2 else 0
@@ -164,25 +173,6 @@ class MorphismComplex:
         target.coords(raw)
         return Cochain(target, raw)
 
-    def push_matrix(self, p) -> Matrix:
-        if p not in self._push:
-            src = self.left.space(p)
-            tgt = self.mixed.space(p)
-            cols = [
-                tgt.coords(push_tensor(self.phi, bv, self.phi.source.dim))
-                for bv in src.basis.vectors
-            ]
-            self._push[p] = _cols_to_matrix(cols, tgt.dim)
-        return self._push[p]
-
-    def pull_matrix(self, p) -> Matrix:
-        if p not in self._pull:
-            src = self.right.space(p)
-            tgt = self.mixed.space(p)
-            cols = [tgt.coords(pull_tensor(self.phi, p, bv)) for bv in src.basis.vectors]
-            self._pull[p] = _cols_to_matrix(cols, tgt.dim)
-        return self._pull[p]
-
     # -- the differential ---------------------------------------------------
 
     def differential(self, c: MorphismCochain) -> MorphismCochain:
@@ -197,29 +187,58 @@ class MorphismComplex:
             third = third - coboundary(c.w, self.convention, self.mixed.space(p))
         return MorphismCochain(p + 1, du, dv, third)
 
+    def operator(self, p):
+        """Sparse ambient matrix of d^p, as {column: [(row, coeff), ...]}.
+
+        Columns run over the ambient u, v, w tensors and rows over the
+        ambient (delta u, delta v, phi.u - v.phi - delta w), in that order.
+        """
+        if p in self._operators:
+            return self._operators[p]
+        au, av, _ = self.ambient_dims(p)
+        ru, rv, _ = self.ambient_dims(p + 1)
+        third = ru + rv
+        d_src, d_tgt = self.phi.source.dim, self.phi.target.dim
+        phi = self.phi.matrix.entries
+        op = {}
+        # u: delta u on top, phi.u below; phi acts on the output index
+        left = self.left.operator(p)
+        for j in range(au):
+            pos, k = divmod(j, d_src)
+            col = left.get(j, []) + [
+                (third + pos * d_tgt + r, phi[r][k]) for r in range(d_tgt) if phi[r][k]
+            ]
+            if col:
+                op[j] = col
+        # v: delta v, then -v.phi; phi acts on every input slot
+        right = self.right.operator(p)
+        phi_rows = [[(i, x) for i, x in enumerate(row) if x] for row in phi]
+        in_len = input_length(self.phi.source.arity, p)
+        for pos, key in enumerate(itertools.product(range(d_tgt), repeat=in_len)):
+            pulled = [
+                (_flat([i for i, _ in picks], d_src) * d_tgt, -math.prod(x for _, x in picks))
+                for picks in itertools.product(*(phi_rows[t] for t in key))
+            ]
+            for mo in range(d_tgt):
+                j = pos * d_tgt + mo
+                col = [(ru + r, x) for r, x in right.get(j, [])]
+                col += [(third + base + mo, x) for base, x in pulled]
+                if col:
+                    op[au + j] = col
+        # w: -delta w
+        if p >= 2:
+            for j, col in self.mixed.operator(p - 1).items():
+                op[au + av + j] = [(third + r, -x) for r, x in col]
+        self._operators[p] = op
+        return op
+
     def d_matrix(self, p) -> Matrix:
-        """Block matrix of d^p over the direct-sum bases."""
-        if p in self._d_matrices:
-            return self._d_matrices[p]
-        du, dv, dw = self.space_dims(p)
-        ru, rv, rw = self.space_dims(p + 1)
-        dl = self.left.delta(p)
-        dr = self.right.delta(p)
-        ph = self.push_matrix(p)
-        pl = self.pull_matrix(p)
-        dm = self.mixed.delta(p - 1) if p >= 2 else None
-        rows = ru + rv + rw
-        cols = du + dv + dw
-        entries = [[Q(0)] * cols for _ in range(rows)]
-        _paste(entries, dl, 0, 0)
-        _paste(entries, dr, ru, du)
-        _paste(entries, ph, ru + rv, 0)
-        _paste(entries, pl.scaled(-1), ru + rv, du)
-        if dm is not None:
-            _paste(entries, dm.scaled(-1), ru + rv, du + dv)
-        out = Matrix(rows, cols, entries)
-        self._d_matrices[p] = out
-        return out
+        """Matrix of d^p over the direct-sum bases: the operator, restricted."""
+        if p not in self._d_matrices:
+            self._d_matrices[p] = restrict_operator(
+                self.operator(p), self.summands(p), self.summands(p + 1)
+            )
+        return self._d_matrices[p]
 
     # -- coordinates --------------------------------------------------------
 
@@ -248,18 +267,7 @@ class MorphismComplex:
     # -- cohomology ---------------------------------------------------------
 
     def cohomology_dim(self, p) -> int:
-        if p < 1:
-            raise ValueError("degree must be at least 1")
-        dp = self.d_matrix(p)
-        kernel_dim = dp.cols - rank(dp)
-        if p == 1:
-            return kernel_dim
-        dprev = self.d_matrix(p - 1)
-        if not (dp @ dprev).is_zero():
-            raise NotACochainComplex(
-                f"d^{p} o d^{p-1} is nonzero with convention {self.convention.label()}"
-            )
-        return kernel_dim - rank(dprev)
+        return cohomology_dim_of(self.d_matrix, p, "d", self.convention)
 
     # -- constructive vanishing transfer ------------------------------------
 
@@ -310,19 +318,3 @@ class MorphismComplex:
         if back != self.coords(c):
             raise RuntimeError("witness failed exact verification")
         return out
-
-
-def _cols_to_matrix(cols, rows):
-    if cols:
-        entries = [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
-    else:
-        entries = [[] for _ in range(rows)]
-    return Matrix(rows, len(cols), entries)
-
-
-def _paste(entries, block: Matrix, r0, c0):
-    for i in range(block.rows):
-        row = block.entries[i]
-        for j in range(block.cols):
-            if row[j]:
-                entries[r0 + i][c0 + j] = row[j]

@@ -25,6 +25,7 @@ from homleibniz.fixtures import (
     twisted_ff_e,
 )
 from homleibniz.linalg import Matrix
+from homleibniz.morphism_complex import MorphismComplex
 
 
 def test_all_fixture_algebras_satisfy_the_identities():
@@ -68,6 +69,8 @@ def test_pullback_rejects_non_morphism():
     assert check_morphism(bad) != []
     with pytest.raises(ValueError):
         pullback_representation(bad)
+    with pytest.raises(ValueError):
+        MorphismComplex(bad)
 
 
 def test_fixture_morphisms_validate():

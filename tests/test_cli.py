@@ -139,6 +139,40 @@ def test_deform_extend_succeeds_and_emits(capsys, tmp_path):
     assert code == 0
 
 
+def test_extend_below_the_stored_order_replaces_the_top_order(capsys, tmp_path):
+    # extending an order-2 document to order 2 again re-solves order 2 on
+    # orders 0..1 instead of appending the triple at order 3
+    once, twice = str(tmp_path / "once.json"), str(tmp_path / "twice.json")
+    code, _, _ = run(capsys, "deform", "extend", fx("deform/d01.json"), "--order", "2", "--emit", once)
+    assert code == 0
+    code, _, _ = run(capsys, "deform", "extend", once, "--order", "2", "--emit", twice)
+    assert code == 0
+    code, out, _ = run(capsys, "deform", "check", twice, "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks if c["name"].startswith("order-")] == [
+        f"order-{l} residuals vanish" for l in range(3)
+    ]
+    assert all(c["verdict"] == "pass" for c in checks)
+
+
+def test_deform_validates_the_morphism_first(capsys, tmp_path):
+    # target twist diag(2,1) does not intertwine with the identity matrix
+    obj = json.load(open(fx("abelian_ff_e_deformation.json")))
+    obj["morphism"]["target"]["alpha"] = [["2", "0"], ["0", "1"]]
+    obj["xi"][1], obj["eta"][1], obj["phi"][1] = {}, {}, [["0", "0"], ["0", "0"]]
+    path = tmp_path / "bad_twist.json"
+    path.write_text(json.dumps(obj))
+    for mode in ("check", "obstruct", "extend"):
+        code, out, err = run(capsys, "deform", mode, str(path), "--order", "1", "--format", "json")
+        assert code == 1, mode
+        report = json.loads(out)
+        failed = [c["name"] for c in report["checks"] if c["verdict"] == "fail"]
+        assert failed == ["morphism identities"], mode
+        assert report["tables"] == []
+        assert "Traceback" not in err
+
+
 def test_json_reports_are_deterministic(capsys):
     _, first, _ = run(capsys, "cohomology", fx("leibniz_ff_e.json"), "--format", "json")
     _, second, _ = run(capsys, "cohomology", fx("leibniz_ff_e.json"), "--format", "json")

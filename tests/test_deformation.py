@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from homleibniz.cochain import ConstraintViolation
+from homleibniz.cochain import ConstraintViolation, apply_operator
 from homleibniz.deformation import (
     MorphismDeformation,
     TruncatedDeformation,
@@ -260,6 +260,9 @@ def test_residual_equals_differential_minus_obstruction():
         assert multimap_to_ambient(r1, 2 * n - 1, dL, dL) == [y - x for x, y in zip(du, fo1)]
         assert multimap_to_ambient(r2, 2 * n - 1, dL, dL) == [y - x for x, y in zip(dv, fo2)]
         assert multimap_to_ambient(r3, n, dL, dL) == [x - y for x, y in zip(third, fo3)]
+        # the assembled operator of d^2 agrees with the blockwise evaluation
+        blockwise = du + dv + third
+        assert apply_operator(mc.operator(2), u + v + wv, len(blockwise)) == blockwise
 
 
 # ---------------------------------------------------------------------------
