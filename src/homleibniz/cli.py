@@ -43,7 +43,6 @@ from .documents import (
     parse_representation,
     serialize_deformation,
 )
-from .linalg import rank
 from .morphism_complex import MorphismComplex
 from .report import RunReport
 
@@ -182,14 +181,7 @@ def cmd_cohomology(args):
     rows = []
     try:
         for p in _degrees(args.degrees):
-            rows.append(
-                (
-                    p,
-                    complex_.space(p).dim,
-                    rank(complex_.delta(p)),
-                    complex_.cohomology_dim(p),
-                )
-            )
+            rows.append((p, complex_.space(p).dim, complex_.rank(p), complex_.cohomology_dim(p)))
         report.add_check("coboundary squares to zero", True)
     except NotACochainComplex as exc:
         report.add_check("coboundary squares to zero", False, str(exc))
@@ -213,7 +205,7 @@ def cmd_morphism_cohomology(args):
     try:
         for p in _degrees(args.degrees):
             hp = mc.cohomology_dim(p)
-            rows.append((p, mc.total_dim(p), rank(mc.d_matrix(p)), hp))
+            rows.append((p, mc.total_dim(p), mc.rank(p), hp))
             if p >= 2:
                 hL = mc.left.cohomology_dim(p)
                 hM = mc.right.cohomology_dim(p)

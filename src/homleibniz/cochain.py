@@ -15,6 +15,9 @@ order of the bracket on (n-1)-tuples, and two typographically ambiguous
 readings are collected in SignConvention; calibrate_convention searches the
 finite convention space for those making the composite coboundary vanish
 exactly and pins a canonical default.
+
+delta o delta = 0 is certified in one place, squares_to_zero, on the sparse
+ambient operators; both complexes' cohomology_dim and the calibration call it.
 """
 
 from __future__ import annotations
@@ -131,12 +134,7 @@ def _flat(tup, d):
 
 
 # ---------------------------------------------------------------------------
-# brackets on elements and fundamental objects
-
-
-def element_bracket(algebra, z_combo, x_combos):
-    """[z, x^1, ..., x^{n-1}], the algebra bracket on combos."""
-    return algebra.bracket_apply([z_combo] + list(x_combos))
+# the bracket of fundamental objects
 
 
 def fundamental_bracket(algebra, x_combos, y_combos, y_first=False):
@@ -204,8 +202,7 @@ class CochainSpace:
                 for key, v in expanded.items():
                     row[_flat(key, d) * m + mo] -= v
                 rows.append(row)
-        mat = Matrix.from_rows(rows, self.ambient)
-        return kernel_basis(mat)
+        return kernel_basis(Matrix(len(rows), self.ambient, rows))
 
     def coords(self, coeffs):
         c = coords_in_basis(self.basis, coeffs)
@@ -252,9 +249,6 @@ class Cochain:
         if self.space is not other.space:
             raise ValueError("cochains belong to different spaces")
         return Cochain(self.space, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def scaled(self, c):
-        return Cochain(self.space, [c * x for x in self.coeffs])
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +354,7 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
 
         # term B: contract z with X_i, drop X_i
         for i in range(1, p + 1):
-            zb = element_bracket(
-                algebra, _basis_combo(z), [_basis_combo(x) for x in Xs[i - 1]]
-            )
+            zb = algebra.bracket_apply([_basis_combo(x) for x in (z, *Xs[i - 1])])
             slots = [zb] + [abar(Xs[r - 1]) for r in range(1, p + 1) if r != i]
             add_diag(_expand_slots(slots), cv.sign_b * (-1) ** i)
 
@@ -425,61 +417,78 @@ def coboundary(f: Cochain, convention, target_space):
     return Cochain(target_space, raw)
 
 
-def coboundary_matrix(space: CochainSpace, convention, target_space, op_cols=None):
-    """Matrix of delta^p between the computed bases of C^p and of target_space."""
-    if op_cols is None:
-        op_cols = coboundary_operator(space.algebra, space.rep, space.degree, convention)
+def coboundary_matrix(space: CochainSpace, target_space, op_cols) -> Matrix:
+    """Matrix of the ambient delta^p op_cols between the bases of C^p and target_space."""
     return restrict_operator(op_cols, [space], [target_space])
+
+
+def stacked_basis(sources):
+    """Each basis vector of the direct sum of sources, ambient coordinates stacked in order."""
+    total = sum(s.ambient for s in sources)
+    offset = 0
+    for s in sources:
+        for bv in s.basis.vectors:
+            vec = [Q(0)] * total
+            vec[offset : offset + s.ambient] = bv
+            yield vec
+        offset += s.ambient
 
 
 def restrict_operator(op_cols, sources, targets) -> Matrix:
     """Matrix of a sparse ambient operator between direct sums of cochain spaces.
 
-    The ambient coordinates of the sources (and of the targets) are stacked
-    in list order.  Column j is the image of the j-th direct-sum basis
-    vector, in coordinates over the targets' bases; an image that leaves
-    them raises ConstraintViolation.
+    Column j is the image of the j-th stacked basis vector of the sources,
+    in coordinates over the targets' bases; an image that leaves them raises
+    ConstraintViolation.
     """
-    in_ambient = sum(s.ambient for s in sources)
     out_ambient = sum(t.ambient for t in targets)
     cols = []
-    offset = 0
-    for s in sources:
-        for bv in s.basis.vectors:
-            vec = [Q(0)] * in_ambient
-            vec[offset : offset + s.ambient] = bv
-            raw = apply_operator(op_cols, vec, out_ambient)
-            col, start = [], 0
-            for t in targets:
-                col += t.coords(raw[start : start + t.ambient])
-                start += t.ambient
-            cols.append(col)
-        offset += s.ambient
+    for vec in stacked_basis(sources):
+        raw = apply_operator(op_cols, vec, out_ambient)
+        col, start = [], 0
+        for t in targets:
+            col += t.coords(raw[start : start + t.ambient])
+            start += t.ambient
+        cols.append(col)
     rows = sum(t.dim for t in targets)
     return Matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
 
 
-def cohomology_dim_of(differential, p, symbol, convention) -> int:
-    """dim H^p = dim ker d^p - rank d^{p-1}, where d^p = differential(p) and C^0 = 0.
+def squares_to_zero(cx, p) -> bool:
+    """Exact certificate of d^p o d^{p-1} = 0: the sparse ambient operators
+    cx.operator(p-1), then cx.operator(p), send every stacked basis vector of
+    cx.summands(p-1) to zero.  Callers also restrict d^{p-1}, which writes each
+    image exactly in the basis of C^p, so this is the zero matrix product."""
+    first, second = cx.operator(p - 1), cx.operator(p)
+    mid = sum(s.ambient for s in cx.summands(p))
+    out = sum(s.ambient for s in cx.summands(p + 1))
+    return not any(
+        any(apply_operator(second, apply_operator(first, vec, mid), out))
+        for vec in stacked_basis(cx.summands(p - 1))
+    )
 
-    d^p o d^{p-1} = 0 is checked exactly first; NotACochainComplex names the
+
+def cohomology_dim_of(cx, p, symbol) -> int:
+    """dim H^p = dim C^p - rank d^p - rank d^{p-1} of the complex cx, with C^0 = 0.
+
+    cx also supplies rank(q), over the summands' bases.  squares_to_zero
+    certifies d^p o d^{p-1} = 0 first; NotACochainComplex names the
     differential by symbol and gives the convention."""
     if p < 1:
         raise ValueError("cohomology degree must be at least 1")
-    dp = differential(p)
-    kernel_dim = dp.cols - rank(dp)
+    kernel_dim = sum(s.dim for s in cx.summands(p)) - cx.rank(p)
     if p == 1:
         return kernel_dim
-    dprev = differential(p - 1)
-    if not (dp @ dprev).is_zero():
+    rank_prev = cx.rank(p - 1)
+    if not squares_to_zero(cx, p):
         raise NotACochainComplex(
-            f"{symbol}^{p} o {symbol}^{p-1} is nonzero with convention {convention.label()}"
+            f"{symbol}^{p} o {symbol}^{p-1} is nonzero with convention {cx.convention.label()}"
         )
-    return kernel_dim - rank(dprev)
+    return kernel_dim - rank_prev
 
 
 class CochainComplex:
-    """Caches spaces and coboundary matrices of one (algebra, rep, convention)."""
+    """Caches spaces, operators, matrices and ranks of one (algebra, rep, convention)."""
 
     def __init__(self, algebra, rep, convention=DEFAULT_CONVENTION):
         self.algebra = algebra
@@ -488,11 +497,15 @@ class CochainComplex:
         self._spaces = {}
         self._matrices = {}
         self._operators = {}
+        self._ranks = {}
 
     def space(self, p) -> CochainSpace:
         if p not in self._spaces:
             self._spaces[p] = CochainSpace(self.algebra, self.rep, p)
         return self._spaces[p]
+
+    def summands(self, p):
+        return [self.space(p)]
 
     def operator(self, p):
         if p not in self._operators:
@@ -509,12 +522,17 @@ class CochainComplex:
     def delta(self, p) -> Matrix:
         if p not in self._matrices:
             self._matrices[p] = coboundary_matrix(
-                self.space(p), self.convention, self.space(p + 1), self.operator(p)
+                self.space(p), self.space(p + 1), self.operator(p)
             )
         return self._matrices[p]
 
+    def rank(self, p) -> int:
+        if p not in self._ranks:
+            self._ranks[p] = rank(self.delta(p))
+        return self._ranks[p]
+
     def cohomology_dim(self, p) -> int:
-        return cohomology_dim_of(self.delta, p, "delta", self.convention)
+        return cohomology_dim_of(self, p, "delta")
 
 
 # ---------------------------------------------------------------------------
@@ -522,20 +540,18 @@ class CochainComplex:
 
 
 def convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None):
-    """Whether delta^{p+1} o delta^p vanishes exactly for the given degrees."""
-    if spaces is None:
-        spaces = {}
+    """Whether delta^{p+1} o delta^p vanishes exactly for the given degrees.
 
-    def space(p):
-        if p not in spaces:
-            spaces[p] = CochainSpace(algebra, rep, p)
-        return spaces[p]
-
+    Each delta^q is restricted to the bases first, so an image outside the
+    twist-compatible subspace fails.  spaces shares CochainSpaces between calls."""
+    cx = CochainComplex(algebra, rep, convention)
+    if spaces is not None:
+        cx._spaces = spaces
     try:
         for p in degrees:
-            d1 = coboundary_matrix(space(p), convention, space(p + 1))
-            d2 = coboundary_matrix(space(p + 1), convention, space(p + 2))
-            if not (d2 @ d1).is_zero():
+            cx.delta(p)
+            cx.delta(p + 1)
+            if not squares_to_zero(cx, p + 1):
                 return False
     except ConstraintViolation:
         return False

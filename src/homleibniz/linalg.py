@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Everything downstream (cochain-space bases, coboundary ranks, deformation
-solves) reduces to the four operations here: rank, kernel_basis, solve and
+Cochain-space bases, ranks of restricted differentials and deformation
+solves reduce to the four operations here: rank, kernel_basis, solve and
 coords_in_basis.  Matrices are dense, entries are Fraction, and pivoting is
 "first nonzero entry in column order", so every result is deterministic.
-Dimensions stay at desk scale (a few thousand columns at most), which makes
-dense elimination both the simplest and a fast-enough choice.
+The coboundaries themselves are sparse ambient operators (cochain.py), and
+delta o delta = 0 is certified on them, never by a Matrix product.
 """
 
 from __future__ import annotations
@@ -33,15 +33,6 @@ class Matrix:
         self.entries = [[_as_q(x) for x in row] for row in entries]
 
     @classmethod
-    def from_rows(cls, entries, cols=None):
-        rows = len(entries)
-        if cols is None:
-            if not rows:
-                raise ValueError("cannot infer cols of an empty matrix")
-            cols = len(entries[0])
-        return cls(rows, cols, entries)
-
-    @classmethod
     def zeros(cls, rows, cols):
         return cls(rows, cols, [[Q(0)] * cols for _ in range(rows)])
 
@@ -62,15 +53,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-    def __add__(self, other):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in addition")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
 
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -100,9 +82,6 @@ class Matrix:
         if len(vec) != self.cols:
             raise ValueError("vector length does not match cols")
         return [sum(a * _as_q(b) for a, b in zip(row, vec)) for row in self.entries]
-
-    def column(self, j):
-        return [row[j] for row in self.entries]
 
     def power(self, k):
         if self.rows != self.cols:
@@ -214,5 +193,5 @@ def coords_in_basis(basis: SubspaceBasis, vec):
         return coords if recon == vec else None
     if not basis.vectors:
         return [] if all(x == 0 for x in vec) else None
-    mat = Matrix.from_rows([list(col) for col in zip(*basis.vectors)], len(basis.vectors))
-    return solve(mat, vec)
+    cols = [list(col) for col in zip(*basis.vectors)]
+    return solve(Matrix(len(cols), len(basis.vectors), cols), vec)

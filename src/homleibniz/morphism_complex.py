@@ -9,8 +9,10 @@ d^p is assembled in one place, MorphismComplex.operator: a sparse ambient
 operator built from the three summand complexes' coboundary operators plus
 the push and pull columns.  d_matrix restricts it to the direct-sum bases
 for cohomology, and deformation.solve_extension solves against it at the
-ambient level.  MorphismComplex.differential evaluates d blockwise through
-push_tensor and pull_tensor, independently of the operator.
+ambient level.  d^p o d^{p-1} = 0 is certified on these operators by
+cochain.squares_to_zero, as for the summand complexes.
+MorphismComplex.differential evaluates d blockwise through push_tensor and
+pull_tensor, independently of the operator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .cochain import (
     restrict_operator,
     _flat,
 )
-from .linalg import Matrix, Q, solve
+from .linalg import Matrix, Q, rank, solve
 
 
 class HypothesisNotMet(Exception):
@@ -128,6 +130,7 @@ class MorphismComplex:
         self.mixed = CochainComplex(phi.source, mixed_rep, convention)
         self._operators = {}
         self._d_matrices = {}
+        self._ranks = {}
 
     # -- summand dimensions -------------------------------------------------
 
@@ -240,6 +243,11 @@ class MorphismComplex:
             )
         return self._d_matrices[p]
 
+    def rank(self, p) -> int:
+        if p not in self._ranks:
+            self._ranks[p] = rank(self.d_matrix(p))
+        return self._ranks[p]
+
     # -- coordinates --------------------------------------------------------
 
     def coords(self, c: MorphismCochain):
@@ -267,7 +275,7 @@ class MorphismComplex:
     # -- cohomology ---------------------------------------------------------
 
     def cohomology_dim(self, p) -> int:
-        return cohomology_dim_of(self.d_matrix, p, "d", self.convention)
+        return cohomology_dim_of(self, p, "d")
 
     # -- constructive vanishing transfer ------------------------------------
 

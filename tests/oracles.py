@@ -1,6 +1,6 @@
 """Independent oracles used by the test suite.
 
-Three deliberately separate implementations:
+Four deliberately separate implementations:
 
 * the classical right-Leibniz coboundary for binary algebras with identity
   twist, written directly from the textbook formula over raw ambient
@@ -11,7 +11,10 @@ Three deliberately separate implementations:
   purely from the residual evaluators, used to cross-check the extension
   solver and the recorded fixture verdicts.  It lives in
   scripts/make_fixtures.py, which recorded the battery verdicts with it,
-  and is re-exported here.
+  and is re-exported here; and
+* the dense delta-o-delta check: the coboundaries restricted to the
+  computed bases and multiplied as matrices, the reference for the sparse
+  certificate cochain.squares_to_zero.
 """
 
 import itertools
@@ -20,6 +23,12 @@ import sys
 from fractions import Fraction as Q
 
 from homleibniz.algebra import _basis_combo, apply_multimap, cadd, matrix_combo
+from homleibniz.cochain import (
+    CochainSpace,
+    ConstraintViolation,
+    coboundary_matrix,
+    coboundary_operator,
+)
 from homleibniz.deformation import ObstructionCochain
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
@@ -88,6 +97,36 @@ def _expand(combos):
                 cadd(nxt, key + (i,), coeff * v)
         out = nxt
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dense delta-o-delta check
+
+
+def dense_convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None):
+    """Whether the matrix product delta^{p+1} . delta^p over the computed bases
+    is zero for every p in degrees; an image outside the twist-compatible
+    subspace fails.  spaces is a {degree: CochainSpace} cache."""
+    if spaces is None:
+        spaces = {}
+
+    def space(p):
+        if p not in spaces:
+            spaces[p] = CochainSpace(algebra, rep, p)
+        return spaces[p]
+
+    def delta(p):
+        return coboundary_matrix(
+            space(p), space(p + 1), coboundary_operator(algebra, rep, p, convention)
+        )
+
+    try:
+        for p in degrees:
+            if not (delta(p + 1) @ delta(p)).is_zero():
+                return False
+    except ConstraintViolation:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,36 @@ def test_morphism_cohomology_flags_vanishing_transfer(capsys):
     assert "H^2(phi)=0" in out
 
 
+FAILING_CONVENTION = "A-B+C+D+|xy|hat-twisted|c-full"
+
+
+def _failed_check(out, name):
+    report = json.loads(out)
+    return [c["details"] for c in report["checks"] if c["name"] == name and c["verdict"] == "fail"]
+
+
+def test_cohomology_reports_a_nonzero_square(capsys):
+    code, out, _ = run(
+        capsys, "cohomology", fx("aff1.json"), "--convention", FAILING_CONVENTION,
+        "--degrees", "1..3", "--format", "json",
+    )
+    assert code == 1
+    assert _failed_check(out, "coboundary squares to zero") == [
+        f"delta^2 o delta^1 is nonzero with convention {FAILING_CONVENTION}"
+    ]
+
+
+def test_morphism_cohomology_reports_a_nonzero_square(capsys):
+    code, out, _ = run(
+        capsys, "morphism-cohomology", fx("identity_leibniz.json"), "--convention",
+        FAILING_CONVENTION, "--degrees", "1..3", "--format", "json",
+    )
+    assert code == 1
+    assert _failed_check(out, "differential squares to zero") == [
+        f"d^2 o d^1 is nonzero with convention {FAILING_CONVENTION}"
+    ]
+
+
 def test_deform_check_and_obstruct(capsys):
     code, out, _ = run(capsys, "deform", "check", fx("abelian_ff_e_deformation.json"))
     assert code == 0
