@@ -54,10 +54,8 @@ def matrix_combo(mat: Matrix, combo):
     """Apply a matrix to an element combo (columns indexed by basis)."""
     out = {}
     for j, v in combo.items():
-        for i in range(mat.rows):
-            e = mat.entries[i][j]
-            if e:
-                cadd(out, i, e * v)
+        for i, e in mat.column(j).items():
+            cadd(out, i, e * v)
     return out
 
 
@@ -162,7 +160,7 @@ class HomNaryAlgebra:
         return itertools.product(range(self.dim), repeat=count)
 
     def alpha_combo(self, i):
-        return {r: self.alpha.entries[r][i] for r in range(self.dim) if self.alpha.entries[r][i]}
+        return self.alpha.column(i)
 
     def bracket_apply(self, arg_combos):
         return apply_multimap(self.bracket, arg_combos)
@@ -184,7 +182,7 @@ class Morphism:
         return matrix_combo(self.matrix, combo)
 
     def column(self, j):
-        return {r: self.matrix.entries[r][j] for r in range(self.matrix.rows) if self.matrix.entries[r][j]}
+        return self.matrix.column(j)
 
 
 @dataclass
@@ -228,13 +226,6 @@ class Representation:
                         cadd(out, k, coeff * mv * c)
         return out
 
-    def alpha_module_combo(self, m):
-        return {
-            r: self.alpha_module.entries[r][m]
-            for r in range(self.module_dim)
-            if self.alpha_module.entries[r][m]
-        }
-
 
 # ---------------------------------------------------------------------------
 # the fundamental identity, with at most one slot in the module
@@ -246,11 +237,7 @@ _M = "M"
 def _mixed_alpha(rep, tagged):
     tag, combo = tagged
     if tag == _M:
-        out = {}
-        for m, v in combo.items():
-            for k, c in rep.alpha_module_combo(m).items():
-                cadd(out, k, v * c)
-        return (_M, out)
+        return (_M, matrix_combo(rep.alpha_module, combo))
     return (_L, matrix_combo(rep.algebra.alpha, combo))
 
 
@@ -374,14 +361,9 @@ def check_morphism(phi: Morphism):
         if v:
             report.append(v)
     diff = phi.matrix @ src.alpha - tgt.alpha @ phi.matrix
-    if not diff.is_zero():
-        bad = {
-            (i, j): diff.entries[i][j]
-            for i in range(diff.rows)
-            for j in range(diff.cols)
-            if diff.entries[i][j]
-        }
-        report.append(Violation("twist-intertwining", (), tuple(sorted(bad.items()))))
+    bad = sorted(((i, j), x) for j in range(diff.cols) for i, x in diff.column(j).items())
+    if bad:
+        report.append(Violation("twist-intertwining", (), tuple(bad)))
     report.sort(key=lambda v: (v.identity, v.where))
     return report
 
@@ -457,8 +439,7 @@ def yau_twist(a: HomNaryAlgebra, t: Matrix) -> HomNaryAlgebra:
         raise ValueError("endomorphism matrix shape mismatch")
     for tup in a.basis_tuples():
         lhs = matrix_combo(t, a.bracket_apply([_basis_combo(i) for i in tup]))
-        cols = [{r: t.entries[r][i] for r in range(a.dim) if t.entries[r][i]} for i in tup]
-        rhs = a.bracket_apply(cols)
+        rhs = a.bracket_apply([t.column(i) for i in tup])
         if csub(lhs, rhs):
             raise ValueError(f"t is not an endomorphism of the bracket (fails at {tup})")
     bracket = {}

@@ -25,6 +25,7 @@ from .cochain import (
     DEFAULT_CONVENTION,
     NotACochainComplex,
     SignConvention,
+    ambient_dim,
 )
 from .deformation import (
     NotValidBelow,
@@ -48,6 +49,11 @@ from .report import RunReport
 
 EXIT_INPUT_ERROR = 2
 
+# Largest ambient dimension of a cochain space a command may build.  It admits
+# dim 4 at degree 4 (4 * 4^5); the constraint kernel still fills a dense
+# ambient x ambient grid, so much larger spaces would exhaust memory.
+MAX_AMBIENT = 4096
+
 FIXTURES_ENV = "HOMLEIBNIZ_FIXTURES"
 
 
@@ -60,7 +66,9 @@ def _convention(args):
         raise DocumentError(str(exc)) from None
 
 
-def _degrees(spec):
+def _degrees(spec, ambient_at):
+    """The degrees p1..p2 of spec; refused when H^p2 needs a cochain space above
+    MAX_AMBIENT, ambient_at(q) being the largest ambient dimension in degree q."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
@@ -71,6 +79,11 @@ def _degrees(spec):
         raise DocumentError(f"cannot parse degree range {spec!r}; use 'p' or 'p1..p2'")
     if lo < 1 or hi < lo:
         raise DocumentError("degrees must satisfy 1 <= p1 <= p2")
+    if ambient_at(hi + 1) > MAX_AMBIENT:
+        raise DocumentError(
+            f"degree {hi} needs a cochain space of ambient dimension {ambient_at(hi + 1)}, "
+            f"above the limit of {MAX_AMBIENT}"
+        )
     return range(lo, hi + 1)
 
 
@@ -177,10 +190,11 @@ def cmd_cohomology(args):
         )
     if report.exit_code:
         return report
+    degrees = _degrees(args.degrees, lambda q: ambient_dim(a, rep, q))
     complex_ = CochainComplex(a, rep, conv)
     rows = []
     try:
-        for p in _degrees(args.degrees):
+        for p in degrees:
             rows.append((p, complex_.space(p).dim, complex_.rank(p), complex_.cohomology_dim(p)))
         report.add_check("coboundary squares to zero", True)
     except NotACochainComplex as exc:
@@ -201,9 +215,10 @@ def cmd_morphism_cohomology(args):
     if report.exit_code:
         return report
     mc = MorphismComplex(phi, conv)
+    degrees = _degrees(args.degrees, lambda q: max(mc.ambient_dims(q)))
     rows = []
     try:
-        for p in _degrees(args.degrees):
+        for p in degrees:
             hp = mc.cohomology_dim(p)
             rows.append((p, mc.total_dim(p), mc.rank(p), hp))
             if p >= 2:

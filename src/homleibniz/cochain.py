@@ -216,13 +216,7 @@ class CochainSpace:
         return coords_in_basis(self.basis, coeffs) is not None
 
     def from_coords(self, coords):
-        vec = [Q(0)] * self.ambient
-        for c, bv in zip(coords, self.basis.vectors):
-            if c:
-                for i, x in enumerate(bv):
-                    if x:
-                        vec[i] += c * x
-        return Cochain(self, vec)
+        return Cochain(self, self.basis.combination(coords))
 
     def zero(self):
         return Cochain(self, [Q(0)] * self.ambient)
@@ -285,9 +279,7 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
     cv = convention
     alpha_cols = [algebra.alpha_combo(i) for i in range(d)]
     apow = algebra.alpha.power(p - 1)
-    apow_cols = [
-        {r: apow.entries[r][i] for r in range(d) if apow.entries[r][i]} for i in range(d)
-    ]
+    apow_cols = [apow.column(i) for i in range(d)]
     # action of a unit module basis vector, per action index and algebra slot expansion
     entries = {}
 

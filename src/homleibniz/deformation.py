@@ -196,8 +196,7 @@ class MorphismDeformation:
         return Matrix.zeros(self.phi.target.dim, self.phi.source.dim)
 
     def phi_col(self, i, j):
-        m = self.phi_coeff(i)
-        return {r: m.entries[r][j] for r in range(m.rows) if m.entries[r][j]}
+        return self.phi_coeff(i).column(j)
 
     def truncated(self, k):
         """This deformation cut, or padded with zero coefficients, to order k."""

@@ -2,8 +2,12 @@
 
 Cochain-space bases, ranks of restricted differentials and deformation
 solves reduce to the four operations here: rank, kernel_basis, solve and
-coords_in_basis.  Matrices are dense, entries are Fraction, and pivoting is
-"first nonzero entry in column order", so every result is deterministic.
+coords_in_basis.  A Matrix is given and read as a dense grid of Fractions;
+other modules take sparse columns from Matrix.column.  rank, kernel_basis
+and solve share one elimination over sparse rows {column: Fraction}.  The
+reduced row echelon form of a matrix is unique, so its pivots are the first
+nonzero columns in column order, and every rank, kernel vector and solution
+equals that of dense Gauss-Jordan elimination, whatever the row order.
 The coboundaries themselves are sparse ambient operators (cochain.py), and
 delta o delta = 0 is certified on them, never by a Matrix product.
 """
@@ -23,7 +27,7 @@ def _as_q(x) -> Fraction:
 class Matrix:
     """Dense rows x cols grid of Fractions, immutable by convention."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_columns")
 
     def __init__(self, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -31,6 +35,15 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.entries = [[_as_q(x) for x in row] for row in entries]
+        self._columns = None
+
+    def column(self, j):
+        """Column j as a sparse {row: nonzero entry}; built once, so never modify it."""
+        if self._columns is None:
+            self._columns = [
+                {i: row[c] for i, row in enumerate(self.entries) if row[c]} for c in range(self.cols)
+            ]
+        return self._columns[j]
 
     @classmethod
     def zeros(cls, rows, cols):
@@ -101,97 +114,108 @@ class Matrix:
 class SubspaceBasis:
     """Linearly independent spanning vectors of a subspace of Q^ambient_dim.
 
-    unit_rows, when present, lists coordinates where the basis carries an
-    identity pattern (vector j is 1 at unit_rows[j], 0 at the other listed
-    rows); coordinates of a member vector can then be read off directly.
+    Vector j is 1 at unit_rows[j] and 0 at the other unit rows, so the
+    coordinates of a member vector can be read off there.
     """
 
     ambient_dim: int
     vectors: list
-    unit_rows: tuple = None
+    unit_rows: tuple
 
     @property
     def dim(self):
         return len(self.vectors)
 
+    def combination(self, coords):
+        """sum_j coords[j] * vectors[j], in ambient coordinates."""
+        out = [Q(0)] * self.ambient_dim
+        for c, bv in zip(coords, self.vectors):
+            if c:
+                for i, x in enumerate(bv):
+                    if x:
+                        out[i] += c * x
+        return out
 
-def _rref(entries, rows, cols):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    m = [row[:] for row in entries]
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if pr is None:
+
+def _subtract(dst, f, src):
+    """dst -= f * src on sparse rows, dropping the cells that cancel."""
+    for c, x in src.items():
+        v = dst.get(c, 0) - f * x
+        if v:
+            dst[c] = v
+        else:
+            del dst[c]
+
+
+def _rref(m: Matrix, b=()):
+    """RREF of m, with b as an extra column m.cols, as {pivot column: sparse row}.
+
+    Each row is reduced by the pivot rows so far; a nonzero remainder is scaled
+    to 1 at its smallest column, its pivot, which is cleared from the others.
+    """
+    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    for row, x in zip(rows, b):
+        if x:
+            row[m.cols] = _as_q(x)
+    red = {}
+    for row in rows:
+        for p in [c for c in row if c in red]:
+            _subtract(row, row[p], red[p])
+        if not row:
             continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
+        pivot = min(row)
+        inv = row[pivot]
         if inv != 1:
-            m[r] = [x / inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+            row = {c: x / inv for c, x in row.items()}
+        for other in red.values():
+            if pivot in other:
+                _subtract(other, other[pivot], row)
+        red[pivot] = row
+    return red
 
 
 def rank(m: Matrix) -> int:
-    _, pivots = _rref(m.entries, m.rows, m.cols)
-    return len(pivots)
+    return len(_rref(m))
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of {x : m.x = 0}, one vector per free column of the RREF."""
-    red, pivots = _rref(m.entries, m.rows, m.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [Q(0)] * m.cols
+    red = _rref(m)
+    free = [c for c in range(m.cols) if c not in red]
+    vectors = {f: [Q(0)] * m.cols for f in free}
+    for f, v in vectors.items():
         v[f] = Q(1)
-        for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        vectors.append(v)
-    return SubspaceBasis(m.cols, vectors, unit_rows=tuple(free))
+    for p, row in red.items():
+        for c, x in row.items():  # off its pivot, a reduced row meets free columns only
+            if c != p:
+                vectors[c][p] = -x
+    return SubspaceBasis(m.cols, list(vectors.values()), tuple(free))
 
 
 def solve(m: Matrix, b):
-    """Some x with m.x = b, or None when b is outside the column space."""
+    """Some x with m.x = b, or None when b is outside the column space.
+
+    b is eliminated as one extra column; the free unknowns are set to 0.
+    """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match rows")
-    aug = [row + [_as_q(x)] for row, x in zip(m.entries, b)]
-    red, pivots = _rref(aug, m.rows, m.cols + 1)
-    if pivots and pivots[-1] == m.cols:
+    red = _rref(m, b)
+    if m.cols in red:
         return None
     x = [Q(0)] * m.cols
-    for r, p in enumerate(pivots):
-        x[p] = red[r][m.cols]
+    for p, row in red.items():
+        x[p] = row.get(m.cols, Q(0))
     return x
 
 
 def coords_in_basis(basis: SubspaceBasis, vec):
     """Coordinates of vec in basis, or None when vec is outside the span.
 
-    Uses the unit-row shortcut when available (kernel_basis output), always
-    verified by exact back-substitution.
+    The coordinates are read off at basis.unit_rows and verified by exact
+    back-substitution.
     """
     if len(vec) != basis.ambient_dim:
         raise ValueError("vector length does not match ambient dimension")
     vec = [_as_q(x) for x in vec]
-    if basis.unit_rows is not None:
-        coords = [vec[i] for i in basis.unit_rows]
-        recon = [Q(0)] * basis.ambient_dim
-        for c, bv in zip(coords, basis.vectors):
-            if c:
-                for i, x in enumerate(bv):
-                    if x:
-                        recon[i] += c * x
-        return coords if recon == vec else None
-    if not basis.vectors:
-        return [] if all(x == 0 for x in vec) else None
-    cols = [list(col) for col in zip(*basis.vectors)]
-    return solve(Matrix(len(cols), len(basis.vectors), cols), vec)
+    coords = [vec[i] for i in basis.unit_rows]
+    return coords if basis.combination(coords) == vec else None

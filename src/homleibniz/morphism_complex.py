@@ -21,7 +21,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import Morphism, adjoint_representation, pullback_representation
+from .algebra import Morphism, adjoint_representation, pullback_representation, tensor_combo
 from .cochain import (
     Cochain,
     CochainComplex,
@@ -49,10 +49,8 @@ def push_tensor(phi: Morphism, coeffs, module_dim_in):
         for k in range(module_dim_in):
             c = coeffs[pos * module_dim_in + k]
             if c:
-                for r in range(d_tgt):
-                    e = phi.matrix.entries[r][k]
-                    if e:
-                        out[pos * d_tgt + r] += e * c
+                for r, e in phi.column(k).items():
+                    out[pos * d_tgt + r] += e * c
     return out
 
 
@@ -64,20 +62,11 @@ def pull_tensor(phi: Morphism, p, coeffs):
     m = d_tgt
     in_len = input_length(n, p)
     out = [Q(0)] * (d_src ** in_len * m)
-    cols = [phi.column(j) for j in range(d_src)]
     for inp in itertools.product(range(d_src), repeat=in_len):
-        # expand phi applied componentwise to the whole input tuple
-        expanded = {(): Q(1)}
-        for i in inp:
-            nxt = {}
-            for key, coeff in expanded.items():
-                for t, v in cols[i].items():
-                    nxt[key + (t,)] = nxt.get(key + (t,), Q(0)) + coeff * v
-            expanded = nxt
+        # phi applied componentwise to the whole input tuple
+        expanded = tensor_combo([phi.column(i) for i in inp])
         base = _flat(inp, d_src) * m
         for key, coeff in expanded.items():
-            if not coeff:
-                continue
             src_base = _flat(key, d_tgt) * m
             for mo in range(m):
                 c = coeffs[src_base + mo]
@@ -202,20 +191,18 @@ class MorphismComplex:
         ru, rv, _ = self.ambient_dims(p + 1)
         third = ru + rv
         d_src, d_tgt = self.phi.source.dim, self.phi.target.dim
-        phi = self.phi.matrix.entries
+        phi_cols = [self.phi.column(k) for k in range(d_src)]
         op = {}
         # u: delta u on top, phi.u below; phi acts on the output index
         left = self.left.operator(p)
         for j in range(au):
             pos, k = divmod(j, d_src)
-            col = left.get(j, []) + [
-                (third + pos * d_tgt + r, phi[r][k]) for r in range(d_tgt) if phi[r][k]
-            ]
+            col = left.get(j, []) + [(third + pos * d_tgt + r, x) for r, x in phi_cols[k].items()]
             if col:
                 op[j] = col
         # v: delta v, then -v.phi; phi acts on every input slot
         right = self.right.operator(p)
-        phi_rows = [[(i, x) for i, x in enumerate(row) if x] for row in phi]
+        phi_rows = [[(i, c[t]) for i, c in enumerate(phi_cols) if t in c] for t in range(d_tgt)]
         in_len = input_length(self.phi.source.arity, p)
         for pos, key in enumerate(itertools.product(range(d_tgt), repeat=in_len)):
             pulled = [

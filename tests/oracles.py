@@ -1,6 +1,6 @@
 """Independent oracles used by the test suite.
 
-Four deliberately separate implementations:
+Five deliberately separate implementations:
 
 * the classical right-Leibniz coboundary for binary algebras with identity
   twist, written directly from the textbook formula over raw ambient
@@ -14,7 +14,9 @@ Four deliberately separate implementations:
   and is re-exported here; and
 * the dense delta-o-delta check: the coboundaries restricted to the
   computed bases and multiplied as matrices, the reference for the sparse
-  certificate cochain.squares_to_zero.
+  certificate cochain.squares_to_zero; and
+* dense Gauss-Jordan elimination with column-order pivoting, the reference
+  for linalg's sparse elimination behind rank, kernel_basis and solve.
 """
 
 import itertools
@@ -127,6 +129,63 @@ def dense_convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=Non
     except ConstraintViolation:
         return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan elimination
+
+
+def dense_rref(entries, rows, cols):
+    """Reduced row echelon form of a dense grid; returns (rows, pivot column list)."""
+    m = [row[:] for row in entries]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pr = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = m[r][c]
+        if inv != 1:
+            m[r] = [x / inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def dense_rank(m):
+    return len(dense_rref(m.entries, m.rows, m.cols)[1])
+
+
+def dense_kernel_vectors(m):
+    """One kernel vector per free column of the RREF, as linalg.kernel_basis orders them."""
+    red, pivots = dense_rref(m.entries, m.rows, m.cols)
+    vectors = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = [Q(0)] * m.cols
+        v[f] = Q(1)
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        vectors.append(v)
+    return vectors
+
+
+def dense_solve(m, b):
+    """The solution with free unknowns 0, or None when m.x = b is inconsistent."""
+    aug = [row + [Q(x)] for row, x in zip(m.entries, b)]
+    red, pivots = dense_rref(aug, m.rows, m.cols + 1)
+    if pivots and pivots[-1] == m.cols:
+        return None
+    x = [Q(0)] * m.cols
+    for r, p in enumerate(pivots):
+        x[p] = red[r][m.cols]
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -235,4 +235,10 @@ def test_criterion_9_calibration_uniqueness():
     assert passing, "no sign convention satisfies the delta^2 = 0 battery"
     assert DEFAULT_CONVENTION in passing
     labels = sorted(c.label() for c in passing)
+    assert labels == [
+        "A+B+C+D+|xy|hat-bare|c-full",
+        "A+B+C+D+|xy|hat-twisted|c-full",
+        "A-B-C-D-|xy|hat-bare|c-full",
+        "A-B-C-D-|xy|hat-twisted|c-full",
+    ]
     _report(9, f"{len(labels)} conventions pass; default pinned: {DEFAULT_CONVENTION.label()}")

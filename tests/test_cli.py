@@ -100,6 +100,24 @@ def test_degree_zero_is_a_usage_error(capsys):
     assert code == 2
 
 
+def test_cohomology_refuses_spaces_above_the_ambient_limit(capsys):
+    # abelian.json is 2-dimensional and binary: degree 18 needs ambient 2 * 2^19
+    for degrees in ("40..40", "18..18"):
+        code, out, err = run(capsys, "cohomology", fx("abelian.json"), "--degrees", degrees)
+        assert code == 2, degrees
+        assert out == "" and "input error" in err and "ambient dimension" in err
+        assert "Traceback" not in err
+
+
+def test_morphism_cohomology_refuses_spaces_above_the_ambient_limit(capsys):
+    # degree 11 of the 2-dimensional identity morphism needs ambient 2 * 2^12,
+    # one step above the limit of 4096
+    code, out, err = run(capsys, "morphism-cohomology", fx("identity_leibniz.json"), "--degrees", "11..11")
+    assert code == 2
+    assert out == "" and "input error" in err and "ambient dimension 8192" in err
+    assert "Traceback" not in err
+
+
 def test_bad_convention_label_is_an_input_error(capsys):
     code, _, err = run(capsys, "cohomology", fx("abelian.json"), "--convention", "bogus")
     assert code == 2

@@ -3,7 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from homleibniz.algebra import adjoint_representation
+from homleibniz.algebra import HomNaryAlgebra, adjoint_representation
 from homleibniz.cochain import (
     CochainComplex,
     CochainSpace,
@@ -15,11 +15,13 @@ from homleibniz.cochain import (
     coboundary_tensor,
     convention_passes,
     random_cochain,
+    squares_to_zero,
 )
 from homleibniz.fixtures import (
     abelian_algebra,
     aff1,
     calibration_battery,
+    diag,
     leibniz_ff_e,
     ternary_fff_e,
     twisted_ff_e,
@@ -189,6 +191,19 @@ def test_sparse_certificate_agrees_with_the_dense_product():
         assert sparse == dense
         passing.append(sum(sparse))
     assert passing == [8, 8, 32]
+
+
+def test_calibration_rejects_an_image_outside_the_compatible_subspace():
+    # [f,f]=e with alpha = diag(2,1) is not multiplicative: delta^1 leaves the
+    # twist-compatible subspace although the ambient operators square to zero,
+    # so only the restriction makes convention_passes reject a convention
+    a = HomNaryAlgebra(2, 2, ("e", "f"), {(1, 1): {0: 1}}, diag(2, 1))
+    rep = adjoint_representation(a)
+    cx = CochainComplex(a, rep)
+    with pytest.raises(ConstraintViolation):
+        cx.delta(1)
+    assert squares_to_zero(cx, 2) and squares_to_zero(cx, 3)
+    assert not any(convention_passes(a, rep, cv) for cv in all_conventions())
 
 
 def test_default_convention_is_all_plus():

@@ -1,7 +1,12 @@
+import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from homleibniz import cochain
+from homleibniz.cochain import CochainSpace
+from homleibniz.fixtures import calibration_battery
 from homleibniz.linalg import (
     Matrix,
     coords_in_basis,
@@ -9,20 +14,40 @@ from homleibniz.linalg import (
     rank,
     solve,
 )
+from oracles import dense_kernel_vectors, dense_rank, dense_solve
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
 )
 
 
-def matrices(max_dim=4):
+def matrices(max_dim=4, cells=rationals):
     return st.integers(1, max_dim).flatmap(
         lambda r: st.integers(1, max_dim).flatmap(
             lambda c: st.lists(
-                st.lists(rationals, min_size=c, max_size=c), min_size=r, max_size=r
+                st.lists(cells, min_size=c, max_size=c), min_size=r, max_size=r
             ).map(lambda e: Matrix(r, c, e))
         )
     )
+
+
+# about two thirds of the cells are zero
+sparse_cells = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)
+
+
+def assert_matches_dense_elimination(m, rnd):
+    """rank, kernel_basis and solve equal the dense reference exactly, and
+    every entry they return is a Fraction."""
+    assert rank(m) == dense_rank(m)
+    kb = kernel_basis(m)
+    assert kb.vectors == dense_kernel_vectors(m)
+    assert all(type(x) is Q for v in kb.vectors for x in v)
+    consistent = m.matvec([Q(rnd.randint(-3, 3)) for _ in range(m.cols)])
+    arbitrary = [Q(rnd.randint(-3, 3), rnd.randint(1, 3)) for _ in range(m.rows)]
+    for b in (consistent, arbitrary):
+        x = solve(m, b)
+        assert x == dense_solve(m, b)
+        assert x is None or all(type(v) is Q for v in x)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +87,76 @@ def test_coords_in_basis_outside_span():
     kb = kernel_basis(Matrix(1, 2, [[1, 1]]))
     assert coords_in_basis(kb, [Q(1), Q(-1)]) == [Q(-1)]
     assert coords_in_basis(kb, [Q(1), Q(1)]) is None
+
+
+# ---------------------------------------------------------------------------
+# the sparse elimination against the dense reference and sympy
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_dim=6), st.randoms(use_true_random=False))
+def test_elimination_matches_dense_reference(m, rnd):
+    assert_matches_dense_elimination(m, rnd)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_dim=8, cells=sparse_cells), st.randoms(use_true_random=False))
+def test_elimination_matches_dense_reference_on_sparse_matrices(m, rnd):
+    assert_matches_dense_elimination(m, rnd)
+
+
+def test_elimination_matches_dense_reference_on_constraint_matrices(monkeypatch):
+    seen = []
+
+    def recording_kernel_basis(m):
+        seen.append(m)
+        return kernel_basis(m)
+
+    monkeypatch.setattr(cochain, "kernel_basis", recording_kernel_basis)
+    for algebra, rep in calibration_battery():
+        for p in (1, 2, 3):
+            CochainSpace(algebra, rep, p)
+    assert len(seen) == 3 * len(calibration_battery())
+    rnd = random.Random(5)
+    for m in seen:
+        assert_matches_dense_elimination(m, rnd)
+
+
+def _qq_matrix(sympy, rows, cols, entries):
+    from sympy.polys.matrices import DomainMatrix
+
+    qq = [[sympy.QQ(x.numerator, x.denominator) for x in row] for row in entries]
+    return DomainMatrix(qq, (rows, cols), sympy.QQ)
+
+
+def test_elimination_matches_sympy_on_random_sparse_matrices():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261018)
+
+    def cell(density):
+        return Q(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Q(0)
+
+    for trial in range(40):
+        r, c = rng.randint(1, 40), rng.randint(1, 40)
+        density = rng.choice([0.05, 0.15, 0.4])
+        if trial % 2:
+            # a product through k < min(r, c) dimensions, so rank-deficient
+            k = rng.randint(1, max(1, min(r, c) - 1))
+            left = [[cell(density) for _ in range(k)] for _ in range(r)]
+            right = [[cell(density) for _ in range(c)] for _ in range(k)]
+            entries = (Matrix(r, k, left) @ Matrix(k, c, right)).entries
+        else:
+            entries = [[cell(density) for _ in range(c)] for _ in range(r)]
+        m = Matrix(r, c, entries)
+        ref = _qq_matrix(sympy, r, c, entries)
+        ref_rank = ref.rank()
+        assert rank(m) == ref_rank
+        assert kernel_basis(m).dim == ref.nullspace().shape[0] == c - ref_rank
+        for b in (m.matvec([cell(0.5) for _ in range(c)]), [cell(0.3) for _ in range(r)]):
+            aug = _qq_matrix(sympy, r, c + 1, [row + [x] for row, x in zip(entries, b)])
+            x = solve(m, b)
+            assert (x is not None) == (aug.rank() == ref_rank)
+            assert x is None or m.matvec(x) == b
 
 
 # ---------------------------------------------------------------------------

@@ -16,3 +16,17 @@ def test_cohomology_table_script_runs():
     )
     assert result.returncode == 0, result.stderr
     assert "morphism cohomology" in result.stdout
+
+
+def test_calibrate_script_runs():
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "calibrate.py")],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "4 of 128 conventions pass" in result.stdout
+    assert "A+B+C+D+|xy|hat-twisted|c-full  <- default" in result.stdout
