@@ -50,8 +50,8 @@ from .report import RunReport
 EXIT_INPUT_ERROR = 2
 
 # Largest ambient dimension of a cochain space a command may build.  It admits
-# dim 4 at degree 4 (4 * 4^5); the constraint kernel still fills a dense
-# ambient x ambient grid, so much larger spaces would exhaust memory.
+# dim 4 at degree 4 (4 * 4^5), the largest space a benchmark rung has measured;
+# the limit stands until a rung at a larger space backs a higher one.
 MAX_AMBIENT = 4096
 
 FIXTURES_ENV = "HOMLEIBNIZ_FIXTURES"
@@ -315,7 +315,7 @@ def cmd_deform(args):
         [
             ("xi", _tensor_support(ext[0])),
             ("eta", _tensor_support(ext[1])),
-            ("phi", sum(1 for row in ext[2].entries for x in row if x)),
+            ("phi", sum(len(ext[2].column(j)) for j in range(ext[2].cols))),
         ],
     )
     if args.emit:

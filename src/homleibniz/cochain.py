@@ -33,7 +33,8 @@ from .algebra import (
     tensor_combo,
     _basis_combo,
 )
-from .linalg import Matrix, Q, coords_in_basis, kernel_basis, rank
+from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, kernel_basis
+from .linalg import rank, sparse_vector
 
 
 class ConstraintViolation(Exception):
@@ -181,42 +182,45 @@ class CochainSpace:
         return self.basis.dim
 
     def _constraint_kernel(self):
-        a, rep, p = self.algebra, self.rep, self.degree
+        a, rep = self.algebra, self.rep
         d, m = a.dim, rep.module_dim
-        n = a.arity
         rows = []
         alpha_cols = [a.alpha_combo(i) for i in range(d)]
+        alpha_m_cols = [rep.alpha_module.column(mm) for mm in range(m)]
         for inp in itertools.product(range(d), repeat=self.in_len):
-            # expand (alpha tensor abar^{p-1}) applied to the basis input
-            factors = [alpha_cols[i] for i in inp]
-            expanded = tensor_combo(factors)
-            for mo in range(m):
-                row = [Q(0)] * self.ambient
-                # alpha_M o f term
-                base = _flat(inp, d) * m
-                for mm in range(m):
-                    c = rep.alpha_module.entries[mo][mm]
-                    if c:
-                        row[base + mm] += c
-                # - f o (alpha tensor abar...) term
-                for key, v in expanded.items():
-                    row[_flat(key, d) * m + mo] -= v
-                rows.append(row)
-        return kernel_basis(Matrix(len(rows), self.ambient, rows))
+            # one sparse row per output index mo; the alpha_M o f term
+            block = [{} for _ in range(m)]
+            base = _flat(inp, d) * m
+            for mm, col in enumerate(alpha_m_cols):
+                for mo, c in col.items():
+                    block[mo][base + mm] = c
+            # - f o (alpha tensor abar...) term, abar expanded on the basis input
+            for key, v in tensor_combo([alpha_cols[i] for i in inp]).items():
+                at = _flat(key, d) * m
+                for mo, row in enumerate(block):
+                    row[at + mo] = row.get(at + mo, 0) - v
+            rows += [{c: x for c, x in row.items() if x} for row in block]
+        return kernel_basis(Matrix.from_rows(rows, self.ambient))
+
+    def _sparse(self, coeffs):
+        if len(coeffs) != self.ambient:
+            raise ValueError("vector length does not match ambient dimension")
+        return sparse_vector(coeffs)
 
     def coords(self, coeffs):
-        c = coords_in_basis(self.basis, coeffs)
+        c = coords_in_basis(self.basis, self._sparse(coeffs))
         if c is None:
             raise ConstraintViolation(
                 f"tensor is not twist-compatible in degree {self.degree}"
             )
-        return c
+        return dense_vector(c, self.dim)
 
     def contains(self, coeffs):
-        return coords_in_basis(self.basis, coeffs) is not None
+        return coords_in_basis(self.basis, self._sparse(coeffs)) is not None
 
     def from_coords(self, coords):
-        return Cochain(self, self.basis.combination(coords))
+        combo = self.basis.combination(sparse_vector(coords))
+        return Cochain(self, dense_vector(combo, self.ambient))
 
     def zero(self):
         return Cochain(self, [Q(0)] * self.ambient)
@@ -377,15 +381,18 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
     return cols
 
 
+def apply_sparse(op_cols, vec):
+    """The sparse ambient operator op_cols applied to the sparse vector vec."""
+    out = {}
+    for j, x in vec.items():
+        for row, v in op_cols.get(j, ()):
+            out[row] = out.get(row, 0) + v * x
+    return {row: v for row, v in out.items() if v}
+
+
 def apply_operator(op_cols, coeffs, out_dim):
-    out = [Q(0)] * out_dim
-    for j, x in enumerate(coeffs):
-        if x:
-            lst = op_cols.get(j)
-            if lst:
-                for row, v in lst:
-                    out[row] += v * x
-    return out
+    """apply_sparse on a dense vector, returning a dense vector of length out_dim."""
+    return dense_vector(apply_sparse(op_cols, sparse_vector(coeffs)), out_dim)
 
 
 def coboundary_tensor(algebra, rep, p, coeffs, convention=DEFAULT_CONVENTION):
@@ -414,49 +421,37 @@ def coboundary_matrix(space: CochainSpace, target_space, op_cols) -> Matrix:
     return restrict_operator(op_cols, [space], [target_space])
 
 
-def stacked_basis(sources):
-    """Each basis vector of the direct sum of sources, ambient coordinates stacked in order."""
-    total = sum(s.ambient for s in sources)
-    offset = 0
-    for s in sources:
-        for bv in s.basis.vectors:
-            vec = [Q(0)] * total
-            vec[offset : offset + s.ambient] = bv
-            yield vec
-        offset += s.ambient
-
-
 def restrict_operator(op_cols, sources, targets) -> Matrix:
     """Matrix of a sparse ambient operator between direct sums of cochain spaces.
 
-    Column j is the image of the j-th stacked basis vector of the sources,
-    in coordinates over the targets' bases; an image that leaves them raises
-    ConstraintViolation.
+    Column j is the image of the j-th basis vector of the sources' direct
+    sum, in coordinates over the targets' direct sum; an image that leaves
+    it raises ConstraintViolation.
     """
-    out_ambient = sum(t.ambient for t in targets)
-    cols = []
-    for vec in stacked_basis(sources):
-        raw = apply_operator(op_cols, vec, out_ambient)
-        col, start = [], 0
-        for t in targets:
-            col += t.coords(raw[start : start + t.ambient])
-            start += t.ambient
-        cols.append(col)
-    rows = sum(t.dim for t in targets)
-    return Matrix(rows, len(cols), [[c[i] for c in cols] for i in range(rows)])
+    target = direct_sum([t.basis for t in targets])
+    rows = [{} for _ in range(target.dim)]
+    vectors = direct_sum([s.basis for s in sources]).sparse_vectors
+    for j, vec in enumerate(vectors):
+        col = coords_in_basis(target, apply_sparse(op_cols, vec))
+        if col is None:
+            raise ConstraintViolation(
+                f"an image is not twist-compatible in degree {targets[0].degree}"
+            )
+        for i, x in col.items():
+            rows[i][j] = x
+    return Matrix.from_rows(rows, len(vectors))
 
 
 def squares_to_zero(cx, p) -> bool:
     """Exact certificate of d^p o d^{p-1} = 0: the sparse ambient operators
-    cx.operator(p-1), then cx.operator(p), send every stacked basis vector of
-    cx.summands(p-1) to zero.  Callers also restrict d^{p-1}, which writes each
-    image exactly in the basis of C^p, so this is the zero matrix product."""
+    cx.operator(p-1), then cx.operator(p), send every basis vector of the
+    direct sum of cx.summands(p-1) to zero.  Callers also restrict d^{p-1},
+    which writes each image exactly in the basis of C^p, so this is the zero
+    matrix product."""
     first, second = cx.operator(p - 1), cx.operator(p)
-    mid = sum(s.ambient for s in cx.summands(p))
-    out = sum(s.ambient for s in cx.summands(p + 1))
     return not any(
-        any(apply_operator(second, apply_operator(first, vec, mid), out))
-        for vec in stacked_basis(cx.summands(p - 1))
+        apply_sparse(second, apply_sparse(first, vec))
+        for vec in direct_sum([s.basis for s in cx.summands(p - 1)]).sparse_vectors
     )
 
 

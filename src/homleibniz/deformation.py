@@ -341,10 +341,7 @@ def ambient_to_multimap(vec, in_dims, d_in, module_dim):
 
 
 def matrix_to_ambient(m: Matrix):
-    vec = []
-    for j in range(m.cols):
-        vec.extend(m.entries[r][j] for r in range(m.rows))
-    return vec
+    return [m.column(j).get(r, Q(0)) for j in range(m.cols) for r in range(m.rows)]
 
 
 def ambient_to_matrix(vec, rows, cols):
@@ -377,17 +374,16 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     L, M = md.phi.source, md.phi.target
     n = L.arity
     au, av, aw = mc.ambient_dims(2)
-    rows, cols = sum(mc.ambient_dims(3)), au + av + aw
-    entries = [[Q(0)] * cols for _ in range(rows)]
+    rows = [{} for _ in range(sum(mc.ambient_dims(3)))]
     for j, col in mc.operator(2).items():
         for r, v in col:
-            entries[r][j] = v
+            rows[r][j] = v
     rhs = (
         multimap_to_ambient(fl.o1, 2 * n - 1, L.dim, L.dim)
         + multimap_to_ambient(fl.o2, 2 * n - 1, M.dim, M.dim)
         + multimap_to_ambient(fl.o3, n, L.dim, M.dim)
     )
-    x = solve(Matrix(rows, cols, entries), rhs)
+    x = solve(Matrix.from_rows(rows, au + av + aw), rhs)
     if x is None:
         return None
 

@@ -25,15 +25,23 @@ class DocumentError(Exception):
     """Malformed or inconsistent input document; maps to CLI exit code 2."""
 
 
+# Validating an algebra evaluates its identity on all dim^(2n-1) tuples of
+# basis elements; an arity whose tuples hold more cells than this is refused.
+MAX_IDENTITY_CELLS = 1 << 26
+
+
 # ---------------------------------------------------------------------------
 # rationals and matrices
 
 
 def parse_rational(s) -> Fraction:
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     if not isinstance(s, str):
         raise DocumentError(f"rational must be a string like '3/2', got {s!r}")
+    if "e" in s.lower():
+        # Fraction would expand an exponent into an integer of that many digits
+        raise DocumentError(f"cannot parse rational {s!r}: use an integer, p/q or a plain decimal")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,12 +145,17 @@ def _require(obj, field, what):
 def parse_algebra(obj) -> HomNaryAlgebra:
     arity = _require(obj, "arity", "algebra")
     basis = _require(obj, "basis", "algebra")
-    if not isinstance(arity, int):
+    if not isinstance(arity, int) or isinstance(arity, bool):
         raise DocumentError("arity must be an integer")
     if not isinstance(basis, list) or not all(isinstance(b, str) for b in basis):
         raise DocumentError("basis must be a list of string labels")
     index = _label_index(basis)
     dim = len(basis)
+    width = 2 * arity - 1
+    if arity > 1 and width * dim ** min(width, 64) > MAX_IDENTITY_CELLS:
+        raise DocumentError(
+            f"arity {arity} is too large for {dim} basis elements: validation visits {dim}^{width} tuples"
+        )
     alpha = parse_matrix(_require(obj, "alpha", "algebra"), dim, dim, "alpha")
     bracket = _parse_sparse_tensor(
         _require(obj, "bracket", "algebra"), arity, index, index, "bracket"

@@ -2,67 +2,99 @@
 
 Cochain-space bases, ranks of restricted differentials and deformation
 solves reduce to the four operations here: rank, kernel_basis, solve and
-coords_in_basis.  A Matrix is given and read as a dense grid of Fractions;
-other modules take sparse columns from Matrix.column.  rank, kernel_basis
-and solve share one elimination over sparse rows {column: Fraction}.  The
-reduced row echelon form of a matrix is unique, so its pivots are the first
-nonzero columns in column order, and every rank, kernel vector and solution
-equals that of dense Gauss-Jordan elimination, whatever the row order.
-The coboundaries themselves are sparse ambient operators (cochain.py), and
-delta o delta = 0 is certified on them, never by a Matrix product.
+coords_in_basis.  Only this module knows how matrices and subspaces are
+stored, and the storage is sparse: Matrix rows, basis vectors and the
+vectors passed around are {index: nonzero Fraction}.  Matrix.from_rows and
+Matrix.column are the sparse constructor and accessor; Matrix(rows, cols,
+grid), .entries and .vectors convert dense grids for documents and tests.
+rank, kernel_basis and solve share one elimination over the sparse rows;
+the reduced row echelon form is unique, so its pivots are the first nonzero
+columns in column order, and every result equals dense Gauss-Jordan
+elimination's, whatever the row order.  coords_in_basis accepts the
+coordinates read at the unit rows only when their combination equals the
+vector; with zeros dropped on both sides, dict equality is the dense
+cell-by-cell comparison, at the cost of the nonzeros involved.
+delta o delta = 0 is certified on the sparse coboundary operators of
+cochain.py, never by a Matrix product.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 Q = Fraction
+_ZERO = Q(0)
 
 
-def _as_q(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def sparse_vector(vec):
+    """{index: nonzero Fraction} of a dense vector."""
+    return {i: Q(x) for i, x in enumerate(vec) if x}
+
+
+def dense_vector(vec, n):
+    """The dense length-n list of a sparse vector, every entry a Fraction."""
+    return [vec.get(i, _ZERO) for i in range(n)]
+
+
+def _add_scaled(dst, f, src):
+    """dst += f * src on sparse vectors, dropping the cells that cancel."""
+    for c, x in src.items():
+        v = dst.get(c, 0) + f * x
+        if v:
+            dst[c] = v
+        else:
+            del dst[c]
 
 
 class Matrix:
-    """Dense rows x cols grid of Fractions, immutable by convention."""
+    """rows x cols matrix of Fractions over sparse rows, immutable by convention."""
 
-    __slots__ = ("rows", "cols", "entries", "_columns")
+    __slots__ = ("rows", "cols", "_data", "_columns")
 
     def __init__(self, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         self.rows = rows
         self.cols = cols
-        self.entries = [[_as_q(x) for x in row] for row in entries]
+        self._data = [sparse_vector(row) for row in entries]
         self._columns = None
+
+    @classmethod
+    def from_rows(cls, rows, cols):
+        """The matrix of the sparse rows {column < cols: nonzero Fraction}, not copied."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data, m._columns = len(rows), cols, rows, None
+        return m
+
+    @property
+    def entries(self):
+        """Dense rows x cols grid of Fractions, built on each read."""
+        return [dense_vector(row, self.cols) for row in self._data]
 
     def column(self, j):
         """Column j as a sparse {row: nonzero entry}; built once, so never modify it."""
         if self._columns is None:
-            self._columns = [
-                {i: row[c] for i, row in enumerate(self.entries) if row[c]} for c in range(self.cols)
-            ]
+            self._columns = [{} for _ in range(self.cols)]
+            for i, row in enumerate(self._data):
+                for c, x in row.items():
+                    self._columns[c][i] = x
         return self._columns[j]
 
     @classmethod
     def zeros(cls, rows, cols):
-        return cls(rows, cols, [[Q(0)] * cols for _ in range(rows)])
+        return cls.from_rows([{} for _ in range(rows)], cols)
 
     @classmethod
     def identity(cls, n):
-        return cls(n, n, [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)])
+        return cls.from_rows([{i: Q(1)} for i in range(n)], n)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(tuple(r) for r in self.entries)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._data)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -70,31 +102,32 @@ class Matrix:
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-        )
+        out = [dict(r) for r in self._data]
+        for row, r2 in zip(out, other._data):
+            _add_scaled(row, -1, r2)
+        return Matrix.from_rows(out, self.cols)
 
     def __matmul__(self, other):
+        """Row i of the product is sum_k self[i][k] * other's row k, over nonzeros only."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        ot = list(zip(*other.entries)) if other.entries else []
         out = []
-        for row in self.entries:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ot])
-        if not out or self.cols == 0:
-            out = [[Q(0)] * other.cols for _ in range(self.rows)]
-        return Matrix(self.rows, other.cols, out)
+        for row in self._data:
+            acc = {}
+            for k, a in row.items():
+                _add_scaled(acc, a, other._data[k])
+            out.append(acc)
+        return Matrix.from_rows(out, other.cols)
 
     def scaled(self, c):
-        c = _as_q(c)
-        return Matrix(self.rows, self.cols, [[c * x for x in row] for row in self.entries])
+        c = Q(c)
+        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._data]
+        return Matrix.from_rows(rows, self.cols)
 
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length does not match cols")
-        return [sum(a * _as_q(b) for a, b in zip(row, vec)) for row in self.entries]
+        return [sum((a * vec[c] for c, a in row.items()), _ZERO) for row in self._data]
 
     def power(self, k):
         if self.rows != self.cols:
@@ -107,44 +140,47 @@ class Matrix:
         return out
 
     def is_zero(self):
-        return all(x == 0 for row in self.entries for x in row)
+        return not any(self._data)
 
 
-@dataclass
 class SubspaceBasis:
     """Linearly independent spanning vectors of a subspace of Q^ambient_dim.
 
-    Vector j is 1 at unit_rows[j] and 0 at the other unit rows, so the
-    coordinates of a member vector can be read off there.
+    Vector j is sparse, 1 at its unit row and 0 at the others, so the
+    coordinates of a member vector can be read off there; unit_rows maps
+    the unit row of vector j to j, in order of j.
     """
 
-    ambient_dim: int
-    vectors: list
-    unit_rows: tuple
+    def __init__(self, ambient_dim, sparse_vectors, unit_rows):
+        self.ambient_dim = ambient_dim
+        self.sparse_vectors = sparse_vectors
+        self.unit_rows = {r: j for j, r in enumerate(unit_rows)}
 
     @property
     def dim(self):
-        return len(self.vectors)
+        return len(self.sparse_vectors)
+
+    @property
+    def vectors(self):
+        """The basis vectors as dense lists, built on each read."""
+        return [dense_vector(v, self.ambient_dim) for v in self.sparse_vectors]
 
     def combination(self, coords):
-        """sum_j coords[j] * vectors[j], in ambient coordinates."""
-        out = [Q(0)] * self.ambient_dim
-        for c, bv in zip(coords, self.vectors):
-            if c:
-                for i, x in enumerate(bv):
-                    if x:
-                        out[i] += c * x
+        """sum_j coords[j] * vector j for sparse coords {j: c}, as a sparse vector."""
+        out = {}
+        for j, c in coords.items():
+            _add_scaled(out, c, self.sparse_vectors[j])
         return out
 
 
-def _subtract(dst, f, src):
-    """dst -= f * src on sparse rows, dropping the cells that cancel."""
-    for c, x in src.items():
-        v = dst.get(c, 0) - f * x
-        if v:
-            dst[c] = v
-        else:
-            del dst[c]
+def direct_sum(bases):
+    """Basis of the direct sum of the bases' subspaces, ambient indices stacked in order."""
+    vectors, units, offset = [], [], 0
+    for b in bases:
+        vectors += [{offset + i: x for i, x in v.items()} for v in b.sparse_vectors]
+        units += [offset + r for r in b.unit_rows]
+        offset += b.ambient_dim
+    return SubspaceBasis(offset, vectors, units)
 
 
 def _rref(m: Matrix, b=()):
@@ -153,14 +189,14 @@ def _rref(m: Matrix, b=()):
     Each row is reduced by the pivot rows so far; a nonzero remainder is scaled
     to 1 at its smallest column, its pivot, which is cleared from the others.
     """
-    rows = [{c: x for c, x in enumerate(row) if x} for row in m.entries]
+    rows = [dict(row) for row in m._data]
     for row, x in zip(rows, b):
         if x:
-            row[m.cols] = _as_q(x)
+            row[m.cols] = Q(x)
     red = {}
     for row in rows:
         for p in [c for c in row if c in red]:
-            _subtract(row, row[p], red[p])
+            _add_scaled(row, -row[p], red[p])
         if not row:
             continue
         pivot = min(row)
@@ -169,7 +205,7 @@ def _rref(m: Matrix, b=()):
             row = {c: x / inv for c, x in row.items()}
         for other in red.values():
             if pivot in other:
-                _subtract(other, other[pivot], row)
+                _add_scaled(other, -other[pivot], row)
         red[pivot] = row
     return red
 
@@ -181,15 +217,12 @@ def rank(m: Matrix) -> int:
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of {x : m.x = 0}, one vector per free column of the RREF."""
     red = _rref(m)
-    free = [c for c in range(m.cols) if c not in red]
-    vectors = {f: [Q(0)] * m.cols for f in free}
-    for f, v in vectors.items():
-        v[f] = Q(1)
+    vectors = {f: {f: Q(1)} for f in range(m.cols) if f not in red}
     for p, row in red.items():
         for c, x in row.items():  # off its pivot, a reduced row meets free columns only
             if c != p:
                 vectors[c][p] = -x
-    return SubspaceBasis(m.cols, list(vectors.values()), tuple(free))
+    return SubspaceBasis(m.cols, list(vectors.values()), list(vectors))
 
 
 def solve(m: Matrix, b):
@@ -202,20 +235,16 @@ def solve(m: Matrix, b):
     red = _rref(m, b)
     if m.cols in red:
         return None
-    x = [Q(0)] * m.cols
+    x = [_ZERO] * m.cols
     for p, row in red.items():
-        x[p] = row.get(m.cols, Q(0))
+        x[p] = row.get(m.cols, _ZERO)
     return x
 
 
 def coords_in_basis(basis: SubspaceBasis, vec):
-    """Coordinates of vec in basis, or None when vec is outside the span.
-
-    The coordinates are read off at basis.unit_rows and verified by exact
-    back-substitution.
-    """
-    if len(vec) != basis.ambient_dim:
-        raise ValueError("vector length does not match ambient dimension")
-    vec = [_as_q(x) for x in vec]
-    coords = [vec[i] for i in basis.unit_rows]
+    """Sparse coordinates {j: c} of the sparse vector vec in basis, or None when
+    vec is outside the span: the coordinates read off where vec meets the unit
+    rows are verified by exact back-substitution, their combination must be vec."""
+    vec = {i: x for i, x in vec.items() if x}
+    coords = {basis.unit_rows[i]: x for i, x in vec.items() if i in basis.unit_rows}
     return coords if basis.combination(coords) == vec else None

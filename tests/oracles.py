@@ -16,7 +16,12 @@ Five deliberately separate implementations:
   computed bases and multiplied as matrices, the reference for the sparse
   certificate cochain.squares_to_zero; and
 * dense Gauss-Jordan elimination with column-order pivoting, the reference
-  for linalg's sparse elimination behind rank, kernel_basis and solve.
+  for linalg's sparse elimination behind rank, kernel_basis and solve; and
+* dense references for linalg's sparse storage: the row-by-column matrix
+  product, the membership check that rebuilds a basis combination as a
+  dense vector and compares it cell by cell, and the restriction of a
+  coboundary operator built on those, the reference for cochain's
+  restrict_operator.
 """
 
 import itertools
@@ -32,6 +37,7 @@ from homleibniz.cochain import (
     coboundary_operator,
 )
 from homleibniz.deformation import ObstructionCochain
+from homleibniz.linalg import Matrix
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
 from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
@@ -186,6 +192,53 @@ def dense_solve(m, b):
     for r, p in enumerate(pivots):
         x[p] = red[r][m.cols]
     return x
+
+
+# ---------------------------------------------------------------------------
+# dense references for the sparse Matrix, coordinates and restriction
+
+
+def dense_matmul(a, b):
+    """a @ b by the row-by-column formula over every cell."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    bt = list(zip(*b.entries)) if b.entries else []
+    out = [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a.entries]
+    if not out or a.cols == 0:
+        out = [[Q(0)] * b.cols for _ in range(a.rows)]
+    return Matrix(a.rows, b.cols, out)
+
+
+def dense_coords_in_basis(basis, vec, vectors=None):
+    """Coordinates of the dense vec read at basis.unit_rows, or None unless
+    their dense combination of the basis vectors (basis.vectors unless given)
+    equals vec cell by cell."""
+    vec = [Q(x) for x in vec]
+    coords = [vec[i] for i in basis.unit_rows]
+    combo = [Q(0)] * basis.ambient_dim
+    for c, bv in zip(coords, basis.vectors if vectors is None else vectors):
+        for i, x in enumerate(bv):
+            if c and x:
+                combo[i] += c * x
+    return coords if combo == vec else None
+
+
+def dense_restriction(op_cols, space, target):
+    """Dense grid of the sparse ambient operator op_cols between the bases of
+    two cochain spaces: each basis vector's dense image, written in the target
+    basis by dense_coords_in_basis."""
+    cols, target_vectors = [], target.basis.vectors
+    for bv in space.basis.vectors:
+        image = [Q(0)] * target.ambient
+        for j, x in enumerate(bv):
+            if x:
+                for r, v in op_cols.get(j, ()):
+                    image[r] += v * x
+        col = dense_coords_in_basis(target.basis, image, target_vectors)
+        if col is None:
+            raise ConstraintViolation("image leaves the target space")
+        cols.append(col)
+    return [[c[i] for c in cols] for i in range(target.dim)]
 
 
 # ---------------------------------------------------------------------------

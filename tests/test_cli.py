@@ -1,5 +1,8 @@
 import json
 import os
+import time
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from homleibniz.cli import main
 
@@ -116,6 +119,19 @@ def test_morphism_cohomology_refuses_spaces_above_the_ambient_limit(capsys):
     assert code == 2
     assert out == "" and "input error" in err and "ambient dimension 8192" in err
     assert "Traceback" not in err
+
+
+def test_cohomology_at_the_ambient_limit(capsys, tmp_path):
+    # C^5 of the 4-dim abelian algebra has ambient 4 * 4^5 = 4096, the limit.
+    # The bracket is zero and alpha = id, so delta vanishes: H^4 = dim C^4 = 4 * 4^4.
+    from homleibniz.documents import dump_json, serialize_algebra
+    from homleibniz.fixtures import abelian_algebra
+
+    path = str(tmp_path / "abelian4.json")
+    dump_json(serialize_algebra(abelian_algebra(4)), path)
+    code, out, err = run(capsys, "cohomology", path, "--degrees", "4..4", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["tables"][0]["rows"] == [[4, 1024, 0, 1024]]
 
 
 def test_bad_convention_label_is_an_input_error(capsys):
@@ -249,3 +265,114 @@ def test_validate_without_files_or_env_is_an_input_error(capsys, monkeypatch):
     monkeypatch.delenv("HOMLEIBNIZ_FIXTURES", raising=False)
     code, _, err = run(capsys, "validate")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed documents end in an input error or a report, never a traceback
+
+
+def test_exponent_and_boolean_values_are_input_errors(capsys, tmp_path):
+    base = json.load(open(fx("leibniz_ff_e.json")))
+    documents = {
+        "exponent": dict(base, bracket={"f,f": {"e": "1e-9999999"}}),
+        "bool_alpha": dict(base, alpha=[[True, False], [False, True]]),
+        "bool_bracket": dict(base, bracket={"f,f": {"e": True}}),
+        "bool_arity": dict(base, arity=True),
+    }
+    for name, obj in documents.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2, name
+        assert out == "" and "input error" in err and "Traceback" not in err
+
+
+# each fixture and a command run on it besides validate; PATH is the mutated copy
+FUZZ_DOCUMENTS = {
+    "abelian.json": ["cohomology", "PATH", "--degrees", "1..2"],
+    "leibniz_ff_e.json": ["cohomology", "PATH", "--degrees", "1..2"],
+    "ternary_fff_e.json": ["cohomology", "PATH", "--degrees", "1"],
+    "identity_leibniz.json": ["morphism-cohomology", "PATH", "--degrees", "1..2"],
+    "vanishing_pair.json": ["morphism-cohomology", "PATH", "--degrees", "1..2"],
+    "abelian_ff_e_deformation.json": ["deform", "check", "PATH"],
+    "deform/d01.json": ["deform", "obstruct", "PATH", "--order", "2"],
+}
+BAD_VALUES = ["x", "1/0", "", "1e-9999999", "2E3", True, False, None, 1.5, [], {}, [[]]]
+
+
+def _nodes(obj):
+    """(container, key) of every value nested in obj, in document order."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    out = []
+    for k, v in list(items):
+        out.append((obj, k))
+        out += _nodes(v)
+    return out
+
+
+def _mutate(doc, kind, index, value):
+    """Apply one mutation of the given kind at the index-th node it applies to;
+    False when the document has no such node."""
+    nodes = _nodes(doc)
+    if kind == "drop":
+        spots = [(c, k) for c, k in nodes if isinstance(c, dict)]
+    elif kind == "value":
+        spots = nodes
+    elif kind == "shape":  # a matrix loses a row, its last column or one cell
+        spots = [(c, k) for c, k in nodes if isinstance(c[k], list) and c[k]
+                 and all(isinstance(r, list) and r for r in c[k])]
+    elif kind == "label":  # a tensor key or output label names an unknown element
+        spots = [(c, k) for c, k in nodes if isinstance(c, dict) and k[:1].islower()
+                 and k not in ("alpha", "arity", "basis", "bracket", "matrix", "source", "target")]
+    elif kind == "arity":
+        spots = [(c, k) for c, k in nodes if k == "arity"]
+    else:  # "source": an int, a missing path or a directory
+        spots = [(c, k) for c, k in nodes if k == "source"]
+    if not spots:
+        return False
+    c, k = spots[index % len(spots)]
+    if kind == "drop":
+        del c[k]
+    elif kind == "value":
+        c[k] = value
+    elif kind == "shape":
+        rows = c[k]
+        if index % 3 == 0:
+            rows.pop()  # a missing row
+        elif index % 3 == 1:
+            for row in rows:  # a missing column
+                row.pop()
+        else:
+            rows[0].pop()  # a ragged row
+    elif kind == "label":
+        c[",".join(["zz"] * (k.count(",") + 1))] = c.pop(k)
+    elif kind == "arity":
+        c[k] = [10**3, 2**31, 10**18, True][index % 4]
+    else:
+        c[k] = [7, "no_such_file.json", "."][index % 3]
+    return True
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    name=st.sampled_from(sorted(FUZZ_DOCUMENTS)),
+    kind=st.sampled_from(["drop", "value", "shape", "label", "arity", "source"]),
+    index=st.integers(0, 200),
+    value=st.sampled_from(BAD_VALUES),
+    validate=st.booleans(),
+)
+# node 2 of leibniz_ff_e.json is alpha[0][0]
+@example(name="leibniz_ff_e.json", kind="value", index=2, value="1e-9999999", validate=True)
+@example(name="leibniz_ff_e.json", kind="value", index=2, value=True, validate=True)
+def test_mutated_documents_end_in_a_report_or_an_input_error(capsys, tmp_path, name, kind, index, value, validate):
+    doc = json.load(open(fx(name)))
+    if not _mutate(doc, kind, index, value):
+        return
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    argv = ["validate", "PATH"] if validate else FUZZ_DOCUMENTS[name]
+    start = time.perf_counter()
+    code, _, err = run(capsys, *[str(path) if a == "PATH" else a for a in argv])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    assert time.perf_counter() - start < 5

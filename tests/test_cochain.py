@@ -27,7 +27,7 @@ from homleibniz.fixtures import (
     twisted_ff_e,
     twisted_ternary_fff_e,
 )
-from oracles import classical_coboundary, dense_convention_passes
+from oracles import classical_coboundary, dense_convention_passes, dense_restriction
 
 
 def complex_for(a):
@@ -191,6 +191,15 @@ def test_sparse_certificate_agrees_with_the_dense_product():
         assert sparse == dense
         passing.append(sum(sparse))
     assert passing == [8, 8, 32]
+
+
+def test_restriction_matches_the_dense_reference_on_the_battery():
+    for algebra, rep in calibration_battery():
+        cx = CochainComplex(algebra, rep)
+        for p in (1, 2, 3):
+            dense = dense_restriction(cx.operator(p), cx.space(p), cx.space(p + 1))
+            assert cx.delta(p).entries == dense
+            assert all(type(x) is Q for row in dense for x in row)
 
 
 def test_calibration_rejects_an_image_outside_the_compatible_subspace():

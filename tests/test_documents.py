@@ -37,7 +37,8 @@ def test_rational_parsing():
     assert parse_rational("3/2") == Q(3, 2)
     assert parse_rational("-7") == Q(-7)
     assert format_rational(Q(6, 4)) == "3/2"
-    for bad in ("1/0", "x", None, 1.5):
+    assert parse_rational("-0.25") == Q(-1, 4)
+    for bad in ("1/0", "x", None, 1.5, "1e-9999999", "2E3", True, False):
         with pytest.raises(DocumentError):
             parse_rational(bad)
 
@@ -100,6 +101,10 @@ def test_parse_errors_are_document_errors():
         )
     with pytest.raises(DocumentError):
         parse_algebra([1, 2, 3])
+    # an empty bracket parses at any arity, but validation would visit 2^(2n-1) tuples
+    for arity in (True, 10**18):
+        with pytest.raises(DocumentError):
+            parse_algebra({"arity": arity, "basis": ["e", "f"], "alpha": [["1", "0"], ["0", "1"]], "bracket": {}})
 
 
 def test_morphism_source_by_relative_path(tmp_path):

@@ -12,9 +12,17 @@ from homleibniz.linalg import (
     coords_in_basis,
     kernel_basis,
     rank,
+    dense_vector,
     solve,
+    sparse_vector,
 )
-from oracles import dense_kernel_vectors, dense_rank, dense_solve
+from oracles import (
+    dense_coords_in_basis,
+    dense_kernel_vectors,
+    dense_matmul,
+    dense_rank,
+    dense_solve,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=3
@@ -85,8 +93,68 @@ def test_solve_inconsistent_returns_none():
 
 def test_coords_in_basis_outside_span():
     kb = kernel_basis(Matrix(1, 2, [[1, 1]]))
-    assert coords_in_basis(kb, [Q(1), Q(-1)]) == [Q(-1)]
-    assert coords_in_basis(kb, [Q(1), Q(1)]) is None
+    assert coords_in_basis(kb, {0: Q(1), 1: Q(-1)}) == {0: Q(-1)}
+    assert coords_in_basis(kb, {0: Q(1), 1: Q(1)}) is None
+
+
+# ---------------------------------------------------------------------------
+# the sparse storage against the dense references
+
+
+def grids(rows, cols, cells=sparse_cells):
+    return st.lists(st.lists(cells, min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(cells=sparse_cells), st.data())
+def test_sparse_matrix_matches_dense_reference(a, data):
+    grid = a.entries
+    assert all(type(x) is Q for row in grid for x in row)
+    assert Matrix(a.rows, a.cols, grid) == a
+    sparse = Matrix.from_rows([sparse_vector(row) for row in grid], a.cols)
+    assert sparse == a and hash(sparse) == hash(a) and sparse.entries == grid
+    for j in range(a.cols):
+        assert a.column(j) == {i: row[j] for i, row in enumerate(grid) if row[j]}
+    assert a.is_zero() == all(x == 0 for row in grid for x in row)
+
+    c = data.draw(rationals)
+    assert a.scaled(c).entries == [[c * x for x in row] for row in grid]
+    vec = data.draw(st.lists(rationals, min_size=a.cols, max_size=a.cols))
+    assert a.matvec(vec) == [sum((x * y for x, y in zip(row, vec)), Q(0)) for row in grid]
+
+    same = Matrix(a.rows, a.cols, data.draw(grids(a.rows, a.cols)))
+    diff = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(grid, same.entries)]
+    assert (a - same).entries == diff
+    assert (a == same) == (grid == same.entries)
+    assert a != Matrix.zeros(a.rows, a.cols + 1)
+
+    b = Matrix(a.cols, 3, data.draw(grids(a.cols, 3)))
+    product = a @ b
+    assert product == dense_matmul(a, b)
+    assert all(type(x) is Q for row in product.entries for x in row)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_dim=6, cells=sparse_cells), st.randoms(use_true_random=False))
+def test_coords_in_basis_matches_dense_reference(m, rnd):
+    kb = kernel_basis(m)
+    inside = [Q(0)] * m.cols
+    for v in kb.vectors:
+        c = Q(rnd.randint(-2, 2), rnd.randint(1, 3))
+        inside = [a + c * b for a, b in zip(inside, v)]
+    arbitrary = [Q(rnd.randint(-1, 1)) for _ in range(m.cols)]
+    # a member moved off the span at a pivot column, where no unit row sees it
+    pivots = [c for c in range(m.cols) if c not in kb.unit_rows]
+    moved = inside[:]
+    if pivots:
+        moved[rnd.choice(pivots)] += 1
+    for vec in (inside, arbitrary, moved):
+        want = dense_coords_in_basis(kb, vec)
+        got = coords_in_basis(kb, sparse_vector(vec))
+        assert (got is None) == (want is None)
+        assert got is None or dense_vector(got, kb.dim) == want
+    assert coords_in_basis(kb, sparse_vector(inside)) is not None
+    assert not pivots or coords_in_basis(kb, sparse_vector(moved)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +269,10 @@ def test_rank_invariant_under_row_permutation_and_scaling(m, rnd):
 def test_kernel_coords_roundtrip(m, rnd):
     kb = kernel_basis(m)
     vec = [Q(0)] * m.cols
-    want = []
-    for v in kb.vectors:
+    want = {}
+    for j, v in enumerate(kb.vectors):
         c = Q(rnd.randint(-2, 2))
-        want.append(c)
+        if c:
+            want[j] = c
         vec = [a + c * b for a, b in zip(vec, v)]
-    assert coords_in_basis(kb, vec) == want
+    assert coords_in_basis(kb, sparse_vector(vec)) == want
