@@ -303,6 +303,8 @@ def hom_composition(a: HomNaryAlgebra, pairs):
     in lexicographic key order.
     """
     pairs = [(f, g) for f, g in pairs if f and g]
+    if not pairs:
+        return {}
     n = a.arity
     alpha = [a.alpha_combo(i) for i in range(a.dim)]
     out = {}
@@ -339,6 +341,8 @@ def check_hom_leibniz(a: HomNaryAlgebra):
 
 def check_multiplicative(a: HomNaryAlgebra):
     """alpha([x1..xn]) = [alpha(x1)..alpha(xn)] on all basis tuples."""
+    if not a.bracket:
+        return []
     report = []
     for tup in a.basis_tuples():
         lhs = matrix_combo(a.alpha, a.bracket_apply([_basis_combo(i) for i in tup]))

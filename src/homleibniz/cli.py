@@ -79,9 +79,14 @@ def _degrees(spec, ambient_at):
         raise DocumentError(f"cannot parse degree range {spec!r}; use 'p' or 'p1..p2'")
     if lo < 1 or hi < lo:
         raise DocumentError("degrees must satisfy 1 <= p1 <= p2")
-    if ambient_at(hi + 1) > MAX_AMBIENT:
+    # an ambient dimension is constant in the degree q (all dimensions 1) or
+    # grows with it from at least 2^q, so degree 64 decides every higher one
+    # and no power with thousands of digits is built or printed
+    q = min(hi + 1, 64)
+    if ambient_at(q) > MAX_AMBIENT:
+        size = f"{'' if q == hi + 1 else 'at least '}{ambient_at(q)}"
         raise DocumentError(
-            f"degree {hi} needs a cochain space of ambient dimension {ambient_at(hi + 1)}, "
+            f"degree {hi} needs a cochain space of ambient dimension {size}, "
             f"above the limit of {MAX_AMBIENT}"
         )
     return range(lo, hi + 1)

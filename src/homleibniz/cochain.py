@@ -16,23 +16,29 @@ readings are collected in SignConvention; calibrate_convention searches the
 finite convention space for those making the composite coboundary vanish
 exactly and pins a canonical default.
 
+Each term is f precomposed with a tensor product of small maps (alpha, abar,
+the bracket, the identity) after a slot permutation, in terms C and D then
+acted on by the module.  coboundary_operator assembles delta^p column by
+column from those maps, transposed once per (algebra, rep, p) in the
+SlotTables that CochainSpace(p) keeps for every convention.  A Columns cache
+builds each column on its first read: restrict_operator and squares_to_zero
+read the columns on the support of the source bases, delta_ambient and
+coboundary_tensor those on their input's support, and only the extension
+solve reads every column, through MorphismComplex.operator.
+
 delta o delta = 0 is certified in one place, squares_to_zero, on the sparse
 ambient operators; both complexes' cohomology_dim and the calibration call it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    cadd,
-    matrix_combo,
-    tensor_combo,
-    _basis_combo,
-)
+from .algebra import cadd, tensor_combo
 from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, kernel_basis
 from .linalg import rank, sparse_vector
 
@@ -135,30 +141,6 @@ def _flat(tup, d):
 
 
 # ---------------------------------------------------------------------------
-# the bracket of fundamental objects
-
-
-def fundamental_bracket(algebra, x_combos, y_combos, y_first=False):
-    """Bracket of fundamental objects as a combo over (n-1)-tuples.
-
-    [X, Y] = sum_k alpha(x^1) x ... x [x^k, y^1..y^{n-1}] x ... x alpha(x^{n-1}),
-    with the bracketed slot's argument order controlled by y_first.
-    """
-    n1 = algebra.arity - 1
-    out = {}
-    for k in range(n1):
-        if y_first:
-            slot = algebra.bracket_apply(list(y_combos) + [x_combos[k]])
-        else:
-            slot = algebra.bracket_apply([x_combos[k]] + list(y_combos))
-        factors = [matrix_combo(algebra.alpha, c) for c in x_combos]
-        factors[k] = slot
-        for key, v in tensor_combo(factors).items():
-            cadd(out, key, v)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # cochain spaces
 
 
@@ -180,6 +162,11 @@ class CochainSpace:
     @property
     def dim(self):
         return self.basis.dim
+
+    @functools.cached_property
+    def tables(self):
+        """The SlotTables of delta^p on this space, built on first use."""
+        return SlotTables(self.algebra, self.rep, self.degree)
 
     def _constraint_kernel(self):
         a, rep = self.algebra, self.rep
@@ -253,155 +240,193 @@ class Cochain:
 # the coboundary
 
 
-def _expand_slots(slot_combos):
-    """Tensor-expand slot combos into a dict over flat f-input tuples."""
-    out = {}
-    items = [list(c.items()) for c in slot_combos]
-    if any(not it for it in items):
-        return out
-    for picks in itertools.product(*items):
-        key = []
-        coeff = Q(1)
-        for k, v in picks:
-            if isinstance(k, tuple):
-                key.extend(k)
-            else:
-                key.append(k)
-            coeff *= v
-        cadd(out, tuple(key), coeff)
+class SlotTables:
+    """The small maps of delta^p's term groups, transposed once per (algebra, rep, p).
+
+    An (n-1)-tuple is one digit in base D = d^(n-1): an input of delta^p f is
+    the base-D number z X_1 .. X_p, an input of f the number z Y_1 .. Y_{p-1}.
+    Each table maps an f-side digit to the row-side digits it comes from:
+
+        alpha[z]             [(z0, c)]             alpha(z0) = sum c z
+        abar[Y]              [(X, c)]              alpha on each component of X
+        mu[z]                [(z0, X, c)]          the bracket [z0, X]
+        bracket[yf][Y]       [(X, X2, c)]          [X, X2] of fundamental objects
+        action_c[mf]         [(X, [(mo, c)])]      right action of alpha^{p-1}(X)
+        action_d[i][mf]      [(z0, X, [(mo, c)])]  action i of alpha^{p-1}(z0, X
+                                                   but x_i, which X holds as 0)
+
+    with the actions on the unit module vector mf.
+    """
+
+    def __init__(self, algebra, rep, p):
+        a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
+        self.D = d ** (n - 1)
+        tuples = list(itertools.product(range(d), repeat=n - 1))
+        self.alpha = [[] for _ in range(d)]
+        for z0 in range(d):
+            for z, c in a.alpha_combo(z0).items():
+                self.alpha[z].append((z0, c))
+        self.abar = [[] for _ in range(self.D)]
+        for X, xs in enumerate(tuples):
+            for key, c in tensor_combo([a.alpha_combo(x) for x in xs]).items():
+                self.abar[_flat(key, d)].append((X, c))
+        self.mu = [[] for _ in range(d)]
+        for (z0, *xs), out in a.bracket.items():
+            for z, c in out.items():
+                self.mu[z].append((z0, _flat(xs, d), c))
+        self.bracket = {}
+        for yf in (False, True):
+            acc = {}
+            for (X, xs), (X2, ys), k in itertools.product(enumerate(tuples), enumerate(tuples), range(n - 1)):
+                factors = [a.alpha_combo(x) for x in xs]
+                factors[k] = a.bracket.get(ys + xs[k : k + 1] if yf else xs[k : k + 1] + ys, {})
+                for key, c in tensor_combo(factors).items():
+                    cadd(acc, (_flat(key, d), X, X2), c)
+            self.bracket[yf] = [[] for _ in range(self.D)]
+            for (Y, X, X2), c in acc.items():
+                self.bracket[yf][Y].append((X, X2, c))
+        apow = a.alpha.power(p - 1)
+        self.action_c = [[] for _ in range(m)]
+        self.action_d = [None] + [[[] for _ in range(m)] for _ in range(1, n)]
+        for i, (W, ws), mf in itertools.product(range(n), enumerate(tuples), range(m)):
+            acted = list(rep.action_apply(i, [apow.column(w) for w in ws], {mf: Q(1)}).items())
+            if acted and i == 0:
+                self.action_c[mf].append((W, acted))
+            elif acted:
+                self.action_d[i][mf].append((ws[0], _flat(ws[1:i] + (0,) + ws[i:], d), acted))
+
+
+def _products(factors, base):
+    """(base + sum of offsets, product of coefficients) over every choice of
+    one (offset, coeff) pair per factor: the factors' Kronecker product."""
+    out = [(base, 1)]
+    for f in factors:
+        out = [(o + fo, c * fc) for o, c in out for fo, fc in f]
     return out
 
 
-def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
-    """Sparse ambient matrix of delta^p, as {column: [(row, coeff), ...]}.
+def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=None, space=None):
+    """Columns of the sparse ambient matrix of delta^p, as {column: [(row, coeff), ...]}.
 
-    The operator is linear in the cochain, so one traversal of the degree
-    p+1 inputs produces every matrix entry; callers restrict it to the
-    twist-compatible bases or apply it to raw tensors as needed.
+    columns lists the ambient columns wanted, all of them when None; empty
+    columns are omitted and every column is sorted by row.  The SlotTables
+    are those space, the CochainSpace of (algebra, rep, p), keeps, or built
+    here without one.  Column (z Y_1 .. Y_{p-1}, mf) costs only its own
+    nonzeros: each term of delta^p f that reads this coefficient of f is a
+    product of table entries, one per slot of f's input, with the X_i or X_j
+    that the term drops put back at its slot.
     """
-    n, d, m = algebra.arity, algebra.dim, rep.module_dim
+    t = space.tables if space is not None else SlotTables(algebra, rep, p)
     cv = convention
-    alpha_cols = [algebra.alpha_combo(i) for i in range(d)]
-    apow = algebra.alpha.power(p - 1)
-    apow_cols = [apow.column(i) for i in range(d)]
-    # action of a unit module basis vector, per action index and algebra slot expansion
-    entries = {}
-
-    def put(row, col, coeff):
-        v = entries.get((row, col), 0) + coeff
-        if v:
-            entries[(row, col)] = v
-        else:
-            entries.pop((row, col), None)
-
-    def abar(X):
-        return tensor_combo([alpha_cols[i] for i in X])
-
-    def bare(X):
-        return {tuple(X): Q(1)}
-
+    n, d, m, D = algebra.arity, algebra.dim, rep.module_dim, t.D
+    w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
+    bracket = t.bracket[cv.bracket_y_first]
     c_top = p if cv.c_full_range else p - 1
-
-    for inp in itertools.product(range(d), repeat=input_length(n, p + 1)):
-        z = inp[0]
-        Xs = [inp[1 + r * (n - 1) : 1 + (r + 1) * (n - 1)] for r in range(p)]
-        row_base = _flat(inp, d) * m
-
-        def add_diag(expansion, sign):
-            # terms that feed f's output straight through: diagonal in the
-            # module index
-            for key, c in expansion.items():
-                col_base = _flat(key, d) * m
-                v = sign * c
-                for mo in range(m):
-                    put(row_base + mo, col_base + mo, v)
-
-        def add_action(expansion, action_idx, alg, sign):
-            # terms that feed f's output into a module action
-            for mf in range(m):
-                acted = rep.action_apply(action_idx, alg, {mf: Q(1)})
-                if not acted:
-                    continue
-                for key, c in expansion.items():
-                    col = _flat(key, d) * m + mf
-                    for mo, av in acted.items():
-                        put(row_base + mo, col, sign * c * av)
-
-        # term A: contract X_i with X_j, drop X_j
-        for i in range(1, p):
-            for j in range(i + 1, p + 1):
-                fb = fundamental_bracket(
-                    algebra,
-                    [_basis_combo(x) for x in Xs[i - 1]],
-                    [_basis_combo(y) for y in Xs[j - 1]],
-                    y_first=cv.bracket_y_first,
-                )
-                slots = [alpha_cols[z]]
-                for r in range(1, p + 1):
-                    if r == j:
-                        continue
-                    if r == i:
-                        slots.append(fb)
-                    elif r < j or cv.twist_after_hat:
-                        slots.append(abar(Xs[r - 1]))
-                    else:
-                        slots.append(bare(Xs[r - 1]))
-                add_diag(_expand_slots(slots), cv.sign_a * (-1) ** j)
-
-        # term B: contract z with X_i, drop X_i
-        for i in range(1, p + 1):
-            zb = algebra.bracket_apply([_basis_combo(x) for x in (z, *Xs[i - 1])])
-            slots = [zb] + [abar(Xs[r - 1]) for r in range(1, p + 1) if r != i]
-            add_diag(_expand_slots(slots), cv.sign_b * (-1) ** i)
-
-        # term C: right action of abar^{p-1}(X_i) on f with X_i dropped
-        for i in range(1, c_top + 1):
-            slots = [_basis_combo(z)] + [bare(Xs[r - 1]) for r in range(1, p + 1) if r != i]
-            exp = _expand_slots(slots)
-            if exp:
-                alg = [apow_cols[x] for x in Xs[i - 1]]
-                add_action(exp, 0, alg, cv.sign_c * (-1) ** (i + 1))
-
-        # term D: left actions with f consuming the components of X_1
-        X1 = Xs[0]
-        for i in range(1, n):
-            slots = [_basis_combo(X1[i - 1])] + [bare(X) for X in Xs[1:]]
-            exp = _expand_slots(slots)
-            if exp:
-                alg = [apow_cols[z]] + [
-                    apow_cols[X1[r]] for r in range(n - 1) if r != i - 1
-                ]
-                add_action(exp, i, alg, cv.sign_d)
-
-    cols = {}
-    for (row, col), v in entries.items():
-        cols.setdefault(col, []).append((row, v))
-    for lst in cols.values():
-        lst.sort()
-    return cols
-
-
-def apply_sparse(op_cols, vec):
-    """The sparse ambient operator op_cols applied to the sparse vector vec."""
     out = {}
-    for j, x in vec.items():
-        for row, v in op_cols.get(j, ()):
-            out[row] = out.get(row, 0) + v * x
-    return {row: v for row, v in out.items() if v}
+    for col in range(ambient_dim(algebra, rep, p)) if columns is None else columns:
+        key, mf = divmod(col, m)
+        Y = [key // w[s + 1] % D for s in range(p)]  # f's input z Y_1 .. Y_{p-1}
+        diagonal = []  # (sign, factors, base) of the terms that keep f's output index
+
+        # term A: f(alpha z, abar X_1, .., [X_i, X_j], .., X_j dropped, ..)
+        for i in range(1, p):
+            if not bracket[Y[i]]:
+                continue  # then every product below is empty
+            for j in range(i + 1, p + 1):
+                factors = [[(z0 * w[0], c) for z0, c in t.alpha[Y[0]]],
+                           [(X * w[i] + X2 * w[j], c) for X, X2, c in bracket[Y[i]]]]
+                base = 0
+                for r in range(1, p + 1):
+                    if r in (i, j):
+                        continue
+                    if r < j or cv.twist_after_hat:
+                        factors.append([(X * w[r], c) for X, c in t.abar[Y[r - (r > j)]]])
+                    else:
+                        base += Y[r - 1] * w[r]
+                diagonal.append((cv.sign_a * (-1) ** j, factors, base))
+
+        # term B: f([z, X_i], abar X_r for r != i)
+        for i in range(1, p + 1) if t.mu[Y[0]] else ():
+            factors = [[(z0 * w[0] + X * w[i], c) for z0, X, c in t.mu[Y[0]]]]
+            factors += [[(X * w[r], c) for X, c in t.abar[Y[r - (r > i)]]] for r in range(1, p + 1) if r != i]
+            diagonal.append((cv.sign_b * (-1) ** i, factors, 0))
+
+        acc = {}
+        for sign, factors, base in diagonal:
+            for off, c in _products(factors, base):
+                acc[off * m + mf] = acc.get(off * m + mf, 0) + sign * c
+
+        # term C: right action of alpha^{p-1}(X_i) on f(z, X_r for r != i)
+        for i in range(1, c_top + 1):
+            base = Y[0] * w[0] + sum(Y[r - (r > i)] * w[r] for r in range(1, p + 1) if r != i)
+            for X, acted in t.action_c[mf]:
+                for mo, c in acted:
+                    row = (base + X * w[i]) * m + mo
+                    acc[row] = acc.get(row, 0) + cv.sign_c * (-1) ** (i + 1) * c
+
+        # term D: action i of alpha^{p-1}(z, X_1 but x_i) on f(x_i, X_2, .., X_p)
+        for i in range(1, n):
+            base = Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1]
+            for z0, X, acted in t.action_d[i][mf]:
+                for mo, c in acted:
+                    row = (z0 * w[0] + X * w[1] + base) * m + mo
+                    acc[row] = acc.get(row, 0) + cv.sign_d * c
+
+        entries = sorted((row, v) for row, v in acc.items() if v)
+        if entries:
+            out[col] = entries
+    return out
 
 
-def apply_operator(op_cols, coeffs, out_dim):
+class Columns:
+    """The columns of a sparse ambient operator, each built on its first read.
+
+    build(js) returns {j: [(row, coeff), ...]} for the columns js, empty ones
+    omitted.  Every read builds the missing columns first, so a column that
+    was never built never reads as zero.
+    """
+
+    def __init__(self, build, size):
+        self._build = build
+        self._built = {}
+        self.size = size
+
+    def read(self, js):
+        """{j: column}, covering js; the missing columns are built in one batch."""
+        missing = [j for j in js if j not in self._built]
+        if missing:
+            cols = self._build(missing)
+            for j in missing:
+                self._built[j] = cols.get(j, [])
+        return self._built
+
+
+def apply_sparse(op, vectors):
+    """Images of the sparse vectors under the Columns op, read in one batch."""
+    cols = op.read(sorted({j for vec in vectors for j in vec}))
+    images = []
+    for vec in vectors:
+        out = {}
+        for j, x in vec.items():
+            for row, v in cols[j]:
+                out[row] = out.get(row, 0) + v * x
+        images.append({row: v for row, v in out.items() if v})
+    return images
+
+
+def apply_operator(op, coeffs, out_dim):
     """apply_sparse on a dense vector, returning a dense vector of length out_dim."""
-    return dense_vector(apply_sparse(op_cols, sparse_vector(coeffs)), out_dim)
+    return dense_vector(apply_sparse(op, [sparse_vector(coeffs)])[0], out_dim)
 
 
 def coboundary_tensor(algebra, rep, p, coeffs, convention=DEFAULT_CONVENTION):
     """Raw delta^p on an ambient coefficient tensor (no membership checks).
 
-    Accepts tensors that need not be twist-compatible.
+    Accepts tensors that need not be twist-compatible; only the columns on
+    the tensor's support are built.
     """
-    op_cols = coboundary_operator(algebra, rep, p, convention)
-    return apply_operator(op_cols, coeffs, ambient_dim(algebra, rep, p + 1))
+    op = Columns(functools.partial(coboundary_operator, algebra, rep, p, convention), ambient_dim(algebra, rep, p))
+    return apply_operator(op, coeffs, ambient_dim(algebra, rep, p + 1))
 
 
 def coboundary(f: Cochain, convention, target_space):
@@ -416,23 +441,24 @@ def coboundary(f: Cochain, convention, target_space):
     return Cochain(target_space, raw)
 
 
-def coboundary_matrix(space: CochainSpace, target_space, op_cols) -> Matrix:
-    """Matrix of the ambient delta^p op_cols between the bases of C^p and target_space."""
-    return restrict_operator(op_cols, [space], [target_space])
+def coboundary_matrix(space: CochainSpace, target_space, op) -> Matrix:
+    """Matrix of the ambient delta^p op between the bases of C^p and target_space."""
+    return restrict_operator(op, [space], [target_space])
 
 
-def restrict_operator(op_cols, sources, targets) -> Matrix:
-    """Matrix of a sparse ambient operator between direct sums of cochain spaces.
+def restrict_operator(op, sources, targets) -> Matrix:
+    """Matrix of the Columns op between direct sums of cochain spaces.
 
     Column j is the image of the j-th basis vector of the sources' direct
     sum, in coordinates over the targets' direct sum; an image that leaves
-    it raises ConstraintViolation.
+    it raises ConstraintViolation.  Only the columns of op on the support
+    of the sources' bases are read.
     """
     target = direct_sum([t.basis for t in targets])
     rows = [{} for _ in range(target.dim)]
     vectors = direct_sum([s.basis for s in sources]).sparse_vectors
-    for j, vec in enumerate(vectors):
-        col = coords_in_basis(target, apply_sparse(op_cols, vec))
+    for j, image in enumerate(apply_sparse(op, vectors)):
+        col = coords_in_basis(target, image)
         if col is None:
             raise ConstraintViolation(
                 f"an image is not twist-compatible in degree {targets[0].degree}"
@@ -447,12 +473,10 @@ def squares_to_zero(cx, p) -> bool:
     cx.operator(p-1), then cx.operator(p), send every basis vector of the
     direct sum of cx.summands(p-1) to zero.  Callers also restrict d^{p-1},
     which writes each image exactly in the basis of C^p, so this is the zero
-    matrix product."""
-    first, second = cx.operator(p - 1), cx.operator(p)
-    return not any(
-        apply_sparse(second, apply_sparse(first, vec))
-        for vec in direct_sum([s.basis for s in cx.summands(p - 1)]).sparse_vectors
-    )
+    matrix product.  The columns read are those on the support of C^{p-1}'s
+    basis and of its images."""
+    vectors = direct_sum([s.basis for s in cx.summands(p - 1)]).sparse_vectors
+    return not any(apply_sparse(cx.operator(p), apply_sparse(cx.operator(p - 1), vectors)))
 
 
 def cohomology_dim_of(cx, p, symbol) -> int:
@@ -494,11 +518,15 @@ class CochainComplex:
     def summands(self, p):
         return [self.space(p)]
 
-    def operator(self, p):
+    def operator(self, p) -> Columns:
+        """delta^p's ambient columns, each built on its first read from the
+        SlotTables that space(p) keeps for every convention.  The builder
+        holds no reference to the complex: a reference cycle would leave
+        every complex to the cyclic collector and raise peak memory."""
         if p not in self._operators:
-            self._operators[p] = coboundary_operator(
-                self.algebra, self.rep, p, self.convention
-            )
+            a, rep = self.algebra, self.rep
+            build = functools.partial(coboundary_operator, a, rep, p, self.convention, space=self.space(p))
+            self._operators[p] = Columns(build, ambient_dim(a, rep, p))
         return self._operators[p]
 
     def delta_ambient(self, p, coeffs):

@@ -375,7 +375,8 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     n = L.arity
     au, av, aw = mc.ambient_dims(2)
     rows = [{} for _ in range(sum(mc.ambient_dims(3)))]
-    for j, col in mc.operator(2).items():
+    op = mc.operator(2)
+    for j, col in op.read(range(op.size)).items():
         for r, v in col:
             rows[r][j] = v
     rhs = (

@@ -5,18 +5,21 @@ the target as a module over the source through phi, and C^0 := 0.  The
 differential is d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w).
 All three summands share one sign convention.
 
-d^p is assembled in one place, MorphismComplex.operator: a sparse ambient
-operator built from the three summand complexes' coboundary operators plus
-the push and pull columns.  d_matrix restricts it to the direct-sum bases
-for cohomology, and deformation.solve_extension solves against it at the
-ambient level.  d^p o d^{p-1} = 0 is certified on these operators by
-cochain.squares_to_zero, as for the summand complexes.
+d^p is assembled in one place, MorphismComplex.operator: a Columns cache
+whose columns are built on first read from the three summand complexes'
+operator columns plus the push and pull columns.  d_matrix restricts it to
+the direct-sum bases for cohomology and reads the columns on their support
+only; deformation.solve_extension solves against it at the ambient level,
+its unknowns unconstrained, and reads every column.  d^p o d^{p-1} = 0 is
+certified on these operators by cochain.squares_to_zero, as for the summand
+complexes.
 MorphismComplex.differential evaluates d blockwise through push_tensor and
 pull_tensor, independently of the operator.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from .algebra import Morphism, adjoint_representation, pullback_representation, tensor_combo
 from .cochain import (
     Cochain,
+    Columns,
     CochainComplex,
     ConstraintViolation,
     DEFAULT_CONVENTION,
@@ -73,6 +77,42 @@ def pull_tensor(phi: Morphism, p, coeffs):
                 if c:
                     out[base + mo] += coeff * c
     return out
+
+
+def _d_columns(phi, p, ops, dims, js):
+    """{j: column} of d^p for the columns js, from the columns of the summand
+    operators ops (delta^p of L and of M, then delta^{p-1} of the mixed
+    complex) and the ambient sizes dims in degrees p and p+1."""
+    (au, av, _), (ru, rv, _) = dims
+    third = ru + rv
+    d_src, d_tgt = phi.source.dim, phi.target.dim
+    phi_cols = [phi.column(k) for k in range(d_src)]
+    us = [j for j in js if j < au]
+    vs = [j - au for j in js if au <= j < au + av]
+    ws = [j - au - av for j in js if j >= au + av]
+    op = {}
+    # u: delta u on top, phi.u below; phi acts on the output index
+    left = ops[0].read(us)
+    for j in us:
+        pos, k = divmod(j, d_src)
+        op[j] = left[j] + [(third + pos * d_tgt + r, x) for r, x in phi_cols[k].items()]
+    # v: delta v, then -v.phi; phi acts on every input slot
+    right = ops[1].read(vs)
+    phi_rows = [[(i, c[t]) for i, c in enumerate(phi_cols) if t in c] for t in range(d_tgt)]
+    in_len = input_length(phi.source.arity, p)
+    for j in vs:
+        pos, mo = divmod(j, d_tgt)
+        key = [pos // d_tgt ** (in_len - 1 - s) % d_tgt for s in range(in_len)]
+        op[au + j] = [(ru + r, x) for r, x in right[j]] + [
+            (third + _flat([i for i, _ in picks], d_src) * d_tgt + mo, -math.prod(x for _, x in picks))
+            for picks in itertools.product(*(phi_rows[t] for t in key))
+        ]
+    # w: -delta w
+    if ws:
+        mixed = ops[2].read(ws)
+        for j in ws:
+            op[au + av + j] = [(third + r, -x) for r, x in mixed[j]]
+    return {j: col for j, col in op.items() if col}
 
 
 @dataclass
@@ -179,48 +219,18 @@ class MorphismComplex:
             third = third - coboundary(c.w, self.convention, self.mixed.space(p))
         return MorphismCochain(p + 1, du, dv, third)
 
-    def operator(self, p):
-        """Sparse ambient matrix of d^p, as {column: [(row, coeff), ...]}.
+    def operator(self, p) -> Columns:
+        """Sparse ambient columns of d^p, each built on its first read.
 
         Columns run over the ambient u, v, w tensors and rows over the
         ambient (delta u, delta v, phi.u - v.phi - delta w), in that order.
         """
-        if p in self._operators:
-            return self._operators[p]
-        au, av, _ = self.ambient_dims(p)
-        ru, rv, _ = self.ambient_dims(p + 1)
-        third = ru + rv
-        d_src, d_tgt = self.phi.source.dim, self.phi.target.dim
-        phi_cols = [self.phi.column(k) for k in range(d_src)]
-        op = {}
-        # u: delta u on top, phi.u below; phi acts on the output index
-        left = self.left.operator(p)
-        for j in range(au):
-            pos, k = divmod(j, d_src)
-            col = left.get(j, []) + [(third + pos * d_tgt + r, x) for r, x in phi_cols[k].items()]
-            if col:
-                op[j] = col
-        # v: delta v, then -v.phi; phi acts on every input slot
-        right = self.right.operator(p)
-        phi_rows = [[(i, c[t]) for i, c in enumerate(phi_cols) if t in c] for t in range(d_tgt)]
-        in_len = input_length(self.phi.source.arity, p)
-        for pos, key in enumerate(itertools.product(range(d_tgt), repeat=in_len)):
-            pulled = [
-                (_flat([i for i, _ in picks], d_src) * d_tgt, -math.prod(x for _, x in picks))
-                for picks in itertools.product(*(phi_rows[t] for t in key))
-            ]
-            for mo in range(d_tgt):
-                j = pos * d_tgt + mo
-                col = [(ru + r, x) for r, x in right.get(j, [])]
-                col += [(third + base + mo, x) for base, x in pulled]
-                if col:
-                    op[au + j] = col
-        # w: -delta w
-        if p >= 2:
-            for j, col in self.mixed.operator(p - 1).items():
-                op[au + av + j] = [(third + r, -x) for r, x in col]
-        self._operators[p] = op
-        return op
+        if p not in self._operators:
+            ops = [self.left.operator(p), self.right.operator(p)]
+            ops += [self.mixed.operator(p - 1)] if p >= 2 else []
+            dims = self.ambient_dims(p), self.ambient_dims(p + 1)
+            self._operators[p] = Columns(functools.partial(_d_columns, self.phi, p, ops, dims), sum(dims[0]))
+        return self._operators[p]
 
     def d_matrix(self, p) -> Matrix:
         """Matrix of d^p over the direct-sum bases: the operator, restricted."""

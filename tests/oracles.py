@@ -1,6 +1,6 @@
 """Independent oracles used by the test suite.
 
-Five deliberately separate implementations:
+Deliberately separate implementations:
 
 * the classical right-Leibniz coboundary for binary algebras with identity
   twist, written directly from the textbook formula over raw ambient
@@ -12,9 +12,14 @@ Five deliberately separate implementations:
   solver and the recorded fixture verdicts.  It lives in
   scripts/make_fixtures.py, which recorded the battery verdicts with it,
   and is re-exported here; and
-* the dense delta-o-delta check: the coboundaries restricted to the
-  computed bases and multiplied as matrices, the reference for the sparse
-  certificate cochain.squares_to_zero; and
+* the row-driven coboundary operator: one traversal of the degree p+1
+  inputs, each term of every row expanded through the bracket of
+  fundamental objects, the reference for cochain.coboundary_operator's
+  column-by-column assembly, and its value under all 128 conventions read
+  off nine builds by linearity in the signs; and
+* the dense delta-o-delta check: the row-driven coboundaries restricted to
+  the computed bases and multiplied as matrices, the reference for the
+  sparse certificate cochain.squares_to_zero; and
 * dense Gauss-Jordan elimination with column-order pivoting, the reference
   for linalg's sparse elimination behind rank, kernel_basis and solve; and
 * dense references for linalg's sparse storage: the row-by-column matrix
@@ -24,17 +29,23 @@ Five deliberately separate implementations:
   restrict_operator.
 """
 
+import functools
 import itertools
 import os
 import sys
 from fractions import Fraction as Q
 
-from homleibniz.algebra import _basis_combo, apply_multimap, cadd, matrix_combo
+from homleibniz.algebra import _basis_combo, apply_multimap, cadd, matrix_combo, tensor_combo
 from homleibniz.cochain import (
+    Columns,
     CochainSpace,
     ConstraintViolation,
+    DEFAULT_CONVENTION,
+    SignConvention,
+    _flat,
+    ambient_dim,
     coboundary_matrix,
-    coboundary_operator,
+    input_length,
 )
 from homleibniz.deformation import ObstructionCochain
 from homleibniz.linalg import Matrix
@@ -108,15 +119,228 @@ def _expand(combos):
 
 
 # ---------------------------------------------------------------------------
+# the row-driven coboundary operator
+
+
+def fundamental_bracket(algebra, x_combos, y_combos, y_first=False):
+    """Bracket of fundamental objects as a combo over (n-1)-tuples.
+
+    [X, Y] = sum_k alpha(x^1) x ... x [x^k, y^1..y^{n-1}] x ... x alpha(x^{n-1}),
+    with the bracketed slot's argument order controlled by y_first.
+    """
+    n1 = algebra.arity - 1
+    out = {}
+    for k in range(n1):
+        if y_first:
+            slot = algebra.bracket_apply(list(y_combos) + [x_combos[k]])
+        else:
+            slot = algebra.bracket_apply([x_combos[k]] + list(y_combos))
+        factors = [matrix_combo(algebra.alpha, c) for c in x_combos]
+        factors[k] = slot
+        for key, v in tensor_combo(factors).items():
+            cadd(out, key, v)
+    return out
+
+
+def _expand_slots(slot_combos):
+    """Tensor-expand slot combos into a dict over flat f-input tuples."""
+    out = {}
+    items = [list(c.items()) for c in slot_combos]
+    if any(not it for it in items):
+        return out
+    for picks in itertools.product(*items):
+        key = []
+        coeff = Q(1)
+        for k, v in picks:
+            if isinstance(k, tuple):
+                key.extend(k)
+            else:
+                key.append(k)
+            coeff *= v
+        cadd(out, tuple(key), coeff)
+    return out
+
+
+def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
+    """Sparse ambient matrix of delta^p, as {column: [(row, coeff), ...]}.
+
+    One traversal of the degree p+1 inputs produces every matrix entry,
+    each row term by term from the formula; the bracket of fundamental
+    objects is evaluated once per (X_i, X_j) pair.
+    """
+    n, d, m = algebra.arity, algebra.dim, rep.module_dim
+    cv = convention
+    alpha_cols = [algebra.alpha_combo(i) for i in range(d)]
+    apow = algebra.alpha.power(p - 1)
+    apow_cols = [apow.column(i) for i in range(d)]
+    entries = {}
+
+    def put(row, col, coeff):
+        v = entries.get((row, col), 0) + coeff
+        if v:
+            entries[(row, col)] = v
+        else:
+            entries.pop((row, col), None)
+
+    def abar(X):
+        return tensor_combo([alpha_cols[i] for i in X])
+
+    def bare(X):
+        return {tuple(X): Q(1)}
+
+    c_top = p if cv.c_full_range else p - 1
+    brackets = {}  # fundamental_bracket of each (X_i, X_j), shared by the rows
+
+    for inp in itertools.product(range(d), repeat=input_length(n, p + 1)):
+        z = inp[0]
+        Xs = [inp[1 + r * (n - 1) : 1 + (r + 1) * (n - 1)] for r in range(p)]
+        row_base = _flat(inp, d) * m
+
+        def add_diag(expansion, sign):
+            # terms that feed f's output straight through: diagonal in the
+            # module index
+            for key, c in expansion.items():
+                col_base = _flat(key, d) * m
+                v = sign * c
+                for mo in range(m):
+                    put(row_base + mo, col_base + mo, v)
+
+        def add_action(expansion, action_idx, alg, sign):
+            # terms that feed f's output into a module action
+            for mf in range(m):
+                acted = rep.action_apply(action_idx, alg, {mf: Q(1)})
+                if not acted:
+                    continue
+                for key, c in expansion.items():
+                    col = _flat(key, d) * m + mf
+                    for mo, av in acted.items():
+                        put(row_base + mo, col, sign * c * av)
+
+        # term A: contract X_i with X_j, drop X_j
+        for i in range(1, p):
+            for j in range(i + 1, p + 1):
+                if (Xs[i - 1], Xs[j - 1]) not in brackets:
+                    brackets[Xs[i - 1], Xs[j - 1]] = fundamental_bracket(
+                        algebra,
+                        [_basis_combo(x) for x in Xs[i - 1]],
+                        [_basis_combo(y) for y in Xs[j - 1]],
+                        y_first=cv.bracket_y_first,
+                    )
+                fb = brackets[Xs[i - 1], Xs[j - 1]]
+                slots = [alpha_cols[z]]
+                for r in range(1, p + 1):
+                    if r == j:
+                        continue
+                    if r == i:
+                        slots.append(fb)
+                    elif r < j or cv.twist_after_hat:
+                        slots.append(abar(Xs[r - 1]))
+                    else:
+                        slots.append(bare(Xs[r - 1]))
+                add_diag(_expand_slots(slots), cv.sign_a * (-1) ** j)
+
+        # term B: contract z with X_i, drop X_i
+        for i in range(1, p + 1):
+            zb = algebra.bracket_apply([_basis_combo(x) for x in (z, *Xs[i - 1])])
+            slots = [zb] + [abar(Xs[r - 1]) for r in range(1, p + 1) if r != i]
+            add_diag(_expand_slots(slots), cv.sign_b * (-1) ** i)
+
+        # term C: right action of abar^{p-1}(X_i) on f with X_i dropped
+        for i in range(1, c_top + 1):
+            slots = [_basis_combo(z)] + [bare(Xs[r - 1]) for r in range(1, p + 1) if r != i]
+            exp = _expand_slots(slots)
+            if exp:
+                alg = [apow_cols[x] for x in Xs[i - 1]]
+                add_action(exp, 0, alg, cv.sign_c * (-1) ** (i + 1))
+
+        # term D: left actions with f consuming the components of X_1
+        X1 = Xs[0]
+        for i in range(1, n):
+            slots = [_basis_combo(X1[i - 1])] + [bare(X) for X in Xs[1:]]
+            exp = _expand_slots(slots)
+            if exp:
+                alg = [apow_cols[z]] + [
+                    apow_cols[X1[r]] for r in range(n - 1) if r != i - 1
+                ]
+                add_action(exp, i, alg, cv.sign_d)
+
+    cols = {}
+    for (row, col), v in entries.items():
+        cols.setdefault(col, []).append((row, v))
+    for lst in cols.values():
+        lst.sort()
+    return cols
+
+
+def as_columns(op_cols, size):
+    """A complete {column: entries} dict as a Columns, for the restriction."""
+    return Columns(lambda js: op_cols, size)
+
+
+def combine(weighted, columns=None):
+    """sum of c * op over the (c, op) pairs, ops as {column: [(row, coeff)]};
+    only the given columns, when given."""
+    acc = {}
+    for c, op in weighted:
+        for j in op if columns is None else columns:
+            for r, x in op.get(j, ()):
+                acc[j, r] = acc.get((j, r), 0) + c * x
+    out = {}
+    for (j, r), x in sorted(acc.items()):
+        if x:
+            out.setdefault(j, []).append((r, x))
+    return out
+
+
+def row_operators(algebra, rep, p):
+    """The function (convention, columns=None) -> row_coboundary_operator(
+    algebra, rep, p, convention), cut to the columns when given, over all 128
+    conventions, from nine row-driven builds.
+
+    delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D is linear in the four
+    signs; T_A reads bracket_y_first and twist_after_hat only, T_C reads
+    c_full_range only, and T_B and T_D read no flag.  Flipping one sign of
+    the default isolates that piece, and one build at each other setting of
+    the flags gives the other variants of T_A and T_C.
+    """
+    def row(label):
+        return row_coboundary_operator(algebra, rep, p, SignConvention.from_label(label))
+
+    base = row("A+B+C+D+|xy|hat-twisted|c-full")
+    flips = ("A-B+C+D+", "A+B-C+D+", "A+B+C-D+", "A+B+C+D-")
+    ta, tb, tc, td = (
+        combine([(Q(1, 2), base), (Q(-1, 2), row(f + "|xy|hat-twisted|c-full"))]) for f in flips
+    )
+    t_a, t_c = {(False, True): ta}, {True: tc}
+    for yf, th in ((False, False), (True, True), (True, False)):
+        label = f"A+B+C+D+|{'yx' if yf else 'xy'}|{'hat-twisted' if th else 'hat-bare'}|c-full"
+        t_a[yf, th] = combine([(1, row(label)), (-1, tb), (-1, tc), (-1, td)])
+    t_c[False] = combine([(1, row("A+B+C+D+|xy|hat-twisted|c-short")), (-1, ta), (-1, tb), (-1, td)])
+
+    def op(cv, columns=None):
+        return combine([
+            (cv.sign_a, t_a[cv.bracket_y_first, cv.twist_after_hat]),
+            (cv.sign_b, tb),
+            (cv.sign_c, t_c[cv.c_full_range]),
+            (cv.sign_d, td),
+        ], columns)
+
+    return op
+
+
+# ---------------------------------------------------------------------------
 # the dense delta-o-delta check
 
 
-def dense_convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None):
+def dense_convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None, row=None):
     """Whether the matrix product delta^{p+1} . delta^p over the computed bases
     is zero for every p in degrees; an image outside the twist-compatible
-    subspace fails.  spaces is a {degree: CochainSpace} cache."""
+    subspace fails.  spaces is a {degree: CochainSpace} cache; row(p,
+    convention) is the row-driven delta^p, row_coboundary_operator unless given."""
     if spaces is None:
         spaces = {}
+    if row is None:
+        row = functools.partial(row_coboundary_operator, algebra, rep)
 
     def space(p):
         if p not in spaces:
@@ -124,9 +348,8 @@ def dense_convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=Non
         return spaces[p]
 
     def delta(p):
-        return coboundary_matrix(
-            space(p), space(p + 1), coboundary_operator(algebra, rep, p, convention)
-        )
+        op = row(p, convention)
+        return coboundary_matrix(space(p), space(p + 1), as_columns(op, ambient_dim(algebra, rep, p)))
 
     try:
         for p in degrees:
@@ -224,7 +447,7 @@ def dense_coords_in_basis(basis, vec, vectors=None):
 
 
 def dense_restriction(op_cols, space, target):
-    """Dense grid of the sparse ambient operator op_cols between the bases of
+    """Dense grid of the Columns op_cols between the bases of
     two cochain spaces: each basis vector's dense image, written in the target
     basis by dense_coords_in_basis."""
     cols, target_vectors = [], target.basis.vectors
@@ -232,7 +455,7 @@ def dense_restriction(op_cols, space, target):
         image = [Q(0)] * target.ambient
         for j, x in enumerate(bv):
             if x:
-                for r, v in op_cols.get(j, ()):
+                for r, v in op_cols.read([j])[j]:
                     image[r] += v * x
         col = dense_coords_in_basis(target.basis, image, target_vectors)
         if col is None:

@@ -121,6 +121,32 @@ def test_morphism_cohomology_refuses_spaces_above_the_ambient_limit(capsys):
     assert "Traceback" not in err
 
 
+def test_cohomology_refuses_huge_degree_ranges_without_printing_huge_numbers(capsys):
+    # 2 * 2^15001 has over 4300 digits, past Python's int-to-str limit
+    for degrees in ("1..15000", "1..3000000"):
+        code, out, err = run(capsys, "cohomology", fx("abelian.json"), "--degrees", degrees)
+        assert code == 2, degrees
+        assert out == "" and "input error" in err and "ambient dimension at least" in err
+        assert "Traceback" not in err
+
+
+def test_validate_skips_the_identity_loops_for_an_empty_bracket(capsys, tmp_path):
+    # arity 11 over dim 2: 2^21 tuples for the identity, 2^11 for multiplicativity
+    from homleibniz.documents import dump_json, serialize_algebra
+    from homleibniz.fixtures import abelian_algebra
+
+    path = str(tmp_path / "abelian11.json")
+    dump_json(serialize_algebra(abelian_algebra(2, 11)), path)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "validate", path, "--format", "json")
+    assert time.perf_counter() - start < 0.5
+    assert code == 0
+    assert [(c["name"], c["verdict"]) for c in json.loads(out)["checks"]] == [
+        ("abelian11.json: hom-leibniz identity", "pass"),
+        ("abelian11.json: multiplicativity", "pass"),
+    ]
+
+
 def test_cohomology_at_the_ambient_limit(capsys, tmp_path):
     # C^5 of the 4-dim abelian algebra has ambient 4 * 4^5 = 4096, the limit.
     # The bracket is zero and alpha = id, so delta vanishes: H^4 = dim C^4 = 4 * 4^4.

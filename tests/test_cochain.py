@@ -1,17 +1,21 @@
+import functools
 import random
 from fractions import Fraction as Q
 
 import pytest
 
-from homleibniz.algebra import HomNaryAlgebra, adjoint_representation
+from homleibniz.algebra import HomNaryAlgebra, adjoint_representation, yau_twist
 from homleibniz.cochain import (
     CochainComplex,
     CochainSpace,
+    Columns,
     ConstraintViolation,
     DEFAULT_CONVENTION,
     SignConvention,
     all_conventions,
     ambient_dim,
+    apply_operator,
+    coboundary_operator,
     coboundary_tensor,
     convention_passes,
     random_cochain,
@@ -22,16 +26,38 @@ from homleibniz.fixtures import (
     aff1,
     calibration_battery,
     diag,
+    identity_morphism,
     leibniz_ff_e,
     ternary_fff_e,
+    twist_endomorphism,
+    twisted_aff1,
     twisted_ff_e,
     twisted_ternary_fff_e,
+    vanishing_pair,
 )
-from oracles import classical_coboundary, dense_convention_passes, dense_restriction
+from homleibniz.linalg import Matrix
+from homleibniz.morphism_complex import MorphismComplex, pull_tensor, push_tensor
+from oracles import (
+    as_columns,
+    classical_coboundary,
+    dense_convention_passes,
+    dense_restriction,
+    row_coboundary_operator,
+    row_operators,
+)
 
 
 def complex_for(a):
     return CochainComplex(a, adjoint_representation(a))
+
+
+BATTERY = calibration_battery()
+
+
+@functools.lru_cache(maxsize=None)
+def battery_row_operators(k, p):
+    """The row oracle's delta^p of calibration battery member k, by convention."""
+    return row_operators(*BATTERY[k], p)
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +208,12 @@ def test_convention_label_roundtrip():
 def test_sparse_certificate_agrees_with_the_dense_product():
     # battery members 0-2; the dense product takes about 46 s on member 7 alone
     passing = []
-    for algebra, rep in calibration_battery()[:3]:
+    for k, (algebra, rep) in enumerate(BATTERY[:3]):
         spaces = {}
         sparse = [convention_passes(algebra, rep, cv, (1, 2), spaces) for cv in all_conventions()]
+        row = lambda p, cv: battery_row_operators(k, p)(cv)  # noqa: E731
         dense = [
-            dense_convention_passes(algebra, rep, cv, (1, 2), spaces) for cv in all_conventions()
+            dense_convention_passes(algebra, rep, cv, (1, 2), spaces, row) for cv in all_conventions()
         ]
         assert sparse == dense
         passing.append(sum(sparse))
@@ -217,3 +244,105 @@ def test_calibration_rejects_an_image_outside_the_compatible_subspace():
 
 def test_default_convention_is_all_plus():
     assert DEFAULT_CONVENTION.label() == "A+B+C+D+|xy|hat-twisted|c-full"
+
+
+# ---------------------------------------------------------------------------
+# the column-by-column assembly against the row-driven oracle
+
+
+def h3_generic():
+    h3 = HomNaryAlgebra(2, 3, ("x", "y", "z"), {(0, 1): {2: 1}, (1, 0): {2: -1}}, Matrix.identity(3))
+    return yau_twist(h3, diag(2, 3, 6))
+
+
+DEGREE_3_CONVENTIONS = [
+    # the four survivors, then non-survivors with yx, hat-bare and c-short
+    "A+B+C+D+|xy|hat-twisted|c-full",
+    "A+B+C+D+|xy|hat-bare|c-full",
+    "A-B-C-D-|xy|hat-twisted|c-full",
+    "A-B-C-D-|xy|hat-bare|c-full",
+    "A+B+C+D+|yx|hat-twisted|c-full",
+    "A+B+C+D+|xy|hat-bare|c-short",
+    "A-B+C-D+|yx|hat-bare|c-short",
+    "A+B-C+D-|yx|hat-twisted|c-short",
+]
+
+
+def test_column_assembly_matches_the_row_oracle():
+    for k, (a, rep) in enumerate(BATTERY):
+        for p in (1, 2):
+            space = CochainSpace(a, rep, p)  # shares its SlotTables across conventions
+            for cv in all_conventions():
+                assert coboundary_operator(a, rep, p, cv, space=space) == battery_row_operators(k, p)(cv)
+            # the linear reading of the oracle, checked at a convention it did not build
+            cv = SignConvention.from_label("A-B+C-D-|yx|hat-bare|c-short")
+            assert battery_row_operators(k, p)(cv) == row_coboundary_operator(a, rep, p, cv)
+        space = CochainSpace(a, rep, 3)
+        for label in DEGREE_3_CONVENTIONS:
+            cv = SignConvention.from_label(label)
+            assert coboundary_operator(a, rep, 3, cv, space=space) == battery_row_operators(k, 3)(cv)
+    for a, top in ((h3_generic(), 3), (twisted_ternary_fff_e(2), 4), (twisted_aff1(2), 6)):
+        rep = adjoint_representation(a)
+        for p in range(1, top + 1):
+            assert coboundary_operator(a, rep, p) == row_coboundary_operator(a, rep, p)
+    for phi in (identity_morphism(leibniz_ff_e()), vanishing_pair(), twist_endomorphism()):
+        # d^2 (u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), with the row oracle's delta
+        mc = MorphismComplex(phi)
+        au, av, aw = mc.ambient_dims(2)
+
+        def delta(cx, p, vec):
+            op = as_columns(row_coboundary_operator(cx.algebra, cx.rep, p), len(vec))
+            return apply_operator(op, vec, ambient_dim(cx.algebra, cx.rep, p + 1))
+
+        for j in range(au + av + aw):
+            e = [Q(int(i == j)) for i in range(au + av + aw)]
+            u, v, w = e[:au], e[au : au + av], e[au + av :]
+            pushed, pulled = push_tensor(phi, u, phi.source.dim), pull_tensor(phi, 2, v)
+            third = [x - y - z for x, y, z in zip(pushed, pulled, delta(mc.mixed, 1, w))]
+            blockwise = delta(mc.left, 2, u) + delta(mc.right, 2, v) + third
+            assert apply_operator(mc.operator(2), e, len(blockwise)) == blockwise
+
+
+def row_passes(k, cv, spaces):
+    """convention_passes for battery member k, on the row oracle's operators."""
+    a, rep = BATTERY[k]
+    cx = CochainComplex(a, rep, cv)
+    cx._spaces = spaces
+    for p in (1, 2, 3):
+        cx._operators[p] = Columns(functools.partial(battery_row_operators(k, p), cv), ambient_dim(a, rep, p))
+    try:
+        for p in (1, 2):
+            cx.delta(p)
+            cx.delta(p + 1)
+            if not squares_to_zero(cx, p + 1):
+                return False
+    except ConstraintViolation:
+        return False
+    return True
+
+
+def test_unbuilt_columns_never_read_as_zero():
+    rng = random.Random(11)
+    nonzero = 0
+    for k, (a, rep) in enumerate(BATTERY):
+        cx = CochainComplex(a, rep)
+        for p in (1, 2, 3):
+            cx.delta(p)  # builds the columns on the support of C^p's basis
+            support = {j for v in cx.space(p).basis.sparse_vectors for j in v}
+            off = [j for j in range(ambient_dim(a, rep, p)) if j not in support]
+            reference = as_columns(battery_row_operators(k, p)(DEFAULT_CONVENTION), ambient_dim(a, rep, p))
+            for _ in range(3):
+                f = [Q(0)] * ambient_dim(a, rep, p)
+                for j in rng.sample(off, min(len(off), 4)):
+                    f[j] = Q(rng.randint(-3, 3), rng.randint(1, 3))
+                expected = apply_operator(reference, f, ambient_dim(a, rep, p + 1))
+                assert cx.delta_ambient(p, f) == expected
+                nonzero += any(expected)
+    assert nonzero >= 20
+    # battery member 1, aff1 twisted by diag(2, 1), rejects this convention
+    a, rep = BATTERY[1]
+    assert not convention_passes(a, rep, SignConvention.from_label("A+B-C+D+|xy|hat-twisted|c-full"))
+    for k, (a, rep) in enumerate(BATTERY):
+        spaces = {}
+        column = {cv for cv in all_conventions() if convention_passes(a, rep, cv, (1, 2), spaces)}
+        assert column == {cv for cv in all_conventions() if row_passes(k, cv, spaces)}
