@@ -53,6 +53,9 @@ EXIT_INPUT_ERROR = 2
 # dim 4 at degree 4 (4 * 4^5), the largest space a benchmark rung has measured;
 # the limit stands until a rung at a larger space backs a higher one.
 MAX_AMBIENT = 4096
+# Above degree 11 only the spaces of 1-dim algebras and modules stay within
+# MAX_AMBIENT, and their work still grows with the degree.
+MAX_DEGREE = 64
 
 FIXTURES_ENV = "HOMLEIBNIZ_FIXTURES"
 
@@ -68,7 +71,8 @@ def _convention(args):
 
 def _degrees(spec, ambient_at):
     """The degrees p1..p2 of spec; refused when H^p2 needs a cochain space above
-    MAX_AMBIENT, ambient_at(q) being the largest ambient dimension in degree q."""
+    MAX_AMBIENT, ambient_at(q) being the largest ambient dimension in degree q,
+    or when p2 is above MAX_DEGREE."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")
@@ -80,15 +84,17 @@ def _degrees(spec, ambient_at):
     if lo < 1 or hi < lo:
         raise DocumentError("degrees must satisfy 1 <= p1 <= p2")
     # an ambient dimension is constant in the degree q (all dimensions 1) or
-    # grows with it from at least 2^q, so degree 64 decides every higher one
-    # and no power with thousands of digits is built or printed
-    q = min(hi + 1, 64)
+    # grows with it from at least 2^q, so degree MAX_DEGREE decides every
+    # higher one and no power with thousands of digits is built or printed
+    q = min(hi + 1, MAX_DEGREE)
     if ambient_at(q) > MAX_AMBIENT:
         size = f"{'' if q == hi + 1 else 'at least '}{ambient_at(q)}"
         raise DocumentError(
             f"degree {hi} needs a cochain space of ambient dimension {size}, "
             f"above the limit of {MAX_AMBIENT}"
         )
+    if hi > MAX_DEGREE:
+        raise DocumentError(f"degree {hi} is above the limit of {MAX_DEGREE}")
     return range(lo, hi + 1)
 
 

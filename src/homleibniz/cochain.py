@@ -8,7 +8,9 @@ are cut out by the twist-compatibility constraint
     alpha_M o f = f o (alpha tensor abar^{tensor p-1}),
 
 with abar acting componentwise on (n-1)-tuples; cochain spaces store a
-kernel basis of that constraint.
+kernel basis of that constraint.  Its rows come input by input, each input's
+column of alpha^{tensor k} (abar is alpha slot by slot) one Kronecker step
+on its prefix's, built depth first with one partial column per level.
 
 The coboundary consists of four term groups.  Their unit signs, the slot
 order of the bracket on (n-1)-tuples, and two typographically ambiguous
@@ -140,6 +142,18 @@ def _flat(tup, d):
     return pos
 
 
+def _kron_columns(cols, k, inp, col):
+    """(flat input, its column of col tensor cols^{tensor k} by flat index) for
+    each k-digit extension of the prefix inp, in lexicographic order."""
+    if k == 0:
+        yield inp, col
+        return
+    d = len(cols)
+    for i, c in enumerate(cols):
+        step = {key * d + j: x * v for key, x in col.items() for j, v in c.items()}
+        yield from _kron_columns(cols, k - 1, inp * d + i, step)
+
+
 # ---------------------------------------------------------------------------
 # cochain spaces
 
@@ -174,16 +188,16 @@ class CochainSpace:
         rows = []
         alpha_cols = [a.alpha_combo(i) for i in range(d)]
         alpha_m_cols = [rep.alpha_module.column(mm) for mm in range(m)]
-        for inp in itertools.product(range(d), repeat=self.in_len):
+        for inp, kron in _kron_columns(alpha_cols, self.in_len, 0, {0: Q(1)}):
             # one sparse row per output index mo; the alpha_M o f term
             block = [{} for _ in range(m)]
-            base = _flat(inp, d) * m
+            base = inp * m
             for mm, col in enumerate(alpha_m_cols):
                 for mo, c in col.items():
                     block[mo][base + mm] = c
             # - f o (alpha tensor abar...) term, abar expanded on the basis input
-            for key, v in tensor_combo([alpha_cols[i] for i in inp]).items():
-                at = _flat(key, d) * m
+            for key, v in kron.items():
+                at = key * m
                 for mo, row in enumerate(block):
                     row[at + mo] = row.get(at + mo, 0) - v
             rows += [{c: x for c, x in row.items() if x} for row in block]

@@ -10,10 +10,12 @@ grid), .entries and .vectors convert dense grids for documents and tests.
 rank, kernel_basis and solve share one elimination over the sparse rows;
 the reduced row echelon form is unique, so its pivots are the first nonzero
 columns in column order, and every result equals dense Gauss-Jordan
-elimination's, whatever the row order.  coords_in_basis accepts the
-coordinates read at the unit rows only when their combination equals the
-vector; with zeros dropped on both sides, dict equality is the dense
-cell-by-cell comparison, at the cost of the nonzeros involved.
+elimination's, whatever the row order.  Like sympy's sdm_irref, it indexes
+each column to the reduced rows holding it, so a new pivot costs their nonzeros.
+coords_in_basis accepts the coordinates read at the unit rows only when
+their combination equals the vector; with zeros dropped on both sides, dict
+equality is the dense cell-by-cell comparison, at the cost of the nonzeros
+involved.
 delta o delta = 0 is certified on the sparse coboundary operators of
 cochain.py, never by a Matrix product.
 """
@@ -187,13 +189,14 @@ def _rref(m: Matrix, b=()):
     """RREF of m, with b as an extra column m.cols, as {pivot column: sparse row}.
 
     Each row is reduced by the pivot rows so far; a nonzero remainder is scaled
-    to 1 at its smallest column, its pivot, which is cleared from the others.
+    to 1 at its smallest column, its pivot, which is cleared from the reduced
+    rows holding it off their pivot, listed in holders; cancelled cells leave it.
     """
     rows = [dict(row) for row in m._data]
     for row, x in zip(rows, b):
         if x:
             row[m.cols] = Q(x)
-    red = {}
+    red, holders = {}, {}
     for row in rows:
         for p in [c for c in row if c in red]:
             _add_scaled(row, -row[p], red[p])
@@ -203,9 +206,21 @@ def _rref(m: Matrix, b=()):
         inv = row[pivot]
         if inv != 1:
             row = {c: x / inv for c, x in row.items()}
-        for other in red.values():
-            if pivot in other:
-                _add_scaled(other, -other[pivot], row)
+        rest = [(c, x) for c, x in row.items() if c != pivot]
+        for q in holders.pop(pivot, ()):
+            other = red[q]
+            f = other.pop(pivot)
+            for c, x in rest:
+                if c not in other:
+                    other[c] = -f * x
+                    holders.setdefault(c, set()).add(q)
+                elif v := other[c] - f * x:
+                    other[c] = v
+                else:
+                    del other[c]
+                    holders[c].remove(q)
+        for c, _ in rest:
+            holders.setdefault(c, set()).add(pivot)
         red[pivot] = row
     return red
 

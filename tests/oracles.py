@@ -20,6 +20,9 @@ Deliberately separate implementations:
 * the dense delta-o-delta check: the row-driven coboundaries restricted to
   the computed bases and multiplied as matrices, the reference for the
   sparse certificate cochain.squares_to_zero; and
+* the per-input twist-compatibility constraint: one k-fold tensor_combo
+  per basis input, the reference for the rows CochainSpace builds from
+  prefix Kronecker products; and
 * dense Gauss-Jordan elimination with column-order pivoting, the reference
   for linalg's sparse elimination behind rank, kernel_basis and solve; and
 * dense references for linalg's sparse storage: the row-by-column matrix
@@ -326,6 +329,32 @@ def row_operators(algebra, rep, p):
         ], columns)
 
     return op
+
+
+# ---------------------------------------------------------------------------
+# the twist-compatibility constraint, input by input
+
+
+def per_input_constraint_rows(algebra, rep, p):
+    """Sparse rows of alpha_M o f - f o (alpha tensor abar^{tensor p-1}) on
+    C^p's ambient coordinates: m rows per basis input, in product order, with
+    alpha^{tensor k} of each input expanded by its own tensor_combo."""
+    d, m = algebra.dim, rep.module_dim
+    rows = []
+    alpha_cols = [algebra.alpha_combo(i) for i in range(d)]
+    alpha_m_cols = [rep.alpha_module.column(mm) for mm in range(m)]
+    for inp in itertools.product(range(d), repeat=input_length(algebra.arity, p)):
+        block = [{} for _ in range(m)]
+        base = _flat(inp, d) * m
+        for mm, col in enumerate(alpha_m_cols):
+            for mo, c in col.items():
+                block[mo][base + mm] = c
+        for key, v in tensor_combo([alpha_cols[i] for i in inp]).items():
+            at = _flat(key, d) * m
+            for mo, row in enumerate(block):
+                row[at + mo] = row.get(at + mo, 0) - v
+        rows += [{c: x for c, x in row.items() if x} for row in block]
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,26 @@ def test_cohomology_refuses_huge_degree_ranges_without_printing_huge_numbers(cap
         assert "Traceback" not in err
 
 
+def test_degree_ranges_end_at_max_degree_on_one_dimensional_algebras(capsys, tmp_path):
+    # every cochain space of a 1-dim algebra has ambient dimension 1, so only
+    # MAX_DEGREE bounds the range
+    from homleibniz.documents import dump_json, serialize_algebra, serialize_morphism
+    from homleibniz.fixtures import abelian_algebra, identity_morphism
+
+    a = abelian_algebra(1, 2)
+    dump_json(serialize_algebra(a), str(tmp_path / "a1.json"))
+    dump_json(serialize_morphism(identity_morphism(a)), str(tmp_path / "id_a1.json"))
+    for cmd, name in (("cohomology", "a1.json"), ("morphism-cohomology", "id_a1.json")):
+        path = str(tmp_path / name)
+        code, out, err = run(capsys, cmd, path, "--degrees", "1..1000")
+        assert code == 2, cmd
+        assert out == "" and "degree 1000 is above the limit of 64" in err
+        assert "Traceback" not in err
+        code, out, _ = run(capsys, cmd, path, "--degrees", "1..64", "--format", "json")
+        assert code == 0, cmd
+        assert [row[0] for row in json.loads(out)["tables"][0]["rows"]] == list(range(1, 65))
+
+
 def test_validate_skips_the_identity_loops_for_an_empty_bracket(capsys, tmp_path):
     # arity 11 over dim 2: 2^21 tuples for the identity, 2^11 for multiplicativity
     from homleibniz.documents import dump_json, serialize_algebra

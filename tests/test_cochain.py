@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from homleibniz import cochain
 from homleibniz.algebra import HomNaryAlgebra, adjoint_representation, yau_twist
 from homleibniz.cochain import (
     CochainComplex,
@@ -35,13 +36,14 @@ from homleibniz.fixtures import (
     twisted_ternary_fff_e,
     vanishing_pair,
 )
-from homleibniz.linalg import Matrix
+from homleibniz.linalg import Matrix, kernel_basis
 from homleibniz.morphism_complex import MorphismComplex, pull_tensor, push_tensor
 from oracles import (
     as_columns,
     classical_coboundary,
     dense_convention_passes,
     dense_restriction,
+    per_input_constraint_rows,
     row_coboundary_operator,
     row_operators,
 )
@@ -99,6 +101,29 @@ def test_twisted_ternary_space_dims():
     cc = complex_for(twisted_ternary_fff_e(2))
     assert cc.space(1).dim == 2
     assert cc.space(2).dim == 1
+
+
+def h3_sheared():
+    """h3 Yau-twisted by the shear y -> x + y: unlike every diagonal twist of
+    the battery, its Kronecker powers have columns with several entries."""
+    h3 = HomNaryAlgebra(2, 3, ("x", "y", "z"), {(0, 1): {2: 1}, (1, 0): {2: -1}}, Matrix.identity(3))
+    return yau_twist(h3, Matrix(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+
+
+def test_constraint_kernel_matches_the_per_input_oracle(monkeypatch):
+    built = []
+    monkeypatch.setattr(cochain, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
+    cases = [(a, rep, 3) for a, rep in BATTERY]
+    for a, top in ((h3_generic(), 4), (twisted_ternary_fff_e(2), 6), (twisted_aff1(2), 11), (h3_sheared(), 4)):
+        cases.append((a, adjoint_representation(a), top))
+    for a, rep, top in cases:
+        for p in range(1, top + 1):
+            space = CochainSpace(a, rep, p)
+            rows = per_input_constraint_rows(a, rep, p)
+            assert built.pop()._data == rows
+            ref = kernel_basis(Matrix.from_rows(rows, space.ambient))
+            assert space.basis.sparse_vectors == ref.sparse_vectors
+            assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items())
 
 
 def test_constraint_violation_raised_for_incompatible_tensor():

@@ -9,6 +9,7 @@ from homleibniz.cochain import CochainSpace
 from homleibniz.fixtures import calibration_battery
 from homleibniz.linalg import (
     Matrix,
+    _rref,
     coords_in_basis,
     kernel_basis,
     rank,
@@ -21,6 +22,7 @@ from oracles import (
     dense_kernel_vectors,
     dense_matmul,
     dense_rank,
+    dense_rref,
     dense_solve,
 )
 
@@ -225,6 +227,28 @@ def test_elimination_matches_sympy_on_random_sparse_matrices():
             x = solve(m, b)
             assert (x is not None) == (aug.rank() == ref_rank)
             assert x is None or m.matvec(x) == b
+
+
+def test_elimination_forgets_the_cells_back_elimination_cancels():
+    # rank-deficient products, built as in the sympy comparison: clearing a new
+    # pivot from the reduced rows cancels cells there, and a cancelled cell must
+    # leave the column index before its column becomes a pivot
+    rng = random.Random(20261019)
+
+    def cell(density):
+        return Q(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Q(0)
+
+    for _ in range(60):
+        r, c = rng.randint(2, 24), rng.randint(2, 24)
+        density = rng.choice([0.05, 0.15, 0.25, 0.4])
+        k = rng.randint(1, min(r, c) - 1)
+        left = [[cell(density) for _ in range(k)] for _ in range(r)]
+        right = [[cell(density) for _ in range(c)] for _ in range(k)]
+        entries = (Matrix(r, k, left) @ Matrix(k, c, right)).entries
+        reduced, pivots = dense_rref(entries, r, c)
+        red = _rref(Matrix(r, c, entries))
+        assert sorted(red) == pivots
+        assert [dense_vector(red[p], c) for p in pivots] == reduced[: len(pivots)]
 
 
 # ---------------------------------------------------------------------------
