@@ -26,7 +26,6 @@ from .cochain import (
     all_conventions,
     calibrate_convention,
     calibration_report,
-    coboundary,
 )
 from .deformation import (
     MorphismDeformation,

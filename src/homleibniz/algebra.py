@@ -441,11 +441,9 @@ def yau_twist(a: HomNaryAlgebra, t: Matrix) -> HomNaryAlgebra:
         raise ValueError("yau_twist expects an untwisted (alpha = id) algebra")
     if t.rows != a.dim or t.cols != a.dim:
         raise ValueError("endomorphism matrix shape mismatch")
-    for tup in a.basis_tuples():
-        lhs = matrix_combo(t, a.bracket_apply([_basis_combo(i) for i in tup]))
-        rhs = a.bracket_apply([t.column(i) for i in tup])
-        if csub(lhs, rhs):
-            raise ValueError(f"t is not an endomorphism of the bracket (fails at {tup})")
+    bad = check_multiplicative(HomNaryAlgebra(a.arity, a.dim, a.basis, a.bracket, t))
+    if bad:
+        raise ValueError(f"t is not an endomorphism of the bracket (fails at {bad[0].where})")
     bracket = {}
     for key, entry in a.bracket.items():
         out = matrix_combo(t, dict(entry))

@@ -24,9 +24,9 @@ acted on by the module.  coboundary_operator assembles delta^p column by
 column from those maps, transposed once per (algebra, rep, p) in the
 SlotTables that CochainSpace(p) keeps for every convention.  A Columns cache
 builds each column on its first read: restrict_operator and squares_to_zero
-read the columns on the support of the source bases, delta_ambient and
-coboundary_tensor those on their input's support, and only the extension
-solve reads every column, through MorphismComplex.operator.
+read the columns on the support of the source bases, delta_ambient those on
+its input's support, and only the extension solve reads every column,
+through MorphismComplex.operator.
 
 delta o delta = 0 is certified in one place, squares_to_zero, on the sparse
 ambient operators; both complexes' cohomology_dim and the calibration call it.
@@ -220,6 +220,8 @@ class CochainSpace:
         return coords_in_basis(self.basis, self._sparse(coeffs)) is not None
 
     def from_coords(self, coords):
+        if len(coords) != self.dim:
+            raise ValueError("coordinate length does not match space dimension")
         combo = self.basis.combination(sparse_vector(coords))
         return Cochain(self, dense_vector(combo, self.ambient))
 
@@ -431,28 +433,6 @@ def apply_sparse(op, vectors):
 def apply_operator(op, coeffs, out_dim):
     """apply_sparse on a dense vector, returning a dense vector of length out_dim."""
     return dense_vector(apply_sparse(op, [sparse_vector(coeffs)])[0], out_dim)
-
-
-def coboundary_tensor(algebra, rep, p, coeffs, convention=DEFAULT_CONVENTION):
-    """Raw delta^p on an ambient coefficient tensor (no membership checks).
-
-    Accepts tensors that need not be twist-compatible; only the columns on
-    the tensor's support are built.
-    """
-    op = Columns(functools.partial(coboundary_operator, algebra, rep, p, convention), ambient_dim(algebra, rep, p))
-    return apply_operator(op, coeffs, ambient_dim(algebra, rep, p + 1))
-
-
-def coboundary(f: Cochain, convention, target_space):
-    """delta^p f as a checked member of target_space, which is C^{p+1}.
-
-    Raises ConstraintViolation when the image leaves the twist-compatible
-    subspace, which signals an invalid convention or an invalid algebra.
-    """
-    sp = f.space
-    raw = coboundary_tensor(sp.algebra, sp.rep, sp.degree, f.coeffs, convention)
-    target_space.coords(raw)
-    return Cochain(target_space, raw)
 
 
 def coboundary_matrix(space: CochainSpace, target_space, op) -> Matrix:

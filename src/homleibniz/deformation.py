@@ -29,6 +29,7 @@ from .algebra import (
     Morphism,
     apply_multimap,
     cadd,
+    check_multiplicative,
     cscale,
     csub,
     hom_composition,
@@ -266,15 +267,11 @@ def multiplicativity_violations(d: TruncatedDeformation):
     open here; this check is optional and never folded into validity.
     """
     a = d.base
-    out = []
-    for i in range(1, d.order + 1):
-        fi = d.coeff(i)
-        for key in a.basis_tuples():
-            lhs = matrix_combo(a.alpha, apply_multimap(fi, [_basis_combo(x) for x in key]))
-            rhs = apply_multimap(fi, [a.alpha_combo(x) for x in key])
-            if csub(lhs, rhs):
-                out.append((i, key))
-    return out
+    return [
+        (i, v.where)
+        for i in range(1, d.order + 1)
+        for v in check_multiplicative(HomNaryAlgebra(a.arity, a.dim, a.basis, d.coeff(i), a.alpha))
+    ]
 
 
 # ---------------------------------------------------------------------------

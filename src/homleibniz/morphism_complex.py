@@ -12,9 +12,8 @@ the direct-sum bases for cohomology and reads the columns on their support
 only; deformation.solve_extension solves against it at the ambient level,
 its unknowns unconstrained, and reads every column.  d^p o d^{p-1} = 0 is
 certified on these operators by cochain.squares_to_zero, as for the summand
-complexes.
-MorphismComplex.differential evaluates d blockwise through push_tensor and
-pull_tensor, independently of the operator.
+complexes.  _d_columns is the only code that applies phi to a cochain:
+differential and the vanishing-transfer witness both read d_matrix.
 """
 
 from __future__ import annotations
@@ -24,12 +23,11 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import Morphism, adjoint_representation, pullback_representation, tensor_combo
+from .algebra import Morphism, adjoint_representation, pullback_representation
 from .cochain import (
     Cochain,
     Columns,
     CochainComplex,
-    ConstraintViolation,
     DEFAULT_CONVENTION,
     ambient_dim,
     cohomology_dim_of,
@@ -42,41 +40,6 @@ from .linalg import Matrix, Q, rank, solve
 
 class HypothesisNotMet(Exception):
     """A vanishing-transfer precondition (a cohomology group) is nonzero."""
-
-
-def push_tensor(phi: Morphism, coeffs, module_dim_in):
-    """Compose a C^p(L;L) ambient tensor with phi on the output."""
-    d_tgt = phi.target.dim
-    n_inputs = len(coeffs) // module_dim_in
-    out = [Q(0)] * (n_inputs * d_tgt)
-    for pos in range(n_inputs):
-        for k in range(module_dim_in):
-            c = coeffs[pos * module_dim_in + k]
-            if c:
-                for r, e in phi.column(k).items():
-                    out[pos * d_tgt + r] += e * c
-    return out
-
-
-def pull_tensor(phi: Morphism, p, coeffs):
-    """Precompose a C^p(M;M) ambient tensor with phi on every input slot."""
-    n = phi.source.arity
-    d_src = phi.source.dim
-    d_tgt = phi.target.dim
-    m = d_tgt
-    in_len = input_length(n, p)
-    out = [Q(0)] * (d_src ** in_len * m)
-    for inp in itertools.product(range(d_src), repeat=in_len):
-        # phi applied componentwise to the whole input tuple
-        expanded = tensor_combo([phi.column(i) for i in inp])
-        base = _flat(inp, d_src) * m
-        for key, coeff in expanded.items():
-            src_base = _flat(key, d_tgt) * m
-            for mo in range(m):
-                c = coeffs[src_base + mo]
-                if c:
-                    out[base + mo] += coeff * c
-    return out
 
 
 def _d_columns(phi, p, ops, dims, js):
@@ -181,43 +144,12 @@ class MorphismComplex:
     def total_dim(self, p):
         return sum(self.space_dims(p))
 
-    # -- push / pull --------------------------------------------------------
-
-    def push(self, u: Cochain) -> Cochain:
-        """phi o u, landing in the mixed complex; membership is verified."""
-        p = u.space.degree
-        raw = push_tensor(self.phi, u.coeffs, self.phi.source.dim)
-        target = self.mixed.space(p)
-        try:
-            target.coords(raw)
-        except ConstraintViolation as exc:
-            raise ConstraintViolation(
-                "push image violates the mixed compatibility constraint; "
-                "phi does not intertwine the twists"
-            ) from exc
-        return Cochain(target, raw)
-
-    def pull(self, v: Cochain) -> Cochain:
-        """v precomposed with phi on every slot, landing in the mixed complex."""
-        p = v.space.degree
-        raw = pull_tensor(self.phi, p, v.coeffs)
-        target = self.mixed.space(p)
-        target.coords(raw)
-        return Cochain(target, raw)
-
     # -- the differential ---------------------------------------------------
 
     def differential(self, c: MorphismCochain) -> MorphismCochain:
-        """d(u, v, w) = (delta u, delta v, push u - pull v - delta w)."""
-        from .cochain import coboundary
-
+        """d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), through d_matrix."""
         p = c.degree
-        du = coboundary(c.u, self.convention, self.left.space(p + 1))
-        dv = coboundary(c.v, self.convention, self.right.space(p + 1))
-        third = self.push(c.u) - self.pull(c.v)
-        if c.w is not None:
-            third = third - coboundary(c.w, self.convention, self.mixed.space(p))
-        return MorphismCochain(p + 1, du, dv, third)
+        return self.from_coords(p + 1, self.d_matrix(p).matvec(self.coords(c)))
 
     def operator(self, p) -> Columns:
         """Sparse ambient columns of d^p, each built on its first read.
@@ -280,14 +212,15 @@ class MorphismComplex:
         """Preimage of a p-cocycle under d^{p-1}, following the vanishing proof.
 
         Requires H^p(L,L) = H^p(M,M) = H^{p-1}(L,M) = 0; solves for u1, then
-        v1, then w1 in three successive exact linear solves.
+        v1, then w1 in three successive exact linear solves, in coordinates,
+        reading phi.u1 - v1.phi off d_matrix(p-1).
         """
         if p < 2:
             raise ValueError("transfer needs degree at least 2 (C^0 = 0)")
         if c.degree != p:
             raise ValueError("cocycle degree mismatch")
-        dc = self.d_matrix(p).matvec(self.coords(c))
-        if any(x != 0 for x in dc):
+        cc = self.coords(c)
+        if any(self.d_matrix(p).matvec(cc)):
             raise ValueError("input is not a cocycle")
         hL = self.left.cohomology_dim(p)
         hM = self.right.cohomology_dim(p)
@@ -296,30 +229,25 @@ class MorphismComplex:
             raise HypothesisNotMet(
                 f"H^{p}(L,L)={hL}, H^{p}(M,M)={hM}, H^{p-1}(L,M)={hmix}; all must vanish"
             )
-        u1c = solve(self.left.delta(p - 1), c.u.space.coords(c.u.coeffs))
-        v1c = solve(self.right.delta(p - 1), c.v.space.coords(c.v.coeffs))
+        du, dv, _ = self.space_dims(p)
+        u1c = solve(self.left.delta(p - 1), cc[:du])
+        v1c = solve(self.right.delta(p - 1), cc[du : du + dv])
         if u1c is None or v1c is None:
             raise RuntimeError("solve failed despite vanishing cohomology")
-        u1 = self.left.space(p - 1).from_coords(u1c)
-        v1 = self.right.space(p - 1).from_coords(v1c)
-        residue = self.push(u1) - self.pull(v1)
-        if c.w is not None:
-            residue = residue - c.w
-        # residue is a (p-1)-cocycle of the mixed complex
+        # the w-block of d(u1, v1, 0) - c is phi.u1 - v1.phi - w, a (p-1)-cocycle
+        # of the mixed complex that delta w1 must equal
+        w0 = [Q(0)] * self.space_dims(p - 1)[2]
+        image = self.d_matrix(p - 1).matvec(u1c + v1c + w0)
+        residue = [x - y for x, y in zip(image[du + dv :], cc[du + dv :])]
         if p >= 3:
-            w1c = solve(
-                self.mixed.delta(p - 2), residue.space.coords(residue.coeffs)
-            )
+            w1c = solve(self.mixed.delta(p - 2), residue)
             if w1c is None:
                 raise RuntimeError("solve failed despite vanishing cohomology")
-            w1 = self.mixed.space(p - 2).from_coords(w1c)
         else:
             # C^0 = 0 and H^1(L,M) = 0 force the residue itself to vanish
-            if not residue.is_zero():
+            if any(residue):
                 raise RuntimeError("nonzero 1-cocycle contradicts H^1(L,M) = 0")
-            w1 = None
-        out = MorphismCochain(p - 1, u1, v1, w1)
-        back = self.d_matrix(p - 1).matvec(self.coords(out))
-        if back != self.coords(c):
+            w1c = []
+        if self.d_matrix(p - 1).matvec(u1c + v1c + w1c) != cc:
             raise RuntimeError("witness failed exact verification")
-        return out
+        return self.from_coords(p - 1, u1c + v1c + w1c)

@@ -20,6 +20,11 @@ Deliberately separate implementations:
 * the dense delta-o-delta check: the row-driven coboundaries restricted to
   the computed bases and multiplied as matrices, the reference for the
   sparse certificate cochain.squares_to_zero; and
+* the blockwise morphism differential: push_tensor and pull_tensor compose
+  raw tensors with phi on the output and on every input slot, and
+  blockwise_differential returns (delta u, delta v, phi.u - v.phi - delta w)
+  from them and the summand coboundaries, the reference for the push and
+  pull columns of MorphismComplex.operator and for differential; and
 * the per-input twist-compatibility constraint: one k-fold tensor_combo
   per basis input, the reference for the rows CochainSpace builds from
   prefix Kronecker products; and
@@ -329,6 +334,73 @@ def row_operators(algebra, rep, p):
         ], columns)
 
     return op
+
+
+# ---------------------------------------------------------------------------
+# the morphism differential, block by block
+
+
+def push_tensor(phi, coeffs, module_dim_in):
+    """Compose a C^p(L;L) ambient tensor with phi on the output."""
+    d_tgt = phi.target.dim
+    n_inputs = len(coeffs) // module_dim_in
+    out = [Q(0)] * (n_inputs * d_tgt)
+    for pos in range(n_inputs):
+        for k in range(module_dim_in):
+            c = coeffs[pos * module_dim_in + k]
+            if c:
+                for r, e in phi.column(k).items():
+                    out[pos * d_tgt + r] += e * c
+    return out
+
+
+def pull_tensor(phi, p, coeffs):
+    """Precompose a C^p(M;M) ambient tensor with phi on every input slot."""
+    n = phi.source.arity
+    d_src = phi.source.dim
+    d_tgt = phi.target.dim
+    m = d_tgt
+    in_len = input_length(n, p)
+    out = [Q(0)] * (d_src ** in_len * m)
+    for inp in itertools.product(range(d_src), repeat=in_len):
+        # phi applied componentwise to the whole input tuple
+        expanded = tensor_combo([phi.column(i) for i in inp])
+        base = _flat(inp, d_src) * m
+        for key, coeff in expanded.items():
+            src_base = _flat(key, d_tgt) * m
+            for mo in range(m):
+                c = coeffs[src_base + mo]
+                if c:
+                    out[base + mo] += coeff * c
+    return out
+
+
+def _summand_delta(cx, q, vec):
+    return cx.delta_ambient(q, vec)
+
+
+def blockwise_ambient(mc, p, u, v, w, delta=_summand_delta):
+    """d^p of the MorphismComplex mc on raw ambient tensors, block by block:
+    (delta u, delta v, phi.u - v.phi - delta w), concatenated, with w empty
+    in degree 1.  delta(cx, q, vec) evaluates a summand complex's coboundary;
+    by default cx.delta_ambient, the summand operator that the row oracle
+    checks on its own."""
+    phi = mc.phi
+    third = [x - y for x, y in zip(push_tensor(phi, u, phi.source.dim), pull_tensor(phi, p, v))]
+    if p >= 2:
+        third = [x - y for x, y in zip(third, delta(mc.mixed, p - 1, w))]
+    return delta(mc.left, p, u) + delta(mc.right, p, v) + third
+
+
+def blockwise_differential(mc, c):
+    """The ambient (delta u, delta v, phi.u - v.phi - delta w) of the
+    MorphismCochain c, the reference for MorphismComplex.differential."""
+    return blockwise_ambient(mc, c.degree, c.u.coeffs, c.v.coeffs, c.w.coeffs if c.w is not None else [])
+
+
+def morphism_ambient(c):
+    """The ambient u, v, w tensors of the MorphismCochain c, concatenated."""
+    return c.u.coeffs + c.v.coeffs + (c.w.coeffs if c.w is not None else [])
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from homleibniz.cochain import (
     ambient_dim,
     apply_operator,
     coboundary_operator,
-    coboundary_tensor,
     convention_passes,
     random_cochain,
     squares_to_zero,
@@ -27,19 +26,18 @@ from homleibniz.fixtures import (
     aff1,
     calibration_battery,
     diag,
-    identity_morphism,
+    fixture_morphisms,
     leibniz_ff_e,
     ternary_fff_e,
-    twist_endomorphism,
     twisted_aff1,
     twisted_ff_e,
     twisted_ternary_fff_e,
-    vanishing_pair,
 )
 from homleibniz.linalg import Matrix, kernel_basis
-from homleibniz.morphism_complex import MorphismComplex, pull_tensor, push_tensor
+from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
     as_columns,
+    blockwise_ambient,
     classical_coboundary,
     dense_convention_passes,
     dense_restriction,
@@ -135,6 +133,15 @@ def test_constraint_violation_raised_for_incompatible_tensor():
     assert not space.contains(off_diagonal)
 
 
+def test_from_coords_refuses_a_coordinate_list_of_the_wrong_length():
+    space = complex_for(leibniz_ff_e()).space(1)
+    assert space.dim == 4
+    for length in (3, 5):
+        with pytest.raises(ValueError, match="coordinate length"):
+            space.from_coords([Q(1)] * length)
+    assert space.from_coords([Q(1)] * 4).coeffs == [Q(1)] * 4
+
+
 def test_cochains_of_different_spaces_do_not_combine():
     a = leibniz_ff_e()
     rep = adjoint_representation(a)
@@ -169,13 +176,15 @@ def test_coboundary_is_linear():
 
 
 def test_operator_and_tensor_evaluation_agree():
+    # delta_ambient on full-ambient tensors, twist-compatible or not, against the row oracle
     rng = random.Random(3)
     for a in (leibniz_ff_e(), twisted_ff_e(2), ternary_fff_e()):
         rep = adjoint_representation(a)
         cc = CochainComplex(a, rep)
         for p in (1, 2):
             f = [Q(rng.randint(-2, 2)) for _ in range(ambient_dim(a, rep, p))]
-            assert cc.delta_ambient(p, f) == coboundary_tensor(a, rep, p, f)
+            reference = as_columns(row_coboundary_operator(a, rep, p), len(f))
+            assert cc.delta_ambient(p, f) == apply_operator(reference, f, ambient_dim(a, rep, p + 1))
 
 
 def test_delta_squared_zero_on_matrices():
@@ -310,22 +319,22 @@ def test_column_assembly_matches_the_row_oracle():
         rep = adjoint_representation(a)
         for p in range(1, top + 1):
             assert coboundary_operator(a, rep, p) == row_coboundary_operator(a, rep, p)
-    for phi in (identity_morphism(leibniz_ff_e()), vanishing_pair(), twist_endomorphism()):
-        # d^2 (u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), with the row oracle's delta
+    for phi in fixture_morphisms():
+        # d^p (u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), with the row oracle's delta
         mc = MorphismComplex(phi)
-        au, av, aw = mc.ambient_dims(2)
+        row_ops = {}
 
         def delta(cx, p, vec):
-            op = as_columns(row_coboundary_operator(cx.algebra, cx.rep, p), len(vec))
-            return apply_operator(op, vec, ambient_dim(cx.algebra, cx.rep, p + 1))
+            if (id(cx), p) not in row_ops:
+                row_ops[id(cx), p] = as_columns(row_coboundary_operator(cx.algebra, cx.rep, p), len(vec))
+            return apply_operator(row_ops[id(cx), p], vec, ambient_dim(cx.algebra, cx.rep, p + 1))
 
-        for j in range(au + av + aw):
-            e = [Q(int(i == j)) for i in range(au + av + aw)]
-            u, v, w = e[:au], e[au : au + av], e[au + av :]
-            pushed, pulled = push_tensor(phi, u, phi.source.dim), pull_tensor(phi, 2, v)
-            third = [x - y - z for x, y, z in zip(pushed, pulled, delta(mc.mixed, 1, w))]
-            blockwise = delta(mc.left, 2, u) + delta(mc.right, 2, v) + third
-            assert apply_operator(mc.operator(2), e, len(blockwise)) == blockwise
+        for p in (1, 2, 3):
+            au, av, aw = mc.ambient_dims(p)
+            for j in range(au + av + aw):
+                e = [Q(int(i == j)) for i in range(au + av + aw)]
+                blockwise = blockwise_ambient(mc, p, e[:au], e[au : au + av], e[au + av :], delta)
+                assert apply_operator(mc.operator(p), e, len(blockwise)) == blockwise
 
 
 def row_passes(k, cv, spaces):

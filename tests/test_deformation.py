@@ -32,8 +32,8 @@ from homleibniz.fixtures import (
     twisted_ff_e,
 )
 from homleibniz.linalg import Matrix
-from homleibniz.morphism_complex import MorphismComplex, pull_tensor, push_tensor
-from oracles import obstruction_by_formula, primed_index_tuples
+from homleibniz.morphism_complex import MorphismComplex
+from oracles import blockwise_differential, obstruction_by_formula, primed_index_tuples, pull_tensor, push_tensor
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -337,6 +337,7 @@ def test_infinitesimal_of_valid_deformation_is_a_cocycle():
     c = infinitesimal(md)
     mc = MorphismComplex(md.phi)
     assert mc.differential(c).is_zero()
+    assert not any(blockwise_differential(mc, c))
 
 
 def test_infinitesimal_reports_twist_incompatibility():
