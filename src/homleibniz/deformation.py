@@ -196,9 +196,6 @@ class MorphismDeformation:
             return self.phis[i]
         return Matrix.zeros(self.phi.target.dim, self.phi.source.dim)
 
-    def phi_col(self, i, j):
-        return self.phi_coeff(i).column(j)
-
     def truncated(self, k):
         """This deformation cut, or padded with zero coefficients, to order k."""
         return MorphismDeformation(
@@ -217,32 +214,64 @@ class MorphismDeformation:
         )
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` nonnegative integers summing to total."""
-    return (t for t in itertools.product(range(total + 1), repeat=parts) if sum(t) == total)
+def _graded_products(phis, dim, n):
+    """(X, [P_0(X), .., P_l(X)]) for every basis n-tuple X, in lexicographic
+    order, with P_m(X) = sum_{j_1+..+j_n=m} phis[j_1](x_1) (x) .. (x) phis[j_n](x_n)
+    for l = len(phis) - 1.
+
+    Each slot is one order-graded convolution step, taken once per prefix
+    of X and shared by every X that extends it.
+    """
+    l = len(phis) - 1
+
+    def step(prods, x):
+        nxt = [{} for _ in range(l + 1)]
+        for m, pm in enumerate(prods):
+            for j in range(l + 1 - m):
+                col = phis[j].column(x)
+                for key, c in pm.items():
+                    for y, v in col.items():
+                        cadd(nxt[m + j], key + (y,), c * v)
+        return nxt
+
+    def walk(prefix, prods):
+        if len(prefix) == n:
+            yield prefix, prods
+            return
+        for x in range(dim):
+            yield from walk(prefix + (x,), step(prods, x))
+
+    return walk((), [{(): Q(1)}] + [{} for _ in range(l)])
 
 
 def morphism_order_residual(md: MorphismDeformation, l):
     """Residuals of the three order-l equations: the two algebra equations
-    and the morphism-compatibility equation, on all basis tuples."""
+    and the morphism-compatibility equation, on all basis tuples.
+
+    The morphism equation is sum_{i+j=l} phi_i(xi_j(X)) = sum_i eta_i(P_{l-i}(X)),
+    with the order-graded products P_m(X) of _graded_products and eta_i read
+    at their keys by direct lookups.
+    """
     res_xi = algebra_order_residual(md.xi, l)
     res_eta = algebra_order_residual(md.eta, l)
     src = md.phi.source
-    n = src.arity
+    phis = [md.phi_coeff(i) for i in range(l + 1)]
+    xis = [md.xi.coeff(j) for j in range(l + 1)]
+    etas = [md.eta.coeff(i) for i in range(l + 1)]
     res_phi = {}
-    for X in src.basis_tuples():
+    for X, prods in _graded_products(phis, src.dim, src.arity):
         res = {}
         for i in range(l + 1):
-            j = l - i
-            xj = md.xi.coeff(j).get(X)
+            xj = xis[l - i].get(X)
             if xj:
-                for k, v in matrix_combo(md.phi_coeff(i), xj).items():
+                for k, v in matrix_combo(phis[i], xj).items():
                     cadd(res, k, v)
-        for i in range(l + 1):
-            for js in _compositions(l - i, n):
-                args = [md.phi_col(js[r], X[r]) for r in range(n)]
-                for k, v in apply_multimap(md.eta.coeff(i), args).items():
-                    cadd(res, k, -v)
+        for i, eta in enumerate(etas):
+            for key, c in prods[l - i].items():
+                entry = eta.get(key)
+                if entry:
+                    for k, v in entry.items():
+                        cadd(res, k, -c * v)
         if res:
             res_phi[X] = res
     return res_xi, res_eta, res_phi

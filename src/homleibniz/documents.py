@@ -12,10 +12,14 @@ base bracket (or the base morphism matrix).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from fractions import Fraction
+
+try:  # CPython's built-in SHA-256; hashlib would load OpenSSL for this one use
+    from _sha256 import sha256
+except ImportError:
+    from hashlib import sha256
 
 from .algebra import HomNaryAlgebra, Morphism, Representation
 from .linalg import Matrix
@@ -25,8 +29,8 @@ class DocumentError(Exception):
     """Malformed or inconsistent input document; maps to CLI exit code 2."""
 
 
-# Validating an algebra evaluates its identity on all dim^(2n-1) tuples of
-# basis elements; an arity whose tuples hold more cells than this is refused.
+# The module identities and the regrouping check visit all dim^(2n-1) tuples
+# of basis elements; an arity whose tuples hold more cells than this is refused.
 MAX_IDENTITY_CELLS = 1 << 26
 
 
@@ -370,7 +374,7 @@ def canonical_text(obj) -> str:
 
 
 def digest(obj) -> str:
-    return hashlib.sha256(canonical_text(obj).encode("utf-8")).hexdigest()
+    return sha256(canonical_text(obj).encode("utf-8")).hexdigest()
 
 
 def dump_json(obj, path):

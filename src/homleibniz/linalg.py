@@ -4,9 +4,10 @@ Cochain-space bases, ranks of restricted differentials and deformation
 solves reduce to the four operations here: rank, kernel_basis, solve and
 coords_in_basis.  Only this module knows how matrices and subspaces are
 stored, and the storage is sparse: Matrix rows, basis vectors and the
-vectors passed around are {index: nonzero Fraction}.  Matrix.from_rows and
-Matrix.column are the sparse constructor and accessor; Matrix(rows, cols,
-grid), .entries and .vectors convert dense grids for documents and tests.
+vectors passed around are {index: nonzero Fraction}.  Matrix.from_rows is
+the sparse constructor, Matrix.row and Matrix.column the sparse accessors;
+Matrix(rows, cols, grid), .entries and .vectors convert dense grids for
+documents and tests.
 rank, kernel_basis and solve share one elimination over the sparse rows;
 the reduced row echelon form is unique, so its pivots are the first nonzero
 columns in column order, and every result equals dense Gauss-Jordan
@@ -72,6 +73,10 @@ class Matrix:
     def entries(self):
         """Dense rows x cols grid of Fractions, built on each read."""
         return [dense_vector(row, self.cols) for row in self._data]
+
+    def row(self, i):
+        """Row i as a sparse {column: nonzero entry}; shared, so never modify it."""
+        return self._data[i]
 
     def column(self, j):
         """Column j as a sparse {row: nonzero entry}; built once, so never modify it."""

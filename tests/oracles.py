@@ -34,7 +34,13 @@ Deliberately separate implementations:
   product, the membership check that rebuilds a basis combination as a
   dense vector and compares it cell by cell, and the restriction of a
   coboundary operator built on those, the reference for cochain's
-  restrict_operator.
+  restrict_operator; and
+* the residual evaluators on every basis tuple: B(F, G) on all of
+  L^(2n-1), the morphism equation summed over every composition of the
+  order, and the multiplicativity and bracket-preservation checks on all
+  of L^n, the references for the support walks of algebra.hom_composition,
+  deformation.morphism_order_residual, check_multiplicative and
+  check_morphism.
 """
 
 import functools
@@ -43,7 +49,16 @@ import os
 import sys
 from fractions import Fraction as Q
 
-from homleibniz.algebra import _basis_combo, apply_multimap, cadd, matrix_combo, tensor_combo
+from homleibniz.algebra import (
+    Violation,
+    _basis_combo,
+    _residual_violation,
+    apply_multimap,
+    cadd,
+    csub,
+    matrix_combo,
+    tensor_combo,
+)
 from homleibniz.cochain import (
     Columns,
     CochainSpace,
@@ -619,7 +634,7 @@ def obstruction_by_formula(md, l):
     for X in src.basis_tuples():
         res = {}
         for i, *js in primed_index_tuples(l, n):
-            args = [md.phi_col(js[r], X[r]) for r in range(n)]
+            args = [md.phi_coeff(js[r]).column(X[r]) for r in range(n)]
             for k, v in apply_multimap(md.eta.coeff(i), args).items():
                 cadd(res, k, v)
         for i in range(1, l):
@@ -629,3 +644,97 @@ def obstruction_by_formula(md, l):
         if res:
             o3[X] = res
     return ObstructionCochain(l, quadratic_part(md.xi, l), quadratic_part(md.eta, l), o3)
+
+
+# ---------------------------------------------------------------------------
+# the residual evaluators on every basis tuple
+
+
+def hom_composition_by_tuples(a, pairs):
+    """Sum of B(F, G) over the pairs, evaluated on every basis tuple of L^(2n-1)."""
+    pairs = [(f, g) for f, g in pairs if f and g]
+    if not pairs:
+        return {}
+    n = a.arity
+    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    out = {}
+    for tup in a.basis_tuples(2 * n - 1):
+        xs, ys = tup[:n], tup[n:]
+        ycols = [alpha[y] for y in ys]
+        res = {}
+        for f, g in pairs:
+            gx = g.get(xs)
+            if gx:
+                for k, v in apply_multimap(f, [gx] + ycols).items():
+                    cadd(res, k, v)
+            for pos in range(n):
+                inner = g.get((xs[pos],) + ys)
+                if not inner:
+                    continue
+                args = [alpha[x] for x in xs]
+                args[pos] = inner
+                for k, v in apply_multimap(f, args).items():
+                    cadd(res, k, -v)
+        if res:
+            out[tup] = res
+    return out
+
+
+def _compositions(total, parts):
+    """All tuples of `parts` nonnegative integers summing to total."""
+    return (t for t in itertools.product(range(total + 1), repeat=parts) if sum(t) == total)
+
+
+def morphism_order_residual_by_compositions(md, l):
+    """The three order-l residuals, the morphism equation's right side summed
+    over every composition (j_1..j_n) of l - i, one tensor product each."""
+    res_xi = hom_composition_by_tuples(md.xi.base, [(md.xi.coeff(i), md.xi.coeff(l - i)) for i in range(l + 1)])
+    res_eta = hom_composition_by_tuples(md.eta.base, [(md.eta.coeff(i), md.eta.coeff(l - i)) for i in range(l + 1)])
+    src = md.phi.source
+    n = src.arity
+    res_phi = {}
+    for X in src.basis_tuples():
+        res = {}
+        for i in range(l + 1):
+            xj = md.xi.coeff(l - i).get(X)
+            if xj:
+                for k, v in matrix_combo(md.phi_coeff(i), xj).items():
+                    cadd(res, k, v)
+        for i in range(l + 1):
+            for js in _compositions(l - i, n):
+                args = [md.phi_coeff(js[r]).column(X[r]) for r in range(n)]
+                for k, v in apply_multimap(md.eta.coeff(i), args).items():
+                    cadd(res, k, -v)
+        if res:
+            res_phi[X] = res
+    return res_xi, res_eta, res_phi
+
+
+def check_multiplicative_by_tuples(a):
+    """alpha([x1..xn]) = [alpha(x1)..alpha(xn)] evaluated on every basis tuple."""
+    report = []
+    for tup in a.basis_tuples():
+        lhs = matrix_combo(a.alpha, a.bracket_apply([_basis_combo(i) for i in tup]))
+        rhs = a.bracket_apply([a.alpha_combo(i) for i in tup])
+        v = _residual_violation("multiplicative", tup, csub(lhs, rhs))
+        if v:
+            report.append(v)
+    return report
+
+
+def check_morphism_by_tuples(phi):
+    """Bracket preservation on every basis tuple, and phi.alpha = beta.phi."""
+    report = []
+    src, tgt = phi.source, phi.target
+    for tup in src.basis_tuples():
+        lhs = phi.apply(src.bracket_apply([_basis_combo(i) for i in tup]))
+        rhs = tgt.bracket_apply([phi.column(i) for i in tup])
+        v = _residual_violation("bracket-preservation", tup, csub(lhs, rhs))
+        if v:
+            report.append(v)
+    diff = phi.matrix @ src.alpha - tgt.alpha @ phi.matrix
+    bad = sorted(((i, j), x) for j in range(diff.cols) for i, x in diff.column(j).items())
+    if bad:
+        report.append(Violation("twist-intertwining", (), tuple(bad)))
+    report.sort(key=lambda v: (v.identity, v.where))
+    return report

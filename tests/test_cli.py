@@ -167,6 +167,26 @@ def test_validate_skips_the_identity_loops_for_an_empty_bracket(capsys, tmp_path
     ]
 
 
+def test_validate_walks_the_support_of_a_large_ternary_bracket(capsys, tmp_path):
+    # 24-dim ternary, [e1, e1, e1] = 8 e0: 24^5 (about 8M) identity tuples and
+    # 24^3 multiplicativity tuples, of which only a handful meet the bracket
+    from homleibniz.algebra import HomNaryAlgebra
+    from homleibniz.documents import dump_json, serialize_algebra
+    from homleibniz.fixtures import diag
+    from homleibniz.linalg import Matrix
+
+    for name, alpha in (("t24.json", Matrix.identity(24)), ("t24_twisted.json", diag(8, 2, *[1] * 22))):
+        basis = tuple(f"e{i}" for i in range(24))
+        a = HomNaryAlgebra(3, 24, basis, {(1, 1, 1): {0: 8}}, alpha)
+        path = str(tmp_path / name)
+        dump_json(serialize_algebra(a), path)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "validate", path, "--format", "json")
+        assert time.perf_counter() - start < 0.5, name
+        assert code == 0, name
+        assert [c["verdict"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
+
+
 def test_cohomology_at_the_ambient_limit(capsys, tmp_path):
     # C^5 of the 4-dim abelian algebra has ambient 4 * 4^5 = 4096, the limit.
     # The bracket is zero and alpha = id, so delta vanishes: H^4 = dim C^4 = 4 * 4^4.
@@ -264,6 +284,57 @@ def test_extend_below_the_stored_order_replaces_the_top_order(capsys, tmp_path):
         f"order-{l} residuals vanish" for l in range(3)
     ]
     assert all(c["verdict"] == "pass" for c in checks)
+
+
+def _extension_chain(capsys, tmp_path, file):
+    """deform extend --order l --emit for l = 2..6, each emitted document
+    feeding the next and the first obstruction ending the chain, then deform
+    check on the last document: [(exit code, stdout, emitted text), ...]."""
+    src, record = fx(file), []
+    for l in range(2, 7):
+        out = tmp_path / f"order{l}.json"
+        if out.exists():
+            out.unlink()
+        code, stdout, _ = run(capsys, "deform", "extend", src, "--order", str(l), "--emit", str(out), "--format", "json")
+        record.append((code, stdout, out.read_text() if out.exists() else None))
+        if code:
+            break
+        src = str(out)
+    code, stdout, _ = run(capsys, "deform", "check", src, "--format", "json")
+    return record + [(code, stdout, None)]
+
+
+def test_extension_chains_are_byte_identical_on_the_all_tuples_oracles(capsys, tmp_path, monkeypatch):
+    import sys
+
+    from homleibniz import algebra, cli, deformation
+    from oracles import (
+        check_morphism_by_tuples,
+        check_multiplicative_by_tuples,
+        hom_composition_by_tuples,
+        morphism_order_residual_by_compositions,
+    )
+
+    battery = json.load(open(fx("deform_battery.json")))["entries"]
+    # obstructed at order 2, obstructed at order 3 (entry 34), extends to order 6
+    files = [battery[i]["file"] for i in (0, 34, 46)]
+    real = [_extension_chain(capsys, tmp_path, f) for f in files]
+    assert [[code for code, _, _ in chain] for chain in real] == [[1, 0], [0, 1, 0], [0] * 6]
+
+    swaps = [
+        (algebra.hom_composition, hom_composition_by_tuples),
+        (algebra.check_multiplicative, check_multiplicative_by_tuples),
+        (algebra.check_morphism, check_morphism_by_tuples),
+        (deformation.morphism_order_residual, morphism_order_residual_by_compositions),
+    ]
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "homleibniz"]:
+        for attr, value in list(vars(module).items()):
+            for fn, oracle in swaps:
+                if value is fn:
+                    monkeypatch.setattr(module, attr, oracle)
+    assert cli.morphism_order_residual is morphism_order_residual_by_compositions
+    assert deformation.hom_composition is hom_composition_by_tuples
+    assert [_extension_chain(capsys, tmp_path, f) for f in files] == real
 
 
 def test_deform_validates_the_morphism_first(capsys, tmp_path):

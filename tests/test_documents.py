@@ -1,4 +1,9 @@
+import glob
+import hashlib
+import importlib.util
 import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -122,6 +127,23 @@ def test_digest_is_stable_and_order_insensitive():
     b = {"a": "2", "b": "1"}
     assert canonical_text(a) == canonical_text(b)
     assert digest(a) == digest(b)
+
+
+def test_digest_is_the_sha256_of_the_canonical_text_on_every_fixture():
+    paths = sorted(glob.glob(os.path.join(FIXTURES, "**", "*.json"), recursive=True))
+    assert len(paths) > 50
+    for path in paths:
+        obj = load_json(path)
+        assert digest(obj) == hashlib.sha256(canonical_text(obj).encode()).hexdigest(), path
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no built-in _sha256 module")
+def test_importing_the_cli_does_not_load_openssl():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, homleibniz.cli; print('_hashlib' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_checked_in_fixture_documents_parse():
