@@ -22,11 +22,14 @@ Each term is f precomposed with a tensor product of small maps (alpha, abar,
 the bracket, the identity) after a slot permutation, in terms C and D then
 acted on by the module.  coboundary_operator assembles delta^p column by
 column from those maps, transposed once per (algebra, rep, p) in the
-SlotTables that CochainSpace(p) keeps for every convention.  A Columns cache
-builds each column on its first read: restrict_operator and squares_to_zero
-read the columns on the support of the source bases, delta_ambient those on
-its input's support, and only the extension solve reads every column,
-through MorphismComplex.operator.
+SlotTables that CochainSpace(p) keeps for every convention.  Each table holds
+int numerators over one denominator of its own, so a column is summed in
+Python ints over one common denominator q of (p, convention), and each of
+its nonzeros becomes a Fraction once, when the column is emitted.  A
+Columns cache builds each column on its first read: restrict_operator and
+squares_to_zero read the columns on the support of the source bases,
+delta_ambient those on its input's support, and only the extension solve
+reads every column, through MorphismComplex.operator.
 
 delta o delta = 0 is certified in one place, squares_to_zero, on the sparse
 ambient operators; both complexes' cohomology_dim and the calibration call it.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -263,59 +267,93 @@ class SlotTables:
     the base-D number z X_1 .. X_p, an input of f the number z Y_1 .. Y_{p-1}.
     Each table maps an f-side digit to the row-side digits it comes from:
 
-        alpha[z]             [(z0, c)]             alpha(z0) = sum c z
-        abar[Y]              [(X, c)]              alpha on each component of X
-        mu[z]                [(z0, X, c)]          the bracket [z0, X]
-        bracket[yf][Y]       [(X, X2, c)]          [X, X2] of fundamental objects
-        action_c[mf]         [(X, [(mo, c)])]      right action of alpha^{p-1}(X)
-        action_d[i][mf]      [(z0, X, [(mo, c)])]  action i of alpha^{p-1}(z0, X
-                                                   but x_i, which X holds as 0)
+        alpha[z]             [(z0, c)]              alpha(z0) = sum c z
+        abar[Y]              [(X, c)]               alpha on each component of X
+        mu[z]                [(z0, X, c)]           the bracket [z0, X]
+        bracket[yf][Y]       [(X, X2, c)]           [X, X2] of fundamental objects
+        action_c[mf]         [(X, mo, c)]           right action of alpha^{p-1}(X)
+        action_d[mf]         [(i, z0, X, mo, c)]    action i of alpha^{p-1}(z0, X
+                                                    but x_i, which X holds as 0)
 
-    with the actions on the unit module vector mf.
+    with the actions on the unit module vector mf.  Every coefficient c is an
+    int, the numerator over its table's own denominator: the lcm of the
+    denominators of the table's rational entries, kept in den under the
+    table's name (den["bracket"] maps yf to that order's denominator).
+    bracket is built from the bracket's support: an entry [K] fixes the
+    component x_k of X that it brackets and all of X2, and the other n-2
+    components of X run over alpha's columns.
     """
 
     def __init__(self, algebra, rep, p):
         a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
         self.D = d ** (n - 1)
         tuples = list(itertools.product(range(d), repeat=n - 1))
-        self.alpha = [[] for _ in range(d)]
-        for z0 in range(d):
-            for z, c in a.alpha_combo(z0).items():
-                self.alpha[z].append((z0, c))
-        self.abar = [[] for _ in range(self.D)]
+        alpha_cols = [a.alpha_combo(x) for x in range(d)]
+        alpha = [[] for _ in range(d)]
+        for z0, col in enumerate(alpha_cols):
+            for z, c in col.items():
+                alpha[z].append((z0, c))
+        abar = [[] for _ in range(self.D)]
         for X, xs in enumerate(tuples):
-            for key, c in tensor_combo([a.alpha_combo(x) for x in xs]).items():
-                self.abar[_flat(key, d)].append((X, c))
-        self.mu = [[] for _ in range(d)]
+            for key, c in tensor_combo([alpha_cols[x] for x in xs]).items():
+                abar[_flat(key, d)].append((X, c))
+        mu = [[] for _ in range(d)]
         for (z0, *xs), out in a.bracket.items():
             for z, c in out.items():
-                self.mu[z].append((z0, _flat(xs, d), c))
+                mu[z].append((z0, _flat(xs, d), c))
+        apow = a.alpha.power(p - 1)
+        action_c = [[] for _ in range(m)]
+        action_d = [[] for _ in range(m)]
+        for i, (W, ws), mf in itertools.product(range(n), enumerate(tuples), range(m)):
+            for mo, c in rep.action_apply(i, [apow.column(w) for w in ws], {mf: Q(1)}).items():
+                if i == 0:
+                    action_c[mf].append((W, mo, c))
+                else:
+                    action_d[mf].append((i, ws[0], _flat(ws[1:i] + (0,) + ws[i:], d), mo, c))
+        self.den = {"bracket": {}}
         self.bracket = {}
         for yf in (False, True):
-            acc = {}
-            for (X, xs), (X2, ys), k in itertools.product(enumerate(tuples), enumerate(tuples), range(n - 1)):
-                factors = [a.alpha_combo(x) for x in xs]
-                factors[k] = a.bracket.get(ys + xs[k : k + 1] if yf else xs[k : k + 1] + ys, {})
-                for key, c in tensor_combo(factors).items():
-                    cadd(acc, (_flat(key, d), X, X2), c)
-            self.bracket[yf] = [[] for _ in range(self.D)]
-            for (Y, X, X2), c in acc.items():
-                self.bracket[yf][Y].append((X, X2, c))
-        apow = a.alpha.power(p - 1)
-        self.action_c = [[] for _ in range(m)]
-        self.action_d = [None] + [[[] for _ in range(m)] for _ in range(1, n)]
-        for i, (W, ws), mf in itertools.product(range(n), enumerate(tuples), range(m)):
-            acted = list(rep.action_apply(i, [apow.column(w) for w in ws], {mf: Q(1)}).items())
-            if acted and i == 0:
-                self.action_c[mf].append((W, acted))
-            elif acted:
-                self.action_d[i][mf].append((ws[0], _flat(ws[1:i] + (0,) + ws[i:], d), acted))
+            self.bracket[yf], self.den["bracket"][yf] = _integral(_bracket_rows(a, yf, alpha_cols))
+        self.alpha, self.den["alpha"] = _integral(alpha)
+        self.abar, self.den["abar"] = _integral(abar)
+        self.mu, self.den["mu"] = _integral(mu)
+        self.action_c, self.den["action_c"] = _integral(action_c)
+        self.action_d, self.den["action_d"] = _integral(action_d)
 
 
-def _products(factors, base):
-    """(base + sum of offsets, product of coefficients) over every choice of
-    one (offset, coeff) pair per factor: the factors' Kronecker product."""
-    out = [(base, 1)]
+def _bracket_rows(a, yf, alpha_cols):
+    """bracket[yf] of SlotTables with Fraction coefficients, from the support
+    of a's bracket: the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts
+    [K] at slot k of each X that holds x_k there, and alpha at its other slots."""
+    n, d = a.arity, a.dim
+    acc = {}
+    for K, out in a.bracket.items():
+        xk, ys = (K[-1], K[:-1]) if yf else (K[0], K[1:])
+        X2 = _flat(ys, d)
+        for k, rest in itertools.product(range(n - 1), itertools.product(range(d), repeat=n - 2)):
+            xs = rest[:k] + (xk,) + rest[k:]
+            factors = [alpha_cols[x] for x in xs]
+            factors[k] = out
+            for key, c in tensor_combo(factors).items():
+                cadd(acc, (_flat(key, d), _flat(xs, d), X2), c)
+    rows = [[] for _ in range(d ** (n - 1))]
+    for (Y, X, X2), c in acc.items():
+        rows[Y].append((X, X2, c))
+    return rows
+
+
+def _integral(rows):
+    """(rows, den): each entry's last item, a Fraction, becomes its int
+    numerator over den, the lcm of the entries' denominators."""
+    den = math.lcm(*{e[-1].denominator for row in rows for e in row})
+    return [[(*e[:-1], e[-1].numerator * (den // e[-1].denominator)) for e in row] for row in rows], den
+
+
+def _products(factors, base, weight):
+    """(base + sum of offsets, weight times the product of coefficients) over
+    every choice of one (offset, coeff) pair per factor: the factors'
+    Kronecker product."""
+    out = [(base, weight)]
     for f in factors:
         out = [(o + fo, c * fc) for o, c in out for fo, fc in f]
     return out
@@ -331,6 +369,12 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
     nonzeros: each term of delta^p f that reads this coefficient of f is a
     product of table entries, one per slot of f's input, with the X_i or X_j
     that the term drops put back at its slot.
+
+    The table entries are int numerators, so each term is an int over the
+    product of its factors' table denominators.  Every term group is brought
+    over one common denominator q by an int weight (its sign times q over
+    its denominator), the column is summed in ints, and each nonzero
+    becomes a Fraction once, over q, when the column is emitted.
     """
     t = space.tables if space is not None else SlotTables(algebra, rep, p)
     cv = convention
@@ -338,11 +382,25 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
     w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
     bracket = t.bracket[cv.bracket_y_first]
     c_top = p if cv.c_full_range else p - 1
+
+    # a product is an int over its tables' denominators: term A's over den_a
+    # times abar^k, k its abar slots (p - 2, or j - 2 when hat-bare), term B's
+    # over den_b; a group's weight is its sign times q over that denominator
+    den, abar = t.den, t.den["abar"]
+    den_a = den["alpha"] * den["bracket"][cv.bracket_y_first]
+    den_b = den["mu"] * abar ** (p - 1)
+    q = math.lcm(den_a * abar ** max(p - 2, 0), den_b, den["action_c"], den["action_d"])
+    weight_a = {j: cv.sign_a * (-1) ** j * (q // (den_a * abar ** (p - 2 if cv.twist_after_hat else j - 2)))
+                for j in range(2, p + 1)}
+    weight_b = [cv.sign_b * (-1) ** i * (q // den_b) for i in range(p + 1)]
+    weight_c = [cv.sign_c * (-1) ** (i + 1) * (q // den["action_c"]) for i in range(c_top + 1)]
+    weight_d = cv.sign_d * (q // den["action_d"])
+
     out = {}
     for col in range(ambient_dim(algebra, rep, p)) if columns is None else columns:
         key, mf = divmod(col, m)
         Y = [key // w[s + 1] % D for s in range(p)]  # f's input z Y_1 .. Y_{p-1}
-        diagonal = []  # (sign, factors, base) of the terms that keep f's output index
+        diagonal = []  # (factors, base, weight) of the terms that keep f's output index
 
         # term A: f(alpha z, abar X_1, .., [X_i, X_j], .., X_j dropped, ..)
         for i in range(1, p):
@@ -359,36 +417,33 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
                         factors.append([(X * w[r], c) for X, c in t.abar[Y[r - (r > j)]]])
                     else:
                         base += Y[r - 1] * w[r]
-                diagonal.append((cv.sign_a * (-1) ** j, factors, base))
+                diagonal.append((factors, base, weight_a[j]))
 
         # term B: f([z, X_i], abar X_r for r != i)
         for i in range(1, p + 1) if t.mu[Y[0]] else ():
             factors = [[(z0 * w[0] + X * w[i], c) for z0, X, c in t.mu[Y[0]]]]
             factors += [[(X * w[r], c) for X, c in t.abar[Y[r - (r > i)]]] for r in range(1, p + 1) if r != i]
-            diagonal.append((cv.sign_b * (-1) ** i, factors, 0))
+            diagonal.append((factors, 0, weight_b[i]))
 
         acc = {}
-        for sign, factors, base in diagonal:
-            for off, c in _products(factors, base):
-                acc[off * m + mf] = acc.get(off * m + mf, 0) + sign * c
+        for factors, base, weight in diagonal:
+            for off, c in _products(factors, base, weight):
+                acc[off * m + mf] = acc.get(off * m + mf, 0) + c
 
         # term C: right action of alpha^{p-1}(X_i) on f(z, X_r for r != i)
         for i in range(1, c_top + 1):
             base = Y[0] * w[0] + sum(Y[r - (r > i)] * w[r] for r in range(1, p + 1) if r != i)
-            for X, acted in t.action_c[mf]:
-                for mo, c in acted:
-                    row = (base + X * w[i]) * m + mo
-                    acc[row] = acc.get(row, 0) + cv.sign_c * (-1) ** (i + 1) * c
+            for X, mo, c in t.action_c[mf]:
+                row = (base + X * w[i]) * m + mo
+                acc[row] = acc.get(row, 0) + weight_c[i] * c
 
         # term D: action i of alpha^{p-1}(z, X_1 but x_i) on f(x_i, X_2, .., X_p)
-        for i in range(1, n):
-            base = Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1]
-            for z0, X, acted in t.action_d[i][mf]:
-                for mo, c in acted:
-                    row = (z0 * w[0] + X * w[1] + base) * m + mo
-                    acc[row] = acc.get(row, 0) + cv.sign_d * c
+        base = [Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1] for i in range(n)]
+        for i, z0, X, mo, c in t.action_d[mf]:
+            row = (z0 * w[0] + X * w[1] + base[i]) * m + mo
+            acc[row] = acc.get(row, 0) + weight_d * c
 
-        entries = sorted((row, v) for row, v in acc.items() if v)
+        entries = [(row, Fraction(v, q)) for row, v in sorted(acc.items()) if v]
         if entries:
             out[col] = entries
     return out

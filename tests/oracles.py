@@ -28,6 +28,9 @@ Deliberately separate implementations:
 * the per-input twist-compatibility constraint: one k-fold tensor_combo
   per basis input, the reference for the rows CochainSpace builds from
   prefix Kronecker products; and
+* the bracket of fundamental objects on every pair of (n-1)-tuples: one
+  tensor_combo per pair and slot, the reference for the bracket table that
+  SlotTables builds from the support of the bracket; and
 * dense Gauss-Jordan elimination with column-order pivoting, the reference
   for linalg's sparse elimination behind rank, kernel_basis and solve; and
 * dense references for linalg's sparse storage: the row-by-column matrix
@@ -293,6 +296,22 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
     for lst in cols.values():
         lst.sort()
     return cols
+
+
+def bracket_table_by_tuples(algebra, yf):
+    """SlotTables.bracket[yf] as {(Y, X, X2): coeff}: for every pair of
+    (n-1)-tuples X, X2 and slot k, [X, X2] = sum over k of
+    (alpha x_1, .., [x_k, X2], .., alpha x_{n-1}) ([X2, x_k] when yf),
+    expanded to the flat digits Y it reaches."""
+    n, d = algebra.arity, algebra.dim
+    tuples = list(itertools.product(range(d), repeat=n - 1))
+    acc = {}
+    for (X, xs), (X2, ys), k in itertools.product(enumerate(tuples), enumerate(tuples), range(n - 1)):
+        factors = [algebra.alpha_combo(x) for x in xs]
+        factors[k] = algebra.bracket.get(ys + xs[k : k + 1] if yf else xs[k : k + 1] + ys, {})
+        for key, c in tensor_combo(factors).items():
+            cadd(acc, (_flat(key, d), X, X2), c)
+    return acc
 
 
 def as_columns(op_cols, size):

@@ -187,6 +187,25 @@ def test_validate_walks_the_support_of_a_large_ternary_bracket(capsys, tmp_path)
         assert [c["verdict"] for c in json.loads(out)["checks"]] == ["pass", "pass"]
 
 
+def test_the_arity_ladder_ends_in_a_report_or_an_input_error(capsys, tmp_path):
+    # abelian_algebra(2, n): H^1 needs C^2, of ambient 2 * 2^n, which reaches
+    # the 4096 limit at n = 11; n = 12 is refused by the document's arity bound
+    from homleibniz.documents import dump_json, serialize_algebra
+    from homleibniz.fixtures import abelian_algebra
+
+    for n in range(8, 13):
+        path = str(tmp_path / f"abelian_{n}.json")
+        dump_json(serialize_algebra(abelian_algebra(2, n)), path)
+        code, out, err = run(capsys, "cohomology", path, "--degrees", "1..1", "--format", "json")
+        assert "Traceback" not in err, n
+        if n < 12:
+            assert code == 0, (n, err)
+            assert json.loads(out)["tables"][0]["rows"] == [[1, 4, 0, 4]], n
+        else:
+            assert code == 2 and out == ""
+            assert "arity 12 is too large for 2 basis elements" in err
+
+
 def test_cohomology_at_the_ambient_limit(capsys, tmp_path):
     # C^5 of the 4-dim abelian algebra has ambient 4 * 4^5 = 4096, the limit.
     # The bracket is zero and alpha = id, so delta vanishes: H^4 = dim C^4 = 4 * 4^4.

@@ -5,7 +5,14 @@ from fractions import Fraction as Q
 import pytest
 
 from homleibniz import cochain
-from homleibniz.algebra import HomNaryAlgebra, adjoint_representation, yau_twist
+from homleibniz.algebra import (
+    HomNaryAlgebra,
+    Morphism,
+    Representation,
+    adjoint_representation,
+    pullback_representation,
+    yau_twist,
+)
 from homleibniz.cochain import (
     CochainComplex,
     CochainSpace,
@@ -13,6 +20,7 @@ from homleibniz.cochain import (
     ConstraintViolation,
     DEFAULT_CONVENTION,
     SignConvention,
+    SlotTables,
     all_conventions,
     ambient_dim,
     apply_operator,
@@ -38,6 +46,7 @@ from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
     as_columns,
     blockwise_ambient,
+    bracket_table_by_tuples,
     classical_coboundary,
     dense_convention_passes,
     dense_restriction,
@@ -101,11 +110,17 @@ def test_twisted_ternary_space_dims():
     assert cc.space(2).dim == 1
 
 
+def h3(constant=1):
+    """The Heisenberg Lie algebra [x, y] = constant z, alpha = id."""
+    return HomNaryAlgebra(
+        2, 3, ("x", "y", "z"), {(0, 1): {2: constant}, (1, 0): {2: -constant}}, Matrix.identity(3)
+    )
+
+
 def h3_sheared():
     """h3 Yau-twisted by the shear y -> x + y: unlike every diagonal twist of
     the battery, its Kronecker powers have columns with several entries."""
-    h3 = HomNaryAlgebra(2, 3, ("x", "y", "z"), {(0, 1): {2: 1}, (1, 0): {2: -1}}, Matrix.identity(3))
-    return yau_twist(h3, Matrix(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
+    return yau_twist(h3(), Matrix(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def test_constraint_kernel_matches_the_per_input_oracle(monkeypatch):
@@ -285,8 +300,7 @@ def test_default_convention_is_all_plus():
 
 
 def h3_generic():
-    h3 = HomNaryAlgebra(2, 3, ("x", "y", "z"), {(0, 1): {2: 1}, (1, 0): {2: -1}}, Matrix.identity(3))
-    return yau_twist(h3, diag(2, 3, 6))
+    return yau_twist(h3(), diag(2, 3, 6))
 
 
 DEGREE_3_CONVENTIONS = [
@@ -307,7 +321,9 @@ def test_column_assembly_matches_the_row_oracle():
         for p in (1, 2):
             space = CochainSpace(a, rep, p)  # shares its SlotTables across conventions
             for cv in all_conventions():
-                assert coboundary_operator(a, rep, p, cv, space=space) == battery_row_operators(k, p)(cv)
+                cols = coboundary_operator(a, rep, p, cv, space=space)
+                assert cols == battery_row_operators(k, p)(cv)
+                assert all(type(x) is Q for col in cols.values() for _, x in col)
             # the linear reading of the oracle, checked at a convention it did not build
             cv = SignConvention.from_label("A-B+C-D-|yx|hat-bare|c-short")
             assert battery_row_operators(k, p)(cv) == row_coboundary_operator(a, rep, p, cv)
@@ -335,6 +351,71 @@ def test_column_assembly_matches_the_row_oracle():
                 e = [Q(int(i == j)) for i in range(au + av + aw)]
                 blockwise = blockwise_ambient(mc, p, e[:au], e[au : au + av], e[au + av :], delta)
                 assert apply_operator(mc.operator(p), e, len(blockwise)) == blockwise
+
+
+def fractional_inputs():
+    """(algebra, rep) pairs on which every SlotTables table carries a denominator.
+
+    The last rep satisfies no identity, which delta^p does not need; its two
+    actions carry the primes 5 and 7, which no other table of it does."""
+    twisted = yau_twist(h3(), diag(Q(1, 2), Q(2, 3), Q(1, 3)))
+    half = yau_twist(h3(Q(1, 2)), diag(Q(3, 2), Q(1, 5), Q(3, 10)))
+    phi = Morphism(twisted, twisted, diag(Q(1, 2), 3, Q(3, 2)))
+    actions = ({(0, 0): {1: Q(1, 5)}, (2, 1): {0: Q(2, 5)}}, {(1, 0): {0: Q(3, 7)}, (2, 1): {1: Q(-1, 7)}})
+    coprime = Representation(twisted, 2, diag(Q(1, 2), Q(1, 3)), actions)
+    return [(a, adjoint_representation(a)) for a in (twisted, half)] + [
+        (twisted, pullback_representation(phi)), (twisted, coprime)]
+
+
+def slot_tables(t):
+    """{name: (rows, den)} for the tables of the SlotTables t."""
+    tables = {name: (getattr(t, name), t.den[name]) for name in ("alpha", "abar", "mu", "action_c", "action_d")}
+    for yf in (False, True):
+        tables["bracket", yf] = (t.bracket[yf], t.den["bracket"][yf])
+    return tables
+
+
+def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
+    for a, rep in fractional_inputs():
+        for p in (1, 2, 3):
+            space = CochainSpace(a, rep, p)
+            for name, (rows, den) in slot_tables(space.tables).items():
+                assert den > 1, name
+                assert all(type(e[-1]) is int and e[-1] for row in rows for e in row), name
+            row_op = row_operators(a, rep, p)
+            labels = [cv.label() for cv in all_conventions()] if p < 3 else DEGREE_3_CONVENTIONS
+            fractional = 0
+            for label in labels:
+                cv = SignConvention.from_label(label)
+                cols = coboundary_operator(a, rep, p, cv, space=space)
+                assert cols == row_op(cv), (p, label)
+                assert all(type(x) is Q for col in cols.values() for _, x in col)
+                fractional += sum(x.denominator > 1 for col in cols.values() for _, x in col)
+            assert fractional
+
+
+def random_bracket_algebra(rng, arity, dim):
+    """An arity-n bracket with a few random entries and a random rational alpha
+    with off-diagonal entries; no identity holds, which the tables do not need."""
+    frac = lambda: Q(rng.randint(-3, 3), rng.randint(1, 4))  # noqa: E731
+    keys = {tuple(rng.randrange(dim) for _ in range(arity)) for _ in range(4)}
+    bracket = {K: {rng.randrange(dim): frac()} for K in keys}
+    alpha = Matrix(dim, dim, [[frac() for _ in range(dim)] for _ in range(dim)])
+    return HomNaryAlgebra(arity, dim, tuple(f"e{i}" for i in range(dim)), bracket, alpha)
+
+
+def test_bracket_table_from_the_support_matches_the_all_pairs_oracle():
+    rng = random.Random(12)
+    algebras = [a for a, _ in BATTERY + fractional_inputs()]
+    algebras += [phi.target for phi in fixture_morphisms()] + [h3_sheared()]
+    algebras += [random_bracket_algebra(rng, arity, dim) for arity, dim in ((2, 3), (3, 2), (3, 3), (4, 2))]
+    for a in algebras:
+        t = SlotTables(a, adjoint_representation(a), 1)
+        for yf in (False, True):
+            rows, den = t.bracket[yf], t.den["bracket"][yf]
+            table = {(Y, X, X2): Q(c, den) for Y, row in enumerate(rows) for X, X2, c in row}
+            assert len(table) == sum(map(len, rows))
+            assert table == bracket_table_by_tuples(a, yf)
 
 
 def row_passes(k, cv, spaces):

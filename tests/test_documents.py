@@ -28,6 +28,7 @@ from homleibniz.documents import (
 )
 from homleibniz.algebra import adjoint_representation
 from homleibniz.fixtures import (
+    abelian_algebra,
     battery_algebras,
     fixture_morphisms,
     identity_morphism,
@@ -106,10 +107,23 @@ def test_parse_errors_are_document_errors():
         )
     with pytest.raises(DocumentError):
         parse_algebra([1, 2, 3])
-    # an empty bracket parses at any arity, but validation would visit 2^(2n-1) tuples
+    # an empty bracket parses at any arity, but module checks and degree-3
+    # cochains would range over 2^(2n-1) tuples
     for arity in (True, 10**18):
         with pytest.raises(DocumentError):
             parse_algebra({"arity": arity, "basis": ["e", "f"], "alpha": [["1", "0"], ["0", "1"]], "bracket": {}})
+
+
+def test_the_arity_refusal_names_what_it_bounds():
+    # 23 * 2^23 cells of 23-tuples; the module identities and degree-3 cochains
+    # read those tuples, validation of the bracket does not
+    with pytest.raises(DocumentError) as exc:
+        parse_algebra(serialize_algebra(abelian_algebra(2, 12)))
+    assert str(exc.value) == (
+        "arity 12 is too large for 2 basis elements: the module identities and "
+        "degree-3 cochains range over 2^23 tuples"
+    )
+    assert parse_algebra(serialize_algebra(abelian_algebra(2, 11))) == abelian_algebra(2, 11)
 
 
 def test_morphism_source_by_relative_path(tmp_path):
