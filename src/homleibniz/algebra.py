@@ -2,9 +2,9 @@
 
 An algebra is a basis, a sparse structure-constant tensor for the n-ary
 bracket, and a twist endomorphism alpha.  Representations carry n
-position-indexed actions; the checkers below evaluate the defining
-identities on every basis tuple, the bracket-only ones by walking tensor
-supports, and return full violation lists in basis-tuple order.
+position-indexed actions.  The checkers below walk tensor supports, the
+representation identities on the semidirect product L x| M, and return
+full violation lists in basis-tuple order.
 
 Linear data is passed around as sparse "combos":
 
@@ -217,76 +217,6 @@ class Representation:
                     if not 0 <= k < self.module_dim:
                         raise ValueError(f"module output index out of range in action entry {key}")
 
-    def action_apply(self, i, alg_combos, mod_combo):
-        """[x1,..,xi, m, x_{i+1},..,x_{n-1}]_i with alg_combos in positional order."""
-        out = {}
-        for key, coeff in tensor_combo(alg_combos).items():
-            for m, mv in mod_combo.items():
-                entry = self.actions[i].get(key + (m,))
-                if entry:
-                    for k, c in entry.items():
-                        cadd(out, k, coeff * mv * c)
-        return out
-
-
-# ---------------------------------------------------------------------------
-# the fundamental identity, with at most one slot in the module
-
-_L = "L"
-_M = "M"
-
-
-def _mixed_alpha(rep, tagged):
-    tag, combo = tagged
-    if tag == _M:
-        return (_M, matrix_combo(rep.alpha_module, combo))
-    return (_L, matrix_combo(rep.algebra.alpha, combo))
-
-
-def _mixed_bracket(rep, args):
-    """n-ary bracket where at most one argument is tagged as a module element."""
-    mod_positions = [i for i, (tag, _) in enumerate(args) if tag == _M]
-    if not mod_positions:
-        return (_L, rep.algebra.bracket_apply([c for _, c in args]))
-    if len(mod_positions) > 1:
-        raise ValueError("at most one module argument is allowed")
-    i = mod_positions[0]
-    alg = [c for j, (tag, c) in enumerate(args) if j != i]
-    return (_M, rep.action_apply(i, alg, args[i][1]))
-
-
-def _identity_residual(rep, xs, ys, module_slot=None):
-    """LHS - RHS of the fundamental identity on one basis tuple.
-
-    xs and ys are basis indices; module_slot picks which of the 2n-1
-    variables (0..n-1 the x's, n..2n-2 the y's) lies in the module, None
-    meaning the pure algebra identity.
-    """
-    n = rep.algebra.arity
-
-    def var(pos, idx):
-        tag = _M if pos == module_slot else _L
-        return (tag, _basis_combo(idx))
-
-    x = [var(i, xs[i]) for i in range(n)]
-    y = [var(n + j, ys[j]) for j in range(n - 1)]
-
-    inner = _mixed_bracket(rep, x)
-    lhs = _mixed_bracket(rep, [inner] + [_mixed_alpha(rep, t) for t in y])
-
-    rhs_tag, rhs = None, {}
-    for i in range(n):
-        inner_i = _mixed_bracket(rep, [x[i]] + y)
-        args = [_mixed_alpha(rep, x[j]) for j in range(n)]
-        args[i] = inner_i
-        tag, combo = _mixed_bracket(rep, args)
-        rhs_tag = tag
-        for k, v in combo.items():
-            cadd(rhs, k, v)
-    if rhs and rhs_tag != lhs[0]:
-        raise ValueError("the two sides of the identity land in different spaces")
-    return csub(lhs[1], rhs)
-
 
 # ---------------------------------------------------------------------------
 # checkers
@@ -409,22 +339,38 @@ def check_morphism(phi: Morphism):
     return report
 
 
+def _semidirect(rep: Representation) -> HomNaryAlgebra:
+    """The semidirect product L x| M: L's basis then M's, so module index k
+    becomes d + k, the twist alpha + alpha_M, and L's bracket together with
+    action i's entries, their module argument moved into slot i."""
+    a, d, m = rep.algebra, rep.algebra.dim, rep.module_dim
+    rows = [a.alpha.row(i) for i in range(d)]
+    rows += [{d + j: x for j, x in rep.alpha_module.row(k).items()} for k in range(m)]
+    bracket = dict(a.bracket)
+    for i, action in enumerate(rep.actions):
+        for key, entry in action.items():
+            bracket[key[:i] + (d + key[-1],) + key[i:-1]] = {d + k: v for k, v in entry.items()}
+    return HomNaryAlgebra(a.arity, d + m, tuple(range(d + m)), bracket, Matrix.from_rows(rows, d + m))
+
+
 def check_representation(rep: Representation):
-    """All 2n-1 module specializations of the fundamental identity."""
-    a = rep.algebra
-    n = a.arity
+    """All 2n-1 module specializations of the fundamental identity.
+
+    M is a representation of L iff L x| M satisfies the n-Hom-Leibniz
+    identity (Casas-Loday-Pirashvili; Sheng for the Hom case): every term
+    with two module arguments vanishes there, so the residual of L x| M at
+    a tuple with exactly one module slot s is the slot-s identity, read off
+    the supports by hom_composition."""
+    d = rep.algebra.dim
+    s_alg = _semidirect(rep)
     report = []
-    for slot in range(2 * n - 1):
-        for tup in itertools.product(
-            *(
-                [range(rep.module_dim) if p == slot else range(a.dim) for p in range(2 * n - 1)]
-            )
-        ):
-            xs, ys = tup[:n], tup[n:]
-            res = _identity_residual(rep, xs, ys, module_slot=slot)
-            v = _residual_violation(f"representation[slot={slot}]", tup, res)
-            if v:
-                report.append(v)
+    for key, res in hom_composition(s_alg, [(s_alg.bracket, s_alg.bracket)]).items():
+        slots = [s for s, k in enumerate(key) if k >= d]
+        if len(slots) == 1:
+            s = slots[0]
+            where = key[:s] + (key[s] - d,) + key[s + 1 :]
+            shifted = {k - d: v for k, v in res.items()}
+            report.append(_residual_violation(f"representation[slot={s}]", where, shifted))
     report.sort(key=lambda v: (v.identity, v.where))
     return report
 
@@ -433,18 +379,21 @@ def check_representation(rep: Representation):
 # constructions
 
 
-def adjoint_representation(a: HomNaryAlgebra) -> Representation:
-    """M = L with alpha_M = alpha; action i is the bracket with the module in slot i."""
-    n = a.arity
+def _module_actions(bracket, n, phi=None):
+    """The n actions of a bracket on its output space through phi: action i
+    is bracket o (phi, .., id at slot i, .., phi), read off the bracket's
+    support by precompose (the bracket itself when phi is None), with the
+    slot-i argument moved last."""
     actions = []
     for i in range(n):
-        tensor = {}
-        for key, entry in a.bracket.items():
-            # key = (x1..xi, m, x_{i+1}..x_{n-1}) -> stored as (x's..., m)
-            alg = key[:i] + key[i + 1 :]
-            tensor[alg + (key[i],)] = dict(entry)
-        actions.append(tensor)
-    return Representation(a, a.dim, a.alpha, tuple(actions))
+        t = precompose(bracket, [None if j == i else phi for j in range(n)])
+        actions.append({K[:i] + K[i + 1 :] + K[i : i + 1]: e for K, e in t.items()})
+    return tuple(actions)
+
+
+def adjoint_representation(a: HomNaryAlgebra) -> Representation:
+    """M = L with alpha_M = alpha; action i is the bracket with the module in slot i."""
+    return Representation(a, a.dim, a.alpha, _module_actions(a.bracket, a.arity))
 
 
 def pullback_representation(phi: Morphism) -> Representation:
@@ -452,20 +401,8 @@ def pullback_representation(phi: Morphism) -> Representation:
     bad = check_morphism(phi)
     if bad:
         raise ValueError(f"not a morphism ({len(bad)} violated identities); pullback undefined")
-    src, tgt = phi.source, phi.target
-    n = src.arity
-    actions = []
-    for i in range(n):
-        tensor = {}
-        for alg in itertools.product(range(src.dim), repeat=n - 1):
-            for m in range(tgt.dim):
-                args = [phi.column(j) for j in alg]
-                args = args[:i] + [_basis_combo(m)] + args[i:]
-                out = tgt.bracket_apply(args)
-                if out:
-                    tensor[alg + (m,)] = out
-        actions.append(tensor)
-    return Representation(src, tgt.dim, tgt.alpha, tuple(actions))
+    tgt = phi.target
+    return Representation(phi.source, tgt.dim, tgt.alpha, _module_actions(tgt.bracket, tgt.arity, phi.matrix))
 
 
 def yau_twist(a: HomNaryAlgebra, t: Matrix) -> HomNaryAlgebra:

@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import cadd, tensor_combo
+from .algebra import cadd, precompose, tensor_combo
 from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, kernel_basis
 from .linalg import rank, sparse_vector
 
@@ -275,8 +275,9 @@ class SlotTables:
         action_d[mf]         [(i, z0, X, mo, c)]    action i of alpha^{p-1}(z0, X
                                                     but x_i, which X holds as 0)
 
-    with the actions on the unit module vector mf.  Every coefficient c is an
-    int, the numerator over its table's own denominator: the lcm of the
+    with the actions on the unit module vector mf, read off each action's
+    support precomposed with alpha^{p-1}.  Every coefficient c is an int,
+    the numerator over its table's own denominator: the lcm of the
     denominators of the table's rational entries, kept in den under the
     table's name (den["bracket"] maps yf to that order's denominator).
     bracket is built from the bracket's support: an entry [K] fixes the
@@ -304,12 +305,13 @@ class SlotTables:
         apow = a.alpha.power(p - 1)
         action_c = [[] for _ in range(m)]
         action_d = [[] for _ in range(m)]
-        for i, (W, ws), mf in itertools.product(range(n), enumerate(tuples), range(m)):
-            for mo, c in rep.action_apply(i, [apow.column(w) for w in ws], {mf: Q(1)}).items():
-                if i == 0:
-                    action_c[mf].append((W, mo, c))
-                else:
-                    action_d[mf].append((i, ws[0], _flat(ws[1:i] + (0,) + ws[i:], d), mo, c))
+        for i, action in enumerate(rep.actions):
+            for (*ws, mf), out in precompose(action, [apow] * (n - 1) + [None]).items():
+                for mo, c in out.items():
+                    if i == 0:
+                        action_c[mf].append((_flat(ws, d), mo, c))
+                    else:
+                        action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
         self.den = {"bracket": {}}
         self.bracket = {}
         for yf in (False, True):

@@ -29,9 +29,8 @@ class DocumentError(Exception):
     """Malformed or inconsistent input document; maps to CLI exit code 2."""
 
 
-# check_representation evaluates the module identities on every (2n-1)-tuple of
-# basis elements, and the extension solve builds degree-3 cochains, whose
-# ambient space is indexed by those tuples; an arity whose dim^(2n-1) tuples
+# The extension solve builds degree-3 cochains, whose ambient space is indexed
+# by the (2n-1)-tuples of basis elements; an arity whose dim^(2n-1) tuples
 # hold more cells than this is refused.
 MAX_IDENTITY_CELLS = 1 << 26
 
@@ -160,8 +159,8 @@ def parse_algebra(obj) -> HomNaryAlgebra:
     width = 2 * arity - 1
     if arity > 1 and width * dim ** min(width, 64) > MAX_IDENTITY_CELLS:
         raise DocumentError(
-            f"arity {arity} is too large for {dim} basis elements: the module identities and "
-            f"degree-3 cochains range over {dim}^{width} tuples"
+            f"arity {arity} is too large for {dim} basis elements: the degree-3 cochains "
+            f"of the extension solve range over {dim}^{width} tuples"
         )
     alpha = parse_matrix(_require(obj, "alpha", "algebra"), dim, dim, "alpha")
     bracket = _parse_sparse_tensor(

@@ -43,7 +43,14 @@ Deliberately separate implementations:
   order, and the multiplicativity and bracket-preservation checks on all
   of L^n, the references for the support walks of algebra.hom_composition,
   deformation.morphism_order_residual, check_multiplicative and
-  check_morphism.
+  check_morphism; and
+* the module identities on every basis tuple: all 2n-1 specializations of
+  the fundamental identity with one module slot, each evaluated by tagging
+  every argument as an algebra or a module element, the reference for
+  check_representation on the semidirect product; and the module actions
+  of a bracket through a map on every (n-1)-tuple and module vector, the
+  reference for the support walk behind adjoint_representation and
+  pullback_representation; both apply an action through action_apply.
 """
 
 import functools
@@ -234,7 +241,7 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
         def add_action(expansion, action_idx, alg, sign):
             # terms that feed f's output into a module action
             for mf in range(m):
-                acted = rep.action_apply(action_idx, alg, {mf: Q(1)})
+                acted = action_apply(rep, action_idx, alg, {mf: Q(1)})
                 if not acted:
                     continue
                 for key, c in expansion.items():
@@ -757,3 +764,110 @@ def check_morphism_by_tuples(phi):
         report.append(Violation("twist-intertwining", (), tuple(bad)))
     report.sort(key=lambda v: (v.identity, v.where))
     return report
+
+
+# ---------------------------------------------------------------------------
+# the module identities and module actions on every basis tuple
+
+
+def action_apply(rep, i, alg_combos, mod_combo):
+    """[x1,..,xi, m, x_{i+1},..,x_{n-1}]_i with alg_combos in positional order."""
+    out = {}
+    for key, coeff in tensor_combo(alg_combos).items():
+        for m, mv in mod_combo.items():
+            entry = rep.actions[i].get(key + (m,))
+            if entry:
+                for k, c in entry.items():
+                    cadd(out, k, coeff * mv * c)
+    return out
+
+
+_L = "L"
+_M = "M"
+
+
+def _mixed_alpha(rep, tagged):
+    tag, combo = tagged
+    if tag == _M:
+        return (_M, matrix_combo(rep.alpha_module, combo))
+    return (_L, matrix_combo(rep.algebra.alpha, combo))
+
+
+def _mixed_bracket(rep, args):
+    """n-ary bracket where at most one argument is tagged as a module element."""
+    mod_positions = [i for i, (tag, _) in enumerate(args) if tag == _M]
+    if not mod_positions:
+        return (_L, rep.algebra.bracket_apply([c for _, c in args]))
+    if len(mod_positions) > 1:
+        raise ValueError("at most one module argument is allowed")
+    i = mod_positions[0]
+    alg = [c for j, (tag, c) in enumerate(args) if j != i]
+    return (_M, action_apply(rep, i, alg, args[i][1]))
+
+
+def _identity_residual(rep, xs, ys, module_slot):
+    """LHS - RHS of the fundamental identity on one basis tuple.
+
+    xs and ys are basis indices; module_slot picks which of the 2n-1
+    variables (0..n-1 the x's, n..2n-2 the y's) lies in the module.
+    """
+    n = rep.algebra.arity
+
+    def var(pos, idx):
+        tag = _M if pos == module_slot else _L
+        return (tag, _basis_combo(idx))
+
+    x = [var(i, xs[i]) for i in range(n)]
+    y = [var(n + j, ys[j]) for j in range(n - 1)]
+
+    inner = _mixed_bracket(rep, x)
+    lhs = _mixed_bracket(rep, [inner] + [_mixed_alpha(rep, t) for t in y])
+
+    rhs_tag, rhs = None, {}
+    for i in range(n):
+        inner_i = _mixed_bracket(rep, [x[i]] + y)
+        args = [_mixed_alpha(rep, x[j]) for j in range(n)]
+        args[i] = inner_i
+        tag, combo = _mixed_bracket(rep, args)
+        rhs_tag = tag
+        for k, v in combo.items():
+            cadd(rhs, k, v)
+    if rhs and rhs_tag != lhs[0]:
+        raise ValueError("the two sides of the identity land in different spaces")
+    return csub(lhs[1], rhs)
+
+
+def representation_violations_by_tuples(rep):
+    """All 2n-1 module specializations of the fundamental identity, evaluated
+    on every basis tuple with the module element in slot s."""
+    a = rep.algebra
+    n = a.arity
+    report = []
+    for slot in range(2 * n - 1):
+        for tup in itertools.product(
+            *[range(rep.module_dim) if p == slot else range(a.dim) for p in range(2 * n - 1)]
+        ):
+            res = _identity_residual(rep, tup[:n], tup[n:], slot)
+            v = _residual_violation(f"representation[slot={slot}]", tup, res)
+            if v:
+                report.append(v)
+    report.sort(key=lambda v: (v.identity, v.where))
+    return report
+
+
+def module_actions_by_tuples(bracket, n, phi, src_dim, tgt_dim):
+    """The n actions of a bracket through the tgt_dim x src_dim Matrix phi:
+    action i applied to every (n-1)-tuple of source basis elements and every
+    target basis element, the latter in slot i."""
+    actions = []
+    for i in range(n):
+        tensor = {}
+        for alg in itertools.product(range(src_dim), repeat=n - 1):
+            for m in range(tgt_dim):
+                args = [phi.column(j) for j in alg]
+                args = args[:i] + [_basis_combo(m)] + args[i:]
+                out = apply_multimap(bracket, args)
+                if out:
+                    tensor[alg + (m,)] = out
+        actions.append(tensor)
+    return tuple(actions)

@@ -5,6 +5,7 @@ import time
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from homleibniz.cli import main
+from oracles import representation_violations_by_tuples
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -79,6 +80,14 @@ def test_cohomology_checks_a_module_document(capsys, tmp_path):
         assert got == code
         verdicts = {c["name"]: c["verdict"] for c in json.loads(out)["checks"]}
         assert verdicts[f"{name}: representation identities"] == ("pass" if code == 0 else "fail")
+    # validate renders the all-tuples oracle's violations, byte for byte
+    got, out, _ = run(capsys, "validate", path, "--format", "json")
+    assert got == 1
+    failed = [c for c in json.loads(out)["checks"] if c["verdict"] == "fail"]
+    want = representation_violations_by_tuples(broken)
+    assert [c["name"] for c in failed] == ["broken.json: representation identities"]
+    assert want
+    assert failed[0]["details"] == "; ".join(str(v) for v in want[:5]) + ("; ..." if len(want) > 5 else "")
 
 
 def test_missing_file_is_an_input_error(capsys):

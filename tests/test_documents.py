@@ -115,13 +115,13 @@ def test_parse_errors_are_document_errors():
 
 
 def test_the_arity_refusal_names_what_it_bounds():
-    # 23 * 2^23 cells of 23-tuples; the module identities and degree-3 cochains
-    # read those tuples, validation of the bracket does not
+    # 23 * 2^23 cells of 23-tuples; the degree-3 cochains of the extension
+    # solve read those tuples, validation of the bracket or a module does not
     with pytest.raises(DocumentError) as exc:
         parse_algebra(serialize_algebra(abelian_algebra(2, 12)))
     assert str(exc.value) == (
-        "arity 12 is too large for 2 basis elements: the module identities and "
-        "degree-3 cochains range over 2^23 tuples"
+        "arity 12 is too large for 2 basis elements: the degree-3 cochains "
+        "of the extension solve range over 2^23 tuples"
     )
     assert parse_algebra(serialize_algebra(abelian_algebra(2, 11))) == abelian_algebra(2, 11)
 
