@@ -38,7 +38,6 @@ from .deformation import (
     morphism_order_residual,
     multiplicativity_violations,
     obstruction,
-    regrouping_identity_check,
     solve_extension,
 )
 from .documents import (

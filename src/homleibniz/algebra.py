@@ -20,11 +20,10 @@ slot sitting at position i for action i.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .linalg import Matrix, Q
+from .linalg import Matrix
 
 # ---------------------------------------------------------------------------
 # combo helpers
@@ -61,29 +60,6 @@ def matrix_combo(mat: Matrix, combo):
     return out
 
 
-def tensor_combo(element_combos):
-    """Tensor product of element combos, keyed by index tuples."""
-    out = {(): Q(1)}
-    for c in element_combos:
-        nxt = {}
-        for key, coeff in out.items():
-            for i, v in c.items():
-                cadd(nxt, key + (i,), coeff * v)
-        out = nxt
-    return out
-
-
-def apply_multimap(mm, arg_combos):
-    """Evaluate a multilinear tensor on element combos; returns an element combo."""
-    out = {}
-    for key, coeff in tensor_combo(arg_combos).items():
-        entry = mm.get(key)
-        if entry:
-            for k, c in entry.items():
-                cadd(out, k, coeff * c)
-    return out
-
-
 def normalize_multimap(mm):
     out = {}
     for key, entry in mm.items():
@@ -95,10 +71,6 @@ def normalize_multimap(mm):
 
 def _q(x):
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _basis_combo(i):
-    return {i: Q(1)}
 
 
 # ---------------------------------------------------------------------------
@@ -156,17 +128,8 @@ class HomNaryAlgebra:
                 if not 0 <= k < self.dim:
                     raise ValueError(f"output index {k} out of range in bracket entry {key}")
 
-    def basis_tuples(self, count=None):
-        if count is None:
-            count = self.arity
-        return itertools.product(range(self.dim), repeat=count)
-
     def alpha_combo(self, i):
         return self.alpha.column(i)
-
-    def bracket_apply(self, arg_combos):
-        return apply_multimap(self.bracket, arg_combos)
-
 
 @dataclass
 class Morphism:

@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import cadd, precompose, tensor_combo
+from .algebra import cadd, precompose
 from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, kernel_basis
 from .linalg import rank, sparse_vector
 
@@ -288,16 +288,15 @@ class SlotTables:
     def __init__(self, algebra, rep, p):
         a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
         self.D = d ** (n - 1)
-        tuples = list(itertools.product(range(d), repeat=n - 1))
         alpha_cols = [a.alpha_combo(x) for x in range(d)]
         alpha = [[] for _ in range(d)]
         for z0, col in enumerate(alpha_cols):
             for z, c in col.items():
                 alpha[z].append((z0, c))
         abar = [[] for _ in range(self.D)]
-        for X, xs in enumerate(tuples):
-            for key, c in tensor_combo([alpha_cols[x] for x in xs]).items():
-                abar[_flat(key, d)].append((X, c))
+        for X, col in _kron_columns(alpha_cols, n - 1, 0, {0: Q(1)}):
+            for Y, c in col.items():
+                abar[Y].append((X, c))
         mu = [[] for _ in range(d)]
         for (z0, *xs), out in a.bracket.items():
             for z, c in out.items():
@@ -326,18 +325,21 @@ class SlotTables:
 def _bracket_rows(a, yf, alpha_cols):
     """bracket[yf] of SlotTables with Fraction coefficients, from the support
     of a's bracket: the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts
-    [K] at slot k of each X that holds x_k there, and alpha at its other slots."""
+    [K] at slot k of each X that holds x_k there, and alpha at its other slots.
+    Each column is the Kronecker product of a length-k prefix of alpha
+    columns, the entry [K], and a suffix of alpha columns."""
     n, d = a.arity, a.dim
+    prefixes = [list(_kron_columns(alpha_cols, k, 0, {0: Q(1)})) for k in range(n - 1)]
     acc = {}
     for K, out in a.bracket.items():
         xk, ys = (K[-1], K[:-1]) if yf else (K[0], K[1:])
         X2 = _flat(ys, d)
-        for k, rest in itertools.product(range(n - 1), itertools.product(range(d), repeat=n - 2)):
-            xs = rest[:k] + (xk,) + rest[k:]
-            factors = [alpha_cols[x] for x in xs]
-            factors[k] = out
-            for key, c in tensor_combo(factors).items():
-                cadd(acc, (_flat(key, d), _flat(xs, d), X2), c)
+        for k, prefix in enumerate(prefixes):
+            for P, col in prefix:
+                step = {key * d + z: x * v for key, x in col.items() for z, v in out.items()}
+                for X, full in _kron_columns(alpha_cols, n - 2 - k, P * d + xk, step):
+                    for Y, c in full.items():
+                        cadd(acc, (Y, X, X2), c)
     rows = [[] for _ in range(d ** (n - 1))]
     for (Y, X, X2), c in acc.items():
         rows[Y].append((X, X2, c))

@@ -15,30 +15,30 @@ constant part is the obstruction cochain F_l = (O1, O2, O3): the order-l
 residual at a zero order-l triple, its morphism component negated.
 solve_extension exploits exactly that structure: it solves one linear
 system against MorphismComplex.operator(2), the ambient d^2 that the
-morphism complex assembles, with F_l on the right-hand side.  Every
-returned triple is re-verified against the direct residual evaluators.
+morphism complex assembles, with F_l on the right-hand side.  The solve
+works on supports: it keeps only the nonzero rows of d^2 and packs F_l and
+the solution as {ambient index: coeff}, so nothing of the degree-3 ambient
+size is built, and it ends in None at once where F_l meets a row of d^2
+that is empty, an equation 0 = F_l there.  Every returned triple is
+re-verified against the direct residual evaluators.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import (
     HomNaryAlgebra,
     Morphism,
-    apply_multimap,
     cadd,
     check_multiplicative,
     cscale,
-    csub,
     hom_composition,
     matrix_combo,
     normalize_multimap,
-    _basis_combo,
 )
 from .cochain import DEFAULT_CONVENTION, Cochain, ConstraintViolation, _flat
-from .linalg import Matrix, Q, solve
+from .linalg import Matrix, Q, dense_vector, solve, sparse_vector
 from .morphism_complex import MorphismCochain, MorphismComplex
 
 
@@ -82,77 +82,6 @@ def algebra_order_residual(d: TruncatedDeformation, l):
     only; an empty dict means the order-l equation holds exactly.
     """
     return hom_composition(d.base, [(d.coeff(i), d.coeff(l - i)) for i in range(l + 1)])
-
-
-def regrouping_identity_check(d: TruncatedDeformation, l):
-    """Verify the split of the order-l equation into its F_l-linear part
-    and its quadratic lower-order part.
-
-    Evaluates both sides of the regrouped display independently and checks
-    that LHS - RHS equals the full order-l residual on every basis tuple.
-    This is an algebraic identity, so it must hold whether or not the
-    deformation is valid; a nonempty mismatch list indicates a
-    transcription bug, not an invalid deformation.
-    """
-    if l < 1:
-        raise ValueError("regrouping is stated for orders l >= 1")
-    a = d.base
-    n = a.arity
-    alpha = [a.alpha_combo(i) for i in range(a.dim)]
-    full = algebra_order_residual(d, l)
-    mismatches = []
-    fl = d.coeff(l)
-    for tup in a.basis_tuples(2 * n - 1):
-        xs, ys = tup[:n], tup[n:]
-        xcols = [_basis_combo(x) for x in xs]
-        ycols = [alpha[y] for y in ys]
-
-        lhs = {}
-        # [F_l(X), abar(Y)]
-        flx = apply_multimap(fl, xcols)
-        for k, v in apply_multimap(a.bracket, [flx] + ycols).items():
-            cadd(lhs, k, v)
-        # F_l([X], abar(Y))
-        bx = apply_multimap(a.bracket, xcols)
-        for k, v in apply_multimap(fl, [bx] + ycols).items():
-            cadd(lhs, k, v)
-        for pos in range(n):
-            inner_fl = apply_multimap(fl, [xcols[pos]] + [_basis_combo(y) for y in ys])
-            args = [alpha[x] for x in xs]
-            args[pos] = inner_fl
-            for k, v in apply_multimap(a.bracket, args).items():
-                cadd(lhs, k, -v)
-            inner_b = apply_multimap(
-                a.bracket, [xcols[pos]] + [_basis_combo(y) for y in ys]
-            )
-            args = [alpha[x] for x in xs]
-            args[pos] = inner_b
-            for k, v in apply_multimap(fl, args).items():
-                cadd(lhs, k, -v)
-
-        rhs = {}
-        for pos in range(n):
-            for j in range(1, l):
-                k_ord = l - j
-                inner = apply_multimap(
-                    d.coeff(k_ord), [xcols[pos]] + [_basis_combo(y) for y in ys]
-                )
-                if not inner:
-                    continue
-                args = [alpha[x] for x in xs]
-                args[pos] = inner
-                for k, v in apply_multimap(d.coeff(j), args).items():
-                    cadd(rhs, k, v)
-        for i in range(1, l):
-            j = l - i
-            fj = apply_multimap(d.coeff(j), xcols)
-            if fj:
-                for k, v in apply_multimap(d.coeff(i), [fj] + ycols).items():
-                    cadd(rhs, k, -v)
-
-        if csub(csub(lhs, rhs), full.get(tup, {})):
-            mismatches.append(tup)
-    return mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -341,38 +270,28 @@ def obstruction(md: MorphismDeformation, l) -> ObstructionCochain:
 
 
 # ---------------------------------------------------------------------------
-# ambient packing helpers
+# sparse ambient packing
 
 
-def multimap_to_ambient(mm, in_dims, d_in, module_dim):
-    vec = [Q(0)] * (d_in ** in_dims * module_dim)
-    for key, entry in mm.items():
-        base = _flat(key, d_in) * module_dim
-        for k, v in entry.items():
-            vec[base + k] = v
-    return vec
+def _pack(tensor, d_in, module_dim, offset=0):
+    """{offset + ambient index: coeff} of a tensor keyed by input tuples over
+    d_in basis vectors with values in a module_dim-dimensional space."""
+    return {
+        offset + _flat(key, d_in) * module_dim + k: v
+        for key, entry in tensor.items()
+        for k, v in entry.items()
+    }
 
 
-def ambient_to_multimap(vec, in_dims, d_in, module_dim):
-    mm = {}
-    for pos, key in enumerate(itertools.product(range(d_in), repeat=in_dims)):
-        entry = {}
-        for k in range(module_dim):
-            v = vec[pos * module_dim + k]
-            if v:
-                entry[k] = v
-        if entry:
-            mm[key] = entry
-    return mm
-
-
-def matrix_to_ambient(m: Matrix):
-    return [m.column(j).get(r, Q(0)) for j in range(m.cols) for r in range(m.rows)]
-
-
-def ambient_to_matrix(vec, rows, cols):
-    entries = [[vec[j * rows + r] for j in range(cols)] for r in range(rows)]
-    return Matrix(rows, cols, entries)
+def _unpack(vec, length, d_in, module_dim):
+    """The tensor keyed by length-tuples of input indices whose ambient
+    coefficients are the sparse vec, in lexicographic key order."""
+    out = {}
+    for i in sorted(vec):
+        pos, k = divmod(i, module_dim)
+        key = tuple(pos // d_in ** (length - 1 - s) % d_in for s in range(length))
+        out.setdefault(key, {})[k] = vec[i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -399,24 +318,28 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     mc = MorphismComplex(md.phi, convention)
     L, M = md.phi.source, md.phi.target
     n = L.arity
-    au, av, aw = mc.ambient_dims(2)
-    rows = [{} for _ in range(sum(mc.ambient_dims(3)))]
+    au, av, _ = mc.ambient_dims(2)
+    ru, rv, _ = mc.ambient_dims(3)
+    rows = {}
     op = mc.operator(2)
     for j, col in op.read(range(op.size)).items():
         for r, v in col:
-            rows[r][j] = v
-    rhs = (
-        multimap_to_ambient(fl.o1, 2 * n - 1, L.dim, L.dim)
-        + multimap_to_ambient(fl.o2, 2 * n - 1, M.dim, M.dim)
-        + multimap_to_ambient(fl.o3, n, L.dim, M.dim)
-    )
-    x = solve(Matrix.from_rows(rows, au + av + aw), rhs)
+            rows.setdefault(r, {})[j] = v
+    rhs = _pack(fl.o1, L.dim, L.dim) | _pack(fl.o2, M.dim, M.dim, ru) | _pack(fl.o3, L.dim, M.dim, ru + rv)
+    if not rhs.keys() <= rows.keys():
+        return None  # an equation 0 = F_l at an index where d^2 has no row
+    order = sorted(rows)
+    x = solve(Matrix.from_rows([rows[r] for r in order], op.size), [rhs.get(r, Q(0)) for r in order])
     if x is None:
         return None
 
-    xi_l = ambient_to_multimap(x[:au], n, L.dim, L.dim)
-    eta_l = ambient_to_multimap(x[au : au + av], n, M.dim, M.dim)
-    phi_l = ambient_to_matrix(x[au + av :], M.dim, L.dim)
+    xi_l = _unpack(sparse_vector(x[:au]), n, L.dim, L.dim)
+    eta_l = _unpack(sparse_vector(x[au : au + av]), n, M.dim, M.dim)
+    phi_rows = [{} for _ in range(M.dim)]
+    for (j,), col in _unpack(sparse_vector(x[au + av :]), 1, L.dim, M.dim).items():
+        for r, v in col.items():
+            phi_rows[r][j] = v
+    phi_l = Matrix.from_rows(phi_rows, L.dim)
 
     r1, r2, r3 = morphism_order_residual(md.truncated(l - 1).extended(xi_l, eta_l, phi_l), l)
     if r1 or r2 or r3:
@@ -438,10 +361,11 @@ def infinitesimal(md: MorphismDeformation, convention=DEFAULT_CONVENTION) -> Mor
         raise ValueError("deformation carries no order-1 coefficients")
     mc = MorphismComplex(md.phi, convention)
     L, M = md.phi.source, md.phi.target
-    n = L.arity
-    u_raw = multimap_to_ambient(md.xi.coeff(1), n, L.dim, L.dim)
-    v_raw = multimap_to_ambient(md.eta.coeff(1), n, M.dim, M.dim)
-    w_raw = matrix_to_ambient(md.phi_coeff(1))
+    au, av, aw = mc.ambient_dims(2)
+    phi1 = md.phi_coeff(1)
+    u_raw = dense_vector(_pack(md.xi.coeff(1), L.dim, L.dim), au)
+    v_raw = dense_vector(_pack(md.eta.coeff(1), M.dim, M.dim), av)
+    w_raw = dense_vector(_pack({(j,): phi1.column(j) for j in range(L.dim)}, L.dim, M.dim), aw)
     try:
         mc.left.space(2).coords(u_raw)
         mc.right.space(2).coords(v_raw)

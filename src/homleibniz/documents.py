@@ -29,9 +29,10 @@ class DocumentError(Exception):
     """Malformed or inconsistent input document; maps to CLI exit code 2."""
 
 
-# The extension solve builds degree-3 cochains, whose ambient space is indexed
-# by the (2n-1)-tuples of basis elements; an arity whose dim^(2n-1) tuples
-# hold more cells than this is refused.
+# The extension solve's right-hand side F_l is keyed by the (2n-1)-tuples of
+# basis elements, which index the degree-3 cochains; the solve builds only the
+# nonzero rows of d^2 and the support of F_l, but both can reach that many
+# cells, so an arity whose dim^(2n-1) tuples hold more than this is refused.
 MAX_IDENTITY_CELLS = 1 << 26
 
 

@@ -50,7 +50,18 @@ Deliberately separate implementations:
   check_representation on the semidirect product; and the module actions
   of a bracket through a map on every (n-1)-tuple and module vector, the
   reference for the support walk behind adjoint_representation and
-  pullback_representation; both apply an action through action_apply.
+  pullback_representation; both apply an action through action_apply; and
+* dense ambient packing: tensors keyed by input tuples, and matrices, as
+  full-length lists over the ambient coordinates and back, the reference
+  for the sparse packing of the extension solve and the input of the dense
+  comparisons; and
+* the regrouped order-l equation: its F_l-linear part and its quadratic
+  lower-order part evaluated on every basis tuple, checked against the
+  package's algebra_order_residual.
+
+The references that evaluate tensors on arguments do it through
+tensor_combo and apply_multimap, over the tuples of basis_tuples; the
+package has neither, nor any loop over all basis tuples.
 """
 
 import functools
@@ -61,13 +72,10 @@ from fractions import Fraction as Q
 
 from homleibniz.algebra import (
     Violation,
-    _basis_combo,
     _residual_violation,
-    apply_multimap,
     cadd,
     csub,
     matrix_combo,
-    tensor_combo,
 )
 from homleibniz.cochain import (
     Columns,
@@ -80,11 +88,52 @@ from homleibniz.cochain import (
     coboundary_matrix,
     input_length,
 )
-from homleibniz.deformation import ObstructionCochain
+from homleibniz.deformation import ObstructionCochain, algebra_order_residual
 from homleibniz.linalg import Matrix
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
 from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
+
+
+# ---------------------------------------------------------------------------
+# combos and tensors evaluated on arguments, and every basis tuple
+
+
+def tensor_combo(element_combos):
+    """Tensor product of element combos, keyed by index tuples."""
+    out = {(): Q(1)}
+    for c in element_combos:
+        nxt = {}
+        for key, coeff in out.items():
+            for i, v in c.items():
+                cadd(nxt, key + (i,), coeff * v)
+        out = nxt
+    return out
+
+
+def apply_multimap(mm, arg_combos):
+    """Evaluate a multilinear tensor on element combos; returns an element combo."""
+    out = {}
+    for key, coeff in tensor_combo(arg_combos).items():
+        entry = mm.get(key)
+        if entry:
+            for k, c in entry.items():
+                cadd(out, k, coeff * c)
+    return out
+
+
+def basis_combo(i):
+    return {i: Q(1)}
+
+
+def bracket_apply(algebra, arg_combos):
+    return apply_multimap(algebra.bracket, arg_combos)
+
+
+def basis_tuples(algebra, count=None):
+    """Every count-tuple of basis indices (count = the arity by default), in
+    lexicographic order."""
+    return itertools.product(range(algebra.dim), repeat=algebra.arity if count is None else count)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +151,7 @@ def classical_coboundary(algebra, p, coeffs):
 
     def f_of(combos):
         out = {}
-        for key, c in _expand(combos).items():
+        for key, c in tensor_combo(combos).items():
             base = 0
             for i in key:
                 base = base * d + i
@@ -113,11 +162,11 @@ def classical_coboundary(algebra, p, coeffs):
         return out
 
     def br(a, b):
-        return algebra.bracket_apply([a, b])
+        return bracket_apply(algebra, [a, b])
 
     out = [Q(0)] * (d ** (p + 1) * d)
     for inp in itertools.product(range(d), repeat=p + 1):
-        xs = [_basis_combo(i) for i in inp]
+        xs = [basis_combo(i) for i in inp]
         res = {}
         for k, v in br(xs[0], f_of(xs[1:])).items():
             cadd(res, k, v)
@@ -140,17 +189,6 @@ def classical_coboundary(algebra, p, coeffs):
     return out
 
 
-def _expand(combos):
-    out = {(): Q(1)}
-    for c in combos:
-        nxt = {}
-        for key, coeff in out.items():
-            for i, v in c.items():
-                cadd(nxt, key + (i,), coeff * v)
-        out = nxt
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the row-driven coboundary operator
 
@@ -165,9 +203,9 @@ def fundamental_bracket(algebra, x_combos, y_combos, y_first=False):
     out = {}
     for k in range(n1):
         if y_first:
-            slot = algebra.bracket_apply(list(y_combos) + [x_combos[k]])
+            slot = bracket_apply(algebra, list(y_combos) + [x_combos[k]])
         else:
-            slot = algebra.bracket_apply([x_combos[k]] + list(y_combos))
+            slot = bracket_apply(algebra, [x_combos[k]] + list(y_combos))
         factors = [matrix_combo(algebra.alpha, c) for c in x_combos]
         factors[k] = slot
         for key, v in tensor_combo(factors).items():
@@ -255,8 +293,8 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
                 if (Xs[i - 1], Xs[j - 1]) not in brackets:
                     brackets[Xs[i - 1], Xs[j - 1]] = fundamental_bracket(
                         algebra,
-                        [_basis_combo(x) for x in Xs[i - 1]],
-                        [_basis_combo(y) for y in Xs[j - 1]],
+                        [basis_combo(x) for x in Xs[i - 1]],
+                        [basis_combo(y) for y in Xs[j - 1]],
                         y_first=cv.bracket_y_first,
                     )
                 fb = brackets[Xs[i - 1], Xs[j - 1]]
@@ -274,13 +312,13 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
 
         # term B: contract z with X_i, drop X_i
         for i in range(1, p + 1):
-            zb = algebra.bracket_apply([_basis_combo(x) for x in (z, *Xs[i - 1])])
+            zb = bracket_apply(algebra, [basis_combo(x) for x in (z, *Xs[i - 1])])
             slots = [zb] + [abar(Xs[r - 1]) for r in range(1, p + 1) if r != i]
             add_diag(_expand_slots(slots), cv.sign_b * (-1) ** i)
 
         # term C: right action of abar^{p-1}(X_i) on f with X_i dropped
         for i in range(1, c_top + 1):
-            slots = [_basis_combo(z)] + [bare(Xs[r - 1]) for r in range(1, p + 1) if r != i]
+            slots = [basis_combo(z)] + [bare(Xs[r - 1]) for r in range(1, p + 1) if r != i]
             exp = _expand_slots(slots)
             if exp:
                 alg = [apow_cols[x] for x in Xs[i - 1]]
@@ -289,7 +327,7 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
         # term D: left actions with f consuming the components of X_1
         X1 = Xs[0]
         for i in range(1, n):
-            slots = [_basis_combo(X1[i - 1])] + [bare(X) for X in Xs[1:]]
+            slots = [basis_combo(X1[i - 1])] + [bare(X) for X in Xs[1:]]
             exp = _expand_slots(slots)
             if exp:
                 alg = [apow_cols[z]] + [
@@ -616,18 +654,18 @@ def quadratic_part(d, l):
     n = a.arity
     alpha = [a.alpha_combo(i) for i in range(a.dim)]
     out = {}
-    for tup in a.basis_tuples(2 * n - 1):
+    for tup in basis_tuples(a, 2 * n - 1):
         xs, ys = tup[:n], tup[n:]
         ycols = [alpha[y] for y in ys]
         res = {}
         for i in range(1, l):
             j = l - i
-            fj = apply_multimap(d.coeff(j), [_basis_combo(x) for x in xs])
+            fj = apply_multimap(d.coeff(j), [basis_combo(x) for x in xs])
             for k, v in apply_multimap(d.coeff(i), [fj] + ycols).items():
                 cadd(res, k, v)
             for pos in range(n):
                 inner = apply_multimap(
-                    d.coeff(j), [_basis_combo(xs[pos])] + [_basis_combo(y) for y in ys]
+                    d.coeff(j), [basis_combo(xs[pos])] + [basis_combo(y) for y in ys]
                 )
                 args = [alpha[x] for x in xs]
                 args[pos] = inner
@@ -657,19 +695,130 @@ def obstruction_by_formula(md, l):
     src = md.phi.source
     n = src.arity
     o3 = {}
-    for X in src.basis_tuples():
+    for X in basis_tuples(src):
         res = {}
         for i, *js in primed_index_tuples(l, n):
             args = [md.phi_coeff(js[r]).column(X[r]) for r in range(n)]
             for k, v in apply_multimap(md.eta.coeff(i), args).items():
                 cadd(res, k, v)
         for i in range(1, l):
-            xj = apply_multimap(md.xi.coeff(l - i), [_basis_combo(x) for x in X])
+            xj = apply_multimap(md.xi.coeff(l - i), [basis_combo(x) for x in X])
             for k, v in matrix_combo(md.phi_coeff(i), xj).items():
                 cadd(res, k, -v)
         if res:
             o3[X] = res
     return ObstructionCochain(l, quadratic_part(md.xi, l), quadratic_part(md.eta, l), o3)
+
+
+# ---------------------------------------------------------------------------
+# dense ambient packing
+
+
+def multimap_to_ambient(mm, in_dims, d_in, module_dim):
+    vec = [Q(0)] * (d_in ** in_dims * module_dim)
+    for key, entry in mm.items():
+        base = _flat(key, d_in) * module_dim
+        for k, v in entry.items():
+            vec[base + k] = v
+    return vec
+
+
+def ambient_to_multimap(vec, in_dims, d_in, module_dim):
+    mm = {}
+    for pos, key in enumerate(itertools.product(range(d_in), repeat=in_dims)):
+        entry = {}
+        for k in range(module_dim):
+            v = vec[pos * module_dim + k]
+            if v:
+                entry[k] = v
+        if entry:
+            mm[key] = entry
+    return mm
+
+
+def matrix_to_ambient(m: Matrix):
+    return [m.column(j).get(r, Q(0)) for j in range(m.cols) for r in range(m.rows)]
+
+
+def ambient_to_matrix(vec, rows, cols):
+    entries = [[vec[j * rows + r] for j in range(cols)] for r in range(rows)]
+    return Matrix(rows, cols, entries)
+
+
+# ---------------------------------------------------------------------------
+# the regrouped order-l equation
+
+
+def regrouping_identity_check(d, l):
+    """Verify the split of the order-l equation into its F_l-linear part
+    and its quadratic lower-order part.
+
+    Evaluates both sides of the regrouped display independently and checks
+    that LHS - RHS equals the full order-l residual of
+    deformation.algebra_order_residual on every basis tuple.  This is an
+    algebraic identity, so it must hold whether or not the deformation is
+    valid; a nonempty mismatch list indicates a transcription bug, not an
+    invalid deformation.
+    """
+    if l < 1:
+        raise ValueError("regrouping is stated for orders l >= 1")
+    a = d.base
+    n = a.arity
+    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    full = algebra_order_residual(d, l)
+    mismatches = []
+    fl = d.coeff(l)
+    for tup in basis_tuples(a, 2 * n - 1):
+        xs, ys = tup[:n], tup[n:]
+        xcols = [basis_combo(x) for x in xs]
+        ycols = [alpha[y] for y in ys]
+
+        lhs = {}
+        # [F_l(X), abar(Y)]
+        flx = apply_multimap(fl, xcols)
+        for k, v in apply_multimap(a.bracket, [flx] + ycols).items():
+            cadd(lhs, k, v)
+        # F_l([X], abar(Y))
+        bx = apply_multimap(a.bracket, xcols)
+        for k, v in apply_multimap(fl, [bx] + ycols).items():
+            cadd(lhs, k, v)
+        for pos in range(n):
+            inner_fl = apply_multimap(fl, [xcols[pos]] + [basis_combo(y) for y in ys])
+            args = [alpha[x] for x in xs]
+            args[pos] = inner_fl
+            for k, v in apply_multimap(a.bracket, args).items():
+                cadd(lhs, k, -v)
+            inner_b = apply_multimap(
+                a.bracket, [xcols[pos]] + [basis_combo(y) for y in ys]
+            )
+            args = [alpha[x] for x in xs]
+            args[pos] = inner_b
+            for k, v in apply_multimap(fl, args).items():
+                cadd(lhs, k, -v)
+
+        rhs = {}
+        for pos in range(n):
+            for j in range(1, l):
+                k_ord = l - j
+                inner = apply_multimap(
+                    d.coeff(k_ord), [xcols[pos]] + [basis_combo(y) for y in ys]
+                )
+                if not inner:
+                    continue
+                args = [alpha[x] for x in xs]
+                args[pos] = inner
+                for k, v in apply_multimap(d.coeff(j), args).items():
+                    cadd(rhs, k, v)
+        for i in range(1, l):
+            j = l - i
+            fj = apply_multimap(d.coeff(j), xcols)
+            if fj:
+                for k, v in apply_multimap(d.coeff(i), [fj] + ycols).items():
+                    cadd(rhs, k, -v)
+
+        if csub(csub(lhs, rhs), full.get(tup, {})):
+            mismatches.append(tup)
+    return mismatches
 
 
 # ---------------------------------------------------------------------------
@@ -684,7 +833,7 @@ def hom_composition_by_tuples(a, pairs):
     n = a.arity
     alpha = [a.alpha_combo(i) for i in range(a.dim)]
     out = {}
-    for tup in a.basis_tuples(2 * n - 1):
+    for tup in basis_tuples(a, 2 * n - 1):
         xs, ys = tup[:n], tup[n:]
         ycols = [alpha[y] for y in ys]
         res = {}
@@ -719,7 +868,7 @@ def morphism_order_residual_by_compositions(md, l):
     src = md.phi.source
     n = src.arity
     res_phi = {}
-    for X in src.basis_tuples():
+    for X in basis_tuples(src):
         res = {}
         for i in range(l + 1):
             xj = md.xi.coeff(l - i).get(X)
@@ -739,9 +888,9 @@ def morphism_order_residual_by_compositions(md, l):
 def check_multiplicative_by_tuples(a):
     """alpha([x1..xn]) = [alpha(x1)..alpha(xn)] evaluated on every basis tuple."""
     report = []
-    for tup in a.basis_tuples():
-        lhs = matrix_combo(a.alpha, a.bracket_apply([_basis_combo(i) for i in tup]))
-        rhs = a.bracket_apply([a.alpha_combo(i) for i in tup])
+    for tup in basis_tuples(a):
+        lhs = matrix_combo(a.alpha, bracket_apply(a, [basis_combo(i) for i in tup]))
+        rhs = bracket_apply(a, [a.alpha_combo(i) for i in tup])
         v = _residual_violation("multiplicative", tup, csub(lhs, rhs))
         if v:
             report.append(v)
@@ -752,9 +901,9 @@ def check_morphism_by_tuples(phi):
     """Bracket preservation on every basis tuple, and phi.alpha = beta.phi."""
     report = []
     src, tgt = phi.source, phi.target
-    for tup in src.basis_tuples():
-        lhs = phi.apply(src.bracket_apply([_basis_combo(i) for i in tup]))
-        rhs = tgt.bracket_apply([phi.column(i) for i in tup])
+    for tup in basis_tuples(src):
+        lhs = phi.apply(bracket_apply(src, [basis_combo(i) for i in tup]))
+        rhs = bracket_apply(tgt, [phi.column(i) for i in tup])
         v = _residual_violation("bracket-preservation", tup, csub(lhs, rhs))
         if v:
             report.append(v)
@@ -797,7 +946,7 @@ def _mixed_bracket(rep, args):
     """n-ary bracket where at most one argument is tagged as a module element."""
     mod_positions = [i for i, (tag, _) in enumerate(args) if tag == _M]
     if not mod_positions:
-        return (_L, rep.algebra.bracket_apply([c for _, c in args]))
+        return (_L, bracket_apply(rep.algebra, [c for _, c in args]))
     if len(mod_positions) > 1:
         raise ValueError("at most one module argument is allowed")
     i = mod_positions[0]
@@ -815,7 +964,7 @@ def _identity_residual(rep, xs, ys, module_slot):
 
     def var(pos, idx):
         tag = _M if pos == module_slot else _L
-        return (tag, _basis_combo(idx))
+        return (tag, basis_combo(idx))
 
     x = [var(i, xs[i]) for i in range(n)]
     y = [var(n + j, ys[j]) for j in range(n - 1)]
@@ -865,7 +1014,7 @@ def module_actions_by_tuples(bracket, n, phi, src_dim, tgt_dim):
         for alg in itertools.product(range(src_dim), repeat=n - 1):
             for m in range(tgt_dim):
                 args = [phi.column(j) for j in alg]
-                args = args[:i] + [_basis_combo(m)] + args[i:]
+                args = args[:i] + [basis_combo(m)] + args[i:]
                 out = apply_multimap(bracket, args)
                 if out:
                     tensor[alg + (m,)] = out

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as Q
 
@@ -9,17 +10,14 @@ from homleibniz.cochain import ConstraintViolation, apply_operator
 from homleibniz.deformation import (
     MorphismDeformation,
     TruncatedDeformation,
+    _pack,
+    _unpack,
     algebra_order_residual,
-    ambient_to_matrix,
-    ambient_to_multimap,
     infinitesimal,
     is_valid_through,
-    matrix_to_ambient,
     morphism_order_residual,
-    multimap_to_ambient,
     multiplicativity_violations,
     obstruction,
-    regrouping_identity_check,
     solve_extension,
 )
 from homleibniz.documents import load_json, parse_deformation
@@ -31,16 +29,28 @@ from homleibniz.fixtures import (
     ternary_fff_e,
     twisted_ff_e,
 )
-from homleibniz.linalg import Matrix
+from homleibniz.linalg import Matrix, sparse_vector
 from homleibniz.morphism_complex import MorphismComplex
-from oracles import blockwise_differential, obstruction_by_formula, primed_index_tuples, pull_tensor, push_tensor
+from oracles import (
+    ambient_to_matrix,
+    ambient_to_multimap,
+    basis_tuples,
+    blockwise_differential,
+    matrix_to_ambient,
+    multimap_to_ambient,
+    obstruction_by_formula,
+    primed_index_tuples,
+    pull_tensor,
+    push_tensor,
+    regrouping_identity_check,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
 
 def rand_mm(a, rng, span=2):
     mm = {}
-    for key in a.basis_tuples():
+    for key in basis_tuples(a):
         ent = {k: Q(rng.randint(-span, span)) for k in range(a.dim)}
         ent = {k: v for k, v in ent.items() if v}
         if ent:
@@ -319,13 +329,49 @@ def test_extension_requires_validity():
 
 
 def test_ambient_roundtrips():
+    """The solve's sparse packing pair equals the dense oracles read sparsely,
+    key order included, on tensors of arity 2 and 3 and on matrices as
+    one-input tensors {(j,): column j}, one with an empty column."""
     rng = random.Random(17)
-    a = ternary_fff_e()
-    mm = rand_mm(a, rng)
-    vec = multimap_to_ambient(mm, 3, 2, 2)
-    assert ambient_to_multimap(vec, 3, 2, 2) == mm
-    m = Matrix(2, 3, [[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)])
-    assert ambient_to_matrix(matrix_to_ambient(m), 2, 3) == m
+    tensors = [(rand_mm(a, rng), a.arity, a.dim, a.dim) for a in (leibniz_ff_e(), ternary_fff_e())]
+    tensors += [
+        ({(1, 0, 0): {0: Q(-3), 1: Q(2)}, (0, 1, 1): {2: Q(1, 2)}}, 3, 2, 3),
+        ({}, 2, 2, 2),
+    ]
+    for mm, length, d_in, m in tensors:
+        vec = multimap_to_ambient(mm, length, d_in, m)
+        assert ambient_to_multimap(vec, length, d_in, m) == mm
+        assert _pack(mm, d_in, m) == sparse_vector(vec)
+        assert _pack(mm, d_in, m, 7) == {i + 7: v for i, v in sparse_vector(vec).items()}
+        unpacked = _unpack(_pack(mm, d_in, m), length, d_in, m)
+        assert list(unpacked.items()) == list(ambient_to_multimap(vec, length, d_in, m).items())
+    matrices = [
+        Matrix(2, 3, [[Q(rng.randint(-3, 3)) for _ in range(3)] for _ in range(2)]),
+        Matrix(3, 2, [[Q(1), 0], [Q(-2, 3), 0], [0, 0]]),
+    ]
+    for mat in matrices:
+        vec = matrix_to_ambient(mat)
+        assert ambient_to_matrix(vec, mat.rows, mat.cols) == mat
+        packed = _pack({(j,): mat.column(j) for j in range(mat.cols)}, mat.cols, mat.rows)
+        assert packed == sparse_vector(vec)
+        cols = {(j,): mat.column(j) for j in range(mat.cols) if mat.column(j)}
+        assert _unpack(packed, 1, mat.cols, mat.rows) == cols
+
+
+def test_extension_solve_builds_only_the_nonzero_rows():
+    """The trivial deformation of the 8-ary abelian identity on 2 dims: its
+    degree-3 ambient has 2 * 2^16 + 2^9 coordinates, and a dense right-hand
+    side and row list of that length peak at 20 MiB; the solve keeps only the
+    nonzero rows of d^2 and the support of F_l."""
+    md = MorphismDeformation.trivial(identity_morphism(abelian_algebra(2, 8)), 1)
+    tracemalloc.start()
+    try:
+        ext = solve_extension(md, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ext is not None
+    assert peak < 8 * 2**20
 
 
 # ---------------------------------------------------------------------------
