@@ -53,8 +53,10 @@ EXIT_INPUT_ERROR = 2
 # dim 4 at degree 4 (4 * 4^5), the largest space a benchmark rung has measured;
 # the limit stands until a rung at a larger space backs a higher one.
 MAX_AMBIENT = 4096
-# Above degree 11 only the spaces of 1-dim algebras and modules stay within
-# MAX_AMBIENT, and their work still grows with the degree.
+# Largest cohomology degree and deformation order a command takes.  Above
+# degree 11 only the spaces of 1-dim algebras and modules stay within
+# MAX_AMBIENT, and their work still grows with the degree; the work of a
+# deformation grows with its order whatever its dimension.
 MAX_DEGREE = 64
 
 FIXTURES_ENV = "HOMLEIBNIZ_FIXTURES"
@@ -267,8 +269,12 @@ def cmd_deform(args):
     name = os.path.basename(args.deformation)
     report.digests[name] = digest(obj)
     order = args.order if args.order is not None else md.order + (args.mode != "check")
-    if order < (1 if args.mode != "check" else 0):
+    if args.mode == "check" and order < 0:
+        raise DocumentError("--order must be at least 0 for check")
+    if args.mode != "check" and order < 1:
         raise DocumentError("--order must be at least 1 for obstruct/extend")
+    if order > MAX_DEGREE:
+        raise DocumentError(f"--order {order} is above the limit of {MAX_DEGREE}")
     if args.mode != "check" and md.order < order - 1:
         raise DocumentError(
             f"deformation carries coefficients through order {md.order}; "

@@ -36,6 +36,7 @@ from .algebra import (
     hom_composition,
     matrix_combo,
     normalize_multimap,
+    precompose,
 )
 from .cochain import DEFAULT_CONVENTION, Cochain, ConstraintViolation, _flat
 from .linalg import Matrix, Q, dense_vector, solve, sparse_vector
@@ -143,66 +144,48 @@ class MorphismDeformation:
         )
 
 
-def _graded_products(phis, dim, n):
-    """(X, [P_0(X), .., P_l(X)]) for every basis n-tuple X, in lexicographic
-    order, with P_m(X) = sum_{j_1+..+j_n=m} phis[j_1](x_1) (x) .. (x) phis[j_n](x_n)
-    for l = len(phis) - 1.
-
-    Each slot is one order-graded convolution step, taken once per prefix
-    of X and shared by every X that extends it.
-    """
-    l = len(phis) - 1
-
-    def step(prods, x):
-        nxt = [{} for _ in range(l + 1)]
-        for m, pm in enumerate(prods):
-            for j in range(l + 1 - m):
-                col = phis[j].column(x)
-                for key, c in pm.items():
-                    for y, v in col.items():
-                        cadd(nxt[m + j], key + (y,), c * v)
-        return nxt
-
-    def walk(prefix, prods):
-        if len(prefix) == n:
-            yield prefix, prods
-            return
-        for x in range(dim):
-            yield from walk(prefix + (x,), step(prods, x))
-
-    return walk((), [{(): Q(1)}] + [{} for _ in range(l)])
+def _add_tensor(dst, t):
+    """dst += t, entry by entry."""
+    for key, entry in t.items():
+        acc = dst.setdefault(key, {})
+        for k, v in entry.items():
+            cadd(acc, k, v)
 
 
 def morphism_order_residual(md: MorphismDeformation, l):
     """Residuals of the three order-l equations: the two algebra equations
     and the morphism-compatibility equation, on all basis tuples.
 
-    The morphism equation is sum_{i+j=l} phi_i(xi_j(X)) = sum_i eta_i(P_{l-i}(X)),
-    with the order-graded products P_m(X) of _graded_products and eta_i read
-    at their keys by direct lookups.
+    The morphism equation is sum_{i+j=l} phi_i o xi_j = sum_i eta_i o P_{l-i},
+    the order-graded bracket preservation, with P_m the sum of
+    phi_{j_1} (x) .. (x) phi_{j_n} over j_1+..+j_n = m.  Both sides are read
+    off supports: phi_i applied to xi_j at its keys, and the right side by
+    algebra.precompose, one slot at a time.  Before slot s, graded[m] sums
+    the -eta_i with their first s slots precomposed with nonzero phi_j's,
+    i plus the j's being m, so the work grows with n l^2 precompose calls
+    rather than with the compositions of l - i into n parts.
     """
     res_xi = algebra_order_residual(md.xi, l)
     res_eta = algebra_order_residual(md.eta, l)
-    src = md.phi.source
+    n = md.phi.source.arity
     phis = [md.phi_coeff(i) for i in range(l + 1)]
-    xis = [md.xi.coeff(j) for j in range(l + 1)]
-    etas = [md.eta.coeff(i) for i in range(l + 1)]
-    res_phi = {}
-    for X, prods in _graded_products(phis, src.dim, src.arity):
-        res = {}
-        for i in range(l + 1):
-            xj = xis[l - i].get(X)
-            if xj:
-                for k, v in matrix_combo(phis[i], xj).items():
-                    cadd(res, k, v)
-        for i, eta in enumerate(etas):
-            for key, c in prods[l - i].items():
-                entry = eta.get(key)
-                if entry:
-                    for k, v in entry.items():
-                        cadd(res, k, -c * v)
-        if res:
-            res_phi[X] = res
+    live = [j for j, m in enumerate(phis) if not m.is_zero()]
+    res = {}
+    for i in range(l + 1):
+        _add_tensor(res, {X: matrix_combo(phis[i], e) for X, e in md.xi.coeff(l - i).items()})
+    graded = {i: {K: cscale(e, -1) for K, e in md.eta.coeff(i).items()} for i in range(l + 1) if md.eta.coeff(i)}
+    for s in range(n):
+        nxt = {}
+        for m, t in graded.items():
+            for j in live:
+                # the last slot completes the order to exactly l
+                if m + j > l or s == n - 1 and m + j < l:
+                    continue
+                maps = [phis[j] if k == s else None for k in range(n)]
+                _add_tensor(nxt.setdefault(m + j, {}), precompose(t, maps))
+        graded = nxt
+    _add_tensor(res, graded.get(l, {}))
+    res_phi = {X: res[X] for X in sorted(res) if res[X]}
     return res_xi, res_eta, res_phi
 
 
@@ -264,7 +247,7 @@ def obstruction(md: MorphismDeformation, l) -> ObstructionCochain:
         raise ValueError("obstruction order must be at least 1")
     if not is_valid_through(md, l - 1):
         raise NotValidBelow(f"deformation is not valid through order {l - 1}")
-    head = md.truncated(l - 1).truncated(l)
+    head = md.truncated(l - 1)
     o1, o2, r3 = morphism_order_residual(head, l)
     return ObstructionCochain(l, o1, o2, {X: cscale(res, -1) for X, res in r3.items()})
 

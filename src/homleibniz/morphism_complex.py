@@ -13,17 +13,18 @@ only; deformation.solve_extension solves against it at the ambient level,
 its unknowns unconstrained, and reads every column.  d^p o d^{p-1} = 0 is
 certified on these operators by cochain.squares_to_zero, as for the summand
 complexes.  _d_columns is the only code that applies phi to a cochain:
-differential and the vanishing-transfer witness both read d_matrix.
+differential and the vanishing-transfer witness both read d_matrix.  A push
+column phi.u applies phi to the output index; a pull column -v.phi is the
+unit tensor of v precomposed with phi in every input slot, by
+algebra.precompose, so it visits only the inputs that phi sends onto its key.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass
 
-from .algebra import Morphism, adjoint_representation, pullback_representation
+from .algebra import Morphism, adjoint_representation, precompose, pullback_representation
 from .cochain import (
     Cochain,
     Columns,
@@ -61,14 +62,13 @@ def _d_columns(phi, p, ops, dims, js):
         op[j] = left[j] + [(third + pos * d_tgt + r, x) for r, x in phi_cols[k].items()]
     # v: delta v, then -v.phi; phi acts on every input slot
     right = ops[1].read(vs)
-    phi_rows = [[(i, c[t]) for i, c in enumerate(phi_cols) if t in c] for t in range(d_tgt)]
     in_len = input_length(phi.source.arity, p)
     for j in vs:
         pos, mo = divmod(j, d_tgt)
-        key = [pos // d_tgt ** (in_len - 1 - s) % d_tgt for s in range(in_len)]
+        key = tuple(pos // d_tgt ** (in_len - 1 - s) % d_tgt for s in range(in_len))
+        pulled = precompose({key: {mo: Q(1)}}, [phi.matrix] * in_len)
         op[au + j] = [(ru + r, x) for r, x in right[j]] + [
-            (third + _flat([i for i, _ in picks], d_src) * d_tgt + mo, -math.prod(x for _, x in picks))
-            for picks in itertools.product(*(phi_rows[t] for t in key))
+            (third + _flat(Z, d_src) * d_tgt + mo, -entry[mo]) for Z, entry in pulled.items()
         ]
     # w: -delta w
     if ws:

@@ -159,6 +159,24 @@ def test_degree_ranges_end_at_max_degree_on_one_dimensional_algebras(capsys, tmp
         assert [row[0] for row in json.loads(out)["tables"][0]["rows"]] == list(range(1, 65))
 
 
+def test_deform_orders_end_at_max_degree(capsys):
+    path = fx("abelian_ff_e_deformation.json")
+    code, out, _ = run(capsys, "deform", "check", path, "--order", "64", "--format", "json")
+    assert code == 0
+    assert [row[0] for row in json.loads(out)["tables"][0]["rows"]] == list(range(65))
+    for mode in ("check", "obstruct", "extend"):
+        code, out, err = run(capsys, "deform", mode, path, "--order", "65")
+        assert code == 2, mode
+        assert out == "" and "--order 65 is above the limit of 64" in err
+        assert "Traceback" not in err
+
+
+def test_deform_check_names_its_own_lower_order_bound(capsys):
+    code, out, err = run(capsys, "deform", "check", fx("abelian_ff_e_deformation.json"), "--order", "-1")
+    assert code == 2
+    assert out == "" and "--order must be at least 0 for check" in err
+
+
 def test_validate_skips_the_identity_loops_for_an_empty_bracket(capsys, tmp_path):
     # arity 11 over dim 2: 2^21 tuples for the identity, 2^11 for multiplicativity
     from homleibniz.documents import dump_json, serialize_algebra

@@ -110,6 +110,31 @@ def test_mismatched_eta_fails_the_morphism_equation():
     assert sorted(r3) == [(1, 1)]
 
 
+def test_morphism_equation_reads_matrices_on_the_bracket_support(monkeypatch):
+    """The identity of a 200-dim binary algebra whose bracket is only
+    [e1, e1] = e0: the order-2 morphism equation reads phi at the one bracket
+    key, not a row or column of phi for each of the 200^2 basis pairs."""
+    from homleibniz.algebra import HomNaryAlgebra
+
+    a = HomNaryAlgebra(2, 200, tuple(f"e{i}" for i in range(200)), {(1, 1): {0: Q(1)}}, Matrix.identity(200))
+    md = MorphismDeformation.trivial(identity_morphism(a), 2)
+    reads = Counter()
+
+    def counted(name):
+        read = getattr(Matrix, name)
+
+        def counting_read(self, i):
+            reads[name] += 1
+            return read(self, i)
+
+        return counting_read
+
+    for name in ("row", "column"):
+        monkeypatch.setattr(Matrix, name, counted(name))
+    assert morphism_order_residual(md, 2) == ({}, {}, {})
+    assert sum(reads.values()) <= 50, reads
+
+
 def test_constructor_guards():
     a = leibniz_ff_e()
     with pytest.raises(ValueError):

@@ -3,12 +3,10 @@
 The package reads tensors off their supports.  A call
 itertools.product(range(d), repeat=k) walks all d^k tuples whatever the
 tensors hold; the references in tests/oracles.py keep such loops, the
-package does not.  Two all-input walks stay by design, and neither is such
+package does not.  One all-input walk stays by design, and it is not such
 a call: cochain._kron_columns runs over the inputs of a cochain space, one
 Kronecker step per prefix, because the kernel basis needs every ambient
-coordinate anyway; and deformation._graded_products runs over the n-tuples
-of the phi-equation, sharing each slot's convolution step among the tuples
-that extend a prefix.
+coordinate anyway.
 """
 
 import ast
