@@ -29,10 +29,16 @@ its nonzeros becomes a Fraction once, when the column is emitted.  A
 Columns cache builds each column on its first read: restrict_operator and
 squares_to_zero read the columns on the support of the source bases,
 delta_ambient those on its input's support, and only the extension solve
-reads every column, through MorphismComplex.operator.
+reads every column, through MorphismComplex.operator.  Restriction runs in
+Python ints from a column to a restricted entry: apply_sparse maps vectors
+held as int numerators over one denominator, the source bases come so from
+SubspaceBasis.integral, built once per basis and shared by every
+convention, and coords_in_basis checks each image by int back-substitution
+and makes one Fraction per nonzero coordinate.
 
-delta o delta = 0 is certified in one place, squares_to_zero, on the sparse
-ambient operators; both complexes' cohomology_dim and the calibration call it.
+delta o delta = 0 is certified in one place, squares_to_zero, as an int
+zero test on the sparse ambient operators; both complexes' cohomology_dim
+and the calibration call it.
 """
 
 from __future__ import annotations
@@ -40,13 +46,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import cadd, precompose
-from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, kernel_basis
-from .linalg import rank, sparse_vector
+from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, integral_vector
+from .linalg import kernel_basis, rank, sparse_vector
 
 
 class ConstraintViolation(Exception):
@@ -477,21 +482,33 @@ class Columns:
 
 
 def apply_sparse(op, vectors):
-    """Images of the sparse vectors under the Columns op, read in one batch."""
-    cols = op.read(sorted({j for vec in vectors for j in vec}))
+    """Images of the sparse vectors under the Columns op, read in one batch.
+    Each vector, and each image, is (int numerators, den): the columns read
+    are scaled to ints over their own lcm once per call, and an image's den
+    is its vector's times the lcm of those of the columns it reaches."""
+    js = sorted({j for vec, _ in vectors for j in vec})
+    built = op.read(js)
+    cols = {j: integral_vector(built[j]) for j in js}
     images = []
-    for vec in vectors:
+    for vec, den in vectors:
+        lcm = 1
+        for j in vec:
+            if lcm % cols[j][1]:
+                lcm = math.lcm(lcm, cols[j][1])
         out = {}
         for j, x in vec.items():
-            for row, v in cols[j]:
+            col, d = cols[j]
+            x *= lcm // d
+            for row, v in col.items():
                 out[row] = out.get(row, 0) + v * x
-        images.append({row: v for row, v in out.items() if v})
+        images.append(({row: v for row, v in out.items() if v}, den * lcm))
     return images
 
 
 def apply_operator(op, coeffs, out_dim):
     """apply_sparse on a dense vector, returning a dense vector of length out_dim."""
-    return dense_vector(apply_sparse(op, [sparse_vector(coeffs)])[0], out_dim)
+    image, den = apply_sparse(op, [integral_vector(sparse_vector(coeffs).items())])[0]
+    return dense_vector({row: Q(v, den) for row, v in image.items()}, out_dim)
 
 
 def coboundary_matrix(space: CochainSpace, target_space, op) -> Matrix:
@@ -509,9 +526,9 @@ def restrict_operator(op, sources, targets) -> Matrix:
     """
     target = direct_sum([t.basis for t in targets])
     rows = [{} for _ in range(target.dim)]
-    vectors = direct_sum([s.basis for s in sources]).sparse_vectors
-    for j, image in enumerate(apply_sparse(op, vectors)):
-        col = coords_in_basis(target, image)
+    vectors = direct_sum([s.basis for s in sources]).integral[0]
+    for j, (image, den) in enumerate(apply_sparse(op, vectors)):
+        col = coords_in_basis(target, image, den)
         if col is None:
             raise ConstraintViolation(
                 f"an image is not twist-compatible in degree {targets[0].degree}"
@@ -527,9 +544,9 @@ def squares_to_zero(cx, p) -> bool:
     direct sum of cx.summands(p-1) to zero.  Callers also restrict d^{p-1},
     which writes each image exactly in the basis of C^p, so this is the zero
     matrix product.  The columns read are those on the support of C^{p-1}'s
-    basis and of its images."""
-    vectors = direct_sum([s.basis for s in cx.summands(p - 1)]).sparse_vectors
-    return not any(apply_sparse(cx.operator(p), apply_sparse(cx.operator(p - 1), vectors)))
+    basis and of its images; the zero test is on ints and builds no Fraction."""
+    vectors = direct_sum([s.basis for s in cx.summands(p - 1)]).integral[0]
+    return not any(v for v, _ in apply_sparse(cx.operator(p), apply_sparse(cx.operator(p - 1), vectors)))
 
 
 def cohomology_dim_of(cx, p, symbol) -> int:
@@ -654,15 +671,3 @@ def calibrate_convention(battery, conventions=None, degrees=(1, 2)):
         return DEFAULT_CONVENTION
     return sorted(passing, key=lambda c: c.label())[0]
 
-
-# ---------------------------------------------------------------------------
-# test support
-
-
-def random_cochain(space, rng: random.Random, denom=4, span=3):
-    """Random member of the space: rational combination of basis vectors."""
-    coords = [
-        Fraction(rng.randint(-span, span), rng.randint(1, denom))
-        for _ in range(space.dim)
-    ]
-    return space.from_coords(coords)

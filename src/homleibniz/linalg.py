@@ -14,15 +14,17 @@ columns in column order, and every result equals dense Gauss-Jordan
 elimination's, whatever the row order.  Like sympy's sdm_irref, it indexes
 each column to the reduced rows holding it, so a new pivot costs their nonzeros.
 coords_in_basis accepts the coordinates read at the unit rows only when
-their combination equals the vector; with zeros dropped on both sides, dict
-equality is the dense cell-by-cell comparison, at the cost of the nonzeros
-involved.
+their combination equals the vector, by int back-substitution on int
+numerators over one denominator (integral_vector, SubspaceBasis.integral),
+at the cost of the nonzeros involved and one Fraction per coordinate.
 delta o delta = 0 is certified on the sparse coboundary operators of
 cochain.py, never by a Matrix product.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from fractions import Fraction
 
 Q = Fraction
@@ -37,6 +39,16 @@ def sparse_vector(vec):
 def dense_vector(vec, n):
     """The dense length-n list of a sparse vector, every entry a Fraction."""
     return [vec.get(i, _ZERO) for i in range(n)]
+
+
+def integral_vector(pairs):
+    """(numerators, den) of the (index, rational) pairs: {index: int numerator}
+    over den, the lcm of their denominators."""
+    den = 1
+    for _, x in pairs:
+        if den % x.denominator:
+            den = math.lcm(den, x.denominator)
+    return {i: x.numerator * (den // x.denominator) for i, x in pairs}, den
 
 
 def _add_scaled(dst, f, src):
@@ -167,6 +179,13 @@ class SubspaceBasis:
     def dim(self):
         return len(self.sparse_vectors)
 
+    @functools.cached_property
+    def integral(self):
+        """(vectors, L): vector j as (B_j, d_j), its integral_vector, and L the
+        lcm of the d_j; built on first use, once per basis."""
+        vectors = [integral_vector(v.items()) for v in self.sparse_vectors]
+        return vectors, math.lcm(*(d for _, d in vectors))
+
     @property
     def vectors(self):
         """The basis vectors as dense lists, built on each read."""
@@ -181,7 +200,10 @@ class SubspaceBasis:
 
 
 def direct_sum(bases):
-    """Basis of the direct sum of the bases' subspaces, ambient indices stacked in order."""
+    """Basis of the direct sum of the bases' subspaces, ambient indices stacked
+    in order; a lone basis is returned itself, with its integral form."""
+    if len(bases) == 1:
+        return bases[0]
     vectors, units, offset = [], [], 0
     for b in bases:
         vectors += [{offset + i: x for i, x in v.items()} for v in b.sparse_vectors]
@@ -261,10 +283,19 @@ def solve(m: Matrix, b):
     return x
 
 
-def coords_in_basis(basis: SubspaceBasis, vec):
-    """Sparse coordinates {j: c} of the sparse vector vec in basis, or None when
-    vec is outside the span: the coordinates read off where vec meets the unit
-    rows are verified by exact back-substitution, their combination must be vec."""
-    vec = {i: x for i, x in vec.items() if x}
-    coords = {basis.unit_rows[i]: x for i, x in vec.items() if i in basis.unit_rows}
-    return coords if basis.combination(coords) == vec else None
+def coords_in_basis(basis: SubspaceBasis, vec, den=1):
+    """Sparse coordinates {j: c} of vec / den in basis, or None when it is
+    outside the span; vec holds sparse numerators over den (ints, or
+    Fractions over den 1).  The coordinate of vector j, read where vec meets
+    its unit row u_j, is verified by int back-substitution on basis.integral:
+    sum_j vec[u_j] * B_j * (L / d_j) must equal vec * L.  Each nonzero
+    coordinate becomes one Fraction, vec[u_j] / den."""
+    vectors, L = basis.integral
+    acc = {i: -x * L for i, x in vec.items()}
+    coords = {basis.unit_rows[i]: x for i, x in vec.items() if x and i in basis.unit_rows}
+    for j, x in coords.items():
+        nums, d = vectors[j]
+        x *= L // d
+        for r, b in nums.items():
+            acc[r] = acc.get(r, 0) + x * b
+    return None if any(acc.values()) else {j: Q(x, den) for j, x in coords.items()}

@@ -59,6 +59,9 @@ Deliberately separate implementations:
   lower-order part evaluated on every basis tuple, checked against the
   package's algebra_order_residual.
 
+random_cochain, which draws a random member of a cochain space for the
+tests, lives here too, so the package needs no random numbers.
+
 The references that evaluate tensors on arguments do it through
 tensor_combo and apply_multimap, over the tuples of basis_tuples; the
 package has neither, nor any loop over all basis tuples.
@@ -642,6 +645,13 @@ def dense_restriction(op_cols, space, target):
             raise ConstraintViolation("image leaves the target space")
         cols.append(col)
     return [[c[i] for c in cols] for i in range(target.dim)]
+
+
+def random_cochain(space, rng, denom=4, span=3):
+    """Random member of the space: a rational combination of its basis vectors,
+    drawn from the random.Random rng."""
+    coords = [Q(rng.randint(-span, span), rng.randint(1, denom)) for _ in range(space.dim)]
+    return space.from_coords(coords)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from homleibniz import cochain
 from homleibniz.algebra import (
@@ -24,9 +25,10 @@ from homleibniz.cochain import (
     all_conventions,
     ambient_dim,
     apply_operator,
+    apply_sparse,
     coboundary_operator,
     convention_passes,
-    random_cochain,
+    restrict_operator,
     squares_to_zero,
 )
 from homleibniz.fixtures import (
@@ -41,7 +43,7 @@ from homleibniz.fixtures import (
     twisted_ff_e,
     twisted_ternary_fff_e,
 )
-from homleibniz.linalg import Matrix, kernel_basis
+from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_vector, kernel_basis, sparse_vector
 from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
     as_columns,
@@ -49,8 +51,10 @@ from oracles import (
     bracket_table_by_tuples,
     classical_coboundary,
     dense_convention_passes,
+    dense_coords_in_basis,
     dense_restriction,
     per_input_constraint_rows,
+    random_cochain,
     row_coboundary_operator,
     row_operators,
 )
@@ -461,3 +465,127 @@ def test_unbuilt_columns_never_read_as_zero():
         spaces = {}
         column = {cv for cv in all_conventions() if convention_passes(a, rep, cv, (1, 2), spaces)}
         assert column == {cv for cv in all_conventions() if row_passes(k, cv, spaces)}
+
+
+# ---------------------------------------------------------------------------
+# the restriction in ints against the dense oracles
+
+
+def fractional_shear():
+    """h3 Yau-twisted by a fractional shear: unlike the diagonal twists of
+    fractional_inputs, whose bases are integral, its cochain bases carry
+    denominators in degrees 1..4."""
+    a = yau_twist(h3(), Matrix(3, 3, [[Q(1, 2), Q(1, 3), 0], [0, 2, 0], [0, 0, 1]]))
+    return a, adjoint_representation(a)
+
+
+RESTRICTION_INPUTS = fractional_inputs() + [fractional_shear()]
+RESTRICTION_SPACES = [{} for _ in RESTRICTION_INPUTS]  # CochainSpaces by degree, shared by the examples
+
+
+def perturbed(op, j, row, eps):
+    """The Columns op with eps added to its entry at (row, column j)."""
+    def build(js):
+        built = op.read(js)
+        cols = {i: built[i] for i in js if built[i]}
+        if j in js:
+            col = dict(built[j])
+            col[row] = col.get(row, 0) + eps
+            cols[j] = sorted((r, x) for r, x in col.items() if x)
+        return cols
+
+    return Columns(build, op.size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, len(RESTRICTION_INPUTS) - 1),
+    st.integers(1, 3),
+    st.sampled_from([cv.label() for cv in all_conventions()]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool),
+    st.randoms(use_true_random=False),
+)
+@example(len(RESTRICTION_INPUTS) - 1, 2, DEFAULT_CONVENTION.label(), Q(2, 7), random.Random(0))
+@example(len(RESTRICTION_INPUTS) - 1, 3, DEFAULT_CONVENTION.label(), Q(-1, 3), random.Random(1))
+def test_int_restriction_matches_the_dense_oracles(k, p, label, eps, rnd):
+    a, rep = RESTRICTION_INPUTS[k]
+    cx = CochainComplex(a, rep, SignConvention.from_label(label))
+    cx._spaces = RESTRICTION_SPACES[k]
+    source, target, op = cx.space(p), cx.space(p + 1), cx.operator(p)
+    if k == len(RESTRICTION_INPUTS) - 1:
+        assert any(d > 1 for _, d in source.basis.integral[0])
+        assert any(d > 1 for _, d in target.basis.integral[0])
+
+    # the restricted matrix: equal dicts, every entry a Fraction, or both refuse
+    try:
+        want = dense_restriction(op, source, target)
+    except ConstraintViolation:
+        with pytest.raises(ConstraintViolation):
+            restrict_operator(op, [source], [target])
+    else:
+        got = restrict_operator(op, [source], [target])
+        assert [got.row(i) for i in range(got.rows)] == [sparse_vector(row) for row in want]
+        assert all(type(x) is Q for i in range(got.rows) for x in got.row(i).values())
+
+    # coordinates of a rational combination of the target basis, and of it moved off the span
+    coords = {j: Q(rnd.randint(-3, 3), rnd.randint(1, 5)) for j in range(target.dim)}
+    inside = target.basis.combination({j: c for j, c in coords.items() if c})
+    got = coords_in_basis(target.basis, *integral_vector(inside.items()))
+    assert got == {j: c for j, c in coords.items() if c}
+    assert got == sparse_vector(dense_coords_in_basis(target.basis, dense_vector(inside, target.ambient)))
+    assert all(type(x) is Q for x in got.values())
+    off = [r for r in range(target.ambient) if r not in target.basis.unit_rows]
+    if off:
+        row = rnd.choice(off)
+        moved = dict(inside)
+        moved[row] = moved.get(row, 0) + eps
+        assert coords_in_basis(target.basis, *integral_vector(moved.items())) is None
+        assert dense_coords_in_basis(target.basis, dense_vector(moved, target.ambient)) is None
+
+    # one perturbed operator entry: an image off the target space, and delta o delta != 0
+    support = sorted({j for v in source.basis.sparse_vectors for j in v})
+    if support and off:
+        bad = perturbed(op, rnd.choice(support), rnd.choice(off), eps)
+        with pytest.raises(ConstraintViolation):
+            restrict_operator(bad, [source], [target])
+        with pytest.raises(ConstraintViolation):
+            dense_restriction(bad, source, target)
+    if p < 3 and squares_to_zero(cx, p + 1):
+        images = [v for v, _ in apply_sparse(op, source.basis.integral[0]) if v]
+        if images:
+            column = rnd.choice(sorted({j for v in images for j in v}))
+            cx._operators[p + 1] = perturbed(cx.operator(p + 1), column, rnd.randrange(cx.operator(p + 1).size), eps)
+            assert not squares_to_zero(cx, p + 1)
+
+
+def test_restriction_and_certificate_do_no_fraction_arithmetic(monkeypatch):
+    counts = {}
+
+    def counting(name):
+        method = getattr(Q, name)
+
+        def wrapper(*args):
+            counts[name] = counts.get(name, 0) + 1
+            return method(*args)
+
+        return wrapper
+
+    names = ["__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__truediv__"]
+    for name in names:
+        monkeypatch.setattr(Q, name, counting(name))
+    assert Q(1, 2) * Q(1, 3) + Q(1, 5) - Q(1, 7) == Q(1, 6) + Q(2, 35)
+    assert {"__mul__", "__add__", "__sub__"} <= counts.keys()  # the counters see the arithmetic
+    # h3 twisted by diag(1/2, 2/3, 1/3), whose delta^2 vanishes on the basis of
+    # C^2, then the fractional shear, whose columns read carry denominators
+    fractional = []
+    for a, rep in (fractional_inputs()[0], fractional_shear()):
+        cx = CochainComplex(a, rep)
+        for p in (2, 3):
+            cx.space(p).tables  # spaces and tables are built beforehand: the count covers the rest
+        counts.clear()
+        cx.delta(2)
+        assert squares_to_zero(cx, 3)
+        assert counts == {}
+        columns = [x for p in (2, 3) for col in cx.operator(p)._built.values() for _, x in col]
+        fractional.append(sum(x.denominator > 1 for x in columns))
+    assert fractional[1] > 0

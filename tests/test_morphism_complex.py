@@ -3,7 +3,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from homleibniz.cochain import random_cochain
 from homleibniz.fixtures import (
     abelian_algebra,
     fixture_morphisms,
@@ -17,7 +16,7 @@ from homleibniz.morphism_complex import (
     MorphismCochain,
     MorphismComplex,
 )
-from oracles import blockwise_differential, morphism_ambient, pull_tensor, push_tensor
+from oracles import blockwise_differential, morphism_ambient, pull_tensor, push_tensor, random_cochain
 
 
 def random_morphism_cochain(mc, p, rng):
