@@ -15,7 +15,6 @@ from .algebra import (
     yau_twist,
 )
 from .cochain import (
-    CalibrationError,
     Cochain,
     CochainComplex,
     CochainSpace,
@@ -24,7 +23,6 @@ from .cochain import (
     NotACochainComplex,
     SignConvention,
     all_conventions,
-    calibrate_convention,
     calibration_report,
 )
 from .deformation import (

@@ -14,31 +14,27 @@ on its prefix's, built depth first with one partial column per level.
 
 The coboundary consists of four term groups.  Their unit signs, the slot
 order of the bracket on (n-1)-tuples, and two typographically ambiguous
-readings are collected in SignConvention; calibrate_convention searches the
-finite convention space for those making the composite coboundary vanish
-exactly and pins a canonical default.
+readings are collected in SignConvention; calibration_report finds the
+conventions under which the composite coboundary vanishes exactly.
 
 Each term is f precomposed with a tensor product of small maps (alpha, abar,
 the bracket, the identity) after a slot permutation, in terms C and D then
 acted on by the module.  coboundary_operator assembles delta^p column by
 column from those maps, transposed once per (algebra, rep, p) in the
 SlotTables that CochainSpace(p) keeps for every convention.  Each table holds
-int numerators over one denominator of its own, so a column is summed in
-Python ints over one common denominator q of (p, convention), and each of
-its nonzeros becomes a Fraction once, when the column is emitted.  A
+int numerators over one denominator of its own, and a column is summed and
+kept in Python ints over one common denominator q of (p, convention).  A
 Columns cache builds each column on its first read: restrict_operator and
-squares_to_zero read the columns on the support of the source bases,
-delta_ambient those on its input's support, and only the extension solve
-reads every column, through MorphismComplex.operator.  Restriction runs in
-Python ints from a column to a restricted entry: apply_sparse maps vectors
-held as int numerators over one denominator, the source bases come so from
-SubspaceBasis.integral, built once per basis and shared by every
-convention, and coords_in_basis checks each image by int back-substitution
-and makes one Fraction per nonzero coordinate.
-
-delta o delta = 0 is certified in one place, squares_to_zero, as an int
-zero test on the sparse ambient operators; both complexes' cohomology_dim
-and the calibration call it.
+squares_to_zero read the columns on the support of the source bases, and
+only the extension solve reads every column, through
+MorphismComplex.operator.  From the constraint rows and the operator
+columns to the rank, cochain data stay in ints: apply_sparse maps int
+vectors, the source bases come so from SubspaceBasis.integral, and
+coords_in_basis checks each image by int back-substitution, so the
+restricted matrix holds int numerators over one denominator.  delta o
+delta = 0 is certified in one place, squares_to_zero, as an int zero test
+on the sparse ambient operators; both complexes' cohomology_dim and the
+calibration call it.
 """
 
 from __future__ import annotations
@@ -50,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import cadd, precompose
-from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum, integral_vector
+from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum
 from .linalg import kernel_basis, rank, sparse_vector
 
 
@@ -60,10 +56,6 @@ class ConstraintViolation(Exception):
 
 class NotACochainComplex(Exception):
     """delta o delta failed to vanish; invalid convention or invalid input."""
-
-
-class CalibrationError(Exception):
-    """No sign convention satisfies the d-squared-zero battery."""
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +184,29 @@ class CochainSpace:
         return SlotTables(self.algebra, self.rep, self.degree)
 
     def _constraint_kernel(self):
+        """Kernel of the constraint rows, built in ints: with alpha over den_a,
+        alpha^{tensor k} is over den_a^k, and both terms go over one lcm."""
         a, rep = self.algebra, self.rep
         d, m = a.dim, rep.module_dim
         rows = []
-        alpha_cols = [a.alpha_combo(i) for i in range(d)]
-        alpha_m_cols = [rep.alpha_module.column(mm) for mm in range(m)]
-        for inp, kron in _kron_columns(alpha_cols, self.in_len, 0, {0: Q(1)}):
+        alpha_cols, den_a = _integral([list(a.alpha_combo(i).items()) for i in range(d)])
+        alpha_m_cols, den_m = _integral([list(rep.alpha_module.column(mm).items()) for mm in range(m)])
+        den = math.lcm(den_m, den_a ** self.in_len)
+        w_m, w_k = den // den_m, den // den_a ** self.in_len
+        for inp, kron in _kron_columns([dict(c) for c in alpha_cols], self.in_len, 0, {0: 1}):
             # one sparse row per output index mo; the alpha_M o f term
             block = [{} for _ in range(m)]
             base = inp * m
             for mm, col in enumerate(alpha_m_cols):
-                for mo, c in col.items():
-                    block[mo][base + mm] = c
+                for mo, c in col:
+                    block[mo][base + mm] = c * w_m
             # - f o (alpha tensor abar...) term, abar expanded on the basis input
             for key, v in kron.items():
                 at = key * m
                 for mo, row in enumerate(block):
-                    row[at + mo] = row.get(at + mo, 0) - v
+                    row[at + mo] = row.get(at + mo, 0) - v * w_k
             rows += [{c: x for c, x in row.items() if x} for row in block]
-        return kernel_basis(Matrix.from_rows(rows, self.ambient))
+        return kernel_basis(Matrix.from_rows(rows, self.ambient, den))
 
     def _sparse(self, coeffs):
         if len(coeffs) != self.ambient:
@@ -325,6 +321,11 @@ class SlotTables:
         self.mu, self.den["mu"] = _integral(mu)
         self.action_c, self.den["action_c"] = _integral(action_c)
         self.action_d, self.den["action_d"] = _integral(action_d)
+        # q[yf]: the common denominator of delta^p's columns (coboundary_operator)
+        den = self.den
+        rest = (den["mu"] * den["abar"] ** (p - 1), den["action_c"], den["action_d"])
+        self.q = {yf: math.lcm(den["alpha"] * den["bracket"][yf] * den["abar"] ** max(p - 2, 0), *rest)
+                  for yf in (False, True)}
 
 
 def _bracket_rows(a, yf, alpha_cols):
@@ -369,7 +370,8 @@ def _products(factors, base, weight):
 
 
 def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=None, space=None):
-    """Columns of the sparse ambient matrix of delta^p, as {column: [(row, coeff), ...]}.
+    """Columns of the sparse ambient matrix of delta^p, as {column: [(row, coeff), ...]}
+    with int coeffs over q.
 
     columns lists the ambient columns wanted, all of them when None; empty
     columns are omitted and every column is sorted by row.  The SlotTables
@@ -381,9 +383,9 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
 
     The table entries are int numerators, so each term is an int over the
     product of its factors' table denominators.  Every term group is brought
-    over one common denominator q by an int weight (its sign times q over
-    its denominator), the column is summed in ints, and each nonzero
-    becomes a Fraction once, over q, when the column is emitted.
+    over the common denominator q = tables.q[bracket_y_first] by an int
+    weight (its sign times q over its denominator), and each coeff is the
+    column's int sum, its entry times q.
     """
     t = space.tables if space is not None else SlotTables(algebra, rep, p)
     cv = convention
@@ -395,10 +397,9 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
     # a product is an int over its tables' denominators: term A's over den_a
     # times abar^k, k its abar slots (p - 2, or j - 2 when hat-bare), term B's
     # over den_b; a group's weight is its sign times q over that denominator
-    den, abar = t.den, t.den["abar"]
+    den, abar, q = t.den, t.den["abar"], t.q[cv.bracket_y_first]
     den_a = den["alpha"] * den["bracket"][cv.bracket_y_first]
     den_b = den["mu"] * abar ** (p - 1)
-    q = math.lcm(den_a * abar ** max(p - 2, 0), den_b, den["action_c"], den["action_d"])
     weight_a = {j: cv.sign_a * (-1) ** j * (q // (den_a * abar ** (p - 2 if cv.twist_after_hat else j - 2)))
                 for j in range(2, p + 1)}
     weight_b = [cv.sign_b * (-1) ** i * (q // den_b) for i in range(p + 1)]
@@ -452,7 +453,7 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
             row = (z0 * w[0] + X * w[1] + base[i]) * m + mo
             acc[row] = acc.get(row, 0) + weight_d * c
 
-        entries = [(row, Fraction(v, q)) for row, v in sorted(acc.items()) if v]
+        entries = [(row, v) for row, v in sorted(acc.items()) if v]
         if entries:
             out[col] = entries
     return out
@@ -462,14 +463,16 @@ class Columns:
     """The columns of a sparse ambient operator, each built on its first read.
 
     build(js) returns {j: [(row, coeff), ...]} for the columns js, empty ones
-    omitted.  Every read builds the missing columns first, so a column that
-    was never built never reads as zero.
+    omitted, each coeff an int numerator over den.  Every read builds the
+    missing columns first, so a column that was never built never reads as
+    zero.
     """
 
-    def __init__(self, build, size):
+    def __init__(self, build, size, den):
         self._build = build
         self._built = {}
         self.size = size
+        self.den = den
 
     def read(self, js):
         """{j: column}, covering js; the missing columns are built in one batch."""
@@ -483,32 +486,17 @@ class Columns:
 
 def apply_sparse(op, vectors):
     """Images of the sparse vectors under the Columns op, read in one batch.
-    Each vector, and each image, is (int numerators, den): the columns read
-    are scaled to ints over their own lcm once per call, and an image's den
-    is its vector's times the lcm of those of the columns it reaches."""
-    js = sorted({j for vec, _ in vectors for j in vec})
-    built = op.read(js)
-    cols = {j: integral_vector(built[j]) for j in js}
+    Each vector, and each image, is (int numerators, den); an image's den is
+    its vector's times op.den."""
+    built = op.read(sorted({j for vec, _ in vectors for j in vec}))
     images = []
     for vec, den in vectors:
-        lcm = 1
-        for j in vec:
-            if lcm % cols[j][1]:
-                lcm = math.lcm(lcm, cols[j][1])
         out = {}
         for j, x in vec.items():
-            col, d = cols[j]
-            x *= lcm // d
-            for row, v in col.items():
+            for row, v in built[j]:
                 out[row] = out.get(row, 0) + v * x
-        images.append(({row: v for row, v in out.items() if v}, den * lcm))
+        images.append(({row: v for row, v in out.items() if v}, den * op.den))
     return images
-
-
-def apply_operator(op, coeffs, out_dim):
-    """apply_sparse on a dense vector, returning a dense vector of length out_dim."""
-    image, den = apply_sparse(op, [integral_vector(sparse_vector(coeffs).items())])[0]
-    return dense_vector({row: Q(v, den) for row, v in image.items()}, out_dim)
 
 
 def coboundary_matrix(space: CochainSpace, target_space, op) -> Matrix:
@@ -522,20 +510,21 @@ def restrict_operator(op, sources, targets) -> Matrix:
     Column j is the image of the j-th basis vector of the sources' direct
     sum, in coordinates over the targets' direct sum; an image that leaves
     it raises ConstraintViolation.  Only the columns of op on the support
-    of the sources' bases are read.
+    of the sources' bases are read.  The image of vector j, (B_j, d_j), is
+    over d_j * op.den, so the matrix holds int numerators over L * op.den.
     """
     target = direct_sum([t.basis for t in targets])
+    vectors, lcm = direct_sum([s.basis for s in sources]).integral
     rows = [{} for _ in range(target.dim)]
-    vectors = direct_sum([s.basis for s in sources]).integral[0]
     for j, (image, den) in enumerate(apply_sparse(op, vectors)):
-        col = coords_in_basis(target, image, den)
+        col = coords_in_basis(target, image)
         if col is None:
             raise ConstraintViolation(
                 f"an image is not twist-compatible in degree {targets[0].degree}"
             )
         for i, x in col.items():
-            rows[i][j] = x
-    return Matrix.from_rows(rows, len(vectors))
+            rows[i][j] = x * (lcm * op.den // den)
+    return Matrix.from_rows(rows, len(vectors), lcm * op.den)
 
 
 def squares_to_zero(cx, p) -> bool:
@@ -594,15 +583,11 @@ class CochainComplex:
         holds no reference to the complex: a reference cycle would leave
         every complex to the cyclic collector and raise peak memory."""
         if p not in self._operators:
-            a, rep = self.algebra, self.rep
-            build = functools.partial(coboundary_operator, a, rep, p, self.convention, space=self.space(p))
-            self._operators[p] = Columns(build, ambient_dim(a, rep, p))
+            a, rep, space = self.algebra, self.rep, self.space(p)
+            build = functools.partial(coboundary_operator, a, rep, p, self.convention, space=space)
+            den = space.tables.q[self.convention.bracket_y_first]
+            self._operators[p] = Columns(build, ambient_dim(a, rep, p), den)
         return self._operators[p]
-
-    def delta_ambient(self, p, coeffs):
-        return apply_operator(
-            self.operator(p), coeffs, ambient_dim(self.algebra, self.rep, p + 1)
-        )
 
     def delta(self, p) -> Matrix:
         if p not in self._matrices:
@@ -660,14 +645,4 @@ def calibration_report(battery, conventions=None, degrees=(1, 2)):
         if not surviving:
             break
     return surviving
-
-
-def calibrate_convention(battery, conventions=None, degrees=(1, 2)):
-    """Pin a canonical convention; fails loudly when no convention works."""
-    passing = calibration_report(battery, conventions, degrees)
-    if not passing:
-        raise CalibrationError("no sign convention satisfies delta-squared = 0")
-    if DEFAULT_CONVENTION in passing:
-        return DEFAULT_CONVENTION
-    return sorted(passing, key=lambda c: c.label())[0]
 

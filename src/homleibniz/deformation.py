@@ -312,7 +312,7 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     if not rhs.keys() <= rows.keys():
         return None  # an equation 0 = F_l at an index where d^2 has no row
     order = sorted(rows)
-    x = solve(Matrix.from_rows([rows[r] for r in order], op.size), [rhs.get(r, Q(0)) for r in order])
+    x = solve(Matrix.from_rows([rows[r] for r in order], op.size, op.den), [rhs.get(r, Q(0)) for r in order])
     if x is None:
         return None
 

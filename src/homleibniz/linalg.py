@@ -3,27 +3,25 @@
 Cochain-space bases, ranks of restricted differentials and deformation
 solves reduce to the four operations here: rank, kernel_basis, solve and
 coords_in_basis.  Only this module knows how matrices and subspaces are
-stored, and the storage is sparse: Matrix rows, basis vectors and the
-vectors passed around are {index: nonzero Fraction}.  Matrix.from_rows is
-the sparse constructor, Matrix.row and Matrix.column the sparse accessors;
-Matrix(rows, cols, grid), .entries and .vectors convert dense grids for
-documents and tests.
-rank, kernel_basis and solve share one elimination over the sparse rows;
-the reduced row echelon form is unique, so its pivots are the first nonzero
-columns in column order, and every result equals dense Gauss-Jordan
-elimination's, whatever the row order.  Like sympy's sdm_irref, it indexes
-each column to the reduced rows holding it, so a new pivot costs their nonzeros.
-coords_in_basis accepts the coordinates read at the unit rows only when
-their combination equals the vector, by int back-substitution on int
-numerators over one denominator (integral_vector, SubspaceBasis.integral),
-at the cost of the nonzeros involved and one Fraction per coordinate.
-delta o delta = 0 is certified on the sparse coboundary operators of
-cochain.py, never by a Matrix product.
+stored, and the storage is sparse: Matrix rows are {index: nonzero}, of
+Fractions, or of int numerators over one Matrix.den, as the restriction
+and the constraint kernel build them; every accessor returns Fractions.
+rank, kernel_basis and solve share one fraction-free elimination over int
+rows, _eliminate, and make Fractions only for the kernel vectors and the
+solution.  The reduced row echelon form is unique, so its pivots are the
+first nonzero columns in column order, and every result equals dense
+Gauss-Jordan elimination's, whatever the row order.  Like sympy's
+sdm_irref, it indexes each column to the reduced rows holding it, so a
+new pivot costs their nonzeros.  coords_in_basis reads the coordinates at
+the unit rows and accepts them only by int back-substitution on
+SubspaceBasis.integral.  delta o delta = 0 is certified on the sparse
+coboundary operators of cochain.py, never by a Matrix product.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -62,9 +60,11 @@ def _add_scaled(dst, f, src):
 
 
 class Matrix:
-    """rows x cols matrix of Fractions over sparse rows, immutable by convention."""
+    """rows x cols rational matrix over sparse rows, immutable by convention.
+    The rows hold the entries, or int numerators over den when den is not
+    None; every accessor returns the entries."""
 
-    __slots__ = ("rows", "cols", "_data", "_columns")
+    __slots__ = ("rows", "cols", "_data", "_columns", "den")
 
     def __init__(self, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
@@ -73,28 +73,33 @@ class Matrix:
         self.cols = cols
         self._data = [sparse_vector(row) for row in entries]
         self._columns = None
+        self.den = None
 
     @classmethod
-    def from_rows(cls, rows, cols):
-        """The matrix of the sparse rows {column < cols: nonzero Fraction}, not copied."""
+    def from_rows(cls, rows, cols, den=None):
+        """The matrix of the sparse rows {column < cols: nonzero}, not copied, over den if given."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._data, m._columns = len(rows), cols, rows, None
+        m.rows, m.cols, m._data, m._columns, m.den = len(rows), cols, rows, None, den
         return m
+
+    def _values(self):
+        """The sparse rows of entries, as Fractions when the rows hold numerators."""
+        return self._data if self.den is None else [{c: Q(x, self.den) for c, x in r.items()} for r in self._data]
 
     @property
     def entries(self):
         """Dense rows x cols grid of Fractions, built on each read."""
-        return [dense_vector(row, self.cols) for row in self._data]
+        return [dense_vector(row, self.cols) for row in self._values()]
 
     def row(self, i):
         """Row i as a sparse {column: nonzero entry}; shared, so never modify it."""
-        return self._data[i]
+        return self._data[i] if self.den is None else {c: Q(x, self.den) for c, x in self._data[i].items()}
 
     def column(self, j):
         """Column j as a sparse {row: nonzero entry}; built once, so never modify it."""
         if self._columns is None:
             self._columns = [{} for _ in range(self.cols)]
-            for i, row in enumerate(self._data):
+            for i, row in enumerate(self._values()):
                 for c, x in row.items():
                     self._columns[c][i] = x
         return self._columns[j]
@@ -110,10 +115,10 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self._data) == (other.rows, other.cols, other._data)
+        return (self.rows, self.cols, self._values()) == (other.rows, other.cols, other._values())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._data)))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._values())))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -121,8 +126,8 @@ class Matrix:
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        out = [dict(r) for r in self._data]
-        for row, r2 in zip(out, other._data):
+        out = [dict(r) for r in self._values()]
+        for row, r2 in zip(out, other._values()):
             _add_scaled(row, -1, r2)
         return Matrix.from_rows(out, self.cols)
 
@@ -130,23 +135,24 @@ class Matrix:
         """Row i of the product is sum_k self[i][k] * other's row k, over nonzeros only."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out = []
-        for row in self._data:
+        out, right = [], other._values()
+        for row in self._values():
             acc = {}
             for k, a in row.items():
-                _add_scaled(acc, a, other._data[k])
+                _add_scaled(acc, a, right[k])
             out.append(acc)
         return Matrix.from_rows(out, other.cols)
 
     def scaled(self, c):
         c = Q(c)
-        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._data]
+        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._values()]
         return Matrix.from_rows(rows, self.cols)
 
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length does not match cols")
-        return [sum((a * vec[c] for c, a in row.items()), _ZERO) for row in self._data]
+        out = [sum((a * vec[c] for c, a in row.items()), _ZERO) for row in self._data]
+        return out if self.den is None else [x / self.den for x in out]
 
     def power(self, k):
         if self.rows != self.cols:
@@ -212,31 +218,48 @@ def direct_sum(bases):
     return SubspaceBasis(offset, vectors, units)
 
 
-def _rref(m: Matrix, b=()):
-    """RREF of m, with b as an extra column m.cols, as {pivot column: sparse row}.
+def _eliminate(m: Matrix, b=()):
+    """RREF of m, with b as an extra column m.cols, as {pivot column: int row}.
 
-    Each row is reduced by the pivot rows so far; a nonzero remainder is scaled
-    to 1 at its smallest column, its pivot, which is cleared from the reduced
-    rows holding it off their pivot, listed in holders; cancelled cells leave it.
+    Fraction-free Gauss-Jordan elimination (Bareiss; sympy's sdm_rref_den):
+    row / row[pivot] is the RREF row, kept primitive with its pivot entry > 0.
+    Each row, in ints and scaled by the lcm of the pivot entries it meets,
+    is reduced by those pivot rows, zero at one another's pivots.  A nonzero
+    remainder pivots at its smallest column, which is cleared from the rows
+    holding it off their pivot, listed in holders; cancelled cells leave it.
     """
-    rows = [dict(row) for row in m._data]
-    for row, x in zip(rows, b):
-        if x:
-            row[m.cols] = Q(x)
     red, holders = {}, {}
-    for row in rows:
-        for p in [c for c in row if c in red]:
-            _add_scaled(row, -row[p], red[p])
+    for row, rhs in zip(m._data, b or itertools.repeat(0)):
+        if rhs:
+            row = row | {m.cols: rhs * (m.den or 1)}
+        if not row:
+            continue
+        row = integral_vector(row.items())[0] if m.den is None or rhs else dict(row)
+        hits, lcm = [p for p in row if p in red], 1
+        for p in hits:
+            if lcm % red[p][p]:
+                lcm = math.lcm(lcm, red[p][p])
+        if lcm != 1:
+            row = {c: v * lcm for c, v in row.items()}
+        for p in hits:
+            f = row[p] // red[p][p]
+            for c, x in red[p].items():
+                if v := row.get(c, 0) - f * x:
+                    row[c] = v
+                else:
+                    del row[c]
         if not row:
             continue
         pivot = min(row)
-        inv = row[pivot]
-        if inv != 1:
-            row = {c: x / inv for c, x in row.items()}
+        if (g := math.gcd(*row.values()) * (1 if row[pivot] > 0 else -1)) != 1:
+            row = {c: v // g for c, v in row.items()}
         rest = [(c, x) for c, x in row.items() if c != pivot]
         for q in holders.pop(pivot, ()):
             other = red[q]
-            f = other.pop(pivot)
+            g = math.gcd(other[pivot], row[pivot])
+            a, f = row[pivot] // g, other.pop(pivot) // g
+            if a != 1:
+                other = {c: v * a for c, v in other.items()}
             for c, x in rest:
                 if c not in other:
                     other[c] = -f * x
@@ -246,14 +269,21 @@ def _rref(m: Matrix, b=()):
                 else:
                     del other[c]
                     holders[c].remove(q)
+            g = math.gcd(*other.values())
+            red[q] = {c: v // g for c, v in other.items()} if g != 1 else other
         for c, _ in rest:
             holders.setdefault(c, set()).add(pivot)
         red[pivot] = row
     return red
 
 
+def _rref(m: Matrix, b=()):
+    """_eliminate's RREF with each row over its pivot entry, in Fractions."""
+    return {p: {c: Q(v, row[p]) for c, v in row.items()} for p, row in _eliminate(m, b).items()}
+
+
 def rank(m: Matrix) -> int:
-    return len(_rref(m))
+    return len(_eliminate(m))
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
@@ -274,22 +304,20 @@ def solve(m: Matrix, b):
     """
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match rows")
-    red = _rref(m, b)
+    red = _eliminate(m, b)
     if m.cols in red:
         return None
     x = [_ZERO] * m.cols
     for p, row in red.items():
-        x[p] = row.get(m.cols, _ZERO)
+        x[p] = Q(row.get(m.cols, 0), row[p])
     return x
 
 
-def coords_in_basis(basis: SubspaceBasis, vec, den=1):
-    """Sparse coordinates {j: c} of vec / den in basis, or None when it is
-    outside the span; vec holds sparse numerators over den (ints, or
-    Fractions over den 1).  The coordinate of vector j, read where vec meets
-    its unit row u_j, is verified by int back-substitution on basis.integral:
-    sum_j vec[u_j] * B_j * (L / d_j) must equal vec * L.  Each nonzero
-    coordinate becomes one Fraction, vec[u_j] / den."""
+def coords_in_basis(basis: SubspaceBasis, vec):
+    """Sparse coordinates {j: c} of vec in basis, or None when it is outside
+    the span; int numerators of vec over a den give int numerators over den.
+    The coordinate of vector j, vec's entry at its unit row u_j, is accepted
+    by int back-substitution: sum_j vec[u_j] * B_j * (L / d_j) = vec * L."""
     vectors, L = basis.integral
     acc = {i: -x * L for i, x in vec.items()}
     coords = {basis.unit_rows[i]: x for i, x in vec.items() if x and i in basis.unit_rows}
@@ -298,4 +326,4 @@ def coords_in_basis(basis: SubspaceBasis, vec, den=1):
         x *= L // d
         for r, b in nums.items():
             acc[r] = acc.get(r, 0) + x * b
-    return None if any(acc.values()) else {j: Q(x, den) for j, x in coords.items()}
+    return None if any(acc.values()) else coords

@@ -7,21 +7,24 @@ All three summands share one sign convention.
 
 d^p is assembled in one place, MorphismComplex.operator: a Columns cache
 whose columns are built on first read from the three summand complexes'
-operator columns plus the push and pull columns.  d_matrix restricts it to
-the direct-sum bases for cohomology and reads the columns on their support
-only; deformation.solve_extension solves against it at the ambient level,
-its unknowns unconstrained, and reads every column.  d^p o d^{p-1} = 0 is
-certified on these operators by cochain.squares_to_zero, as for the summand
-complexes.  _d_columns is the only code that applies phi to a cochain:
-differential and the vanishing-transfer witness both read d_matrix.  A push
-column phi.u applies phi to the output index; a pull column -v.phi is the
-unit tensor of v precomposed with phi in every input slot, by
-algebra.precompose, so it visits only the inputs that phi sends onto its key.
+operator columns plus the push and pull columns, all in int numerators
+over one denominator, phi's matrix taken over the lcm of its entries.
+d_matrix restricts it to the direct-sum bases for cohomology and reads the
+columns on their support only; deformation.solve_extension solves against
+it at the ambient level, its unknowns unconstrained, and reads every
+column.  d^p o d^{p-1} = 0 is certified on these operators by
+cochain.squares_to_zero, as for the summand complexes.  _d_columns is the
+only code that applies phi to a cochain: differential and the
+vanishing-transfer witness both read d_matrix.  A push column phi.u applies
+phi to the output index; a pull column -v.phi is the unit tensor of v
+precomposed with phi in every input slot, by algebra.precompose, so it
+visits only the inputs that phi sends onto its key.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 from .algebra import Morphism, adjoint_representation, precompose, pullback_representation
@@ -35,6 +38,7 @@ from .cochain import (
     input_length,
     restrict_operator,
     _flat,
+    _integral,
 )
 from .linalg import Matrix, Q, rank, solve
 
@@ -43,38 +47,41 @@ class HypothesisNotMet(Exception):
     """A vanishing-transfer precondition (a cohomology group) is nonzero."""
 
 
-def _d_columns(phi, p, ops, dims, js):
-    """{j: column} of d^p for the columns js, from the columns of the summand
-    operators ops (delta^p of L and of M, then delta^{p-1} of the mixed
-    complex) and the ambient sizes dims in degrees p and p+1."""
+def _d_columns(phi, phi_int, p, ops, dims, den, js):
+    """{j: column} of d^p for the columns js, in int numerators over den,
+    from the columns of the summand operators ops (delta^p of L and of M,
+    then delta^{p-1} of the mixed complex), the ambient sizes dims in
+    degrees p and p+1, and phi_int, phi's matrix as ints over their lcm."""
     (au, av, _), (ru, rv, _) = dims
     third = ru + rv
     d_src, d_tgt = phi.source.dim, phi.target.dim
-    phi_cols = [phi.column(k) for k in range(d_src)]
+    phi_num, phi_den = phi_int
+    in_len = input_length(phi.source.arity, p)
     us = [j for j in js if j < au]
     vs = [j - au for j in js if au <= j < au + av]
     ws = [j - au - av for j in js if j >= au + av]
     op = {}
     # u: delta u on top, phi.u below; phi acts on the output index
-    left = ops[0].read(us)
+    left, scale, push = ops[0].read(us), den // ops[0].den, den // phi_den
     for j in us:
         pos, k = divmod(j, d_src)
-        op[j] = left[j] + [(third + pos * d_tgt + r, x) for r, x in phi_cols[k].items()]
+        op[j] = [(r, x * scale) for r, x in left[j]] + [
+            (third + pos * d_tgt + r, x * push) for r, x in phi_num.column(k).items()
+        ]
     # v: delta v, then -v.phi; phi acts on every input slot
-    right = ops[1].read(vs)
-    in_len = input_length(phi.source.arity, p)
+    right, scale, pull = ops[1].read(vs), den // ops[1].den, den // phi_den ** in_len
     for j in vs:
         pos, mo = divmod(j, d_tgt)
         key = tuple(pos // d_tgt ** (in_len - 1 - s) % d_tgt for s in range(in_len))
-        pulled = precompose({key: {mo: Q(1)}}, [phi.matrix] * in_len)
-        op[au + j] = [(ru + r, x) for r, x in right[j]] + [
-            (third + _flat(Z, d_src) * d_tgt + mo, -entry[mo]) for Z, entry in pulled.items()
+        pulled = precompose({key: {mo: 1}}, [phi_num] * in_len)
+        op[au + j] = [(ru + r, x * scale) for r, x in right[j]] + [
+            (third + _flat(Z, d_src) * d_tgt + mo, -entry[mo] * pull) for Z, entry in pulled.items()
         ]
     # w: -delta w
     if ws:
-        mixed = ops[2].read(ws)
+        mixed, scale = ops[2].read(ws), den // ops[2].den
         for j in ws:
-            op[au + av + j] = [(third + r, -x) for r, x in mixed[j]]
+            op[au + av + j] = [(third + r, -x * scale) for r, x in mixed[j]]
     return {j: col for j, col in op.items() if col}
 
 
@@ -161,7 +168,11 @@ class MorphismComplex:
             ops = [self.left.operator(p), self.right.operator(p)]
             ops += [self.mixed.operator(p - 1)] if p >= 2 else []
             dims = self.ambient_dims(p), self.ambient_dims(p + 1)
-            self._operators[p] = Columns(functools.partial(_d_columns, self.phi, p, ops, dims), sum(dims[0]))
+            rows, phi_den = _integral([list(self.phi.matrix.row(i).items()) for i in range(self.phi.target.dim)])
+            phi_int = Matrix.from_rows([dict(r) for r in rows], self.phi.source.dim), phi_den
+            den = math.lcm(*(op.den for op in ops), phi_den ** input_length(self.phi.source.arity, p))
+            build = functools.partial(_d_columns, self.phi, phi_int, p, ops, dims, den)
+            self._operators[p] = Columns(build, sum(dims[0]), den)
         return self._operators[p]
 
     def d_matrix(self, p) -> Matrix:

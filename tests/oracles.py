@@ -88,11 +88,12 @@ from homleibniz.cochain import (
     SignConvention,
     _flat,
     ambient_dim,
+    apply_sparse,
     coboundary_matrix,
     input_length,
 )
 from homleibniz.deformation import ObstructionCochain, algebra_order_residual
-from homleibniz.linalg import Matrix
+from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_vector, sparse_vector
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
 from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
@@ -363,8 +364,31 @@ def bracket_table_by_tuples(algebra, yf):
 
 
 def as_columns(op_cols, size):
-    """A complete {column: entries} dict as a Columns, for the restriction."""
-    return Columns(lambda js: op_cols, size)
+    """A complete {column: entries} dict of rational entries as a Columns,
+    for the restriction: int numerators over the lcm of their denominators."""
+    nums, den = integral_vector([((j, r), x) for j, col in op_cols.items() for r, x in col])
+    cols = {}
+    for (j, r), x in nums.items():
+        cols.setdefault(j, []).append((r, x))
+    return Columns(lambda js: cols, size, den)
+
+
+def fraction_columns(op_cols, den):
+    """The {column: [(row, int numerator)]} columns over den, each entry as a
+    Fraction: the view in which they compare with the row oracle."""
+    return {j: [(r, Q(x, den)) for r, x in col] for j, col in op_cols.items()}
+
+
+def apply_operator(op, coeffs, out_dim):
+    """The Columns op applied to a dense vector, by apply_sparse, as a dense
+    vector of Fractions of length out_dim."""
+    image, den = apply_sparse(op, [integral_vector(sparse_vector(coeffs).items())])[0]
+    return dense_vector({row: Q(v, den) for row, v in image.items()}, out_dim)
+
+
+def delta_ambient(cx, p, coeffs):
+    """delta^p of the CochainComplex cx on a dense ambient tensor."""
+    return apply_operator(cx.operator(p), coeffs, ambient_dim(cx.algebra, cx.rep, p + 1))
 
 
 def combine(weighted, columns=None):
@@ -457,15 +481,11 @@ def pull_tensor(phi, p, coeffs):
     return out
 
 
-def _summand_delta(cx, q, vec):
-    return cx.delta_ambient(q, vec)
-
-
-def blockwise_ambient(mc, p, u, v, w, delta=_summand_delta):
+def blockwise_ambient(mc, p, u, v, w, delta=delta_ambient):
     """d^p of the MorphismComplex mc on raw ambient tensors, block by block:
     (delta u, delta v, phi.u - v.phi - delta w), concatenated, with w empty
     in degree 1.  delta(cx, q, vec) evaluates a summand complex's coboundary;
-    by default cx.delta_ambient, the summand operator that the row oracle
+    by default delta_ambient, the summand operator that the row oracle
     checks on its own."""
     phi = mc.phi
     third = [x - y for x, y in zip(push_tensor(phi, u, phi.source.dim), pull_tensor(phi, p, v))]
@@ -571,6 +591,46 @@ def dense_rref(entries, rows, cols):
     return m, pivots
 
 
+def fraction_rref(m: Matrix, b=()):
+    """RREF of m, with b as an extra column m.cols, as {pivot column: sparse row}.
+
+    Each row is reduced by the pivot rows so far; a nonzero remainder is scaled
+    to 1 at its smallest column, its pivot, which is cleared from the reduced
+    rows holding it off their pivot, listed in holders; cancelled cells leave it.
+    """
+    rows = [dict(row) for row in m._data]
+    for row, x in zip(rows, b):
+        if x:
+            row[m.cols] = Q(x)
+    red, holders = {}, {}
+    for row in rows:
+        for p in [c for c in row if c in red]:
+            _add_scaled(row, -row[p], red[p])
+        if not row:
+            continue
+        pivot = min(row)
+        inv = row[pivot]
+        if inv != 1:
+            row = {c: x / inv for c, x in row.items()}
+        rest = [(c, x) for c, x in row.items() if c != pivot]
+        for q in holders.pop(pivot, ()):
+            other = red[q]
+            f = other.pop(pivot)
+            for c, x in rest:
+                if c not in other:
+                    other[c] = -f * x
+                    holders.setdefault(c, set()).add(q)
+                elif v := other[c] - f * x:
+                    other[c] = v
+                else:
+                    del other[c]
+                    holders[c].remove(q)
+        for c, _ in rest:
+            holders.setdefault(c, set()).add(pivot)
+        red[pivot] = row
+    return red
+
+
 def dense_rank(m):
     return len(dense_rref(m.entries, m.rows, m.cols)[1])
 
@@ -639,7 +699,7 @@ def dense_restriction(op_cols, space, target):
         for j, x in enumerate(bv):
             if x:
                 for r, v in op_cols.read([j])[j]:
-                    image[r] += v * x
+                    image[r] += Q(v, op_cols.den) * x
         col = dense_coords_in_basis(target.basis, image, target_vectors)
         if col is None:
             raise ConstraintViolation("image leaves the target space")

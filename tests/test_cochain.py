@@ -24,7 +24,6 @@ from homleibniz.cochain import (
     SlotTables,
     all_conventions,
     ambient_dim,
-    apply_operator,
     apply_sparse,
     coboundary_operator,
     convention_passes,
@@ -43,16 +42,19 @@ from homleibniz.fixtures import (
     twisted_ff_e,
     twisted_ternary_fff_e,
 )
-from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_vector, kernel_basis, sparse_vector
+from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_vector, kernel_basis, rank, sparse_vector
 from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
+    apply_operator,
     as_columns,
     blockwise_ambient,
     bracket_table_by_tuples,
     classical_coboundary,
     dense_convention_passes,
     dense_coords_in_basis,
+    delta_ambient,
     dense_restriction,
+    fraction_columns,
     per_input_constraint_rows,
     random_cochain,
     row_coboundary_operator,
@@ -186,10 +188,10 @@ def test_coboundary_is_linear():
         f = random_cochain(sp, rng)
         g = random_cochain(sp, rng)
         c = Q(rng.randint(-3, 3), rng.choice([1, 2]))
-        lhs = cc.delta_ambient(1, [c * x + y for x, y in zip(f.coeffs, g.coeffs)])
+        lhs = delta_ambient(cc, 1, [c * x + y for x, y in zip(f.coeffs, g.coeffs)])
         rhs = [
             c * x + y
-            for x, y in zip(cc.delta_ambient(1, f.coeffs), cc.delta_ambient(1, g.coeffs))
+            for x, y in zip(delta_ambient(cc, 1, f.coeffs), delta_ambient(cc, 1, g.coeffs))
         ]
         assert lhs == rhs
 
@@ -203,7 +205,7 @@ def test_operator_and_tensor_evaluation_agree():
         for p in (1, 2):
             f = [Q(rng.randint(-2, 2)) for _ in range(ambient_dim(a, rep, p))]
             reference = as_columns(row_coboundary_operator(a, rep, p), len(f))
-            assert cc.delta_ambient(p, f) == apply_operator(reference, f, ambient_dim(a, rep, p + 1))
+            assert delta_ambient(cc, p, f) == apply_operator(reference, f, ambient_dim(a, rep, p + 1))
 
 
 def test_delta_squared_zero_on_matrices():
@@ -230,7 +232,7 @@ def test_pinned_convention_matches_classical_coboundary():
         for p in (1, 2):
             for _ in range(10):
                 f = [Q(rng.randint(-3, 3)) for _ in range(ambient_dim(a, rep, p))]
-                assert cc.delta_ambient(p, f) == classical_coboundary(a, p, f)
+                assert delta_ambient(cc, p, f) == classical_coboundary(a, p, f)
 
 
 def test_degree_one_formula_by_hand():
@@ -240,7 +242,7 @@ def test_degree_one_formula_by_hand():
     cc = CochainComplex(a, rep)
     # g = matrix unit E_{00}: g(e) = e, g(f) = 0
     g = [Q(1), Q(0), Q(0), Q(0)]
-    dg = cc.delta_ambient(1, g)
+    dg = delta_ambient(cc, 1, g)
     # (delta g)(f, f) = -g([f,f]) + [g(f),f] + [f,g(f)] = -g(e) = -e
     # flat index of input (1,1), output 0 is (1*2+1)*2 + 0 = 6
     assert dg[6] == Q(-1)
@@ -326,19 +328,21 @@ def test_column_assembly_matches_the_row_oracle():
             space = CochainSpace(a, rep, p)  # shares its SlotTables across conventions
             for cv in all_conventions():
                 cols = coboundary_operator(a, rep, p, cv, space=space)
-                assert cols == battery_row_operators(k, p)(cv)
-                assert all(type(x) is Q for col in cols.values() for _, x in col)
+                assert fraction_columns(cols, space.tables.q[cv.bracket_y_first]) == battery_row_operators(k, p)(cv)
+                assert all(type(x) is int for col in cols.values() for _, x in col)
             # the linear reading of the oracle, checked at a convention it did not build
             cv = SignConvention.from_label("A-B+C-D-|yx|hat-bare|c-short")
             assert battery_row_operators(k, p)(cv) == row_coboundary_operator(a, rep, p, cv)
         space = CochainSpace(a, rep, 3)
         for label in DEGREE_3_CONVENTIONS:
             cv = SignConvention.from_label(label)
-            assert coboundary_operator(a, rep, 3, cv, space=space) == battery_row_operators(k, 3)(cv)
+            cols = coboundary_operator(a, rep, 3, cv, space=space)
+            assert fraction_columns(cols, space.tables.q[cv.bracket_y_first]) == battery_row_operators(k, 3)(cv)
     for a, top in ((h3_generic(), 3), (twisted_ternary_fff_e(2), 4), (twisted_aff1(2), 6)):
         rep = adjoint_representation(a)
         for p in range(1, top + 1):
-            assert coboundary_operator(a, rep, p) == row_coboundary_operator(a, rep, p)
+            q = SlotTables(a, rep, p).q[False]
+            assert fraction_columns(coboundary_operator(a, rep, p), q) == row_coboundary_operator(a, rep, p)
     for phi in fixture_morphisms():
         # d^p (u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), with the row oracle's delta
         mc = MorphismComplex(phi)
@@ -392,8 +396,9 @@ def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
             for label in labels:
                 cv = SignConvention.from_label(label)
                 cols = coboundary_operator(a, rep, p, cv, space=space)
+                assert all(type(x) is int for col in cols.values() for _, x in col)
+                cols = fraction_columns(cols, space.tables.q[cv.bracket_y_first])
                 assert cols == row_op(cv), (p, label)
-                assert all(type(x) is Q for col in cols.values() for _, x in col)
                 fractional += sum(x.denominator > 1 for col in cols.values() for _, x in col)
             assert fractional
 
@@ -428,7 +433,7 @@ def row_passes(k, cv, spaces):
     cx = CochainComplex(a, rep, cv)
     cx._spaces = spaces
     for p in (1, 2, 3):
-        cx._operators[p] = Columns(functools.partial(battery_row_operators(k, p), cv), ambient_dim(a, rep, p))
+        cx._operators[p] = as_columns(battery_row_operators(k, p)(cv), ambient_dim(a, rep, p))
     try:
         for p in (1, 2):
             cx.delta(p)
@@ -455,7 +460,7 @@ def test_unbuilt_columns_never_read_as_zero():
                 for j in rng.sample(off, min(len(off), 4)):
                     f[j] = Q(rng.randint(-3, 3), rng.randint(1, 3))
                 expected = apply_operator(reference, f, ambient_dim(a, rep, p + 1))
-                assert cx.delta_ambient(p, f) == expected
+                assert delta_ambient(cx, p, f) == expected
                 nonzero += any(expected)
     assert nonzero >= 20
     # battery member 1, aff1 twisted by diag(2, 1), rejects this convention
@@ -484,17 +489,18 @@ RESTRICTION_SPACES = [{} for _ in RESTRICTION_INPUTS]  # CochainSpaces by degree
 
 
 def perturbed(op, j, row, eps):
-    """The Columns op with eps added to its entry at (row, column j)."""
+    """The Columns op with eps added to its entry at (row, column j), over
+    op.den times eps's denominator."""
     def build(js):
         built = op.read(js)
-        cols = {i: built[i] for i in js if built[i]}
+        cols = {i: [(r, x * eps.denominator) for r, x in built[i]] for i in js if built[i]}
         if j in js:
-            col = dict(built[j])
-            col[row] = col.get(row, 0) + eps
+            col = dict(cols.get(j, []))
+            col[row] = col.get(row, 0) + eps.numerator * op.den
             cols[j] = sorted((r, x) for r, x in col.items() if x)
         return cols
 
-    return Columns(build, op.size)
+    return Columns(build, op.size, op.den * eps.denominator)
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,16 +536,18 @@ def test_int_restriction_matches_the_dense_oracles(k, p, label, eps, rnd):
     # coordinates of a rational combination of the target basis, and of it moved off the span
     coords = {j: Q(rnd.randint(-3, 3), rnd.randint(1, 5)) for j in range(target.dim)}
     inside = target.basis.combination({j: c for j, c in coords.items() if c})
-    got = coords_in_basis(target.basis, *integral_vector(inside.items()))
+    nums, den = integral_vector(inside.items())
+    got = coords_in_basis(target.basis, nums)
+    assert all(type(x) is int for x in got.values())
+    got = {j: Q(x, den) for j, x in got.items()}
     assert got == {j: c for j, c in coords.items() if c}
     assert got == sparse_vector(dense_coords_in_basis(target.basis, dense_vector(inside, target.ambient)))
-    assert all(type(x) is Q for x in got.values())
     off = [r for r in range(target.ambient) if r not in target.basis.unit_rows]
     if off:
         row = rnd.choice(off)
         moved = dict(inside)
         moved[row] = moved.get(row, 0) + eps
-        assert coords_in_basis(target.basis, *integral_vector(moved.items())) is None
+        assert coords_in_basis(target.basis, integral_vector(moved.items())[0]) is None
         assert dense_coords_in_basis(target.basis, dense_vector(moved, target.ambient)) is None
 
     # one perturbed operator entry: an image off the target space, and delta o delta != 0
@@ -586,6 +594,32 @@ def test_restriction_and_certificate_do_no_fraction_arithmetic(monkeypatch):
         cx.delta(2)
         assert squares_to_zero(cx, 3)
         assert counts == {}
-        columns = [x for p in (2, 3) for col in cx.operator(p)._built.values() for _, x in col]
+        columns = [Q(x, cx.operator(p).den) for p in (2, 3) for col in cx.operator(p)._built.values() for _, x in col]
         fractional.append(sum(x.denominator > 1 for x in columns))
     assert fractional[1] > 0
+
+
+def test_ranks_construct_no_fraction(monkeypatch):
+    # h3 twisted by diag(1/2, 2/3, 1/3), then the fractional shear: with the
+    # spaces and tables built, rank 2 and rank 3 run in ints from the operator
+    # columns through the restriction to the elimination
+    made = []
+    construct = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return construct(cls, *args, **kwargs)
+
+    ranks = []
+    for a, rep in (fractional_inputs()[0], fractional_shear()):
+        cx = CochainComplex(a, rep)
+        for p in (2, 3, 4):
+            cx.space(p).tables
+        monkeypatch.setattr(Q, "__new__", staticmethod(counting))
+        assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
+        made.clear()
+        ranks += [cx.rank(2), cx.rank(3)]
+        assert made == []
+        monkeypatch.undo()
+        assert ranks[-2:] == [rank(cx.delta(2)), rank(cx.delta(3))]
+    assert ranks[2] and ranks[3]  # the shear's restricted matrices are not zero

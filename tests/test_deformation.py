@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from homleibniz.cochain import ConstraintViolation, apply_operator
+from homleibniz.cochain import ConstraintViolation
 from homleibniz.deformation import (
     MorphismDeformation,
     TruncatedDeformation,
@@ -33,6 +33,8 @@ from homleibniz.linalg import Matrix, sparse_vector
 from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
     ambient_to_matrix,
+    apply_operator,
+    delta_ambient,
     ambient_to_multimap,
     basis_tuples,
     blockwise_differential,
@@ -284,12 +286,12 @@ def test_residual_equals_differential_minus_obstruction():
         u = multimap_to_ambient(xi, n, dL, dL)
         v = multimap_to_ambient(eta, n, dL, dL)
         wv = matrix_to_ambient(w)
-        du = mc.left.delta_ambient(2, u)
-        dv = mc.right.delta_ambient(2, v)
+        du = delta_ambient(mc.left, 2, u)
+        dv = delta_ambient(mc.right, 2, v)
         third = [
             x - y - z
             for x, y, z in zip(
-                push_tensor(phi, u, dL), pull_tensor(phi, 2, v), mc.mixed.delta_ambient(1, wv)
+                push_tensor(phi, u, dL), pull_tensor(phi, 2, v), delta_ambient(mc.mixed, 1, wv)
             )
         ]
         assert multimap_to_ambient(r1, 2 * n - 1, dL, dL) == [y - x for x, y in zip(du, fo1)]

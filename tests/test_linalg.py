@@ -14,6 +14,7 @@ from homleibniz.linalg import (
     kernel_basis,
     rank,
     dense_vector,
+    integral_vector,
     solve,
     sparse_vector,
 )
@@ -24,6 +25,7 @@ from oracles import (
     dense_rank,
     dense_rref,
     dense_solve,
+    fraction_rref,
 )
 
 rationals = st.fractions(
@@ -300,3 +302,48 @@ def test_kernel_coords_roundtrip(m, rnd):
             want[j] = c
         vec = [a + c * b for a, b in zip(vec, v)]
     assert coords_in_basis(kb, sparse_vector(vec)) == want
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free elimination against the Fraction elimination it replaced
+
+
+mixed_cells = st.one_of(st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@st.composite
+def rank_deficient_products(draw, max_dim=9):
+    """left @ right through k < min(r, c) dimensions: clearing a new pivot from
+    the reduced rows of such a product cancels cells there."""
+    r, c = draw(st.integers(2, max_dim)), draw(st.integers(2, max_dim))
+    k = draw(st.integers(1, min(r, c) - 1))
+    return Matrix(r, k, draw(grids(r, k, mixed_cells))) @ Matrix(k, c, draw(grids(k, c, mixed_cells)))
+
+
+def assert_matches_fraction_rref(m, b):
+    """_rref equals fraction_rref, without and with the column b, on m and on
+    m held as int numerators over one denominator."""
+    nums, den = integral_vector([((i, c), x) for i in range(m.rows) for c, x in m.row(i).items()])
+    rows = [{} for _ in range(m.rows)]
+    for (i, c), x in nums.items():
+        rows[i][c] = x
+    over_den = Matrix.from_rows(rows, m.cols, den)
+    assert over_den == m
+    for a in (m, over_den):
+        assert _rref(a) == fraction_rref(m)
+        assert _rref(a, b) == fraction_rref(m, b)
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices(max_dim=7, cells=mixed_cells), st.data())
+def test_elimination_matches_the_fraction_rref_on_mixed_denominators(m, data):
+    assert_matches_fraction_rref(m, data.draw(st.lists(mixed_cells, min_size=m.rows, max_size=m.rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rank_deficient_products(), st.data())
+def test_elimination_matches_the_fraction_rref_where_back_elimination_cancels(m, data):
+    # a right-hand side in the column space, and one drawn freely
+    x = data.draw(st.lists(mixed_cells, min_size=m.cols, max_size=m.cols))
+    assert_matches_fraction_rref(m, m.matvec(x))
+    assert_matches_fraction_rref(m, data.draw(st.lists(mixed_cells, min_size=m.rows, max_size=m.rows)))
