@@ -118,6 +118,7 @@ class HomNaryAlgebra:
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise ValueError("alpha must be a dim x dim matrix")
         self.bracket = normalize_multimap(self.bracket)
+        self.untwisted = self.alpha == Matrix.identity(self.dim)  # alpha = id, decided once
         for key, entry in self.bracket.items():
             if len(key) != self.arity:
                 raise ValueError(f"bracket key {key} does not have arity {self.arity}")
@@ -239,7 +240,7 @@ def hom_composition(a: HomNaryAlgebra, pairs):
     in lexicographic key order.
     """
     n = a.arity
-    alpha = None if a.alpha == Matrix.identity(a.dim) else a.alpha
+    alpha = None if a.untwisted else a.alpha
     out = {}
     for f, g in pairs:
         if not (f and g):
@@ -374,7 +375,7 @@ def yau_twist(a: HomNaryAlgebra, t: Matrix) -> HomNaryAlgebra:
     New bracket is t o bracket, new twist is t; the output is multiplicative
     and satisfies the Hom-Leibniz identity whenever the input does.
     """
-    if a.alpha != Matrix.identity(a.dim):
+    if not a.untwisted:
         raise ValueError("yau_twist expects an untwisted (alpha = id) algebra")
     if t.rows != a.dim or t.cols != a.dim:
         raise ValueError("endomorphism matrix shape mismatch")

@@ -21,10 +21,11 @@ Each term is f precomposed with a tensor product of small maps (alpha, abar,
 the bracket, the identity) after a slot permutation, in terms C and D then
 acted on by the module.  coboundary_operator assembles delta^p column by
 column from those maps, transposed once per (algebra, rep, p) in the
-SlotTables that CochainSpace(p) keeps for every convention.  Each table holds
-int numerators over one denominator of its own, and a column is summed and
-kept in Python ints over one common denominator q of (p, convention).  A
-Columns cache builds each column on its first read: restrict_operator and
+SlotTables that CochainComplex keeps for every convention, so an operator
+builds no cochain space.  Each table holds int numerators over one
+denominator of its own, and a column is summed and kept in Python ints
+over one common denominator q of (p, convention).  A Columns cache
+builds each column on its first read: restrict_operator and
 squares_to_zero read the columns on the support of the source bases, and
 only the extension solve reads every column, through
 MorphismComplex.operator.  From the constraint rows and the operator
@@ -178,11 +179,6 @@ class CochainSpace:
     def dim(self):
         return self.basis.dim
 
-    @functools.cached_property
-    def tables(self):
-        """The SlotTables of delta^p on this space, built on first use."""
-        return SlotTables(self.algebra, self.rep, self.degree)
-
     def _constraint_kernel(self):
         """Kernel of the constraint rows, built in ints: with alpha over den_a,
         alpha^{tensor k} is over den_a^k, and both terms go over one lcm."""
@@ -287,6 +283,7 @@ class SlotTables:
     """
 
     def __init__(self, algebra, rep, p):
+        self.algebra, self.rep, self.p = algebra, rep, p
         a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
         self.D = d ** (n - 1)
         alpha_cols = [a.alpha_combo(x) for x in range(d)]
@@ -369,17 +366,15 @@ def _products(factors, base, weight):
     return out
 
 
-def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=None, space=None):
+def coboundary_operator(tables, columns, convention=DEFAULT_CONVENTION):
     """Columns of the sparse ambient matrix of delta^p, as {column: [(row, coeff), ...]}
-    with int coeffs over q.
+    with int coeffs over q, read off the SlotTables of (algebra, rep, p).
 
-    columns lists the ambient columns wanted, all of them when None; empty
-    columns are omitted and every column is sorted by row.  The SlotTables
-    are those space, the CochainSpace of (algebra, rep, p), keeps, or built
-    here without one.  Column (z Y_1 .. Y_{p-1}, mf) costs only its own
-    nonzeros: each term of delta^p f that reads this coefficient of f is a
-    product of table entries, one per slot of f's input, with the X_i or X_j
-    that the term drops put back at its slot.
+    columns lists the ambient columns wanted; empty columns are omitted and
+    every column is sorted by row.  Column (z Y_1 .. Y_{p-1}, mf) costs
+    only its own nonzeros: each term of delta^p f that reads this coefficient
+    of f is a product of table entries, one per slot of f's input, with the
+    X_i or X_j that the term drops put back at its slot.
 
     The table entries are int numerators, so each term is an int over the
     product of its factors' table denominators.  Every term group is brought
@@ -387,9 +382,8 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
     weight (its sign times q over its denominator), and each coeff is the
     column's int sum, its entry times q.
     """
-    t = space.tables if space is not None else SlotTables(algebra, rep, p)
-    cv = convention
-    n, d, m, D = algebra.arity, algebra.dim, rep.module_dim, t.D
+    t, cv, p = tables, convention, tables.p
+    n, d, m, D = t.algebra.arity, t.algebra.dim, t.rep.module_dim, t.D
     w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
     bracket = t.bracket[cv.bracket_y_first]
     c_top = p if cv.c_full_range else p - 1
@@ -407,7 +401,7 @@ def coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION, columns=
     weight_d = cv.sign_d * (q // den["action_d"])
 
     out = {}
-    for col in range(ambient_dim(algebra, rep, p)) if columns is None else columns:
+    for col in columns:
         key, mf = divmod(col, m)
         Y = [key // w[s + 1] % D for s in range(p)]  # f's input z Y_1 .. Y_{p-1}
         diagonal = []  # (factors, base, weight) of the terms that keep f's output index
@@ -558,16 +552,23 @@ def cohomology_dim_of(cx, p, symbol) -> int:
 
 
 class CochainComplex:
-    """Caches spaces, operators, matrices and ranks of one (algebra, rep, convention)."""
+    """Caches spaces, slot tables, operators, matrices and ranks of one (algebra, rep, convention)."""
 
     def __init__(self, algebra, rep, convention=DEFAULT_CONVENTION):
         self.algebra = algebra
         self.rep = rep
         self.convention = convention
         self._spaces = {}
+        self._tables = {}
         self._matrices = {}
         self._operators = {}
         self._ranks = {}
+
+    def with_convention(self, convention) -> CochainComplex:
+        """This complex under convention, sharing the spaces and tables, which no convention affects."""
+        sibling = CochainComplex(self.algebra, self.rep, convention)
+        sibling._spaces, sibling._tables = self._spaces, self._tables
+        return sibling
 
     def space(self, p) -> CochainSpace:
         if p not in self._spaces:
@@ -579,14 +580,15 @@ class CochainComplex:
 
     def operator(self, p) -> Columns:
         """delta^p's ambient columns, each built on its first read from the
-        SlotTables that space(p) keeps for every convention.  The builder
+        SlotTables of degree p; no cochain space is built.  The builder
         holds no reference to the complex: a reference cycle would leave
         every complex to the cyclic collector and raise peak memory."""
         if p not in self._operators:
-            a, rep, space = self.algebra, self.rep, self.space(p)
-            build = functools.partial(coboundary_operator, a, rep, p, self.convention, space=space)
-            den = space.tables.q[self.convention.bracket_y_first]
-            self._operators[p] = Columns(build, ambient_dim(a, rep, p), den)
+            if p not in self._tables:
+                self._tables[p] = SlotTables(self.algebra, self.rep, p)
+            t, cv = self._tables[p], self.convention
+            build = functools.partial(coboundary_operator, t, convention=cv)
+            self._operators[p] = Columns(build, ambient_dim(self.algebra, self.rep, p), t.q[cv.bracket_y_first])
         return self._operators[p]
 
     def delta(self, p) -> Matrix:
@@ -609,16 +611,12 @@ class CochainComplex:
 # calibration
 
 
-def convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None):
-    """Whether delta^{p+1} o delta^p vanishes exactly for the given degrees.
-
-    Each delta^q is restricted to the bases first, so an image outside the
-    twist-compatible subspace fails.  spaces shares CochainSpaces between calls."""
-    cx = CochainComplex(algebra, rep, convention)
-    if spaces is not None:
-        cx._spaces = spaces
+def convention_passes(cx):
+    """Whether delta^{p+1} o delta^p vanishes exactly on the complex cx, for
+    p = 1 and 2.  Each delta^q is restricted to the bases first, so an image
+    outside the twist-compatible subspace fails."""
     try:
-        for p in degrees:
+        for p in (1, 2):
             cx.delta(p)
             cx.delta(p + 1)
             if not squares_to_zero(cx, p + 1):
@@ -628,21 +626,18 @@ def convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None):
     return True
 
 
-def calibration_report(battery, conventions=None, degrees=(1, 2)):
-    """All conventions for which every battery member is a complex.
+def calibration_report(battery, conventions=None):
+    """All conventions, of the given ones or all 128, for which every
+    battery member is a complex.
 
     Filters member by member so that expensive battery entries only see the
-    conventions that survived the cheap ones.
+    conventions that survived the cheap ones; each member's conventions are
+    checked on siblings of one complex, sharing its spaces and tables.
     """
-    if conventions is None:
-        conventions = list(all_conventions())
-    surviving = list(conventions)
+    surviving = list(all_conventions() if conventions is None else conventions)
     for algebra, rep in battery:
-        cache = {}
-        surviving = [
-            cv for cv in surviving if convention_passes(algebra, rep, cv, degrees, cache)
-        ]
+        base = CochainComplex(algebra, rep)
+        surviving = [cv for cv in surviving if convention_passes(base.with_convention(cv))]
         if not surviving:
             break
     return surviving
-

@@ -15,12 +15,13 @@ constant part is the obstruction cochain F_l = (O1, O2, O3): the order-l
 residual at a zero order-l triple, its morphism component negated.
 solve_extension exploits exactly that structure: it solves one linear
 system against MorphismComplex.operator(2), the ambient d^2 that the
-morphism complex assembles, with F_l on the right-hand side.  The solve
-works on supports: it keeps only the nonzero rows of d^2 and packs F_l and
-the solution as {ambient index: coeff}, so nothing of the degree-3 ambient
-size is built, and it ends in None at once where F_l meets a row of d^2
-that is empty, an equation 0 = F_l there.  Every returned triple is
-re-verified against the direct residual evaluators.
+morphism complex assembles from phi and SlotTables, with F_l on the
+right-hand side; its unknowns are unconstrained, so it builds no cochain
+space.  It works on supports: it keeps only the nonzero rows of d^2 and
+packs F_l and the solution as {ambient index: coeff}, so nothing of the
+degree-3 ambient size is built, and it ends in None at once where F_l meets
+a row of d^2 that is empty, an equation 0 = F_l there.  Every returned
+triple is re-verified against the direct residual evaluators.
 """
 
 from __future__ import annotations

@@ -82,7 +82,6 @@ from homleibniz.algebra import (
 )
 from homleibniz.cochain import (
     Columns,
-    CochainSpace,
     ConstraintViolation,
     DEFAULT_CONVENTION,
     SignConvention,
@@ -535,27 +534,21 @@ def per_input_constraint_rows(algebra, rep, p):
 # the dense delta-o-delta check
 
 
-def dense_convention_passes(algebra, rep, convention, degrees=(1, 2), spaces=None, row=None):
-    """Whether the matrix product delta^{p+1} . delta^p over the computed bases
-    is zero for every p in degrees; an image outside the twist-compatible
-    subspace fails.  spaces is a {degree: CochainSpace} cache; row(p,
-    convention) is the row-driven delta^p, row_coboundary_operator unless given."""
-    if spaces is None:
-        spaces = {}
+def dense_convention_passes(cx, row=None):
+    """Whether the matrix product delta^{p+1} . delta^p over the bases of the
+    complex cx is zero for p = 1 and 2, under cx's convention; an image
+    outside the twist-compatible subspace fails.  row(p, convention) is the
+    row-driven delta^p, row_coboundary_operator unless given."""
+    algebra, rep = cx.algebra, cx.rep
     if row is None:
         row = functools.partial(row_coboundary_operator, algebra, rep)
 
-    def space(p):
-        if p not in spaces:
-            spaces[p] = CochainSpace(algebra, rep, p)
-        return spaces[p]
-
     def delta(p):
-        op = row(p, convention)
-        return coboundary_matrix(space(p), space(p + 1), as_columns(op, ambient_dim(algebra, rep, p)))
+        op = row(p, cx.convention)
+        return coboundary_matrix(cx.space(p), cx.space(p + 1), as_columns(op, ambient_dim(algebra, rep, p)))
 
     try:
-        for p in degrees:
+        for p in (1, 2):
             if not (delta(p + 1) @ delta(p)).is_zero():
                 return False
     except ConstraintViolation:

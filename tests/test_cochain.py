@@ -25,6 +25,7 @@ from homleibniz.cochain import (
     all_conventions,
     ambient_dim,
     apply_sparse,
+    calibration_report,
     coboundary_operator,
     convention_passes,
     restrict_operator,
@@ -264,12 +265,10 @@ def test_sparse_certificate_agrees_with_the_dense_product():
     # battery members 0-2; the dense product takes about 46 s on member 7 alone
     passing = []
     for k, (algebra, rep) in enumerate(BATTERY[:3]):
-        spaces = {}
-        sparse = [convention_passes(algebra, rep, cv, (1, 2), spaces) for cv in all_conventions()]
+        base = CochainComplex(algebra, rep)
+        sparse = [convention_passes(base.with_convention(cv)) for cv in all_conventions()]
         row = lambda p, cv: battery_row_operators(k, p)(cv)  # noqa: E731
-        dense = [
-            dense_convention_passes(algebra, rep, cv, (1, 2), spaces, row) for cv in all_conventions()
-        ]
+        dense = [dense_convention_passes(base.with_convention(cv), row) for cv in all_conventions()]
         assert sparse == dense
         passing.append(sum(sparse))
     assert passing == [8, 8, 32]
@@ -294,11 +293,46 @@ def test_calibration_rejects_an_image_outside_the_compatible_subspace():
     with pytest.raises(ConstraintViolation):
         cx.delta(1)
     assert squares_to_zero(cx, 2) and squares_to_zero(cx, 3)
-    assert not any(convention_passes(a, rep, cv) for cv in all_conventions())
+    assert not any(convention_passes(cx.with_convention(cv)) for cv in all_conventions())
 
 
 def test_default_convention_is_all_plus():
     assert DEFAULT_CONVENTION.label() == "A+B+C+D+|xy|hat-twisted|c-full"
+
+
+def test_a_convention_sibling_shares_the_spaces_and_tables():
+    a, rep = BATTERY[1]
+    cx = CochainComplex(a, rep)
+    cv = SignConvention.from_label("A-B-C-D-|xy|hat-bare|c-full")
+    sibling = cx.with_convention(cv)
+    assert (sibling.algebra, sibling.rep, sibling.convention) == (a, rep, cv)
+    assert sibling._spaces is cx._spaces and sibling._tables is cx._tables
+    assert sibling._operators is not cx._operators and sibling._matrices is not cx._matrices
+    sibling.delta(1)  # what the sibling builds, the parent reads
+    assert cx._spaces.keys() == {1, 2} and cx._tables.keys() == {1}
+    assert cx.operator(1) is not sibling.operator(1)
+
+
+def test_calibration_builds_the_slot_tables_once_per_member_and_degree(monkeypatch):
+    battery = calibration_battery()
+    members = {id(rep): k for k, (_, rep) in enumerate(battery)}
+    assert len(members) == len(battery)
+    built = []
+    init = SlotTables.__init__
+
+    def counting(self, algebra, rep, p):
+        built.append((members[id(rep)], p))
+        init(self, algebra, rep, p)
+
+    monkeypatch.setattr(SlotTables, "__init__", counting)
+    passing = calibration_report(battery)
+    assert sorted(built) == [(k, p) for k in range(len(battery)) for p in (1, 2, 3)]
+    assert sorted(cv.label() for cv in passing) == [
+        "A+B+C+D+|xy|hat-bare|c-full",
+        "A+B+C+D+|xy|hat-twisted|c-full",
+        "A-B-C-D-|xy|hat-bare|c-full",
+        "A-B-C-D-|xy|hat-twisted|c-full",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -325,24 +359,25 @@ DEGREE_3_CONVENTIONS = [
 def test_column_assembly_matches_the_row_oracle():
     for k, (a, rep) in enumerate(BATTERY):
         for p in (1, 2):
-            space = CochainSpace(a, rep, p)  # shares its SlotTables across conventions
+            t = SlotTables(a, rep, p)  # shared across conventions
             for cv in all_conventions():
-                cols = coboundary_operator(a, rep, p, cv, space=space)
-                assert fraction_columns(cols, space.tables.q[cv.bracket_y_first]) == battery_row_operators(k, p)(cv)
+                cols = coboundary_operator(t, range(ambient_dim(a, rep, p)), cv)
+                assert fraction_columns(cols, t.q[cv.bracket_y_first]) == battery_row_operators(k, p)(cv)
                 assert all(type(x) is int for col in cols.values() for _, x in col)
             # the linear reading of the oracle, checked at a convention it did not build
             cv = SignConvention.from_label("A-B+C-D-|yx|hat-bare|c-short")
             assert battery_row_operators(k, p)(cv) == row_coboundary_operator(a, rep, p, cv)
-        space = CochainSpace(a, rep, 3)
+        t = SlotTables(a, rep, 3)
         for label in DEGREE_3_CONVENTIONS:
             cv = SignConvention.from_label(label)
-            cols = coboundary_operator(a, rep, 3, cv, space=space)
-            assert fraction_columns(cols, space.tables.q[cv.bracket_y_first]) == battery_row_operators(k, 3)(cv)
+            cols = coboundary_operator(t, range(ambient_dim(a, rep, 3)), cv)
+            assert fraction_columns(cols, t.q[cv.bracket_y_first]) == battery_row_operators(k, 3)(cv)
     for a, top in ((h3_generic(), 3), (twisted_ternary_fff_e(2), 4), (twisted_aff1(2), 6)):
         rep = adjoint_representation(a)
         for p in range(1, top + 1):
-            q = SlotTables(a, rep, p).q[False]
-            assert fraction_columns(coboundary_operator(a, rep, p), q) == row_coboundary_operator(a, rep, p)
+            t = SlotTables(a, rep, p)
+            cols = coboundary_operator(t, range(ambient_dim(a, rep, p)))
+            assert fraction_columns(cols, t.q[False]) == row_coboundary_operator(a, rep, p)
     for phi in fixture_morphisms():
         # d^p (u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), with the row oracle's delta
         mc = MorphismComplex(phi)
@@ -386,8 +421,8 @@ def slot_tables(t):
 def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
     for a, rep in fractional_inputs():
         for p in (1, 2, 3):
-            space = CochainSpace(a, rep, p)
-            for name, (rows, den) in slot_tables(space.tables).items():
+            t = SlotTables(a, rep, p)
+            for name, (rows, den) in slot_tables(t).items():
                 assert den > 1, name
                 assert all(type(e[-1]) is int and e[-1] for row in rows for e in row), name
             row_op = row_operators(a, rep, p)
@@ -395,9 +430,9 @@ def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
             fractional = 0
             for label in labels:
                 cv = SignConvention.from_label(label)
-                cols = coboundary_operator(a, rep, p, cv, space=space)
+                cols = coboundary_operator(t, range(ambient_dim(a, rep, p)), cv)
                 assert all(type(x) is int for col in cols.values() for _, x in col)
-                cols = fraction_columns(cols, space.tables.q[cv.bracket_y_first])
+                cols = fraction_columns(cols, t.q[cv.bracket_y_first])
                 assert cols == row_op(cv), (p, label)
                 fractional += sum(x.denominator > 1 for col in cols.values() for _, x in col)
             assert fractional
@@ -427,22 +462,13 @@ def test_bracket_table_from_the_support_matches_the_all_pairs_oracle():
             assert table == bracket_table_by_tuples(a, yf)
 
 
-def row_passes(k, cv, spaces):
-    """convention_passes for battery member k, on the row oracle's operators."""
-    a, rep = BATTERY[k]
-    cx = CochainComplex(a, rep, cv)
-    cx._spaces = spaces
+def row_passes(k, cx):
+    """convention_passes on cx, a complex of battery member k, with the row
+    oracle's operators in place of its own."""
     for p in (1, 2, 3):
-        cx._operators[p] = as_columns(battery_row_operators(k, p)(cv), ambient_dim(a, rep, p))
-    try:
-        for p in (1, 2):
-            cx.delta(p)
-            cx.delta(p + 1)
-            if not squares_to_zero(cx, p + 1):
-                return False
-    except ConstraintViolation:
-        return False
-    return True
+        size = ambient_dim(cx.algebra, cx.rep, p)
+        cx._operators[p] = as_columns(battery_row_operators(k, p)(cx.convention), size)
+    return convention_passes(cx)
 
 
 def test_unbuilt_columns_never_read_as_zero():
@@ -465,11 +491,11 @@ def test_unbuilt_columns_never_read_as_zero():
     assert nonzero >= 20
     # battery member 1, aff1 twisted by diag(2, 1), rejects this convention
     a, rep = BATTERY[1]
-    assert not convention_passes(a, rep, SignConvention.from_label("A+B-C+D+|xy|hat-twisted|c-full"))
+    assert not convention_passes(CochainComplex(a, rep, SignConvention.from_label("A+B-C+D+|xy|hat-twisted|c-full")))
     for k, (a, rep) in enumerate(BATTERY):
-        spaces = {}
-        column = {cv for cv in all_conventions() if convention_passes(a, rep, cv, (1, 2), spaces)}
-        assert column == {cv for cv in all_conventions() if row_passes(k, cv, spaces)}
+        base = CochainComplex(a, rep)
+        column = {cv for cv in all_conventions() if convention_passes(base.with_convention(cv))}
+        assert column == {cv for cv in all_conventions() if row_passes(k, base.with_convention(cv))}
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +511,7 @@ def fractional_shear():
 
 
 RESTRICTION_INPUTS = fractional_inputs() + [fractional_shear()]
-RESTRICTION_SPACES = [{} for _ in RESTRICTION_INPUTS]  # CochainSpaces by degree, shared by the examples
+RESTRICTION_COMPLEXES = [CochainComplex(a, rep) for a, rep in RESTRICTION_INPUTS]  # their spaces and tables are shared by the examples
 
 
 def perturbed(op, j, row, eps):
@@ -514,9 +540,7 @@ def perturbed(op, j, row, eps):
 @example(len(RESTRICTION_INPUTS) - 1, 2, DEFAULT_CONVENTION.label(), Q(2, 7), random.Random(0))
 @example(len(RESTRICTION_INPUTS) - 1, 3, DEFAULT_CONVENTION.label(), Q(-1, 3), random.Random(1))
 def test_int_restriction_matches_the_dense_oracles(k, p, label, eps, rnd):
-    a, rep = RESTRICTION_INPUTS[k]
-    cx = CochainComplex(a, rep, SignConvention.from_label(label))
-    cx._spaces = RESTRICTION_SPACES[k]
+    cx = RESTRICTION_COMPLEXES[k].with_convention(SignConvention.from_label(label))
     source, target, op = cx.space(p), cx.space(p + 1), cx.operator(p)
     if k == len(RESTRICTION_INPUTS) - 1:
         assert any(d > 1 for _, d in source.basis.integral[0])
@@ -589,7 +613,7 @@ def test_restriction_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     for a, rep in (fractional_inputs()[0], fractional_shear()):
         cx = CochainComplex(a, rep)
         for p in (2, 3):
-            cx.space(p).tables  # spaces and tables are built beforehand: the count covers the rest
+            cx.space(p), cx.operator(p)  # spaces and tables are built beforehand: the count covers the rest
         counts.clear()
         cx.delta(2)
         assert squares_to_zero(cx, 3)
@@ -614,7 +638,7 @@ def test_ranks_construct_no_fraction(monkeypatch):
     for a, rep in (fractional_inputs()[0], fractional_shear()):
         cx = CochainComplex(a, rep)
         for p in (2, 3, 4):
-            cx.space(p).tables
+            cx.space(p), cx.operator(p)
         monkeypatch.setattr(Q, "__new__", staticmethod(counting))
         assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
         made.clear()

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from homleibniz.cochain import ConstraintViolation
+from homleibniz.cochain import CochainSpace, ConstraintViolation
 from homleibniz.deformation import (
     MorphismDeformation,
     TruncatedDeformation,
@@ -24,6 +24,7 @@ from homleibniz.documents import load_json, parse_deformation
 from homleibniz.fixtures import (
     abelian_algebra,
     aff1,
+    fixture_morphisms,
     identity_morphism,
     leibniz_ff_e,
     ternary_fff_e,
@@ -399,6 +400,30 @@ def test_extension_solve_builds_only_the_nonzero_rows():
         tracemalloc.stop()
     assert ext is not None
     assert peak < 8 * 2**20
+
+
+def test_extension_solve_builds_no_cochain_space(monkeypatch):
+    # the ambient solve and a full read of d^2 use the summands' slot tables only
+    built = []
+    init = CochainSpace.__init__
+
+    def counting(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(CochainSpace, "__init__", counting)
+    MorphismComplex(identity_morphism(leibniz_ff_e())).summands(2)
+    assert len(built) == 3  # the counter sees construction
+    built.clear()
+    verdicts = Counter()
+    for entry in load_json(os.path.join(FIXTURES, "deform_battery.json"))["entries"]:
+        md = parse_deformation(load_json(os.path.join(FIXTURES, entry["file"])), FIXTURES)
+        verdicts[solve_extension(md, 2) is not None] += 1
+    for phi in fixture_morphisms():
+        op = MorphismComplex(phi).operator(2)
+        assert len(op.read(range(op.size))) == op.size
+    assert built == []
+    assert verdicts[True] and verdicts[False]
 
 
 # ---------------------------------------------------------------------------
