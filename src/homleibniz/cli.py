@@ -138,9 +138,11 @@ def cmd_validate(args):
     paths = list(args.files)
     if not paths and os.environ.get(FIXTURES_ENV):
         root = os.environ[FIXTURES_ENV]
-        paths = sorted(
-            os.path.join(root, f) for f in os.listdir(root) if f.endswith(".json")
-        )
+        try:
+            names = os.listdir(root)
+        except OSError as exc:
+            raise DocumentError(f"cannot list {root}: {exc}") from None
+        paths = sorted(os.path.join(root, f) for f in names if f.endswith(".json"))
         if not paths:
             raise DocumentError(f"no .json documents under {root}")
     if not paths:

@@ -29,13 +29,13 @@ builds each column on its first read: restrict_operator and
 squares_to_zero read the columns on the support of the source bases, and
 only the extension solve reads every column, through
 MorphismComplex.operator.  From the constraint rows and the operator
-columns to the rank, cochain data stay in ints: apply_sparse maps int
-vectors, the source bases come so from SubspaceBasis.integral, and
-coords_in_basis checks each image by int back-substitution, so the
-restricted matrix holds int numerators over one denominator.  delta o
-delta = 0 is certified in one place, squares_to_zero, as an int zero test
-on the sparse ambient operators; both complexes' cohomology_dim and the
-calibration call it.
+columns to the rank, cochain data stay in ints: kernel_basis builds each
+basis as int pairs (B_j, d_j), SubspaceBasis.integral, which apply_sparse
+maps as they are, coords_in_basis checks each image by int
+back-substitution, and the restricted matrix holds int numerators over
+one denominator.  delta o delta = 0 is certified in one place,
+squares_to_zero, as an int zero test on the sparse ambient operators;
+both complexes' cohomology_dim and the calibration call it.
 """
 
 from __future__ import annotations
@@ -102,17 +102,9 @@ class SignConvention:
     def from_label(cls, label):
         """Inverse of label(); accepts strings like 'A+B+C+D+|xy|hat-twisted|c-full'."""
         try:
-            signs, order, hats, crange = label.split("|")
-            if len(signs) != 8 or [signs[0], signs[2], signs[4], signs[6]] != list("ABCD"):
-                raise ValueError
-            sv = {"+": 1, "-": -1}
-            sa, sb, sc, sd = (sv[signs[i]] for i in (1, 3, 5, 7))
-            yf = {"xy": False, "yx": True}[order]
-            th = {"hat-twisted": True, "hat-bare": False}[hats]
-            cf = {"c-full": True, "c-short": False}[crange]
-        except (ValueError, KeyError):
+            return _BY_LABEL[label]
+        except (KeyError, TypeError):
             raise ValueError(f"cannot parse convention label {label!r}") from None
-        return cls(sa, sb, sc, sd, yf, th, cf)
 
 
 DEFAULT_CONVENTION = SignConvention()
@@ -124,6 +116,9 @@ def all_conventions():
             for th in (True, False):
                 for cf in (True, False):
                     yield SignConvention(sa, sb, sc, sd, yf, th, cf)
+
+
+_BY_LABEL = {cv.label(): cv for cv in all_conventions()}
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def parse_matrix(obj, rows=None, cols=None, what="matrix") -> Matrix:
+def parse_matrix(obj, rows, cols, what) -> Matrix:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise DocumentError(f"{what} must be a list of rows")
     if not obj:
@@ -66,9 +66,9 @@ def parse_matrix(obj, rows=None, cols=None, what="matrix") -> Matrix:
     width = len(obj[0])
     if any(len(r) != width for r in obj):
         raise DocumentError(f"{what} rows have unequal lengths")
-    if rows is not None and len(obj) != rows:
+    if len(obj) != rows:
         raise DocumentError(f"{what} must have {rows} rows, has {len(obj)}")
-    if cols is not None and width != cols:
+    if width != cols:
         raise DocumentError(f"{what} must have {cols} columns, has {width}")
     return Matrix(len(obj), width, [[parse_rational(x) for x in r] for r in obj])
 
@@ -186,7 +186,7 @@ def serialize_algebra(a: HomNaryAlgebra):
 # morphism documents
 
 
-def _resolve_algebra(obj, base_dir, what):
+def _resolve_algebra(obj, base_dir):
     if isinstance(obj, str):
         path = obj if os.path.isabs(obj) else os.path.join(base_dir or ".", obj)
         return parse_algebra(load_json(path))
@@ -194,8 +194,8 @@ def _resolve_algebra(obj, base_dir, what):
 
 
 def parse_morphism(obj, base_dir=None) -> Morphism:
-    src = _resolve_algebra(_require(obj, "source", "morphism"), base_dir, "source")
-    tgt = _resolve_algebra(_require(obj, "target", "morphism"), base_dir, "target")
+    src = _resolve_algebra(_require(obj, "source", "morphism"), base_dir)
+    tgt = _resolve_algebra(_require(obj, "target", "morphism"), base_dir)
     mat = parse_matrix(_require(obj, "matrix", "morphism"), tgt.dim, src.dim, "matrix")
     try:
         return Morphism(src, tgt, mat)
@@ -216,7 +216,7 @@ def serialize_morphism(phi: Morphism):
 
 
 def parse_representation(obj, base_dir=None) -> Representation:
-    alg = _resolve_algebra(_require(obj, "algebra", "representation"), base_dir, "algebra")
+    alg = _resolve_algebra(_require(obj, "algebra", "representation"), base_dir)
     mbasis = _require(obj, "module_basis", "representation")
     if not isinstance(mbasis, list) or not all(isinstance(b, str) for b in mbasis):
         raise DocumentError("module_basis must be a list of string labels")
@@ -282,20 +282,17 @@ def serialize_representation(rep: Representation, module_basis):
 # deformation documents
 
 
-def _parse_coeff_list(obj, what, parse_order0, parse_higher):
+def _parse_coeff_list(obj, what, parse):
     if not isinstance(obj, list) or not obj:
         raise DocumentError(f"{what} must be a non-empty list of per-order coefficients")
     out = []
     for i, item in enumerate(obj):
-        if i == 0:
-            if item == "inherit":
-                out.append(None)
-            else:
-                out.append(parse_order0(item))
+        if item != "inherit":
+            out.append(parse(item))
+        elif i == 0:
+            out.append(None)
         else:
-            if item == "inherit":
-                raise DocumentError(f"'inherit' is only allowed at order 0 in {what}")
-            out.append(parse_higher(item))
+            raise DocumentError(f"'inherit' is only allowed at order 0 in {what}")
     return out
 
 
@@ -312,17 +309,13 @@ def parse_deformation(obj, base_dir=None):
     def tensor_of(index):
         return lambda item: _parse_sparse_tensor(item, n, index, index, "coefficient")
 
-    xi = _parse_coeff_list(
-        _require(obj, "xi", "deformation"), "xi", tensor_of(s_index), tensor_of(s_index)
-    )
-    eta = _parse_coeff_list(
-        _require(obj, "eta", "deformation"), "eta", tensor_of(t_index), tensor_of(t_index)
-    )
+    xi = _parse_coeff_list(_require(obj, "xi", "deformation"), "xi", tensor_of(s_index))
+    eta = _parse_coeff_list(_require(obj, "eta", "deformation"), "eta", tensor_of(t_index))
 
     def phi_mat(item):
         return parse_matrix(item, tgt.dim, src.dim, "phi coefficient")
 
-    phis = _parse_coeff_list(_require(obj, "phi", "deformation"), "phi", phi_mat, phi_mat)
+    phis = _parse_coeff_list(_require(obj, "phi", "deformation"), "phi", phi_mat)
 
     if not (len(xi) == len(eta) == len(phis)):
         raise DocumentError("xi, eta and phi must list the same number of orders")
@@ -381,6 +374,9 @@ def digest(obj) -> str:
 
 
 def dump_json(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh, indent=2, sort_keys=True, ensure_ascii=False)
+            fh.write("\n")
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc}") from None

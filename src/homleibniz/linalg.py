@@ -7,20 +7,21 @@ stored, and the storage is sparse: Matrix rows are {index: nonzero}, of
 Fractions, or of int numerators over one Matrix.den, as the restriction
 and the constraint kernel build them; every accessor returns Fractions.
 rank, kernel_basis and solve share one fraction-free elimination over int
-rows, _eliminate, and make Fractions only for the kernel vectors and the
-solution.  The reduced row echelon form is unique, so its pivots are the
-first nonzero columns in column order, and every result equals dense
-Gauss-Jordan elimination's, whatever the row order.  Like sympy's
-sdm_irref, it indexes each column to the reduced rows holding it, so a
-new pivot costs their nonzeros.  coords_in_basis reads the coordinates at
-the unit rows and accepts them only by int back-substitution on
-SubspaceBasis.integral.  delta o delta = 0 is certified on the sparse
-coboundary operators of cochain.py, never by a Matrix product.
+rows, _eliminate.  Kernel vectors are born as ints, each stored only as
+(B_j, d_j) in SubspaceBasis.integral; Fractions are made only for
+solutions and the dense views.  The reduced row echelon form is unique,
+so its pivots are the first nonzero columns in column order, and every
+result equals dense Gauss-Jordan elimination's, whatever the row order.
+Like sympy's sdm_irref, it indexes each column to the reduced rows
+holding it, so a new pivot costs their nonzeros.  coords_in_basis reads
+the coordinates at the unit rows and accepts them only by int
+back-substitution on SubspaceBasis.integral.  delta o delta = 0 is
+certified on the sparse coboundary operators of cochain.py, never by a
+Matrix product.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from fractions import Fraction
@@ -173,46 +174,42 @@ class SubspaceBasis:
 
     Vector j is sparse, 1 at its unit row and 0 at the others, so the
     coordinates of a member vector can be read off there; unit_rows maps
-    the unit row of vector j to j, in order of j.
+    the unit row of vector j to j, in order of j.  integral is (vectors, L):
+    vector j as (B_j, d_j), {index: int numerator} over d_j, the lcm of its
+    entries' denominators, and L the lcm of the d_j.
     """
 
-    def __init__(self, ambient_dim, sparse_vectors, unit_rows):
+    def __init__(self, ambient_dim, vectors, unit_rows):
         self.ambient_dim = ambient_dim
-        self.sparse_vectors = sparse_vectors
+        self.integral = vectors, math.lcm(*(d for _, d in vectors))
         self.unit_rows = {r: j for j, r in enumerate(unit_rows)}
 
     @property
     def dim(self):
-        return len(self.sparse_vectors)
-
-    @functools.cached_property
-    def integral(self):
-        """(vectors, L): vector j as (B_j, d_j), its integral_vector, and L the
-        lcm of the d_j; built on first use, once per basis."""
-        vectors = [integral_vector(v.items()) for v in self.sparse_vectors]
-        return vectors, math.lcm(*(d for _, d in vectors))
+        return len(self.integral[0])
 
     @property
     def vectors(self):
         """The basis vectors as dense lists, built on each read."""
-        return [dense_vector(v, self.ambient_dim) for v in self.sparse_vectors]
+        return [dense_vector({i: Q(x, d) for i, x in nums.items()}, self.ambient_dim) for nums, d in self.integral[0]]
 
     def combination(self, coords):
         """sum_j coords[j] * vector j for sparse coords {j: c}, as a sparse vector."""
-        out = {}
+        out, vectors = {}, self.integral[0]
         for j, c in coords.items():
-            _add_scaled(out, c, self.sparse_vectors[j])
+            nums, d = vectors[j]
+            _add_scaled(out, Q(c, d), nums)
         return out
 
 
 def direct_sum(bases):
     """Basis of the direct sum of the bases' subspaces, ambient indices stacked
-    in order; a lone basis is returned itself, with its integral form."""
+    in order; a lone basis is returned itself."""
     if len(bases) == 1:
         return bases[0]
     vectors, units, offset = [], [], 0
     for b in bases:
-        vectors += [{offset + i: x for i, x in v.items()} for v in b.sparse_vectors]
+        vectors += [({offset + i: x for i, x in nums.items()}, d) for nums, d in b.integral[0]]
         units += [offset + r for r in b.unit_rows]
         offset += b.ambient_dim
     return SubspaceBasis(offset, vectors, units)
@@ -277,24 +274,25 @@ def _eliminate(m: Matrix, b=()):
     return red
 
 
-def _rref(m: Matrix, b=()):
-    """_eliminate's RREF with each row over its pivot entry, in Fractions."""
-    return {p: {c: Q(v, row[p]) for c, v in row.items()} for p, row in _eliminate(m, b).items()}
-
-
 def rank(m: Matrix) -> int:
     return len(_eliminate(m))
 
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
-    """Basis of {x : m.x = 0}, one vector per free column of the RREF."""
-    red = _rref(m)
-    vectors = {f: {f: Q(1)} for f in range(m.cols) if f not in red}
+    """Basis of {x : m.x = 0}, one vector per free column f of the RREF: 1 at f
+    and -row[f] / row[p] at each pivot p whose row meets f, in lowest terms."""
+    red = _eliminate(m)
+    cells = {f: [] for f in range(m.cols) if f not in red}
     for p, row in red.items():
         for c, x in row.items():  # off its pivot, a reduced row meets free columns only
             if c != p:
-                vectors[c][p] = -x
-    return SubspaceBasis(m.cols, list(vectors.values()), list(vectors))
+                g = math.gcd(x, row[p])
+                cells[c].append((p, -x // g, row[p] // g))
+    vectors = []
+    for f, entries in cells.items():
+        d = math.lcm(*(q for _, _, q in entries))
+        vectors.append(({f: d} | {p: x * (d // q) for p, x, q in entries}, d))
+    return SubspaceBasis(m.cols, vectors, list(cells))
 
 
 def solve(m: Matrix, b):

@@ -32,7 +32,9 @@ Deliberately separate implementations:
   tensor_combo per pair and slot, the reference for the bracket table that
   SlotTables builds from the support of the bracket; and
 * dense Gauss-Jordan elimination with column-order pivoting, the reference
-  for linalg's sparse elimination behind rank, kernel_basis and solve; and
+  for linalg's sparse elimination behind rank, kernel_basis and solve, and
+  the Fraction elimination fraction_rref it replaced, whose kernel vectors
+  in integral_vector form pin kernel_basis's int pairs; and
 * dense references for linalg's sparse storage: the row-by-column matrix
   product, the membership check that rebuilds a basis combination as a
   dense vector and compares it cell by cell, and the restriction of a
@@ -67,8 +69,10 @@ tensor_combo and apply_multimap, over the tuples of basis_tuples; the
 package has neither, nor any loop over all basis tuples.
 """
 
+import contextlib
 import functools
 import itertools
+import math
 import os
 import sys
 from fractions import Fraction as Q
@@ -92,7 +96,7 @@ from homleibniz.cochain import (
     input_length,
 )
 from homleibniz.deformation import ObstructionCochain, algebra_order_residual
-from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_vector, sparse_vector
+from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_vector, kernel_basis, sparse_vector
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
 from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
@@ -622,6 +626,73 @@ def fraction_rref(m: Matrix, b=()):
             holders.setdefault(c, set()).add(pivot)
         red[pivot] = row
     return red
+
+
+def fraction_kernel_form(m: Matrix):
+    """basis_form of kernel_basis(m) as the Fraction elimination built it: one
+    vector per free column f of fraction_rref(m), 1 at f and -row[f] at each
+    pivot p whose row meets f, turned into (B_j, d_j) by integral_vector."""
+    red = fraction_rref(m)
+    vectors = {f: {f: Q(1)} for f in range(m.cols) if f not in red}
+    for p, row in red.items():
+        for c, x in row.items():
+            if c != p:
+                vectors[c][p] = -x
+    pairs = [integral_vector(v.items()) for v in vectors.values()]
+    return [(list(nums.items()), d) for nums, d in pairs], [(r, j) for j, r in enumerate(vectors)]
+
+
+def basis_form(basis):
+    """A SubspaceBasis as comparable lists: each (B_j, d_j) with B_j's items
+    in order, then the items of unit_rows."""
+    return [(list(nums.items()), d) for nums, d in basis.integral[0]], list(basis.unit_rows.items())
+
+
+def over_one_den(m):
+    """m held as int numerators over one denominator."""
+    nums, den = integral_vector([((i, c), x) for i in range(m.rows) for c, x in m.row(i).items()])
+    rows = [{} for _ in range(m.rows)]
+    for (i, c), x in nums.items():
+        rows[i][c] = x
+    over_den = Matrix.from_rows(rows, m.cols, den)
+    assert over_den == m
+    return over_den
+
+
+@contextlib.contextmanager
+def fractions_made():
+    """The arguments of every Fraction constructed in the block."""
+    made, construct = [], Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return construct(cls, *args, **kwargs)
+
+    Q.__new__ = staticmethod(counting)
+    try:
+        yield made
+    finally:
+        Q.__new__ = staticmethod(construct)
+
+
+def assert_kernel_born_in_ints(m):
+    """kernel_basis on m, on its Fractions and on them over one denominator:
+    every (B_j, d_j), in
+    position, and unit_rows equal the Fraction elimination's round trip; every
+    stored number is an int; and at most one Fraction is made per free column
+    and per off-pivot entry of the RREF."""
+    fractions = Matrix.from_rows([m.row(i) for i in range(m.rows)], m.cols)
+    want = fraction_kernel_form(fractions)
+    red = fraction_rref(fractions)
+    bound = m.cols - len(red) + sum(len(row) - 1 for row in red.values())
+    for a in (m, fractions, over_one_den(fractions)):
+        with fractions_made() as made:
+            kb = kernel_basis(a)
+        assert len(made) <= bound
+        assert basis_form(kb) == want
+        vectors, L = kb.integral
+        assert all(type(x) is int for nums, d in vectors for x in (d, *nums.values()))
+        assert type(L) is int and L == math.lcm(*(d for _, d in vectors))
 
 
 def dense_rank(m):

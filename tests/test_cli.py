@@ -430,6 +430,26 @@ def test_validate_without_files_or_env_is_an_input_error(capsys, monkeypatch):
     assert code == 2
 
 
+
+def test_paths_the_cli_cannot_use_are_input_errors(capsys, monkeypatch, tmp_path):
+    # an --emit path under a missing directory or naming a directory, and a
+    # fixtures directory that is missing or a file
+    missing = str(tmp_path / "missing")
+    extend = ["deform", "extend", fx("deform/d01.json"), "--order", "2", "--emit"]
+    cases = [
+        (extend + [os.path.join(missing, "x.json")], None, "cannot write"),
+        (extend + [str(tmp_path)], None, "cannot write"),
+        (["validate"], missing, "cannot list"),
+        (["validate"], fx("leibniz_ff_e.json"), "cannot list"),
+    ]
+    for argv, root, message in cases:
+        if root is not None:
+            monkeypatch.setenv("HOMLEIBNIZ_FIXTURES", root)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("input error: ") and message in err and "Traceback" not in err
+    assert not os.path.exists(missing)
+
 # ---------------------------------------------------------------------------
 # malformed documents end in an input error or a report, never a traceback
 

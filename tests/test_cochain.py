@@ -47,6 +47,7 @@ from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_ve
 from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
     apply_operator,
+    assert_kernel_born_in_ints,
     as_columns,
     blockwise_ambient,
     bracket_table_by_tuples,
@@ -56,6 +57,7 @@ from oracles import (
     delta_ambient,
     dense_restriction,
     fraction_columns,
+    fractions_made,
     per_input_constraint_rows,
     random_cochain,
     row_coboundary_operator,
@@ -142,8 +144,32 @@ def test_constraint_kernel_matches_the_per_input_oracle(monkeypatch):
             rows = per_input_constraint_rows(a, rep, p)
             assert built.pop()._data == rows
             ref = kernel_basis(Matrix.from_rows(rows, space.ambient))
-            assert space.basis.sparse_vectors == ref.sparse_vectors
+            assert space.basis.integral == ref.integral
             assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items())
+
+
+def test_constraint_kernels_are_born_in_ints_as_the_fraction_rref_gave_them(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cochain, "kernel_basis", lambda m: seen.append(m) or kernel_basis(m))
+    inputs = list(calibration_battery()) + fractional_inputs()
+    for a, rep in inputs:
+        for p in (1, 2, 3):
+            CochainSpace(a, rep, p)
+    assert len(seen) == 3 * len(inputs)
+    for m in seen:
+        assert_kernel_born_in_ints(m)
+    # h3 twisted by diag(2, 3, 6): C^3's constraint has rank 81 and no free
+    # column, so its kernel basis is built without a Fraction
+    seen.clear()
+    a = yau_twist(h3(), diag(2, 3, 6))
+    assert CochainSpace(a, adjoint_representation(a), 3).dim == 0
+    (m,) = seen
+    assert rank(m) == m.cols == 81
+    with fractions_made() as made:
+        assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
+        made.clear()
+        kernel_basis(m)
+    assert made == []
 
 
 def test_constraint_violation_raised_for_incompatible_tensor():
@@ -255,10 +281,15 @@ def test_degree_one_formula_by_hand():
 
 
 def test_convention_label_roundtrip():
-    for conv in all_conventions():
-        assert SignConvention.from_label(conv.label()) == conv
-    with pytest.raises(ValueError):
-        SignConvention.from_label("nonsense")
+    labels = [conv.label() for conv in all_conventions()]
+    assert len(set(labels)) == 128
+    for conv, label in zip(all_conventions(), labels):
+        assert SignConvention.from_label(label) == conv
+    refused = ["nonsense", None, 3, "", labels[0][:-1], labels[0] + " ", "a" + labels[0][1:]]
+    assert labels[0].startswith("A+")
+    for label in refused:
+        with pytest.raises(ValueError, match="cannot parse convention label"):
+            SignConvention.from_label(label)
 
 
 def test_sparse_certificate_agrees_with_the_dense_product():
@@ -478,7 +509,7 @@ def test_unbuilt_columns_never_read_as_zero():
         cx = CochainComplex(a, rep)
         for p in (1, 2, 3):
             cx.delta(p)  # builds the columns on the support of C^p's basis
-            support = {j for v in cx.space(p).basis.sparse_vectors for j in v}
+            support = {j for v, _ in cx.space(p).basis.integral[0] for j in v}
             off = [j for j in range(ambient_dim(a, rep, p)) if j not in support]
             reference = as_columns(battery_row_operators(k, p)(DEFAULT_CONVENTION), ambient_dim(a, rep, p))
             for _ in range(3):
@@ -575,7 +606,7 @@ def test_int_restriction_matches_the_dense_oracles(k, p, label, eps, rnd):
         assert dense_coords_in_basis(target.basis, dense_vector(moved, target.ambient)) is None
 
     # one perturbed operator entry: an image off the target space, and delta o delta != 0
-    support = sorted({j for v in source.basis.sparse_vectors for j in v})
+    support = sorted({j for v, _ in source.basis.integral[0] for j in v})
     if support and off:
         bad = perturbed(op, rnd.choice(support), rnd.choice(off), eps)
         with pytest.raises(ConstraintViolation):
@@ -623,27 +654,19 @@ def test_restriction_and_certificate_do_no_fraction_arithmetic(monkeypatch):
     assert fractional[1] > 0
 
 
-def test_ranks_construct_no_fraction(monkeypatch):
+def test_ranks_construct_no_fraction():
     # h3 twisted by diag(1/2, 2/3, 1/3), then the fractional shear: with the
     # spaces and tables built, rank 2 and rank 3 run in ints from the operator
     # columns through the restriction to the elimination
-    made = []
-    construct = Q.__new__
-
-    def counting(cls, *args, **kwargs):
-        made.append(args)
-        return construct(cls, *args, **kwargs)
-
     ranks = []
     for a, rep in (fractional_inputs()[0], fractional_shear()):
         cx = CochainComplex(a, rep)
         for p in (2, 3, 4):
             cx.space(p), cx.operator(p)
-        monkeypatch.setattr(Q, "__new__", staticmethod(counting))
-        assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
-        made.clear()
-        ranks += [cx.rank(2), cx.rank(3)]
+        with fractions_made() as made:
+            assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
+            made.clear()
+            ranks += [cx.rank(2), cx.rank(3)]
         assert made == []
-        monkeypatch.undo()
         assert ranks[-2:] == [rank(cx.delta(2)), rank(cx.delta(3))]
     assert ranks[2] and ranks[3]  # the shear's restricted matrices are not zero

@@ -9,16 +9,16 @@ from homleibniz.cochain import CochainSpace
 from homleibniz.fixtures import calibration_battery
 from homleibniz.linalg import (
     Matrix,
-    _rref,
+    _eliminate,
     coords_in_basis,
     kernel_basis,
     rank,
     dense_vector,
-    integral_vector,
     solve,
     sparse_vector,
 )
 from oracles import (
+    assert_kernel_born_in_ints,
     dense_coords_in_basis,
     dense_kernel_vectors,
     dense_matmul,
@@ -26,6 +26,7 @@ from oracles import (
     dense_rref,
     dense_solve,
     fraction_rref,
+    over_one_den,
 )
 
 rationals = st.fractions(
@@ -45,6 +46,11 @@ def matrices(max_dim=4, cells=rationals):
 
 # about two thirds of the cells are zero
 sparse_cells = st.one_of(st.just(Q(0)), st.just(Q(0)), rationals)
+
+
+def rref(m, b=()):
+    """_eliminate's RREF with each row divided by its pivot entry, in Fractions."""
+    return {p: {c: Q(v, row[p]) for c, v in row.items()} for p, row in _eliminate(m, b).items()}
 
 
 def assert_matches_dense_elimination(m, rnd):
@@ -248,7 +254,7 @@ def test_elimination_forgets_the_cells_back_elimination_cancels():
         right = [[cell(density) for _ in range(c)] for _ in range(k)]
         entries = (Matrix(r, k, left) @ Matrix(k, c, right)).entries
         reduced, pivots = dense_rref(entries, r, c)
-        red = _rref(Matrix(r, c, entries))
+        red = rref(Matrix(r, c, entries))
         assert sorted(red) == pivots
         assert [dense_vector(red[p], c) for p in pivots] == reduced[: len(pivots)]
 
@@ -321,17 +327,11 @@ def rank_deficient_products(draw, max_dim=9):
 
 
 def assert_matches_fraction_rref(m, b):
-    """_rref equals fraction_rref, without and with the column b, on m and on
+    """rref equals fraction_rref, without and with the column b, on m and on
     m held as int numerators over one denominator."""
-    nums, den = integral_vector([((i, c), x) for i in range(m.rows) for c, x in m.row(i).items()])
-    rows = [{} for _ in range(m.rows)]
-    for (i, c), x in nums.items():
-        rows[i][c] = x
-    over_den = Matrix.from_rows(rows, m.cols, den)
-    assert over_den == m
-    for a in (m, over_den):
-        assert _rref(a) == fraction_rref(m)
-        assert _rref(a, b) == fraction_rref(m, b)
+    for a in (m, over_one_den(m)):
+        assert rref(a) == fraction_rref(m)
+        assert rref(a, b) == fraction_rref(m, b)
 
 
 @settings(max_examples=80, deadline=None)
@@ -347,3 +347,9 @@ def test_elimination_matches_the_fraction_rref_where_back_elimination_cancels(m,
     x = data.draw(st.lists(mixed_cells, min_size=m.cols, max_size=m.cols))
     assert_matches_fraction_rref(m, m.matvec(x))
     assert_matches_fraction_rref(m, data.draw(st.lists(mixed_cells, min_size=m.rows, max_size=m.rows)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(max_dim=7, cells=mixed_cells), rank_deficient_products()))
+def test_kernel_basis_is_born_in_ints_as_the_fraction_rref_gave_it(m):
+    assert_kernel_born_in_ints(m)
