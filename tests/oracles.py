@@ -595,7 +595,7 @@ def fraction_rref(m: Matrix, b=()):
     to 1 at its smallest column, its pivot, which is cleared from the reduced
     rows holding it off their pivot, listed in holders; cancelled cells leave it.
     """
-    rows = [dict(row) for row in m._data]
+    rows = [dict(m.row(i)) for i in range(m.rows)]
     for row, x in zip(rows, b):
         if x:
             row[m.cols] = Q(x)
@@ -676,16 +676,14 @@ def fractions_made():
 
 
 def assert_kernel_born_in_ints(m):
-    """kernel_basis on m, on its Fractions and on them over one denominator:
-    every (B_j, d_j), in
+    """kernel_basis on m and on m over one denominator: every (B_j, d_j), in
     position, and unit_rows equal the Fraction elimination's round trip; every
     stored number is an int; and at most one Fraction is made per free column
     and per off-pivot entry of the RREF."""
-    fractions = Matrix.from_rows([m.row(i) for i in range(m.rows)], m.cols)
-    want = fraction_kernel_form(fractions)
-    red = fraction_rref(fractions)
+    want = fraction_kernel_form(m)
+    red = fraction_rref(m)
     bound = m.cols - len(red) + sum(len(row) - 1 for row in red.values())
-    for a in (m, fractions, over_one_den(fractions)):
+    for a in (m, over_one_den(m)):
         with fractions_made() as made:
             kb = kernel_basis(a)
         assert len(made) <= bound
