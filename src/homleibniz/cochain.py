@@ -12,20 +12,20 @@ kernel basis of that constraint.  Its rows come input by input, each input's
 column of alpha^{tensor k} (abar is alpha slot by slot) one Kronecker step
 on its prefix's, built depth first with one partial column per level.
 
-The coboundary consists of four term groups.  Their unit signs, the slot
-order of the bracket on (n-1)-tuples, and two typographically ambiguous
-readings are collected in SignConvention; calibration_report finds the
-conventions under which the composite coboundary vanishes exactly.
+delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
+order of the bracket on (n-1)-tuples and the twist after the hat (read by
+T_A), and the range of T_C are collected in SignConvention; calibration_report
+finds the conventions under which the composite coboundary vanishes exactly.
 
 Each term is f precomposed with a tensor product of small maps (alpha, abar,
 the bracket, the identity) after a slot permutation, in terms C and D then
 acted on by the module.  coboundary_operator assembles delta^p column by
 column from those maps, transposed once per (algebra, rep, p) in the
-SlotTables that CochainComplex keeps for every convention, so an operator
-builds no cochain space.  Each table holds int numerators over one
-denominator of its own, and a column is summed and kept in Python ints
-over one common denominator q of (p, convention).  A Columns cache
-builds each column on its first read: restrict_operator and
+SlotTables that convention siblings share, so an operator builds no cochain
+space.  Each table holds int numerators over its own denominator; the tables
+cache each term group's int columns over q[bracket_y_first], with sign +1,
+per setting of the flags it reads, summed by the convention's signs.  A
+Columns cache builds each column on its first read: restrict_operator and
 squares_to_zero read the columns on the support of the source bases, and
 only the extension solve reads every column, through
 MorphismComplex.operator.  From the constraint rows and the operator
@@ -87,6 +87,8 @@ class SignConvention:
         for s in (self.sign_a, self.sign_b, self.sign_c, self.sign_d):
             if s not in (1, -1):
                 raise ValueError("signs must be +1 or -1")
+        if not all(type(f) is bool for f in (self.bracket_y_first, self.twist_after_hat, self.c_full_range)):
+            raise ValueError("flags must be True or False")
 
     def label(self):
         pm = lambda s: "+" if s == 1 else "-"
@@ -274,7 +276,10 @@ class SlotTables:
     table's name (den["bracket"] maps yf to that order's denominator).
     bracket is built from the bracket's support: an entry [K] fixes the
     component x_k of X that it brackets and all of X2, and the other n-2
-    components of X run over alpha's columns.
+    components of X run over alpha's columns.  groups caches delta^p's term
+    groups, {column: {row: coeff}} over q[yf] with sign +1, by yf and the
+    flags each reads: ("A", yf, twist_after_hat), ("B", yf), ("C", yf,
+    c_full_range) and ("D", yf).
     """
 
     def __init__(self, algebra, rep, p):
@@ -318,6 +323,7 @@ class SlotTables:
         rest = (den["mu"] * den["abar"] ** (p - 1), den["action_c"], den["action_d"])
         self.q = {yf: math.lcm(den["alpha"] * den["bracket"][yf] * den["abar"] ** max(p - 2, 0), *rest)
                   for yf in (False, True)}
+        self.groups = {}
 
 
 def _bracket_rows(a, yf, alpha_cols):
@@ -366,43 +372,59 @@ def coboundary_operator(tables, columns, convention=DEFAULT_CONVENTION):
     with int coeffs over q, read off the SlotTables of (algebra, rep, p).
 
     columns lists the ambient columns wanted; empty columns are omitted and
-    every column is sorted by row.  Column (z Y_1 .. Y_{p-1}, mf) costs
-    only its own nonzeros: each term of delta^p f that reads this coefficient
-    of f is a product of table entries, one per slot of f's input, with the
-    X_i or X_j that the term drops put back at its slot.
-
-    The table entries are int numerators, so each term is an int over the
-    product of its factors' table denominators.  Every term group is brought
-    over the common denominator q = tables.q[bracket_y_first] by an int
-    weight (its sign times q over its denominator), and each coeff is the
-    column's int sum, its entry times q.
+    every column is sorted by row.  delta^p = s_a T_A + s_b T_B + s_c T_C +
+    s_d T_D over q = tables.q[bracket_y_first]: each column sums the signed
+    columns of the term groups that the flags select, built once per flag
+    setting and column by _term_groups and cached on the tables.
     """
-    t, cv, p = tables, convention, tables.p
-    n, d, m, D = t.algebra.arity, t.algebra.dim, t.rep.module_dim, t.D
-    w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
-    bracket = t.bracket[cv.bracket_y_first]
-    c_top = p if cv.c_full_range else p - 1
-
-    # a product is an int over its tables' denominators: term A's over den_a
-    # times abar^k, k its abar slots (p - 2, or j - 2 when hat-bare), term B's
-    # over den_b; a group's weight is its sign times q over that denominator
-    den, abar, q = t.den, t.den["abar"], t.q[cv.bracket_y_first]
-    den_a = den["alpha"] * den["bracket"][cv.bracket_y_first]
-    den_b = den["mu"] * abar ** (p - 1)
-    weight_a = {j: cv.sign_a * (-1) ** j * (q // (den_a * abar ** (p - 2 if cv.twist_after_hat else j - 2)))
-                for j in range(2, p + 1)}
-    weight_b = [cv.sign_b * (-1) ** i * (q // den_b) for i in range(p + 1)]
-    weight_c = [cv.sign_c * (-1) ** (i + 1) * (q // den["action_c"]) for i in range(c_top + 1)]
-    weight_d = cv.sign_d * (q // den["action_d"])
-
+    cv, yf = convention, convention.bracket_y_first
+    keys = (("A", yf, cv.twist_after_hat), ("B", yf), ("C", yf, cv.c_full_range), ("D", yf))
+    groups = [tables.groups.setdefault(key, {}) for key in keys]
+    todo = [{j for j in columns if j not in group} for group in groups]
+    if any(todo):
+        _term_groups(tables, cv, groups, todo)
+    signed = list(zip(groups, (cv.sign_a, cv.sign_b, cv.sign_c, cv.sign_d)))
     out = {}
     for col in columns:
+        acc = {}
+        for group, sign in signed:
+            for row, v in group[col].items():
+                acc[row] = acc.get(row, 0) + sign * v
+        entries = [(row, v) for row, v in sorted(acc.items()) if v]
+        if entries:
+            out[col] = entries
+    return out
+
+
+def _term_groups(t, cv, groups, todo):
+    """Build the columns todo[g] of term group g = A, B, C, D under cv's flags,
+    with sign +1, into groups[g] as {row: int coeff over q}.  Column
+    (z Y_1 .. Y_{p-1}, mf) costs only its own nonzeros: each term of delta^p f
+    that reads this coefficient of f is a product of int table entries, one
+    per slot of f's input, with the X_i or X_j that the term drops put back at
+    its slot, and an int weight (its alternating sign times q over the
+    tables' denominators) brings it over q.
+    """
+    want_a, want_b, want_c, want_d = todo
+    p, n, d, m, D = t.p, t.algebra.arity, t.algebra.dim, t.rep.module_dim, t.D
+    w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
+    yf, twist_after_hat, c_top = cv.bracket_y_first, cv.twist_after_hat, p if cv.c_full_range else p - 1
+    bracket, den, abar, q = t.bracket[yf], t.den, t.den["abar"], t.q[yf]
+
+    # term A's products are over den_a times abar^(p - 2), or abar^(j - 2) when hat-bare
+    den_a = den["alpha"] * den["bracket"][yf]
+    weight_a = {j: (-1) ** j * (q // (den_a * abar ** (p - 2 if twist_after_hat else j - 2))) for j in range(2, p + 1)}
+    weight_b = [(-1) ** i * (q // (den["mu"] * abar ** (p - 1))) for i in range(p + 1)]
+    weight_c, weight_d = [(-1) ** (i + 1) * (q // den["action_c"]) for i in range(c_top + 1)], q // den["action_d"]
+
+    for col in set().union(*todo):
         key, mf = divmod(col, m)
         Y = [key // w[s + 1] % D for s in range(p)]  # f's input z Y_1 .. Y_{p-1}
-        diagonal = []  # (factors, base, weight) of the terms that keep f's output index
+        # a group's column is a fresh dict where wanted, else its cached one, left alone
+        acc_a, acc_b, acc_c, acc_d = [group.setdefault(col, {}) for group in groups]
 
         # term A: f(alpha z, abar X_1, .., [X_i, X_j], .., X_j dropped, ..)
-        for i in range(1, p):
+        for i in range(1, p) if col in want_a else ():
             if not bracket[Y[i]]:
                 continue  # then every product below is empty
             for j in range(i + 1, p + 1):
@@ -412,40 +434,32 @@ def coboundary_operator(tables, columns, convention=DEFAULT_CONVENTION):
                 for r in range(1, p + 1):
                     if r in (i, j):
                         continue
-                    if r < j or cv.twist_after_hat:
+                    if r < j or twist_after_hat:
                         factors.append([(X * w[r], c) for X, c in t.abar[Y[r - (r > j)]]])
                     else:
                         base += Y[r - 1] * w[r]
-                diagonal.append((factors, base, weight_a[j]))
+                for off, c in _products(factors, base, weight_a[j]):
+                    acc_a[off * m + mf] = acc_a.get(off * m + mf, 0) + c
 
         # term B: f([z, X_i], abar X_r for r != i)
-        for i in range(1, p + 1) if t.mu[Y[0]] else ():
+        for i in range(1, p + 1) if col in want_b and t.mu[Y[0]] else ():
             factors = [[(z0 * w[0] + X * w[i], c) for z0, X, c in t.mu[Y[0]]]]
             factors += [[(X * w[r], c) for X, c in t.abar[Y[r - (r > i)]]] for r in range(1, p + 1) if r != i]
-            diagonal.append((factors, 0, weight_b[i]))
-
-        acc = {}
-        for factors, base, weight in diagonal:
-            for off, c in _products(factors, base, weight):
-                acc[off * m + mf] = acc.get(off * m + mf, 0) + c
+            for off, c in _products(factors, 0, weight_b[i]):
+                acc_b[off * m + mf] = acc_b.get(off * m + mf, 0) + c
 
         # term C: right action of alpha^{p-1}(X_i) on f(z, X_r for r != i)
-        for i in range(1, c_top + 1):
+        for i in range(1, c_top + 1) if col in want_c and t.action_c[mf] else ():
             base = Y[0] * w[0] + sum(Y[r - (r > i)] * w[r] for r in range(1, p + 1) if r != i)
             for X, mo, c in t.action_c[mf]:
                 row = (base + X * w[i]) * m + mo
-                acc[row] = acc.get(row, 0) + weight_c[i] * c
+                acc_c[row] = acc_c.get(row, 0) + weight_c[i] * c
 
         # term D: action i of alpha^{p-1}(z, X_1 but x_i) on f(x_i, X_2, .., X_p)
         base = [Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1] for i in range(n)]
-        for i, z0, X, mo, c in t.action_d[mf]:
+        for i, z0, X, mo, c in t.action_d[mf] if col in want_d else ():
             row = (z0 * w[0] + X * w[1] + base[i]) * m + mo
-            acc[row] = acc.get(row, 0) + weight_d * c
-
-        entries = [(row, v) for row, v in sorted(acc.items()) if v]
-        if entries:
-            out[col] = entries
-    return out
+            acc_d[row] = acc_d.get(row, 0) + weight_d * c
 
 
 class Columns:

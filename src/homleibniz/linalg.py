@@ -24,10 +24,12 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 Q = Fraction
 _ZERO = Q(0)
+_MODULUS = sys.hash_info.modulus
 
 
 def sparse_vector(vec):
@@ -119,7 +121,11 @@ class Matrix:
         return (self.rows, self.cols, self._values()) == (other.rows, other.cols, other._values())
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._values())))
+        # over den, a numerator x hashes as Fraction(x, den) does: |x| / den mod the hash modulus, signed
+        inv = self.den and self.den % _MODULUS and pow(self.den, -1, _MODULUS)
+        rows = self._values() if not inv else [
+            {c: abs(x) * inv % _MODULUS * (1 if x > 0 else -1) for c, x in r.items()} for r in self._data]
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in rows)))
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"

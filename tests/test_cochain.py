@@ -1,3 +1,4 @@
+import collections
 import functools
 import random
 from fractions import Fraction as Q
@@ -327,6 +328,17 @@ def test_calibration_rejects_an_image_outside_the_compatible_subspace():
     assert not any(convention_passes(cx.with_convention(cv)) for cv in all_conventions())
 
 
+def test_convention_flags_must_be_bools():
+    # 2 would label itself yx and 'no' hat-twisted, yet neither equals that convention
+    for flags in ({"bracket_y_first": 2}, {"twist_after_hat": "no"}, {"c_full_range": 1}, {"c_full_range": None}):
+        with pytest.raises(ValueError, match="flags must be True or False"):
+            SignConvention(**flags)
+    for bad in (0, 2, "+"):
+        with pytest.raises(ValueError, match="signs must be"):
+            SignConvention(sign_c=bad)
+    assert SignConvention(-1, 1, 1, 1, True, False, False).label() == "A-B+C+D+|yx|hat-bare|c-short"
+
+
 def test_default_convention_is_all_plus():
     assert DEFAULT_CONVENTION.label() == "A+B+C+D+|xy|hat-twisted|c-full"
 
@@ -364,6 +376,58 @@ def test_calibration_builds_the_slot_tables_once_per_member_and_degree(monkeypat
         "A-B-C-D-|xy|hat-bare|c-full",
         "A-B-C-D-|xy|hat-twisted|c-full",
     ]
+
+
+def group_flags(cv):
+    """The keys of the term groups A, B, C, D that cv selects: the flags each reads."""
+    yf = cv.bracket_y_first
+    return [("A", yf, cv.twist_after_hat), ("B", yf), ("C", yf, cv.c_full_range), ("D", yf)]
+
+
+def test_calibration_builds_each_term_group_column_once(monkeypatch):
+    battery = calibration_battery()
+    members = {id(rep): k for k, (_, rep) in enumerate(battery)}
+    built, calls, operators = collections.Counter(), [], []
+    term_groups, operator = cochain._term_groups, cochain.coboundary_operator
+
+    def counting(t, cv, groups, todo):
+        calls.append((members[id(t.rep)], t.p))
+        for key, want in zip(group_flags(cv), todo):
+            built.update((members[id(t.rep)], t.p, key, j) for j in want)
+        term_groups(t, cv, groups, todo)
+
+    def operators_counted(*args, **kwargs):
+        operators.append(args)
+        return operator(*args, **kwargs)
+
+    monkeypatch.setattr(cochain, "_term_groups", counting)
+    monkeypatch.setattr(cochain, "coboundary_operator", operators_counted)
+    passing = calibration_report(battery)
+    assert built and max(built.values()) == 1
+    # member 0 sees all 128 conventions, so every flag setting of every group
+    keys = {key for cv in all_conventions() for key in group_flags(cv)}
+    assert len(keys) == 12 and {key for k, _, key, _ in built if k == 0} == keys
+    assert len(operators) == 364 and len(calls) < len(operators) / 2
+    assert len(passing) == 4
+
+
+def test_shared_term_groups_match_a_fresh_build_and_the_row_oracle():
+    rng = random.Random(20)
+    inputs = [(a, rep, functools.partial(battery_row_operators, k)) for k, (a, rep) in enumerate(BATTERY)]
+    inputs += [(a, rep, functools.partial(row_operators, a, rep)) for a, rep in fractional_inputs()]
+    conventions = list(all_conventions())
+    for a, rep, oracle in inputs:
+        for p in (1, 2, 3):
+            t, size, row_op = SlotTables(a, rep, p), ambient_dim(a, rep, p), oracle(p)
+            rng.shuffle(conventions)
+            seen = []
+            for cv in conventions if p < 3 else conventions[:24]:
+                cols = rng.sample(range(size), rng.randint(1, min(size, 12)))
+                cols += rng.sample(seen, min(len(seen), 3))  # columns read before, some twice in this list
+                seen = sorted(set(seen + cols))
+                shared = coboundary_operator(t, cols, cv)
+                assert shared == coboundary_operator(SlotTables(a, rep, p), cols, cv)
+                assert fraction_columns(shared, t.q[cv.bracket_y_first]) == row_op(cv, sorted(set(cols)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -26,6 +27,7 @@ from oracles import (
     dense_rref,
     dense_solve,
     fraction_rref,
+    fractions_made,
     over_one_den,
 )
 
@@ -312,6 +314,36 @@ def test_kernel_coords_roundtrip(m, rnd):
 
 # ---------------------------------------------------------------------------
 # the fraction-free elimination against the Fraction elimination it replaced
+
+
+HASH_MODULUS = sys.hash_info.modulus
+
+
+@st.composite
+def numerators_over_den(draw, max_dim=5):
+    """(sparse int rows, cols, den): negative numerators, numerators sharing
+    factors with den or equal to -den, and now and then a den that the hash
+    modulus divides."""
+    den = draw(st.one_of(st.integers(1, 72), st.sampled_from([HASH_MODULUS, 6 * HASH_MODULUS])))
+    cells = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-5, 5).map(lambda k: k * den), st.just(-den))
+    r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
+    rows = [{j: x for j, x in enumerate(draw(st.lists(cells, min_size=c, max_size=c))) if x} for _ in range(r)]
+    return rows, c, den
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerators_over_den())
+def test_a_matrix_over_den_hashes_as_its_fraction_twin_without_a_fraction(drawn):
+    rows, cols, den = drawn
+    m = Matrix.from_rows(rows, cols, den)
+    twin = Matrix.from_rows([{j: Q(x, den) for j, x in row.items()} for row in rows], cols)
+    with fractions_made() as made:
+        h = hash(m)
+    assert made == [] or den % HASH_MODULUS == 0  # such a den falls back to the Fractions
+    # the hash of each row's (column, Fraction) pairs, as the entries give it
+    by_fractions = hash((m.rows, m.cols, tuple(frozenset(twin.row(i).items()) for i in range(m.rows))))
+    assert m == twin and h == hash(twin) == by_fractions
+    assert hash(over_one_den(twin)) == h
 
 
 mixed_cells = st.one_of(st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
