@@ -314,7 +314,7 @@ def _semidirect(rep: Representation) -> HomNaryAlgebra:
     for i, action in enumerate(rep.actions):
         for key, entry in action.items():
             bracket[key[:i] + (d + key[-1],) + key[i:-1]] = {d + k: v for k, v in entry.items()}
-    return HomNaryAlgebra(a.arity, d + m, tuple(range(d + m)), bracket, Matrix.from_rows(rows, d + m))
+    return HomNaryAlgebra(a.arity, d + m, tuple(range(d + m)), bracket, Matrix.from_rationals(rows, d + m))
 
 
 def check_representation(rep: Representation):

@@ -28,10 +28,10 @@ per setting of the flags it reads, summed by the convention's signs.  A
 Columns cache builds each column on its first read: restrict_operator and
 squares_to_zero read the columns on the support of the source bases, and
 only the extension solve reads every column, through
-MorphismComplex.operator.  From the constraint rows and the operator
-columns to the rank, cochain data stay in ints: kernel_basis builds each
-basis as int pairs (B_j, d_j), SubspaceBasis.integral, which apply_sparse
-maps as they are, coords_in_basis checks each image by int
+MorphismComplex.operator.  From the twists' Matrix.numerators() and the
+operator columns to the rank, cochain data stay in ints: kernel_basis
+builds each basis as int pairs (B_j, d_j), SubspaceBasis.integral, which
+apply_sparse maps as they are, coords_in_basis checks each image by int
 back-substitution, and the restricted matrix holds int numerators over
 one denominator.  delta o delta = 0 is certified in one place,
 squares_to_zero, as an int zero test on the sparse ambient operators;
@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .algebra import cadd, precompose
 from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum
-from .linalg import kernel_basis, rank, sparse_vector
+from .linalg import kernel_basis, rank, sparse_vector, transpose
 
 
 class ConstraintViolation(Exception):
@@ -182,17 +182,14 @@ class CochainSpace:
         a, rep = self.algebra, self.rep
         d, m = a.dim, rep.module_dim
         rows = []
-        alpha_cols, den_a = _integral([list(a.alpha_combo(i).items()) for i in range(d)])
-        alpha_m_cols, den_m = _integral([list(rep.alpha_module.column(mm).items()) for mm in range(m)])
+        alpha_rows, den_a = a.alpha.numerators()
+        alpha_m_rows, den_m = rep.alpha_module.numerators()
         den = math.lcm(den_m, den_a ** self.in_len)
         w_m, w_k = den // den_m, den // den_a ** self.in_len
-        for inp, kron in _kron_columns([dict(c) for c in alpha_cols], self.in_len, 0, {0: 1}):
+        for inp, kron in _kron_columns(transpose(alpha_rows, d), self.in_len, 0, {0: 1}):
             # one sparse row per output index mo; the alpha_M o f term
-            block = [{} for _ in range(m)]
             base = inp * m
-            for mm, col in enumerate(alpha_m_cols):
-                for mo, c in col:
-                    block[mo][base + mm] = c * w_m
+            block = [{base + mm: c * w_m for mm, c in row.items()} for row in alpha_m_rows]
             # - f o (alpha tensor abar...) term, abar expanded on the basis input
             for key, v in kron.items():
                 at = key * m
@@ -270,10 +267,10 @@ class SlotTables:
                                                     but x_i, which X holds as 0)
 
     with the actions on the unit module vector mf, read off each action's
-    support precomposed with alpha^{p-1}.  Every coefficient c is an int,
-    the numerator over its table's own denominator: the lcm of the
-    denominators of the table's rational entries, kept in den under the
-    table's name (den["bracket"] maps yf to that order's denominator).
+    support precomposed with alpha^{p-1}.  Every coefficient c is an int
+    over its table's den[name]: alpha's Matrix.den, its power n-1 for abar,
+    else the lcm of the denominators of the table's rational entries
+    (den["bracket"] maps yf to that order's denominator).
     bracket is built from the bracket's support: an entry [K] fixes the
     component x_k of X that it brackets and all of X2, and the other n-2
     components of X run over alpha's columns.  groups caches delta^p's term
@@ -286,15 +283,10 @@ class SlotTables:
         self.algebra, self.rep, self.p = algebra, rep, p
         a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
         self.D = d ** (n - 1)
-        alpha_cols = [a.alpha_combo(x) for x in range(d)]
-        alpha = [[] for _ in range(d)]
-        for z0, col in enumerate(alpha_cols):
-            for z, c in col.items():
-                alpha[z].append((z0, c))
-        abar = [[] for _ in range(self.D)]
-        for X, col in _kron_columns(alpha_cols, n - 1, 0, {0: Q(1)}):
-            for Y, c in col.items():
-                abar[Y].append((X, c))
+        rows_a, den_a = a.alpha.numerators()
+        self.alpha = [list(row.items()) for row in rows_a]
+        abar_cols = [col for _, col in _kron_columns(transpose(rows_a, d), n - 1, 0, {0: 1})]
+        self.abar = [list(row.items()) for row in transpose(abar_cols, self.D)]
         mu = [[] for _ in range(d)]
         for (z0, *xs), out in a.bracket.items():
             for z, c in out.items():
@@ -309,12 +301,11 @@ class SlotTables:
                         action_c[mf].append((_flat(ws, d), mo, c))
                     else:
                         action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
-        self.den = {"bracket": {}}
+        self.den = {"bracket": {}, "alpha": den_a, "abar": den_a ** (n - 1)}
         self.bracket = {}
+        alpha_cols = [a.alpha_combo(x) for x in range(d)]
         for yf in (False, True):
             self.bracket[yf], self.den["bracket"][yf] = _integral(_bracket_rows(a, yf, alpha_cols))
-        self.alpha, self.den["alpha"] = _integral(alpha)
-        self.abar, self.den["abar"] = _integral(abar)
         self.mu, self.den["mu"] = _integral(mu)
         self.action_c, self.den["action_c"] = _integral(action_c)
         self.action_d, self.den["action_d"] = _integral(action_d)

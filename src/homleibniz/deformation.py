@@ -40,7 +40,7 @@ from .algebra import (
     precompose,
 )
 from .cochain import DEFAULT_CONVENTION, Cochain, ConstraintViolation, _flat
-from .linalg import Matrix, Q, dense_vector, solve, sparse_vector
+from .linalg import Matrix, dense_vector, solve, sparse_vector, transpose
 from .morphism_complex import MorphismCochain, MorphismComplex
 
 
@@ -313,17 +313,14 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     if not rhs.keys() <= rows.keys():
         return None  # an equation 0 = F_l at an index where d^2 has no row
     order = sorted(rows)
-    x = solve(Matrix.from_rows([rows[r] for r in order], op.size, op.den), [rhs.get(r, Q(0)) for r in order])
+    x = solve(Matrix.from_rows([rows[r] for r in order], op.size, op.den), [rhs.get(r, 0) for r in order])
     if x is None:
         return None
 
     xi_l = _unpack(sparse_vector(x[:au]), n, L.dim, L.dim)
     eta_l = _unpack(sparse_vector(x[au : au + av]), n, M.dim, M.dim)
-    phi_rows = [{} for _ in range(M.dim)]
-    for (j,), col in _unpack(sparse_vector(x[au + av :]), 1, L.dim, M.dim).items():
-        for r, v in col.items():
-            phi_rows[r][j] = v
-    phi_l = Matrix.from_rows(phi_rows, L.dim)
+    phi_cols = _unpack(sparse_vector(x[au + av :]), 1, L.dim, M.dim)
+    phi_l = Matrix.from_rationals(transpose([phi_cols.get((j,), {}) for j in range(L.dim)], M.dim), L.dim)
 
     r1, r2, r3 = morphism_order_residual(md.truncated(l - 1).extended(xi_l, eta_l, phi_l), l)
     if r1 or r2 or r3:

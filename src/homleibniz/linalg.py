@@ -3,9 +3,9 @@
 Cochain-space bases, ranks of restricted differentials and deformation
 solves reduce to the four operations here: rank, kernel_basis, solve and
 coords_in_basis.  Only this module knows how matrices and subspaces are
-stored, and the storage is sparse: Matrix rows are {index: nonzero}, of
-Fractions, or of int numerators over one Matrix.den, as the restriction
-and the constraint kernel build them; every accessor returns Fractions.
+stored, and the storage is sparse.  A Matrix has one form, rows {index:
+nonzero int numerator} over one int den (1 when integral), read as ints
+through Matrix.numerators(); row, column and entries return Fractions.
 rank, kernel_basis and solve share one fraction-free elimination over int
 rows, _eliminate.  Kernel vectors are born as ints, each stored only as
 (B_j, d_j) in SubspaceBasis.integral; Fractions are made only for
@@ -24,12 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from fractions import Fraction
 
 Q = Fraction
 _ZERO = Q(0)
-_MODULUS = sys.hash_info.modulus
 
 
 def sparse_vector(vec):
@@ -42,14 +40,20 @@ def dense_vector(vec, n):
     return [vec.get(i, _ZERO) for i in range(n)]
 
 
-def integral_vector(pairs):
-    """(numerators, den) of the (index, rational) pairs: {index: int numerator}
+def integral_rows(rows):
+    """(numerators, den) of sparse rational rows: {index: int numerator} rows
     over den, the lcm of their denominators."""
-    den = 1
-    for _, x in pairs:
-        if den % x.denominator:
-            den = math.lcm(den, x.denominator)
-    return {i: x.numerator * (den // x.denominator) for i, x in pairs}, den
+    den = math.lcm(*{x.denominator for row in rows for x in row.values()})
+    return [{i: x.numerator * (den // x.denominator) for i, x in row.items()} for row in rows], den
+
+
+def transpose(rows, n):
+    """The n sparse columns {row: value} of the sparse rows {column < n: value}."""
+    columns = [{} for _ in range(n)]
+    for i, row in enumerate(rows):
+        for c, x in row.items():
+            columns[c][i] = x
+    return columns
 
 
 def _add_scaled(dst, f, src):
@@ -63,48 +67,53 @@ def _add_scaled(dst, f, src):
 
 
 class Matrix:
-    """rows x cols rational matrix over sparse rows, immutable by convention.
-    The rows hold the entries, or int numerators over den when den is not
-    None; every accessor returns the entries."""
+    """rows x cols rational matrix, immutable by convention: sparse rows of
+    nonzero int numerators over one int den >= 1 (1 when integral), handed
+    out by numerators(); row, column and entries return Fractions."""
 
-    __slots__ = ("rows", "cols", "_data", "_columns", "den")
+    __slots__ = ("rows", "cols", "den", "_data", "_rows", "_columns")
 
     def __init__(self, rows, cols, entries):
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError("entry grid does not match declared shape")
         self.rows = rows
         self.cols = cols
-        self._data = [sparse_vector(row) for row in entries]
         self._columns = None
-        self.den = None
+        self._rows = [sparse_vector(row) for row in entries]  # the row view, already built
+        self._data, self.den = integral_rows(self._rows)
 
     @classmethod
-    def from_rows(cls, rows, cols, den=None):
-        """The matrix of the sparse rows {column < cols: nonzero}, not copied, over den if given."""
+    def from_rows(cls, rows, cols, den=1):
+        """The matrix of the sparse rows {column < cols: nonzero int numerator} over den, not copied."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m._data, m._columns, m.den = len(rows), cols, rows, None, den
+        m.rows, m.cols, m.den, m._data, m._rows, m._columns = len(rows), cols, den, rows, None, None
         return m
 
-    def _values(self):
-        """The sparse rows of entries, as Fractions when the rows hold numerators."""
-        return self._data if self.den is None else [{c: Q(x, self.den) for c, x in r.items()} for r in self._data]
+    @classmethod
+    def from_rationals(cls, rows, cols):
+        """The matrix of the sparse rows {column < cols: nonzero rational}, put over one den."""
+        nums, den = integral_rows(rows)
+        return cls.from_rows(nums, cols, den)
+
+    def numerators(self):
+        """(rows, den): the sparse rows {column: nonzero int numerator} over den; shared, so never modify them."""
+        return self._data, self.den
 
     @property
     def entries(self):
         """Dense rows x cols grid of Fractions, built on each read."""
-        return [dense_vector(row, self.cols) for row in self._values()]
+        return [dense_vector(self.row(i), self.cols) for i in range(self.rows)]
 
     def row(self, i):
-        """Row i as a sparse {column: nonzero entry}; shared, so never modify it."""
-        return self._data[i] if self.den is None else {c: Q(x, self.den) for c, x in self._data[i].items()}
+        """Row i as a sparse {column: nonzero Fraction}; built once, so never modify it."""
+        if self._rows is None:
+            self._rows = [{c: Q(x, self.den) for c, x in r.items()} for r in self._data]
+        return self._rows[i]
 
     def column(self, j):
-        """Column j as a sparse {row: nonzero entry}; built once, so never modify it."""
+        """Column j as a sparse {row: nonzero Fraction}; built once, so never modify it."""
         if self._columns is None:
-            self._columns = [{} for _ in range(self.cols)]
-            for i, row in enumerate(self._values()):
-                for c, x in row.items():
-                    self._columns[c][i] = x
+            self._columns = [{i: Q(x, self.den) for i, x in c.items()} for c in transpose(self._data, self.cols)]
         return self._columns[j]
 
     @classmethod
@@ -113,19 +122,21 @@ class Matrix:
 
     @classmethod
     def identity(cls, n):
-        return cls.from_rows([{i: Q(1)} for i in range(n)], n)
+        return cls.from_rows([{i: 1} for i in range(n)], n)
+
+    def _key(self):
+        """Shape, den and numerator rows, divided by their gcd: equal matrices share it."""
+        g = math.gcd(self.den, *(x for r in self._data for x in r.values())) if self.den != 1 else 1
+        rows = tuple(frozenset((c, x // g) for c, x in r.items()) for r in self._data)
+        return self.rows, self.cols, self.den // g, rows
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (self.rows, self.cols, self._values()) == (other.rows, other.cols, other._values())
+        return self._key() == other._key()
 
     def __hash__(self):
-        # over den, a numerator x hashes as Fraction(x, den) does: |x| / den mod the hash modulus, signed
-        inv = self.den and self.den % _MODULUS and pow(self.den, -1, _MODULUS)
-        rows = self._values() if not inv else [
-            {c: abs(x) * inv % _MODULUS * (1 if x > 0 else -1) for c, x in r.items()} for r in self._data]
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in rows)))
+        return hash(self._key())
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -133,33 +144,33 @@ class Matrix:
     def __sub__(self, other):
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in subtraction")
-        out = [dict(r) for r in self._values()]
-        for row, r2 in zip(out, other._values()):
-            _add_scaled(row, -1, r2)
-        return Matrix.from_rows(out, self.cols)
+        den = math.lcm(self.den, other.den)
+        out = [{c: x * (den // self.den) for c, x in r.items()} for r in self._data]
+        for row, r2 in zip(out, other._data):
+            _add_scaled(row, -(den // other.den), r2)
+        return Matrix.from_rows(out, self.cols, den)
 
     def __matmul__(self, other):
         """Row i of the product is sum_k self[i][k] * other's row k, over nonzeros only."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        out, right = [], other._values()
-        for row in self._values():
+        out, right = [], other._data
+        for row in self._data:
             acc = {}
             for k, a in row.items():
                 _add_scaled(acc, a, right[k])
             out.append(acc)
-        return Matrix.from_rows(out, other.cols)
+        return Matrix.from_rows(out, other.cols, self.den * other.den)
 
     def scaled(self, c):
         c = Q(c)
-        rows = [{j: c * x for j, x in row.items()} if c else {} for row in self._values()]
-        return Matrix.from_rows(rows, self.cols)
+        rows = [{j: c.numerator * x for j, x in row.items()} if c else {} for row in self._data]
+        return Matrix.from_rows(rows, self.cols, self.den * c.denominator)
 
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise ValueError("vector length does not match cols")
-        out = [sum((a * vec[c] for c, a in row.items()), _ZERO) for row in self._data]
-        return out if self.den is None else [x / self.den for x in out]
+        return [sum((a * vec[c] for c, a in row.items()), _ZERO) / self.den for row in self._data]
 
     def power(self, k):
         if self.rows != self.cols:
@@ -234,10 +245,10 @@ def _eliminate(m: Matrix, b=()):
     red, holders = {}, {}
     for row, rhs in zip(m._data, b or itertools.repeat(0)):
         if rhs:
-            row = row | {m.cols: rhs * (m.den or 1)}
+            row = row | {m.cols: rhs * m.den}
         if not row:
             continue
-        row = integral_vector(row.items())[0] if m.den is None or rhs else dict(row)
+        row = integral_rows([row])[0][0] if rhs else dict(row)
         hits, lcm = [p for p in row if p in red], 1
         for p in hits:
             if lcm % red[p][p]:

@@ -8,7 +8,7 @@ All three summands share one sign convention.
 d^p is assembled in one place, MorphismComplex.operator: a Columns cache
 whose columns are built on first read from the three summand complexes'
 operator columns plus the push and pull columns, all in int numerators
-over one denominator, phi's matrix taken over the lcm of its entries.
+over one denominator, phi read through its int numerators.
 d_matrix restricts it to the direct-sum bases for cohomology and reads the
 columns on their support only; deformation.solve_extension solves against
 it at the ambient level, its unknowns unconstrained, and reads every
@@ -17,8 +17,9 @@ cochain.squares_to_zero, as for the summand complexes.  _d_columns is the
 only code that applies phi to a cochain: differential and the
 vanishing-transfer witness both read d_matrix.  A push column phi.u applies
 phi to the output index; a pull column -v.phi is the unit tensor of v
-precomposed with phi in every input slot, by algebra.precompose, so it
-visits only the inputs that phi sends onto its key.
+precomposed with phi in every input slot, the Kronecker product of phi's
+int rows by cochain._products, so it visits only the inputs that phi sends
+onto its key.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .algebra import Morphism, adjoint_representation, precompose, pullback_representation
+from .algebra import Morphism, adjoint_representation, pullback_representation
 from .cochain import (
     Cochain,
     Columns,
@@ -37,25 +38,24 @@ from .cochain import (
     cohomology_dim_of,
     input_length,
     restrict_operator,
-    _flat,
-    _integral,
+    _products,
 )
-from .linalg import Matrix, Q, rank, solve
+from .linalg import Matrix, Q, rank, solve, transpose
 
 
 class HypothesisNotMet(Exception):
     """A vanishing-transfer precondition (a cohomology group) is nonzero."""
 
 
-def _d_columns(phi, phi_int, p, ops, dims, den, js):
+def _d_columns(phi, p, ops, dims, den, js):
     """{j: column} of d^p for the columns js, in int numerators over den,
     from the columns of the summand operators ops (delta^p of L and of M,
     then delta^{p-1} of the mixed complex), the ambient sizes dims in
-    degrees p and p+1, and phi_int, phi's matrix as ints over their lcm."""
+    degrees p and p+1, and phi's int numerators."""
     (au, av, _), (ru, rv, _) = dims
     third = ru + rv
     d_src, d_tgt = phi.source.dim, phi.target.dim
-    phi_num, phi_den = phi_int
+    phi_rows, phi_den = phi.matrix.numerators()
     in_len = input_length(phi.source.arity, p)
     us = [j for j in js if j < au]
     vs = [j - au for j in js if au <= j < au + av]
@@ -63,19 +63,21 @@ def _d_columns(phi, phi_int, p, ops, dims, den, js):
     op = {}
     # u: delta u on top, phi.u below; phi acts on the output index
     left, scale, push = ops[0].read(us), den // ops[0].den, den // phi_den
+    phi_cols = transpose(phi_rows, d_src)
     for j in us:
         pos, k = divmod(j, d_src)
         op[j] = [(r, x * scale) for r, x in left[j]] + [
-            (third + pos * d_tgt + r, x * push) for r, x in phi_num.column(k).items()
+            (third + pos * d_tgt + r, x * push) for r, x in phi_cols[k].items()
         ]
     # v: delta v, then -v.phi; phi acts on every input slot
     right, scale, pull = ops[1].read(vs), den // ops[1].den, den // phi_den ** in_len
+    places = range(in_len - 1, -1, -1)
     for j in vs:
         pos, mo = divmod(j, d_tgt)
-        key = tuple(pos // d_tgt ** (in_len - 1 - s) % d_tgt for s in range(in_len))
-        pulled = precompose({key: {mo: 1}}, [phi_num] * in_len)
+        # slot by slot, phi's row at the slot's key digit, the Z digit placed
+        slots = [[(z * d_src ** e, x) for z, x in phi_rows[pos // d_tgt ** e % d_tgt].items()] for e in places]
         op[au + j] = [(ru + r, x * scale) for r, x in right[j]] + [
-            (third + _flat(Z, d_src) * d_tgt + mo, -entry[mo] * pull) for Z, entry in pulled.items()
+            (third + Z * d_tgt + mo, c) for Z, c in _products(slots, 0, -pull)
         ]
     # w: -delta w
     if ws:
@@ -168,10 +170,8 @@ class MorphismComplex:
             ops = [self.left.operator(p), self.right.operator(p)]
             ops += [self.mixed.operator(p - 1)] if p >= 2 else []
             dims = self.ambient_dims(p), self.ambient_dims(p + 1)
-            rows, phi_den = _integral([list(self.phi.matrix.row(i).items()) for i in range(self.phi.target.dim)])
-            phi_int = Matrix.from_rows([dict(r) for r in rows], self.phi.source.dim), phi_den
-            den = math.lcm(*(op.den for op in ops), phi_den ** input_length(self.phi.source.arity, p))
-            build = functools.partial(_d_columns, self.phi, phi_int, p, ops, dims, den)
+            den = math.lcm(*(op.den for op in ops), self.phi.matrix.den ** input_length(self.phi.source.arity, p))
+            build = functools.partial(_d_columns, self.phi, p, ops, dims, den)
             self._operators[p] = Columns(build, sum(dims[0]), den)
         return self._operators[p]
 

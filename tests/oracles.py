@@ -34,7 +34,7 @@ Deliberately separate implementations:
 * dense Gauss-Jordan elimination with column-order pivoting, the reference
   for linalg's sparse elimination behind rank, kernel_basis and solve, and
   the Fraction elimination fraction_rref it replaced, whose kernel vectors
-  in integral_vector form pin kernel_basis's int pairs; and
+  in integral_rows form pin kernel_basis's int pairs; and
 * dense references for linalg's sparse storage: the row-by-column matrix
   product, the membership check that rebuilds a basis combination as a
   dense vector and compares it cell by cell, and the restriction of a
@@ -96,7 +96,7 @@ from homleibniz.cochain import (
     input_length,
 )
 from homleibniz.deformation import ObstructionCochain, algebra_order_residual
-from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_vector, kernel_basis, sparse_vector
+from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_rows, kernel_basis, sparse_vector
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
 from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
@@ -369,10 +369,8 @@ def bracket_table_by_tuples(algebra, yf):
 def as_columns(op_cols, size):
     """A complete {column: entries} dict of rational entries as a Columns,
     for the restriction: int numerators over the lcm of their denominators."""
-    nums, den = integral_vector([((j, r), x) for j, col in op_cols.items() for r, x in col])
-    cols = {}
-    for (j, r), x in nums.items():
-        cols.setdefault(j, []).append((r, x))
+    nums, den = integral_rows([dict(col) for col in op_cols.values()])
+    cols = {j: list(col.items()) for j, col in zip(op_cols, nums)}
     return Columns(lambda js: cols, size, den)
 
 
@@ -385,7 +383,8 @@ def fraction_columns(op_cols, den):
 def apply_operator(op, coeffs, out_dim):
     """The Columns op applied to a dense vector, by apply_sparse, as a dense
     vector of Fractions of length out_dim."""
-    image, den = apply_sparse(op, [integral_vector(sparse_vector(coeffs).items())])[0]
+    (vec,), den = integral_rows([sparse_vector(coeffs)])
+    image, den = apply_sparse(op, [(vec, den)])[0]
     return dense_vector({row: Q(v, den) for row, v in image.items()}, out_dim)
 
 
@@ -631,32 +630,21 @@ def fraction_rref(m: Matrix, b=()):
 def fraction_kernel_form(m: Matrix):
     """basis_form of kernel_basis(m) as the Fraction elimination built it: one
     vector per free column f of fraction_rref(m), 1 at f and -row[f] at each
-    pivot p whose row meets f, turned into (B_j, d_j) by integral_vector."""
+    pivot p whose row meets f, turned into (B_j, d_j) by integral_rows."""
     red = fraction_rref(m)
     vectors = {f: {f: Q(1)} for f in range(m.cols) if f not in red}
     for p, row in red.items():
         for c, x in row.items():
             if c != p:
                 vectors[c][p] = -x
-    pairs = [integral_vector(v.items()) for v in vectors.values()]
-    return [(list(nums.items()), d) for nums, d in pairs], [(r, j) for j, r in enumerate(vectors)]
+    pairs = [integral_rows([v]) for v in vectors.values()]
+    return [(list(nums.items()), d) for (nums,), d in pairs], [(r, j) for j, r in enumerate(vectors)]
 
 
 def basis_form(basis):
     """A SubspaceBasis as comparable lists: each (B_j, d_j) with B_j's items
     in order, then the items of unit_rows."""
     return [(list(nums.items()), d) for nums, d in basis.integral[0]], list(basis.unit_rows.items())
-
-
-def over_one_den(m):
-    """m held as int numerators over one denominator."""
-    nums, den = integral_vector([((i, c), x) for i in range(m.rows) for c, x in m.row(i).items()])
-    rows = [{} for _ in range(m.rows)]
-    for (i, c), x in nums.items():
-        rows[i][c] = x
-    over_den = Matrix.from_rows(rows, m.cols, den)
-    assert over_den == m
-    return over_den
 
 
 @contextlib.contextmanager
@@ -676,21 +664,20 @@ def fractions_made():
 
 
 def assert_kernel_born_in_ints(m):
-    """kernel_basis on m and on m over one denominator: every (B_j, d_j), in
-    position, and unit_rows equal the Fraction elimination's round trip; every
-    stored number is an int; and at most one Fraction is made per free column
-    and per off-pivot entry of the RREF."""
+    """kernel_basis on m: every (B_j, d_j), in position, and unit_rows equal
+    the Fraction elimination's round trip; every stored number is an int; and
+    at most one Fraction is made per free column and per off-pivot entry of
+    the RREF."""
     want = fraction_kernel_form(m)
     red = fraction_rref(m)
     bound = m.cols - len(red) + sum(len(row) - 1 for row in red.values())
-    for a in (m, over_one_den(m)):
-        with fractions_made() as made:
-            kb = kernel_basis(a)
-        assert len(made) <= bound
-        assert basis_form(kb) == want
-        vectors, L = kb.integral
-        assert all(type(x) is int for nums, d in vectors for x in (d, *nums.values()))
-        assert type(L) is int and L == math.lcm(*(d for _, d in vectors))
+    with fractions_made() as made:
+        kb = kernel_basis(m)
+    assert len(made) <= bound
+    assert basis_form(kb) == want
+    vectors, L = kb.integral
+    assert all(type(x) is int for nums, d in vectors for x in (d, *nums.values()))
+    assert type(L) is int and L == math.lcm(*(d for _, d in vectors))
 
 
 def dense_rank(m):

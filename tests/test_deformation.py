@@ -37,6 +37,7 @@ from oracles import (
     apply_operator,
     delta_ambient,
     ambient_to_multimap,
+    fractions_made,
     basis_tuples,
     blockwise_differential,
     matrix_to_ambient,
@@ -424,6 +425,17 @@ def test_extension_solve_builds_no_cochain_space(monkeypatch):
         assert len(op.read(range(op.size))) == op.size
     assert built == []
     assert verdicts[True] and verdicts[False]
+
+
+def test_extension_right_hand_side_makes_no_zero_fraction_per_row():
+    # rows of d^2 outside F_l's support read an int 0, not a fresh Fraction(0)
+    solved = 0
+    for entry in load_json(os.path.join(FIXTURES, "deform_battery.json"))["entries"]:
+        md = parse_deformation(load_json(os.path.join(FIXTURES, entry["file"])), FIXTURES)
+        with fractions_made() as made:
+            solved += solve_extension(md, 2) is not None
+        assert (0,) not in made
+    assert solved
 
 
 # ---------------------------------------------------------------------------

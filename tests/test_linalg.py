@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from homleibniz import cochain
 from homleibniz.cochain import CochainSpace
+from homleibniz.documents import parse_matrix, serialize_matrix
 from homleibniz.fixtures import calibration_battery
 from homleibniz.linalg import (
     Matrix,
@@ -28,7 +28,6 @@ from oracles import (
     dense_solve,
     fraction_rref,
     fractions_made,
-    over_one_den,
 )
 
 rationals = st.fractions(
@@ -123,8 +122,12 @@ def test_sparse_matrix_matches_dense_reference(a, data):
     grid = a.entries
     assert all(type(x) is Q for row in grid for x in row)
     assert Matrix(a.rows, a.cols, grid) == a
-    sparse = Matrix.from_rows([sparse_vector(row) for row in grid], a.cols)
+    sparse = Matrix.from_rationals([sparse_vector(row) for row in grid], a.cols)
     assert sparse == a and hash(sparse) == hash(a) and sparse.entries == grid
+    parsed = parse_matrix(serialize_matrix(a), a.rows, a.cols, "m")
+    assert parsed == a and parsed.entries == grid
+    for i in range(a.rows):
+        assert a.row(i) == sparse_vector(grid[i]) and all(type(x) is Q for x in a.row(i).values())
     for j in range(a.cols):
         assert a.column(j) == {i: row[j] for i, row in enumerate(grid) if row[j]}
     assert a.is_zero() == all(x == 0 for row in grid for x in row)
@@ -144,6 +147,24 @@ def test_sparse_matrix_matches_dense_reference(a, data):
     product = a @ b
     assert product == dense_matmul(a, b)
     assert all(type(x) is Q for row in product.entries for x in row)
+
+    square = Matrix(a.rows, a.rows, data.draw(grids(a.rows, a.rows)))
+    k = data.draw(st.integers(0, 3))
+    want = Matrix.identity(a.rows)
+    for _ in range(k):
+        want = dense_matmul(want, square)
+    assert square.power(k) == want
+    # every construction path stores int numerators over an int den
+    built = [a, sparse, parsed, a.scaled(c), a - same, product, square.power(k)]
+    for m in built + [Matrix.identity(a.rows), Matrix.zeros(a.rows, a.cols)]:
+        assert_one_form(m)
+
+
+def assert_one_form(m):
+    """m stores nonzero int numerators only, in its shape, over an int den >= 1."""
+    rows, den = m.numerators()
+    assert type(den) is int and den >= 1 and len(rows) == m.rows
+    assert all(type(x) is int and x and 0 <= c < m.cols for row in rows for c, x in row.items())
 
 
 @settings(max_examples=80, deadline=None)
@@ -316,15 +337,11 @@ def test_kernel_coords_roundtrip(m, rnd):
 # the fraction-free elimination against the Fraction elimination it replaced
 
 
-HASH_MODULUS = sys.hash_info.modulus
-
-
 @st.composite
 def numerators_over_den(draw, max_dim=5):
-    """(sparse int rows, cols, den): negative numerators, numerators sharing
-    factors with den or equal to -den, and now and then a den that the hash
-    modulus divides."""
-    den = draw(st.one_of(st.integers(1, 72), st.sampled_from([HASH_MODULUS, 6 * HASH_MODULUS])))
+    """(sparse int rows, cols, den): negative numerators, and numerators
+    sharing factors with den or equal to -den."""
+    den = draw(st.integers(1, 72))
     cells = st.one_of(st.just(0), st.integers(-40, 40), st.integers(-5, 5).map(lambda k: k * den), st.just(-den))
     r, c = draw(st.integers(1, max_dim)), draw(st.integers(1, max_dim))
     rows = [{j: x for j, x in enumerate(draw(st.lists(cells, min_size=c, max_size=c))) if x} for _ in range(r)]
@@ -332,18 +349,18 @@ def numerators_over_den(draw, max_dim=5):
 
 
 @settings(max_examples=150, deadline=None)
-@given(numerators_over_den())
-def test_a_matrix_over_den_hashes_as_its_fraction_twin_without_a_fraction(drawn):
+@given(numerators_over_den(), st.integers(2, 30))
+def test_equal_matrices_over_different_dens_are_equal_and_hash_equal(drawn, k):
     rows, cols, den = drawn
     m = Matrix.from_rows(rows, cols, den)
-    twin = Matrix.from_rows([{j: Q(x, den) for j, x in row.items()} for row in rows], cols)
+    scaled = Matrix.from_rows([{j: k * x for j, x in row.items()} for row in rows], cols, k * den)
+    dense = Matrix(len(rows), cols, [[Q(row.get(j, 0), den) for j in range(cols)] for row in rows])
     with fractions_made() as made:
-        h = hash(m)
-    assert made == [] or den % HASH_MODULUS == 0  # such a den falls back to the Fractions
-    # the hash of each row's (column, Fraction) pairs, as the entries give it
-    by_fractions = hash((m.rows, m.cols, tuple(frozenset(twin.row(i).items()) for i in range(m.rows))))
-    assert m == twin and h == hash(twin) == by_fractions
-    assert hash(over_one_den(twin)) == h
+        assert m == scaled == dense and hash(m) == hash(scaled) == hash(dense)
+    assert made == []
+    if any(rows):
+        bumped = Matrix.from_rows([{j: 2 * x if j == min(row) else x for j, x in row.items()} for row in rows], cols, den)
+        assert m != bumped
 
 
 mixed_cells = st.one_of(st.just(Q(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
@@ -359,11 +376,9 @@ def rank_deficient_products(draw, max_dim=9):
 
 
 def assert_matches_fraction_rref(m, b):
-    """rref equals fraction_rref, without and with the column b, on m and on
-    m held as int numerators over one denominator."""
-    for a in (m, over_one_den(m)):
-        assert rref(a) == fraction_rref(m)
-        assert rref(a, b) == fraction_rref(m, b)
+    """rref equals fraction_rref, without and with the column b."""
+    assert rref(m) == fraction_rref(m)
+    assert rref(m, b) == fraction_rref(m, b)
 
 
 @settings(max_examples=80, deadline=None)

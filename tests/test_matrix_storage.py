@@ -1,8 +1,11 @@
 """Only linalg knows how a Matrix stores its cells.
 
-Other package modules read a Matrix through Matrix.column; documents, which
-write a Matrix as a dense grid, is the one other reader of its dense
-`.entries` view.
+A Matrix keeps one form, int numerator rows over one int den, and no
+package module branches on another: none compares a den with None.  Other
+modules read the stored ints through Matrix.numerators() and never touch
+Matrix._data; they read Fractions through Matrix.row and Matrix.column.
+documents, which writes a Matrix as a dense grid, is the one other reader
+of its dense `.entries` view.
 """
 
 import ast
@@ -12,18 +15,39 @@ import os
 SRC = os.path.join(os.path.dirname(__file__), "..", "src", "homleibniz")
 
 
-def test_only_linalg_and_documents_read_matrix_entries():
+def package_trees():
     paths = sorted(glob.glob(os.path.join(SRC, "*.py")))
     assert paths
-    found = []
     for path in paths:
-        if os.path.basename(path) in ("linalg.py", "documents.py"):
-            continue
         with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        found += [
-            f"{os.path.basename(path)}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "entries"
-        ]
+            yield os.path.basename(path), ast.parse(fh.read(), filename=path)
+
+
+def attribute_reads(attr, skip):
+    return [
+        f"{name}:{node.lineno}"
+        for name, tree in package_trees()
+        if name not in skip
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr
+    ]
+
+
+def test_only_linalg_and_documents_read_matrix_entries():
+    assert attribute_reads("entries", ("linalg.py", "documents.py")) == []
+
+
+def test_only_linalg_reads_the_stored_cells():
+    assert attribute_reads("_data", ("linalg.py",)) == []
+
+
+def test_no_module_compares_a_den_with_none():
+    found = []
+    for name, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare):
+                sides = [node.left, *node.comparators]
+                names = [s.attr if isinstance(s, ast.Attribute) else getattr(s, "id", None) for s in sides]
+                if "den" in names and any(isinstance(s, ast.Constant) and s.value is None for s in sides):
+                    found.append(f"{name}:{node.lineno}")
     assert found == []
