@@ -15,13 +15,17 @@ A bracket / multilinear-map tensor is a dict mapping an input index tuple
 of length n to an element combo for the output, missing entries meaning
 zero.  Action tensors use keys (j1, ..., j_{n-1}, m): the n-1 algebra
 arguments in positional order followed by the module argument, the module
-slot sitting at position i for action i.
+slot sitting at position i for action i.  Brackets, actions and
+deformation coefficients pass through one normalise-and-check,
+normalize_tensor, when their object is built: cells become Fractions, zeros
+are dropped, and each key slot is checked against its dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt
 
 from .linalg import Matrix
 
@@ -60,12 +64,21 @@ def matrix_combo(mat: Matrix, combo):
     return out
 
 
-def normalize_multimap(mm):
+def normalize_tensor(tensor, dims, what):
+    """tensor with tuple keys and nonzero Fraction cells, zeros dropped after
+    conversion.  dims lists each key slot's dimension, then the output's; a
+    key of another length or an index outside its dimension is a ValueError."""
+    *slots, out_dim = dims
     out = {}
-    for key, entry in mm.items():
-        cleaned = {k: _q(v) for k, v in entry.items() if v}
+    for key, entry in tensor.items():
+        key = tuple(key)
+        if len(key) != len(slots) or min(key) < 0 or not all(map(gt, slots, key)):
+            raise ValueError(f"{what} key {key} is not {len(slots)} indices below {tuple(slots)}")
+        if not all(0 <= k < out_dim for k in entry):
+            raise ValueError(f"output index out of range in {what} entry {key}")
+        cleaned = {k: q for k, v in entry.items() if (q := _q(v))}
         if cleaned:
-            out[tuple(key)] = cleaned
+            out[key] = cleaned
     return out
 
 
@@ -117,17 +130,8 @@ class HomNaryAlgebra:
             raise ValueError("basis label count does not match dimension")
         if self.alpha.rows != self.dim or self.alpha.cols != self.dim:
             raise ValueError("alpha must be a dim x dim matrix")
-        self.bracket = normalize_multimap(self.bracket)
+        self.bracket = normalize_tensor(self.bracket, [self.dim] * (self.arity + 1), "bracket")
         self.untwisted = self.alpha == Matrix.identity(self.dim)  # alpha = id, decided once
-        for key, entry in self.bracket.items():
-            if len(key) != self.arity:
-                raise ValueError(f"bracket key {key} does not have arity {self.arity}")
-            for idx in key:
-                if not 0 <= idx < self.dim:
-                    raise ValueError(f"basis index {idx} out of range in bracket key {key}")
-            for k in entry:
-                if not 0 <= k < self.dim:
-                    raise ValueError(f"output index {k} out of range in bracket entry {key}")
 
     def alpha_combo(self, i):
         return self.alpha.column(i)
@@ -166,20 +170,8 @@ class Representation:
             raise ValueError("alpha_module must be module_dim x module_dim")
         if len(self.actions) != n:
             raise ValueError(f"expected {n} action tensors")
-        self.actions = tuple(normalize_multimap(a) for a in self.actions)
-        d = self.algebra.dim
-        for a in self.actions:
-            for key, entry in a.items():
-                if len(key) != n:
-                    raise ValueError("action key must list n-1 algebra indices plus the module index")
-                for idx in key[:-1]:
-                    if not 0 <= idx < d:
-                        raise ValueError(f"algebra index out of range in action key {key}")
-                if not 0 <= key[-1] < self.module_dim:
-                    raise ValueError(f"module index out of range in action key {key}")
-                for k in entry:
-                    if not 0 <= k < self.module_dim:
-                        raise ValueError(f"module output index out of range in action entry {key}")
+        dims = [self.algebra.dim] * (n - 1) + [self.module_dim] * 2
+        self.actions = tuple(normalize_tensor(a, dims, f"action {i}") for i, a in enumerate(self.actions))
 
 
 # ---------------------------------------------------------------------------

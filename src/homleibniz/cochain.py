@@ -48,7 +48,7 @@ from fractions import Fraction
 
 from .algebra import cadd, precompose
 from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum
-from .linalg import kernel_basis, rank, sparse_vector, transpose
+from .linalg import integral_rows, kernel_basis, rank, sparse_vector, transpose
 
 
 class ConstraintViolation(Exception):
@@ -287,28 +287,29 @@ class SlotTables:
         self.alpha = [list(row.items()) for row in rows_a]
         abar_cols = [col for _, col in _kron_columns(transpose(rows_a, d), n - 1, 0, {0: 1})]
         self.abar = [list(row.items()) for row in transpose(abar_cols, self.D)]
-        mu = [[] for _ in range(d)]
-        for (z0, *xs), out in a.bracket.items():
-            for z, c in out.items():
-                mu[z].append((z0, _flat(xs, d), c))
-        apow = a.alpha.power(p - 1)
-        action_c = [[] for _ in range(m)]
-        action_d = [[] for _ in range(m)]
-        for i, action in enumerate(rep.actions):
-            for (*ws, mf), out in precompose(action, [apow] * (n - 1) + [None]).items():
-                for mo, c in out.items():
-                    if i == 0:
-                        action_c[mf].append((_flat(ws, d), mo, c))
-                    else:
-                        action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
         self.den = {"bracket": {}, "alpha": den_a, "abar": den_a ** (n - 1)}
+        self.mu = [[] for _ in range(d)]
+        nums, self.den["mu"] = integral_rows(list(a.bracket.values()))
+        for (z0, *xs), out in zip(a.bracket, nums):
+            for z, c in out.items():
+                self.mu[z].append((z0, _flat(xs, d), c))
+        apow = a.alpha.power(p - 1)
+        moved = [precompose(action, [apow] * (n - 1) + [None]) for action in rep.actions]
+        self.action_c = [[] for _ in range(m)]
+        nums, self.den["action_c"] = integral_rows(list(moved[0].values()))
+        for (*ws, mf), out in zip(moved[0], nums):
+            for mo, c in out.items():
+                self.action_c[mf].append((_flat(ws, d), mo, c))
+        self.action_d = [[] for _ in range(m)]
+        keys = [(i, key) for i in range(1, n) for key in moved[i]]
+        nums, self.den["action_d"] = integral_rows([moved[i][key] for i, key in keys])
+        for (i, (*ws, mf)), out in zip(keys, nums):
+            for mo, c in out.items():
+                self.action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
         self.bracket = {}
         alpha_cols = [a.alpha_combo(x) for x in range(d)]
         for yf in (False, True):
-            self.bracket[yf], self.den["bracket"][yf] = _integral(_bracket_rows(a, yf, alpha_cols))
-        self.mu, self.den["mu"] = _integral(mu)
-        self.action_c, self.den["action_c"] = _integral(action_c)
-        self.action_d, self.den["action_d"] = _integral(action_d)
+            self.bracket[yf], self.den["bracket"][yf] = _bracket_rows(a, yf, alpha_cols)
         # q[yf]: the common denominator of delta^p's columns (coboundary_operator)
         den = self.den
         rest = (den["mu"] * den["abar"] ** (p - 1), den["action_c"], den["action_d"])
@@ -318,7 +319,7 @@ class SlotTables:
 
 
 def _bracket_rows(a, yf, alpha_cols):
-    """bracket[yf] of SlotTables with Fraction coefficients, from the support
+    """(bracket[yf], its den) of SlotTables, from the support
     of a's bracket: the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts
     [K] at slot k of each X that holds x_k there, and alpha at its other slots.
     Each column is the Kronecker product of a length-k prefix of alpha
@@ -336,16 +337,10 @@ def _bracket_rows(a, yf, alpha_cols):
                     for Y, c in full.items():
                         cadd(acc, (Y, X, X2), c)
     rows = [[] for _ in range(d ** (n - 1))]
-    for (Y, X, X2), c in acc.items():
+    (nums,), den = integral_rows([acc])
+    for (Y, X, X2), c in nums.items():
         rows[Y].append((X, X2, c))
-    return rows
-
-
-def _integral(rows):
-    """(rows, den): each entry's last item, a Fraction, becomes its int
-    numerator over den, the lcm of the entries' denominators."""
-    den = math.lcm(*{e[-1].denominator for row in rows for e in row})
-    return [[(*e[:-1], e[-1].numerator * (den // e[-1].denominator)) for e in row] for row in rows], den
+    return rows, den
 
 
 def _products(factors, base, weight):

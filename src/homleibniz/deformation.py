@@ -36,7 +36,7 @@ from .algebra import (
     cscale,
     hom_composition,
     matrix_combo,
-    normalize_multimap,
+    normalize_tensor,
     precompose,
 )
 from .cochain import DEFAULT_CONVENTION, Cochain, ConstraintViolation, _flat
@@ -54,7 +54,8 @@ class TruncatedDeformation:
     coeffs: list  # multilinear tensors, coeffs[0] = base bracket
 
     def __post_init__(self):
-        self.coeffs = [normalize_multimap(c) for c in self.coeffs]
+        dims = [self.base.dim] * (self.base.arity + 1)
+        self.coeffs = [normalize_tensor(c, dims, f"order-{i} coefficient") for i, c in enumerate(self.coeffs)]
         if not self.coeffs:
             raise ValueError("a deformation needs at least the order-0 coefficient")
         if self.coeffs[0] != self.base.bracket:

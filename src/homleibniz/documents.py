@@ -1,10 +1,14 @@
 """JSON document formats for algebras, morphisms, representations and
 deformations.
 
-Rationals travel as canonical strings ("3/2", "-1"), sparse tensors are
-keyed by comma-joined basis labels, and serialization is deterministic
-(sorted keys, fixed separators), so parse -> serialize -> parse is the
-identity and documents diff cleanly.  A morphism document carries its
+Rationals travel as canonical strings ("3/2", "-1") and serialization is
+deterministic (sorted keys, fixed separators), so parse -> serialize ->
+parse is the identity and documents diff cleanly.  Brackets, deformation
+coefficients and representation actions are sparse tensors keyed by
+comma-joined labels, all read and written by one codec that takes a label
+set per key slot: a bracket or coefficient passes the basis n times, an
+action the algebra basis n-1 times and then the module basis, and every
+error names the tensor and the key.  A morphism document carries its
 source and target either inline or as a path relative to the document.
 Deformation coefficient lists may give order 0 as "inherit" to copy the
 base bracket (or the base morphism matrix).
@@ -88,50 +92,52 @@ def _label_index(labels):
     return idx
 
 
-def _parse_key(key, segments, index, what):
+def _parse_key(key, slots, what):
+    """The index tuple of a comma-joined key; slots holds one label index per key slot."""
     parts = key.split(",")
-    if len(parts) != segments:
-        raise DocumentError(f"{what} key {key!r} must join {segments} labels")
+    if len(parts) != len(slots):
+        raise DocumentError(f"{what} key {key!r} must join {len(slots)} labels")
     out = []
-    for p in parts:
+    for k, (p, index) in enumerate(zip(parts, slots)):
         if p not in index:
-            raise DocumentError(f"unknown basis label {p!r} in {what} key {key!r}")
+            raise DocumentError(f"unknown label {p!r} at slot {k} of {what} key {key!r}")
         out.append(index[p])
     return tuple(out)
 
 
-def _parse_entry(obj, index, what):
+def _parse_entry(obj, index, what, key):
     if not isinstance(obj, dict):
-        raise DocumentError(f"{what} entry must be an object of label -> rational")
+        raise DocumentError(f"{what} entry {key!r} must be an object of label -> rational")
     entry = {}
     for lab, val in obj.items():
         if lab not in index:
-            raise DocumentError(f"unknown output label {lab!r} in {what} entry")
+            raise DocumentError(f"unknown output label {lab!r} in {what} entry {key!r}")
         q = parse_rational(val)
         if q:
             entry[index[lab]] = q
     return entry
 
 
-def _parse_sparse_tensor(obj, segments, in_index, out_index, what):
+def _parse_sparse_tensor(obj, slots, out_index, what):
+    """{index tuple: {output index: Fraction}} of a tensor object whose keys
+    join one label of each slots[k] and whose outputs are labels of out_index."""
     if not isinstance(obj, dict):
         raise DocumentError(f"{what} must be an object keyed by comma-joined labels")
     tensor = {}
     for key, val in obj.items():
-        idx = _parse_key(key, segments, in_index, what)
-        entry = _parse_entry(val, out_index, what)
+        idx = _parse_key(key, slots, what)
+        entry = _parse_entry(val, out_index, what, key)
         if entry:
             tensor[idx] = entry
     return tensor
 
 
-def _serialize_sparse_tensor(tensor, in_labels, out_labels):
+def _serialize_sparse_tensor(tensor, slots, out_labels):
+    """The tensor object of a normalised tensor; slots holds one label list per key slot."""
     out = {}
     for key in sorted(tensor):
         entry = tensor[key]
-        if not entry:
-            continue
-        k = ",".join(in_labels[i] for i in key)
+        k = ",".join(labels[i] for labels, i in zip(slots, key))
         out[k] = {out_labels[i]: format_rational(entry[i]) for i in sorted(entry)}
     return out
 
@@ -164,9 +170,7 @@ def parse_algebra(obj) -> HomNaryAlgebra:
             f"of the extension solve range over {dim}^{width} tuples"
         )
     alpha = parse_matrix(_require(obj, "alpha", "algebra"), dim, dim, "alpha")
-    bracket = _parse_sparse_tensor(
-        _require(obj, "bracket", "algebra"), arity, index, index, "bracket"
-    )
+    bracket = _parse_sparse_tensor(_require(obj, "bracket", "algebra"), [index] * arity, index, "bracket")
     try:
         return HomNaryAlgebra(arity, dim, tuple(basis), bracket, alpha)
     except ValueError as exc:
@@ -178,7 +182,7 @@ def serialize_algebra(a: HomNaryAlgebra):
         "arity": a.arity,
         "basis": list(a.basis),
         "alpha": serialize_matrix(a.alpha),
-        "bracket": _serialize_sparse_tensor(a.bracket, a.basis, a.basis),
+        "bracket": _serialize_sparse_tensor(a.bracket, [a.basis] * a.arity, a.basis),
     }
 
 
@@ -229,30 +233,8 @@ def parse_representation(obj, base_dir=None) -> Representation:
     n = alg.arity
     if not isinstance(actions_obj, list) or len(actions_obj) != n:
         raise DocumentError(f"actions must be a list of {n} tensors")
-    aindex = _label_index(alg.basis)
-    actions = []
-    for i, tensor_obj in enumerate(actions_obj):
-        if not isinstance(tensor_obj, dict):
-            raise DocumentError(f"action {i} must be an object")
-        tensor = {}
-        for key, val in tensor_obj.items():
-            parts = key.split(",")
-            if len(parts) != n:
-                raise DocumentError(
-                    f"action {i} key {key!r} must join {n - 1} algebra labels "
-                    "and one module label"
-                )
-            alg_idx = []
-            for p in parts[:-1]:
-                if p not in aindex:
-                    raise DocumentError(f"unknown algebra label {p!r} in action {i}")
-                alg_idx.append(aindex[p])
-            if parts[-1] not in mindex:
-                raise DocumentError(f"unknown module label {parts[-1]!r} in action {i}")
-            entry = _parse_entry(val, mindex, f"action {i}")
-            if entry:
-                tensor[tuple(alg_idx) + (mindex[parts[-1]],)] = entry
-        actions.append(tensor)
+    slots = [_label_index(alg.basis)] * (n - 1) + [mindex]
+    actions = [_parse_sparse_tensor(t, slots, mindex, f"action {i}") for i, t in enumerate(actions_obj)]
     try:
         return Representation(alg, mdim, alpha_m, tuple(actions)), mbasis
     except ValueError as exc:
@@ -261,20 +243,12 @@ def parse_representation(obj, base_dir=None) -> Representation:
 
 def serialize_representation(rep: Representation, module_basis):
     a = rep.algebra
-    actions = []
-    for tensor in rep.actions:
-        obj = {}
-        for key in sorted(tensor):
-            k = ",".join(a.basis[i] for i in key[:-1]) + "," + module_basis[key[-1]]
-            obj[k] = {
-                module_basis[i]: format_rational(tensor[key][i]) for i in sorted(tensor[key])
-            }
-        actions.append(obj)
+    slots = [a.basis] * (a.arity - 1) + [module_basis]
     return {
         "algebra": serialize_algebra(a),
         "module_basis": list(module_basis),
         "alpha_module": serialize_matrix(rep.alpha_module),
-        "actions": actions,
+        "actions": [_serialize_sparse_tensor(t, slots, module_basis) for t in rep.actions],
     }
 
 
@@ -307,7 +281,7 @@ def parse_deformation(obj, base_dir=None):
     n = src.arity
 
     def tensor_of(index):
-        return lambda item: _parse_sparse_tensor(item, n, index, index, "coefficient")
+        return lambda item: _parse_sparse_tensor(item, [index] * n, index, "coefficient")
 
     xi = _parse_coeff_list(_require(obj, "xi", "deformation"), "xi", tensor_of(s_index))
     eta = _parse_coeff_list(_require(obj, "eta", "deformation"), "eta", tensor_of(t_index))
@@ -334,19 +308,14 @@ def parse_deformation(obj, base_dir=None):
 
 
 def serialize_deformation(md):
-    src, tgt = md.phi.source, md.phi.target
+    def coeffs(d):
+        basis = d.base.basis
+        return ["inherit"] + [_serialize_sparse_tensor(c, [basis] * d.base.arity, basis) for c in d.coeffs[1:]]
+
     return {
         "morphism": serialize_morphism(md.phi),
-        "xi": ["inherit"]
-        + [
-            _serialize_sparse_tensor(md.xi.coeffs[i], src.basis, src.basis)
-            for i in range(1, md.order + 1)
-        ],
-        "eta": ["inherit"]
-        + [
-            _serialize_sparse_tensor(md.eta.coeffs[i], tgt.basis, tgt.basis)
-            for i in range(1, md.order + 1)
-        ],
+        "xi": coeffs(md.xi),
+        "eta": coeffs(md.eta),
         "phi": ["inherit"] + [serialize_matrix(md.phis[i]) for i in range(1, md.order + 1)],
     }
 

@@ -31,8 +31,10 @@ _ZERO = Q(0)
 
 
 def sparse_vector(vec):
-    """{index: nonzero Fraction} of a dense vector."""
-    return {i: Q(x) for i, x in enumerate(vec) if x}
+    """{index: nonzero Fraction} of a dense vector.  Zeros are dropped after
+    conversion, so a string "0" is dropped too; a falsy entry is skipped
+    unconverted, which keeps solve's int zeros from becoming Fractions."""
+    return {i: q for i, x in enumerate(vec) if x and (q := Q(x))}
 
 
 def dense_vector(vec, n):

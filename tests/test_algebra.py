@@ -5,6 +5,7 @@ import pytest
 from homleibniz.algebra import (
     HomNaryAlgebra,
     Morphism,
+    Representation,
     adjoint_representation,
     check_hom_leibniz,
     check_morphism,
@@ -110,10 +111,25 @@ def test_construction_guards():
         HomNaryAlgebra(1, 2, ("e", "f"), {}, Matrix.identity(2))
     with pytest.raises(ValueError):
         HomNaryAlgebra(2, 2, ("e",), {}, Matrix.identity(2))
-    with pytest.raises(ValueError):
-        HomNaryAlgebra(2, 2, ("e", "f"), {(0, 0, 0): {0: Q(1)}}, Matrix.identity(2))
+    for bad in ({(0, 0, 0): {0: Q(1)}}, {(0, 2): {0: 1}}, {(0, 0): {2: 1}}, {(-1, 0): {0: 1}}):
+        with pytest.raises(ValueError):
+            HomNaryAlgebra(2, 2, ("e", "f"), bad, Matrix.identity(2))
     with pytest.raises(ValueError):
         Morphism(leibniz_ff_e(), ternary_fff_e(), Matrix.identity(2))  # arity clash
+    # action keys hold n-1 algebra slots of dim 2, then one module slot of dim 3
+    a, m = ternary_fff_e(), Matrix.identity(3)
+    assert Representation(a, 3, m, ({(1, 1, 2): {2: 1}}, {}, {})).actions[0] == {(1, 1, 2): {2: Q(1)}}
+    for bad in ({(2, 0, 0): {0: 1}}, {(0, 0, 3): {0: 1}}, {(0, 0, 0): {3: 1}}, {(0, 0): {0: 1}}):
+        with pytest.raises(ValueError):
+            Representation(a, 3, m, ({}, bad, {}))
+
+
+def test_zero_cells_are_dropped_after_conversion():
+    e = Matrix.identity(2)
+    with_zero = HomNaryAlgebra(2, 2, ("e", "f"), {(0, 0): {0: "0"}, (1, 1): {0: "1"}}, e)
+    assert with_zero.bracket == {(1, 1): {0: Q(1)}}
+    assert with_zero == HomNaryAlgebra(2, 2, ("e", "f"), {(1, 1): {0: "1"}}, e)
+    assert HomNaryAlgebra(2, 2, ("e", "f"), {(1, 1): {0: "0/3", 1: "1/2"}}, e).bracket == {(1, 1): {1: Q(1, 2)}}
 
 
 def test_abelian_identity_morphism_trivially_valid():

@@ -90,6 +90,22 @@ def test_cohomology_checks_a_module_document(capsys, tmp_path):
     assert failed[0]["details"] == "; ".join(str(v) for v in want[:5]) + ("; ..." if len(want) > 5 else "")
 
 
+def test_malformed_module_documents_are_input_errors(capsys, tmp_path):
+    from homleibniz.documents import dump_json
+    from test_documents import MALFORMED_REPRESENTATIONS, malformed_representation
+
+    good = str(tmp_path / "good.json")
+    dump_json(malformed_representation(lambda acts: None), good)
+    assert run(capsys, "cohomology", fx("ternary_fff_e.json"), "--module", good, "--degrees", "1")[0] == 0
+    for name, _, _, mutate in MALFORMED_REPRESENTATIONS:
+        path = str(tmp_path / "bad.json")
+        dump_json(malformed_representation(mutate), path)
+        for argv in (["cohomology", fx("ternary_fff_e.json"), "--module", path, "--degrees", "1"], ["validate", path]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2, (name, argv[0])
+            assert out == "" and "input error" in err and "Traceback" not in err, name
+
+
 def test_missing_file_is_an_input_error(capsys):
     code, _, err = run(capsys, "validate", fx("no_such_file.json"))
     assert code == 2

@@ -1,5 +1,6 @@
 import collections
 import functools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -521,6 +522,8 @@ def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
             for name, (rows, den) in slot_tables(t).items():
                 assert den > 1, name
                 assert all(type(e[-1]) is int and e[-1] for row in rows for e in row), name
+                # each den is exactly the lcm of its table's denominators, no multiple of it
+                assert den == math.lcm(*{Q(e[-1], den).denominator for row in rows for e in row}), name
             row_op = row_operators(a, rep, p)
             labels = [cv.label() for cv in all_conventions()] if p < 3 else DEGREE_3_CONVENTIONS
             fractional = 0

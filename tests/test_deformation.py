@@ -471,3 +471,12 @@ def test_multiplicativity_check_is_optional_and_explicit():
     bad = multiplicativity_violations(d)
     assert bad and bad[0][0] == 1
     assert multiplicativity_violations(TruncatedDeformation.trivial(a, 2)) == []
+
+
+def test_coefficient_keys_are_checked_at_construction():
+    # an index past the basis would reach the residual as a garbage key (or an IndexError)
+    for a in (leibniz_ff_e(), twisted_ff_e()):
+        for bad in ({(0, 9): {0: 1}}, {(0, 0, 0): {0: 1}}, {(0, 0): {9: 1}}):
+            with pytest.raises(ValueError):
+                TruncatedDeformation(a, [a.bracket, bad])
+        assert TruncatedDeformation(a, [a.bracket, {(0, 1): {0: "0", 1: "2"}}]).coeffs[1] == {(0, 1): {1: Q(2)}}

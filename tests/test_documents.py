@@ -26,13 +26,15 @@ from homleibniz.documents import (
     serialize_morphism,
     serialize_representation,
 )
-from homleibniz.algebra import adjoint_representation
+from homleibniz.algebra import Representation, adjoint_representation
 from homleibniz.fixtures import (
     abelian_algebra,
     battery_algebras,
+    diag,
     fixture_morphisms,
     identity_morphism,
     leibniz_ff_e,
+    ternary_fff_e,
     twisted_ff_e,
 )
 
@@ -65,11 +67,48 @@ def test_morphism_roundtrip_all_fixtures():
 
 def test_representation_roundtrip():
     a = twisted_ff_e(2)
-    rep = adjoint_representation(a)
-    doc = serialize_representation(rep, list(a.basis))
-    rep2, labels = parse_representation(doc)
-    assert rep2 == rep
-    assert serialize_representation(rep2, labels) == doc
+    # a ternary action key joins two algebra labels (e, f) and one module label (u, v, w)
+    actions = ({(1, 1, 2): {0: Q(1, 2)}}, {(0, 1, 0): {2: Q(-3)}, (1, 0, 1): {1: Q(1)}}, {})
+    ternary = Representation(ternary_fff_e(), 3, diag(1, 2, Q(1, 3)), actions)
+    assert serialize_representation(ternary, ["u", "v", "w"])["actions"] == [
+        {"f,f,w": {"u": "1/2"}}, {"e,f,u": {"w": "-3"}, "f,e,v": {"v": "1"}}, {}]
+    for rep, module_basis in ((adjoint_representation(a), list(a.basis)), (ternary, ["u", "v", "w"])):
+        doc = serialize_representation(rep, module_basis)
+        rep2, labels = parse_representation(doc)
+        assert rep2 == rep and labels == module_basis
+        assert serialize_representation(rep2, labels) == doc
+
+
+# malformed copies of the ternary adjoint document (module labels m0, m1):
+# (name, action index, key the error names or None, mutation)
+MALFORMED_REPRESENTATIONS = [
+    ("too few labels", 1, "f,m1", lambda acts: acts[1].update({"f,m1": {"m0": "1"}})),
+    ("too many labels", 0, "f,f,f,m1", lambda acts: acts[0].update({"f,f,f,m1": {"m0": "1"}})),
+    ("unknown algebra label", 2, "g,f,m1", lambda acts: acts[2].update({"g,f,m1": {"m0": "1"}})),
+    ("module label in an algebra slot", 1, "m0,f,m1", lambda acts: acts[1].update({"m0,f,m1": {"m0": "1"}})),
+    ("algebra label in the module slot", 0, "f,f,e", lambda acts: acts[0].update({"f,f,e": {"m0": "1"}})),
+    ("algebra label as output", 2, "f,f,m1", lambda acts: acts[2].update({"f,f,m1": {"e": "1"}})),
+    ("entry not an object", 1, "f,f,m1", lambda acts: acts[1].update({"f,f,m1": ["1"]})),
+    ("action not an object", 2, None, lambda acts: acts.__setitem__(2, ["f,f,m1"])),
+    ("too few actions", None, None, lambda acts: acts.pop()),
+    ("too many actions", None, None, lambda acts: acts.append({})),
+]
+
+
+def malformed_representation(mutate):
+    doc = serialize_representation(adjoint_representation(ternary_fff_e()), ["m0", "m1"])
+    mutate(doc["actions"])
+    return doc
+
+
+@pytest.mark.parametrize("name, action, key, mutate", MALFORMED_REPRESENTATIONS,
+                         ids=[m[0].replace(" ", "_") for m in MALFORMED_REPRESENTATIONS])
+def test_malformed_representation_documents_are_document_errors(name, action, key, mutate):
+    with pytest.raises(DocumentError) as exc:
+        parse_representation(malformed_representation(mutate))
+    message = str(exc.value)
+    assert ("actions" if action is None else f"action {action}") in message, name
+    assert key is None or repr(key) in message, name
 
 
 def test_deformation_roundtrip_with_inherit():

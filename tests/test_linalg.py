@@ -400,3 +400,11 @@ def test_elimination_matches_the_fraction_rref_where_back_elimination_cancels(m,
 @given(st.one_of(matrices(max_dim=7, cells=mixed_cells), rank_deficient_products()))
 def test_kernel_basis_is_born_in_ints_as_the_fraction_rref_gave_it(m):
     assert_kernel_born_in_ints(m)
+
+
+def test_string_zeros_make_no_cells():
+    z = Matrix(1, 1, [["0"]])
+    assert z.is_zero() and z == Matrix.zeros(1, 1) and z.numerators() == ([{}], 1)
+    m = Matrix(2, 2, [["0", "1/2"], ["0/5", "0.0"]])
+    assert m == Matrix.from_rationals([{1: Q(1, 2)}, {}], 2)
+    assert sparse_vector(["0", "-0", "3", 0, Q(0)]) == {2: Q(3)}
