@@ -316,11 +316,15 @@ def check_representation(rep: Representation):
     identity (Casas-Loday-Pirashvili; Sheng for the Hom case): every term
     with two module arguments vanishes there, so the residual of L x| M at
     a tuple with exactly one module slot s is the slot-s identity, read off
-    the supports by hom_composition."""
+    the supports by hom_composition.  With A the action entries of L x| M's
+    bracket S, B(S, S) = B(mu_L, mu_L) + B(mu_L, A) + B(A, S): the first
+    term lives on tuples with no module slot and the second is 0, so only
+    B(A, S) is evaluated."""
     d = rep.algebra.dim
     s_alg = _semidirect(rep)
+    actions = {key: entry for key, entry in s_alg.bracket.items() if max(key) >= d}
     report = []
-    for key, res in hom_composition(s_alg, [(s_alg.bracket, s_alg.bracket)]).items():
+    for key, res in hom_composition(s_alg, [(actions, s_alg.bracket)]).items():
         slots = [s for s, k in enumerate(key) if k >= d]
         if len(slots) == 1:
             s = slots[0]

@@ -5,6 +5,11 @@ Exit status: 0 all checks pass, 1 mathematical failure (violated identity,
 nonzero residual, obstruction), 2 input error (unreadable file, malformed
 document, bad flags).  Reports embed the active sign convention and the
 sha256 digests of the input documents, and render deterministically.
+
+--convention is an option of the two cohomology commands only, whose answers
+depend on it.  validate checks identities no convention enters, and deform
+solves equations whose linear part is d^2 under DEFAULT_CONVENTION, so both
+run under the default.
 """
 
 from __future__ import annotations
@@ -147,7 +152,7 @@ def cmd_validate(args):
             raise DocumentError(f"no .json documents under {root}")
     if not paths:
         raise DocumentError(f"no files given and {FIXTURES_ENV} is not set")
-    report = RunReport(command=_echo(args), convention=_convention(args).label())
+    report = RunReport(command=_echo(args), convention=DEFAULT_CONVENTION.label())
     for path in paths:
         obj = load_json(path)
         report.digests[os.path.basename(path)] = digest(obj)
@@ -264,10 +269,9 @@ def _tensor_support(keyed):
 
 
 def cmd_deform(args):
-    conv = _convention(args)
     obj = load_json(args.deformation)
     md = parse_deformation(obj, os.path.dirname(args.deformation))
-    report = RunReport(command=_echo(args), convention=conv.label())
+    report = RunReport(command=_echo(args), convention=DEFAULT_CONVENTION.label())
     name = os.path.basename(args.deformation)
     report.digests[name] = digest(obj)
     order = args.order if args.order is not None else md.order + (args.mode != "check")
@@ -305,7 +309,7 @@ def cmd_deform(args):
         if args.mode == "obstruct":
             f = obstruction(md, order)
         else:
-            ext = solve_extension(md, order, conv)
+            extended = solve_extension(md, order)
     except NotValidBelow:
         report.add_check(f"valid through order {order - 1}", False)
         return report
@@ -324,7 +328,7 @@ def cmd_deform(args):
         )
         return report
 
-    if ext is None:
+    if extended is None:
         report.add_check(f"extension to order {order}", False, "obstructed")
         return report
     report.add_check(f"extension to order {order}", True, "residuals re-verified")
@@ -332,13 +336,12 @@ def cmd_deform(args):
         "extended coefficient support",
         ["component", "nonzero entries"],
         [
-            ("xi", _tensor_support(ext[0])),
-            ("eta", _tensor_support(ext[1])),
-            ("phi", sum(len(ext[2].column(j)) for j in range(ext[2].cols))),
+            ("xi", _tensor_support(extended.xi.coeffs[order])),
+            ("eta", _tensor_support(extended.eta.coeffs[order])),
+            ("phi", sum(map(len, extended.phis[order].numerators()[0]))),
         ],
     )
     if args.emit:
-        extended = md.truncated(order - 1).extended(*ext)
         dump_json(serialize_deformation(extended), args.emit)
         report.note(f"extended deformation written to {args.emit}")
     return report
@@ -360,7 +363,6 @@ def build_parser():
     sub = p.add_subparsers(dest="cmd", required=True)
 
     def common(sp):
-        sp.add_argument("--convention", default=None, help="sign convention label override")
         sp.add_argument("--format", default="table", choices=["table", "csv", "json"])
 
     sp = sub.add_parser("validate", help="check the defining identities of documents")
@@ -372,12 +374,14 @@ def build_parser():
     sp.add_argument("algebra")
     sp.add_argument("--module", default="adjoint", help="'adjoint' or a representation document")
     sp.add_argument("--degrees", default="1..2", help="'p' or 'p1..p2'")
+    sp.add_argument("--convention", default=None, help="sign convention label override")
     common(sp)
     sp.set_defaults(func=cmd_cohomology)
 
     sp = sub.add_parser("morphism-cohomology", help="cohomology of a morphism")
     sp.add_argument("morphism")
     sp.add_argument("--degrees", default="1..2")
+    sp.add_argument("--convention", default=None, help="sign convention label override")
     common(sp)
     sp.set_defaults(func=cmd_morphism_cohomology)
 

@@ -20,8 +20,13 @@ right-hand side; its unknowns are unconstrained, so it builds no cochain
 space.  It works on supports: it keeps only the nonzero rows of d^2 and
 packs F_l and the solution as {ambient index: coeff}, so nothing of the
 degree-3 ambient size is built, and it ends in None at once where F_l meets
-a row of d^2 that is empty, an equation 0 = F_l there.  Every returned
-triple is re-verified against the direct residual evaluators.
+a row of d^2 that is empty, an equation 0 = F_l there.  It returns the
+deformation extended by the solved triple, once that deformation's order-l
+residuals are re-verified as zero by the direct residual evaluators.
+
+The layer runs under DEFAULT_CONVENTION alone: the equations come from the
+n-Hom-Leibniz identity itself, and their linear part is the degree-2
+differential under that convention, not under every calibrated one.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .algebra import (
     normalize_tensor,
     precompose,
 )
-from .cochain import DEFAULT_CONVENTION, Cochain, ConstraintViolation, _flat
+from .cochain import Cochain, ConstraintViolation, _flat
 from .linalg import Matrix, dense_vector, solve, sparse_vector, transpose
 from .morphism_complex import MorphismCochain, MorphismComplex
 
@@ -129,7 +134,10 @@ class MorphismDeformation:
         return Matrix.zeros(self.phi.target.dim, self.phi.source.dim)
 
     def truncated(self, k):
-        """This deformation cut, or padded with zero coefficients, to order k."""
+        """This deformation cut, or padded with zero coefficients, to order k;
+        itself at its own order."""
+        if k == self.order:
+            return self
         return MorphismDeformation(
             self.phi,
             TruncatedDeformation(self.phi.source, [self.xi.coeff(i) for i in range(k + 1)]),
@@ -283,24 +291,27 @@ def _unpack(vec, length, d_in, module_dim):
 # the extension solver
 
 
-def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
-    """Extend a deformation valid through l-1 by one order, or report it
-    obstructed.
+def solve_extension(md: MorphismDeformation, l):
+    """Extend a deformation valid through l-1 by one order: the deformation
+    through order l, or None when the order-l equations are obstructed.
 
     The order-l equations are solved as d(xi_l, eta_l, phi_l) = F_l at the
-    ambient tensor level, with d the morphism complex's operator(2); the
-    unknowns are not constrained to the twist-compatible subspaces.
-    Coefficients of md above order l-1 are ignored.  Any returned triple is
-    re-verified, on md cut to order l-1, against the direct order-l residual
-    evaluators, a disagreement being a hard failure.
+    ambient tensor level, with d the operator(2) of the morphism complex
+    under DEFAULT_CONVENTION; the unknowns are not constrained to the
+    twist-compatible subspaces.  Coefficients of md above order l-1 are
+    ignored: md cut to order l-1 is extended by the solved triple, and the
+    result is returned only once its order-l residuals are re-verified as
+    zero against the direct residual evaluators, a disagreement being a
+    hard failure.
     """
     if l < 1:
         raise ValueError("extension order must be at least 1")
     if md.order < l - 1:
         raise ValueError(f"deformation must carry coefficients through order {l - 1}")
+    md = md.truncated(l - 1)
     fl = obstruction(md, l)
 
-    mc = MorphismComplex(md.phi, convention)
+    mc = MorphismComplex(md.phi)
     L, M = md.phi.source, md.phi.target
     n = L.arity
     au, av, _ = mc.ambient_dims(2)
@@ -323,16 +334,17 @@ def solve_extension(md: MorphismDeformation, l, convention=DEFAULT_CONVENTION):
     phi_cols = _unpack(sparse_vector(x[au + av :]), 1, L.dim, M.dim)
     phi_l = Matrix.from_rationals(transpose([phi_cols.get((j,), {}) for j in range(L.dim)], M.dim), L.dim)
 
-    r1, r2, r3 = morphism_order_residual(md.truncated(l - 1).extended(xi_l, eta_l, phi_l), l)
+    extended = md.extended(xi_l, eta_l, phi_l)
+    r1, r2, r3 = morphism_order_residual(extended, l)
     if r1 or r2 or r3:
         raise RuntimeError(
             "solver produced a triple whose order-l residual is nonzero; "
             "the linear system disagrees with the residual oracle"
         )
-    return xi_l, eta_l, phi_l
+    return extended
 
 
-def infinitesimal(md: MorphismDeformation, convention=DEFAULT_CONVENTION) -> MorphismCochain:
+def infinitesimal(md: MorphismDeformation) -> MorphismCochain:
     """(xi_1, eta_1, phi_1) as a degree-2 morphism cochain.
 
     Deformation coefficients are not forced to commute with the twists, so
@@ -341,7 +353,7 @@ def infinitesimal(md: MorphismDeformation, convention=DEFAULT_CONVENTION) -> Mor
     """
     if md.order < 1:
         raise ValueError("deformation carries no order-1 coefficients")
-    mc = MorphismComplex(md.phi, convention)
+    mc = MorphismComplex(md.phi)
     L, M = md.phi.source, md.phi.target
     au, av, aw = mc.ambient_dims(2)
     phi1 = md.phi_coeff(1)

@@ -299,10 +299,12 @@ def rank(m: Matrix) -> int:
 
 def kernel_basis(m: Matrix) -> SubspaceBasis:
     """Basis of {x : m.x = 0}, one vector per free column f of the RREF: 1 at f
-    and -row[f] / row[p] at each pivot p whose row meets f, in lowest terms."""
+    and -row[f] / row[p] at each pivot p whose row meets f, in lowest terms.
+    Each vector's items are f, then those pivots in column order, so they do
+    not depend on the order of m's rows."""
     red = _eliminate(m)
     cells = {f: [] for f in range(m.cols) if f not in red}
-    for p, row in red.items():
+    for p, row in sorted(red.items()):
         for c, x in row.items():  # off its pivot, a reduced row meets free columns only
             if c != p:
                 g = math.gcd(x, row[p])

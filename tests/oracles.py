@@ -630,10 +630,11 @@ def fraction_rref(m: Matrix, b=()):
 def fraction_kernel_form(m: Matrix):
     """basis_form of kernel_basis(m) as the Fraction elimination built it: one
     vector per free column f of fraction_rref(m), 1 at f and -row[f] at each
-    pivot p whose row meets f, turned into (B_j, d_j) by integral_rows."""
+    pivot p whose row meets f, pivots in column order, turned into (B_j, d_j)
+    by integral_rows."""
     red = fraction_rref(m)
     vectors = {f: {f: Q(1)} for f in range(m.cols) if f not in red}
-    for p, row in red.items():
+    for p, row in sorted(red.items()):
         for c, x in row.items():
             if c != p:
                 vectors[c][p] = -x

@@ -223,7 +223,7 @@ def test_criterion_8_obstruction_extension_equivalence():
             # guard against stale recorded verdicts: recompute a sample live
             assert oracle_extends(md, 2) == entry["extends"], entry["file"]
         if result is not None:
-            r1, r2, r3 = morphism_order_residual(md.extended(*result), 2)
+            r1, r2, r3 = morphism_order_residual(result, 2)
             assert not (r1 or r2 or r3)
             extended += 1
         checked += 1

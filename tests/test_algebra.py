@@ -64,6 +64,28 @@ def test_pullback_representation_satisfies_all_specializations():
         assert check_representation(pullback_representation(phi)) == []
 
 
+def test_representation_check_evaluates_only_tuples_with_a_module_slot(monkeypatch):
+    # L's own identity, on tuples with no module slot, is check_hom_leibniz's
+    # work; the representation check accumulates no term there
+    from homleibniz import algebra
+
+    reps = [adjoint_representation(a) for a in battery_algebras()]
+    reps += [pullback_representation(phi) for phi in fixture_morphisms()]
+    keys, accumulate, seen = [], algebra._accumulate, 0
+
+    def recording(out, key, c, combo):
+        keys.append(key)
+        accumulate(out, key, c, combo)
+
+    monkeypatch.setattr(algebra, "_accumulate", recording)
+    for rep in reps:
+        keys.clear()
+        assert check_representation(rep) == []
+        assert all(max(key) >= rep.algebra.dim for key in keys)
+        seen += len(keys)
+    assert seen
+
+
 def test_pullback_rejects_non_morphism():
     a = leibniz_ff_e()
     bad = Morphism(a, a, Matrix(2, 2, [[0, 1], [1, 0]]))

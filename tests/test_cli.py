@@ -304,6 +304,27 @@ def test_morphism_cohomology_reports_a_nonzero_square(capsys):
     ]
 
 
+def test_only_the_cohomology_commands_take_a_convention(capsys):
+    # deform's order-l equations have the default convention's d^2 as their
+    # linear part; under this calibrated survivor, extending d31.json to
+    # order 2 once raised RuntimeError, and d01.json read "obstructed"
+    survivor = "A-B-C-D-|xy|hat-twisted|c-full"
+    refused = [
+        ["deform", "extend", fx("deform/d31.json"), "--order", "2"],
+        ["deform", "extend", fx("deform/d01.json"), "--order", "2"],
+        ["deform", "check", fx("deform/d01.json")],
+        ["deform", "obstruct", fx("deform/d01.json"), "--order", "2"],
+        ["validate", fx("leibniz_ff_e.json")],
+    ]
+    for argv in refused:
+        code, out, err = run(capsys, *argv, "--convention", survivor)
+        assert (code, out) == (2, ""), argv
+        assert "unrecognized arguments: --convention" in err and "Traceback" not in err
+    for argv in (["cohomology", fx("aff1.json")], ["morphism-cohomology", fx("identity_leibniz.json")]):
+        code, out, _ = run(capsys, *argv, "--convention", survivor)
+        assert code == 0 and f"convention: {survivor}" in out
+
+
 def test_deform_check_and_obstruct(capsys):
     code, out, _ = run(capsys, "deform", "check", fx("abelian_ff_e_deformation.json"))
     assert code == 0
@@ -320,12 +341,24 @@ def test_deform_extend_reports_obstruction_with_exit_one(capsys):
     assert "obstructed" in out
 
 
-def test_deform_extend_succeeds_and_emits(capsys, tmp_path):
+def test_deform_extend_succeeds_and_emits(capsys, tmp_path, monkeypatch):
+    from homleibniz.deformation import TruncatedDeformation
+
+    # the document's two order-1 deformations, then the two of the one
+    # extended deformation that the solve verifies and --emit writes
+    built, post_init = [], TruncatedDeformation.__post_init__
+
+    def counting(d):
+        post_init(d)
+        built.append(d.order)
+
+    monkeypatch.setattr(TruncatedDeformation, "__post_init__", counting)
     battery = json.load(open(fx("deform_battery.json")))
     good = next(e for e in battery["entries"] if e["extends"])
     out_path = str(tmp_path / "ext.json")
     code, out, _ = run(capsys, "deform", "extend", fx(good["file"]), "--order", "2", "--emit", out_path)
     assert code == 0
+    assert built == [1, 1, 2, 2]
     # the emitted document is itself a valid order-2 deformation
     code, out, _ = run(capsys, "deform", "check", out_path)
     assert code == 0

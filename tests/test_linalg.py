@@ -20,12 +20,14 @@ from homleibniz.linalg import (
 )
 from oracles import (
     assert_kernel_born_in_ints,
+    basis_form,
     dense_coords_in_basis,
     dense_kernel_vectors,
     dense_matmul,
     dense_rank,
     dense_rref,
     dense_solve,
+    fraction_kernel_form,
     fraction_rref,
     fractions_made,
 )
@@ -400,6 +402,18 @@ def test_elimination_matches_the_fraction_rref_where_back_elimination_cancels(m,
 @given(st.one_of(matrices(max_dim=7, cells=mixed_cells), rank_deficient_products()))
 def test_kernel_basis_is_born_in_ints_as_the_fraction_rref_gave_it(m):
     assert_kernel_born_in_ints(m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(matrices(max_dim=7, cells=mixed_cells), rank_deficient_products()), st.randoms(use_true_random=False))
+def test_kernel_vector_items_do_not_follow_the_row_order(m, rnd):
+    # the RREF does not depend on the row order, and neither do the items of
+    # each kernel vector B_j, which follow its pivots in column order
+    rows = [m.row(i) for i in range(m.rows)]
+    rnd.shuffle(rows)
+    shuffled = Matrix.from_rationals(rows, m.cols)
+    assert basis_form(kernel_basis(shuffled)) == basis_form(kernel_basis(m))
+    assert fraction_kernel_form(shuffled) == fraction_kernel_form(m)
 
 
 def test_string_zeros_make_no_cells():

@@ -55,3 +55,33 @@ def test_every_traced_target_resolves_and_no_wrapper_is_left_behind():
     after = package_bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in after.items() if value is not before[key]] == []
+
+
+def test_every_probe_runs_under_the_recorder(capsys, tmp_path):
+    # the probes read package internals (a deformation's coefficient lists,
+    # Matrix.entries, an operator's columns); one small call of each kind the
+    # traced benchmark makes must run through them, writing nothing next to them
+    from homleibniz import cli, cochain, fixtures
+
+    spans = load_spans()
+    perfbench = os.path.dirname(SPANS)
+    before = sorted(os.listdir(perfbench))
+    fx = os.path.join(os.path.dirname(perfbench), "fixtures")
+    emitted = str(tmp_path / "ext.json")
+    recorder = spans.Recorder()
+    try:
+        recorder.install()
+        assert cli.main(["deform", "extend", os.path.join(fx, "deform", "d01.json"), "--order", "2", "--emit", emitted]) == 0
+        assert cli.main(["deform", "check", emitted]) == 0
+        assert cli.main(["cohomology", os.path.join(fx, "leibniz_ff_e.json")]) == 0
+        assert cli.main(["morphism-cohomology", os.path.join(fx, "identity_leibniz.json")]) == 0
+        conventions = [cochain.DEFAULT_CONVENTION, cochain.SignConvention.from_label("A-B+C+D+|xy|hat-twisted|c-full")]
+        assert cochain.calibration_report(fixtures.calibration_battery(), conventions) == conventions[:1]
+    finally:
+        recorder.uninstall()
+    capsys.readouterr()
+    names = {span[0] for span in recorder.spans}
+    for name in ("deformation.residual", "deformation.solve_extension", "cochain.coboundary_operator", "linalg.kernel_basis"):
+        assert name in names, name
+    assert recorder.metrics()["deformation.residual.distinct_ratio"][0] > 0
+    assert sorted(os.listdir(perfbench)) == before
