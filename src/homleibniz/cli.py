@@ -54,8 +54,8 @@ from .report import RunReport
 
 EXIT_INPUT_ERROR = 2
 
-# Largest ambient dimension of a cochain space a command may build.  It admits
-# dim 4 at degree 4 (4 * 4^5), the largest space a benchmark rung has measured;
+# Largest ambient dimension of delta^p2's images, p2 a command's top degree.  It
+# admits dim 4 at degree 4 (4 * 4^5), the largest a benchmark rung has measured;
 # the limit stands until a rung at a larger space backs a higher one.
 MAX_AMBIENT = 4096
 # Largest cohomology degree and deformation order a command takes.  Above
@@ -77,9 +77,9 @@ def _convention(args):
 
 
 def _degrees(spec, ambient_at):
-    """The degrees p1..p2 of spec; refused when H^p2 needs a cochain space above
-    MAX_AMBIENT, ambient_at(q) being the largest ambient dimension in degree q,
-    or when p2 is above MAX_DEGREE."""
+    """The degrees p1..p2 of spec; refused when delta^p2's images live in an
+    ambient above MAX_AMBIENT, ambient_at(q) being the largest in degree q
+    (no space is built there), or when p2 is above MAX_DEGREE."""
     try:
         if ".." in spec:
             lo, hi = spec.split("..")

@@ -7,35 +7,24 @@ are cut out by the twist-compatibility constraint
 
     alpha_M o f = f o (alpha tensor abar^{tensor p-1}),
 
-with abar acting componentwise on (n-1)-tuples; cochain spaces store a
-kernel basis of that constraint.  Its rows come input by input, each input's
-column of alpha^{tensor k} (abar is alpha slot by slot) one Kronecker step
-on its prefix's, built depth first with one partial column per level.
+with abar acting componentwise on (n-1)-tuples.  twist_constraint gives its
+int columns, each built on first read from memoised rows of alpha^{tensor k};
+a cochain space is the kernel of all of them, transposed.
 
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
 order of the bracket on (n-1)-tuples and the twist after the hat (read by
 T_A), and the range of T_C are collected in SignConvention; calibration_report
 finds the conventions under which the composite coboundary vanishes exactly.
 
-Each term is f precomposed with a tensor product of small maps (alpha, abar,
-the bracket, the identity) after a slot permutation, in terms C and D then
-acted on by the module.  coboundary_operator assembles delta^p column by
-column from those maps, transposed once per (algebra, rep, p) in the
-SlotTables that convention siblings share, so an operator builds no cochain
-space.  Each table holds int numerators over its own denominator; the tables
-cache each term group's int columns over q[bracket_y_first], with sign +1,
-per setting of the flags it reads, summed by the convention's signs.  A
-Columns cache builds each column on its first read: restrict_operator and
-squares_to_zero read the columns on the support of the source bases, and
-only the extension solve reads every column, through
-MorphismComplex.operator.  From the twists' Matrix.numerators() and the
-operator columns to the rank, cochain data stay in ints: kernel_basis
-builds each basis as int pairs (B_j, d_j), SubspaceBasis.integral, which
-apply_sparse maps as they are, coords_in_basis checks each image by int
-back-substitution, and the restricted matrix holds int numerators over
-one denominator.  delta o delta = 0 is certified in one place,
-squares_to_zero, as an int zero test on the sparse ambient operators;
-both complexes' cohomology_dim and the calibration call it.
+coboundary_operator assembles delta^p column by column from its terms' small
+maps (alpha, abar, the bracket, the actions), transposed once per (algebra,
+rep, p) in SlotTables, which cache each term group's int columns per setting
+of the flags it reads.  A Columns cache builds each column on first read.
+certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
+constraint on their support, so ranks, eliminated on those images, build no
+space C^{p+1}; restrict_operator reads coordinates off them.  delta o delta
+= 0 is certified by squares_to_zero, an int zero test on the ambient
+operators.  Cochain data stay in ints up to the rank.
 """
 
 from __future__ import annotations
@@ -153,14 +142,53 @@ def _kron_columns(cols, k, inp, col):
         yield from _kron_columns(cols, k - 1, inp * d + i, step)
 
 
+def _power_row(rows, memo, j, key):
+    """Row key of alpha^{tensor j}, alpha given by its sparse rows: row key // d
+    of alpha^{tensor j-1} tensor row key % d of alpha, each row memoised by (j, key)."""
+    d, todo = len(rows), []
+    while j and (j, key) not in memo:
+        todo.append((j, key))
+        j, key = j - 1, key // d
+    row = memo.get((j, key), {0: 1})
+    for j, key in reversed(todo):
+        row = memo[j, key] = {i * d + k: x * v for i, x in row.items() for k, v in rows[key % d].items()}
+    return row
+
+
 # ---------------------------------------------------------------------------
 # cochain spaces
+
+
+def twist_constraint(algebra, rep, p):
+    """Columns of alpha_M o f - f o alpha^{tensor k} on C^p's ambient cells,
+    k = input_length, in ints: alpha^{tensor k} is over den_a^k, and both
+    terms go over one lcm."""
+    rows_a, den_a = algebra.alpha.numerators()
+    rows_m, den_m = rep.alpha_module.numerators()
+    k = input_length(algebra.arity, p)
+    den = math.lcm(den_m, den_a ** k)
+    cols_m = transpose(rows_m, rep.module_dim)
+    build = functools.partial(_constraint_columns, rows_a, cols_m, den // den_m, den // den_a ** k, k, {})
+    return Columns(build, ambient_dim(algebra, rep, p), den)
+
+
+def _constraint_columns(rows_a, cols_m, w_m, w_k, k, memo, js):
+    """{j: column} of the twist constraint.  Column (key, mf) holds alpha_M's
+    column mf at the cells (key, mo), less row key of alpha^{tensor k} at (inp, mf)."""
+    m, out = len(cols_m), {}
+    for j in js:
+        key, mf = divmod(j, m)
+        col = {key * m + mo: c * w_m for mo, c in cols_m[mf].items()}
+        for inp, v in _power_row(rows_a, memo, k, key).items():
+            col[inp * m + mf] = col.get(inp * m + mf, 0) - v * w_k
+        out[j] = [(r, x) for r, x in col.items() if x]
+    return out
 
 
 class CochainSpace:
     """Twist-compatible p-cochains, as a kernel basis in ambient coordinates."""
 
-    def __init__(self, algebra, rep, degree):
+    def __init__(self, algebra, rep, degree, constraint=None):
         if degree < 1:
             raise ValueError("cochain degree must be at least 1")
         if rep.algebra != algebra:
@@ -168,35 +196,15 @@ class CochainSpace:
         self.algebra = algebra
         self.rep = rep
         self.degree = degree
-        self.in_len = input_length(algebra.arity, degree)
         self.ambient = ambient_dim(algebra, rep, degree)
-        self.basis = self._constraint_kernel()
+        c = self.constraint = constraint or twist_constraint(algebra, rep, degree)
+        cols = c.read(range(self.ambient))
+        rows = transpose([dict(cols[j]) for j in range(self.ambient)], self.ambient)
+        self.basis = kernel_basis(Matrix.from_rows(rows, self.ambient, c.den))
 
     @property
     def dim(self):
         return self.basis.dim
-
-    def _constraint_kernel(self):
-        """Kernel of the constraint rows, built in ints: with alpha over den_a,
-        alpha^{tensor k} is over den_a^k, and both terms go over one lcm."""
-        a, rep = self.algebra, self.rep
-        d, m = a.dim, rep.module_dim
-        rows = []
-        alpha_rows, den_a = a.alpha.numerators()
-        alpha_m_rows, den_m = rep.alpha_module.numerators()
-        den = math.lcm(den_m, den_a ** self.in_len)
-        w_m, w_k = den // den_m, den // den_a ** self.in_len
-        for inp, kron in _kron_columns(transpose(alpha_rows, d), self.in_len, 0, {0: 1}):
-            # one sparse row per output index mo; the alpha_M o f term
-            base = inp * m
-            block = [{base + mm: c * w_m for mm, c in row.items()} for row in alpha_m_rows]
-            # - f o (alpha tensor abar...) term, abar expanded on the basis input
-            for key, v in kron.items():
-                at = key * m
-                for mo, row in enumerate(block):
-                    row[at + mo] = row.get(at + mo, 0) - v * w_k
-            rows += [{c: x for c, x in row.items() if x} for row in block]
-        return kernel_basis(Matrix.from_rows(rows, self.ambient, den))
 
     def _sparse(self, coeffs):
         if len(coeffs) != self.ambient:
@@ -271,9 +279,7 @@ class SlotTables:
     over its table's den[name]: alpha's Matrix.den, its power n-1 for abar,
     else the lcm of the denominators of the table's rational entries
     (den["bracket"] maps yf to that order's denominator).
-    bracket is built from the bracket's support: an entry [K] fixes the
-    component x_k of X that it brackets and all of X2, and the other n-2
-    components of X run over alpha's columns.  groups caches delta^p's term
+    groups caches delta^p's term
     groups, {column: {row: coeff}} over q[yf] with sign +1, by yf and the
     flags each reads: ("A", yf, twist_after_hat), ("B", yf), ("C", yf,
     c_full_range) and ("D", yf).
@@ -285,8 +291,8 @@ class SlotTables:
         self.D = d ** (n - 1)
         rows_a, den_a = a.alpha.numerators()
         self.alpha = [list(row.items()) for row in rows_a]
-        abar_cols = [col for _, col in _kron_columns(transpose(rows_a, d), n - 1, 0, {0: 1})]
-        self.abar = [list(row.items()) for row in transpose(abar_cols, self.D)]
+        memo = {}
+        self.abar = [list(_power_row(rows_a, memo, n - 1, Y).items()) for Y in range(self.D)]
         self.den = {"bracket": {}, "alpha": den_a, "abar": den_a ** (n - 1)}
         self.mu = [[] for _ in range(d)]
         nums, self.den["mu"] = integral_rows(list(a.bracket.values()))
@@ -493,35 +499,52 @@ def coboundary_matrix(space: CochainSpace, target_space, op) -> Matrix:
     return restrict_operator(op, [space], [target_space])
 
 
+def certified_images(op, sources, constraints):
+    """apply_sparse's images of the sources' direct-sum basis under the Columns
+    op.  Each image's block on each target summand, stacked in order, must be
+    sent to zero by that summand's constraint columns, read on its support,
+    or ConstraintViolation is raised."""
+    images = apply_sparse(op, direct_sum([s.basis for s in sources]).integral[0])
+    start = 0
+    for c in constraints:
+        blocks = [({r - start: x for r, x in v.items() if start <= r < start + c.size}, 1) for v, _ in images]
+        if any(v for v, _ in apply_sparse(c, blocks)):
+            raise ConstraintViolation("an image is not twist-compatible")
+        start += c.size
+    return images
+
+
+def image_rank(op, sources, constraints) -> int:
+    """Rank of op on the sources' direct sum: its certified images', one row
+    per target cell; an image's den only scales its column."""
+    images = [v for v, _ in certified_images(op, sources, constraints)]
+    return rank(Matrix.from_rows(transpose(images, sum(c.size for c in constraints)), len(images)))
+
+
 def restrict_operator(op, sources, targets) -> Matrix:
     """Matrix of the Columns op between direct sums of cochain spaces.
 
-    Column j is the image of the j-th basis vector of the sources' direct
-    sum, in coordinates over the targets' direct sum; an image that leaves
-    it raises ConstraintViolation.  Only the columns of op on the support
-    of the sources' bases are read.  The image of vector j, (B_j, d_j), is
+    Column j holds the coordinates of certified image j over the targets'
+    direct sum: lying in its span, the image is the combination of its
+    entries at the basis' unit rows.  The image of vector j, (B_j, d_j), is
     over d_j * op.den, so the matrix holds int numerators over L * op.den.
     """
-    target = direct_sum([t.basis for t in targets])
-    vectors, lcm = direct_sum([s.basis for s in sources]).integral
-    rows = [{} for _ in range(target.dim)]
-    for j, (image, den) in enumerate(apply_sparse(op, vectors)):
-        col = coords_in_basis(target, image)
-        if col is None:
-            raise ConstraintViolation(
-                f"an image is not twist-compatible in degree {targets[0].degree}"
-            )
-        for i, x in col.items():
-            rows[i][j] = x * (lcm * op.den // den)
-    return Matrix.from_rows(rows, len(vectors), lcm * op.den)
+    units = direct_sum([t.basis for t in targets]).unit_rows
+    lcm = direct_sum([s.basis for s in sources]).integral[1]
+    images = certified_images(op, sources, [t.constraint for t in targets])
+    rows = [{} for _ in units]
+    for j, (image, den) in enumerate(images):
+        for r, x in image.items():
+            if r in units:
+                rows[units[r]][j] = x * (lcm * op.den // den)
+    return Matrix.from_rows(rows, len(images), lcm * op.den)
 
 
 def squares_to_zero(cx, p) -> bool:
     """Exact certificate of d^p o d^{p-1} = 0: the sparse ambient operators
     cx.operator(p-1), then cx.operator(p), send every basis vector of the
-    direct sum of cx.summands(p-1) to zero.  Callers also restrict d^{p-1},
-    which writes each image exactly in the basis of C^p, so this is the zero
-    matrix product.  The columns read are those on the support of C^{p-1}'s
+    direct sum of cx.summands(p-1) to zero.  Callers also certify d^{p-1}'s
+    images in C^p, so this is the zero matrix product.  The columns read are those on the support of C^{p-1}'s
     basis and of its images; the zero test is on ints and builds no Fraction."""
     vectors = direct_sum([s.basis for s in cx.summands(p - 1)]).integral[0]
     return not any(v for v, _ in apply_sparse(cx.operator(p), apply_sparse(cx.operator(p - 1), vectors)))
@@ -555,19 +578,26 @@ class CochainComplex:
         self.convention = convention
         self._spaces = {}
         self._tables = {}
+        self._constraints = {}
         self._matrices = {}
         self._operators = {}
         self._ranks = {}
 
     def with_convention(self, convention) -> CochainComplex:
-        """This complex under convention, sharing the spaces and tables, which no convention affects."""
+        """This complex under convention, sharing the spaces, tables and constraints."""
         sibling = CochainComplex(self.algebra, self.rep, convention)
-        sibling._spaces, sibling._tables = self._spaces, self._tables
+        sibling._spaces, sibling._tables, sibling._constraints = self._spaces, self._tables, self._constraints
         return sibling
+
+    def constraint(self, p) -> Columns:
+        """C^p's twist constraint, read by its space and by certified_images."""
+        if p not in self._constraints:
+            self._constraints[p] = twist_constraint(self.algebra, self.rep, p)
+        return self._constraints[p]
 
     def space(self, p) -> CochainSpace:
         if p not in self._spaces:
-            self._spaces[p] = CochainSpace(self.algebra, self.rep, p)
+            self._spaces[p] = CochainSpace(self.algebra, self.rep, p, self.constraint(p))
         return self._spaces[p]
 
     def summands(self, p):
@@ -595,7 +625,7 @@ class CochainComplex:
 
     def rank(self, p) -> int:
         if p not in self._ranks:
-            self._ranks[p] = rank(self.delta(p))
+            self._ranks[p] = image_rank(self.operator(p), [self.space(p)], [self.constraint(p + 1)])
         return self._ranks[p]
 
     def cohomology_dim(self, p) -> int:
@@ -607,14 +637,12 @@ class CochainComplex:
 
 
 def convention_passes(cx):
-    """Whether delta^{p+1} o delta^p vanishes exactly on the complex cx, for
-    p = 1 and 2.  Each delta^q is restricted to the bases first, so an image
-    outside the twist-compatible subspace fails."""
+    """Whether the images of delta^1..delta^3 on the complex cx are certified
+    twist-compatible and delta^{p+1} o delta^p vanishes exactly, p = 1 and 2."""
     try:
-        for p in (1, 2):
-            cx.delta(p)
-            cx.delta(p + 1)
-            if not squares_to_zero(cx, p + 1):
+        for p in (1, 2, 3):
+            certified_images(cx.operator(p), [cx.space(p)], [cx.constraint(p + 1)])
+            if p > 1 and not squares_to_zero(cx, p):
                 return False
     except ConstraintViolation:
         return False

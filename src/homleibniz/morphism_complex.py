@@ -6,20 +6,17 @@ differential is d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w).
 All three summands share one sign convention.
 
 d^p is assembled in one place, MorphismComplex.operator: a Columns cache
-whose columns are built on first read from the three summand complexes'
-operator columns plus the push and pull columns, all in int numerators
-over one denominator, phi read through its int numerators.
-d_matrix restricts it to the direct-sum bases for cohomology and reads the
-columns on their support only; deformation.solve_extension solves against
-it at the ambient level, its unknowns unconstrained, and reads every
-column.  d^p o d^{p-1} = 0 is certified on these operators by
-cochain.squares_to_zero, as for the summand complexes.  _d_columns is the
-only code that applies phi to a cochain: differential and the
-vanishing-transfer witness both read d_matrix.  A push column phi.u applies
-phi to the output index; a pull column -v.phi is the unit tensor of v
-precomposed with phi in every input slot, the Kronecker product of phi's
-int rows by cochain._products, so it visits only the inputs that phi sends
-onto its key.
+whose columns are built on first read from the summand complexes' operator
+columns plus the push and pull columns, in ints over one denominator.  rank
+eliminates d^p's images of the direct-sum basis, each block certified by
+its summand's twist constraint, so no space of degree p+1 is built;
+d_matrix reads their coordinates for differential and the vanishing-transfer
+witness, and deformation.solve_extension reads every column.
+cochain.squares_to_zero certifies d o d = 0 on the operators.  _d_columns
+alone applies phi to a cochain: a push column phi.u applies phi to the
+output index; a pull column -v.phi is the unit tensor of v precomposed with
+phi in every input slot, the Kronecker product of phi's int rows by
+cochain._products, so it visits only the inputs that phi sends onto its key.
 """
 
 from __future__ import annotations
@@ -36,11 +33,12 @@ from .cochain import (
     DEFAULT_CONVENTION,
     ambient_dim,
     cohomology_dim_of,
+    image_rank,
     input_length,
     restrict_operator,
     _products,
 )
-from .linalg import Matrix, Q, rank, solve, transpose
+from .linalg import Matrix, Q, solve, transpose
 
 
 class HypothesisNotMet(Exception):
@@ -185,7 +183,8 @@ class MorphismComplex:
 
     def rank(self, p) -> int:
         if p not in self._ranks:
-            self._ranks[p] = rank(self.d_matrix(p))
+            targets = [self.left.constraint(p + 1), self.right.constraint(p + 1), self.mixed.constraint(p)]
+            self._ranks[p] = image_rank(self.operator(p), self.summands(p), targets)
         return self._ranks[p]
 
     # -- coordinates --------------------------------------------------------

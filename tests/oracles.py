@@ -26,8 +26,8 @@ Deliberately separate implementations:
   from them and the summand coboundaries, the reference for the push and
   pull columns of MorphismComplex.operator and for differential; and
 * the per-input twist-compatibility constraint: one k-fold tensor_combo
-  per basis input, the reference for the rows CochainSpace builds from
-  prefix Kronecker products; and
+  per basis input, whose rows, transposed, are the reference for the
+  columns of cochain.twist_constraint; and
 * the bracket of fundamental objects on every pair of (n-1)-tuples: one
   tensor_combo per pair and slot, the reference for the bracket table that
   SlotTables builds from the support of the bracket; and

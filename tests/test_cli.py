@@ -608,3 +608,46 @@ def test_mutated_documents_end_in_a_report_or_an_input_error(capsys, tmp_path, n
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert time.perf_counter() - start < 5
+
+
+def test_cohomology_builds_no_space_above_its_top_degree(capsys, monkeypatch):
+    # rank delta^p is read off delta^p's images, certified by C^{p+1}'s
+    # constraint: the top degree's space is the last one built
+    from homleibniz import cli, cochain
+
+    built, complexes = [], []
+    init, mc_init = cochain.CochainSpace.__init__, cli.MorphismComplex.__init__
+
+    def counting(self, algebra, rep, degree, *rest):
+        built.append((rep, degree))
+        init(self, algebra, rep, degree, *rest)
+
+    def capturing(self, *args):
+        mc_init(self, *args)
+        complexes.append(self)
+
+    monkeypatch.setattr(cochain.CochainSpace, "__init__", counting)
+    monkeypatch.setattr(cli.MorphismComplex, "__init__", capturing)
+    code, _, _ = run(capsys, "cohomology", fx("ternary_fff_e.json"), "--degrees", "1..3")
+    assert code == 0 and sorted(p for _, p in built) == [1, 2, 3]
+    built.clear()
+    code, _, _ = run(capsys, "morphism-cohomology", fx("twist_endo.json"), "--degrees", "1..3")
+    (mc,) = complexes
+    summand = {id(mc.left.rep): "left", id(mc.right.rep): "right", id(mc.mixed.rep): "mixed"}
+    assert code == 0 and len(summand) == 3
+    assert sorted((summand[id(rep)], p) for rep, p in built) == sorted(
+        [(side, p) for side in ("left", "right") for p in (1, 2, 3)] + [("mixed", 1), ("mixed", 2)]
+    )
+
+
+def test_degree_ranges_of_a_high_arity_one_dimensional_algebra_end_in_a_report(capsys, tmp_path):
+    # arity 20 at degree 64: C^64's inputs have 1198 slots, and alpha^{tensor 1198}
+    # is built one slot at a time, with no recursion as deep as the slots
+    from homleibniz.documents import dump_json, serialize_algebra
+    from homleibniz.fixtures import abelian_algebra
+
+    path = str(tmp_path / "a1_arity20.json")
+    dump_json(serialize_algebra(abelian_algebra(1, 20)), path)
+    code, out, err = run(capsys, "cohomology", path, "--degrees", "60..64", "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["tables"][0]["rows"] == [[p, 1, 0, 1] for p in range(60, 65)]

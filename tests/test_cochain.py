@@ -325,6 +325,9 @@ def test_calibration_rejects_an_image_outside_the_compatible_subspace():
     rep = adjoint_representation(a)
     cx = CochainComplex(a, rep)
     with pytest.raises(ConstraintViolation):
+        cx.rank(1)  # certified on the images, without C^2's space
+    assert 2 not in cx._spaces
+    with pytest.raises(ConstraintViolation):
         cx.delta(1)
     assert squares_to_zero(cx, 2) and squares_to_zero(cx, 3)
     assert not any(convention_passes(cx.with_convention(cv)) for cv in all_conventions())
@@ -352,6 +355,7 @@ def test_a_convention_sibling_shares_the_spaces_and_tables():
     sibling = cx.with_convention(cv)
     assert (sibling.algebra, sibling.rep, sibling.convention) == (a, rep, cv)
     assert sibling._spaces is cx._spaces and sibling._tables is cx._tables
+    assert sibling._constraints is cx._constraints
     assert sibling._operators is not cx._operators and sibling._matrices is not cx._matrices
     sibling.delta(1)  # what the sibling builds, the parent reads
     assert cx._spaces.keys() == {1, 2} and cx._tables.keys() == {1}
@@ -738,3 +742,102 @@ def test_ranks_construct_no_fraction():
         assert made == []
         assert ranks[-2:] == [rank(cx.delta(2)), rank(cx.delta(3))]
     assert ranks[2] and ranks[3]  # the shear's restricted matrices are not zero
+
+
+# ---------------------------------------------------------------------------
+# the twist constraint's columns, and ranks read off certified images
+
+
+SURVIVORS = [SignConvention.from_label(label) for label in DEGREE_3_CONVENTIONS[:4]]
+
+
+def constraint_agrees_with_rows(columns, a, rep, p):
+    """Whether the Columns of C^p's twist constraint, read in full as Fractions,
+    are the transpose of the per-input oracle's rows."""
+    size = ambient_dim(a, rep, p)
+    built = columns.read(range(size))
+    got = [{r: Q(x, columns.den) for r, x in built[j]} for j in range(size)]
+    want = [{} for _ in range(size)]
+    for r, row in enumerate(per_input_constraint_rows(a, rep, p)):
+        for j, x in row.items():
+            want[j][r] = x
+    return columns.size == size and got == want
+
+
+def test_constraint_columns_are_the_transposed_per_input_rows():
+    cases = [(a, rep, 3) for a, rep in BATTERY] + [fractional_shear() + (4,), (h3_sheared(), adjoint_representation(h3_sheared()), 3)]
+    for a, rep, top in cases:
+        cx = CochainComplex(a, rep)
+        for p in range(1, top + 1):
+            assert constraint_agrees_with_rows(cx.constraint(p), a, rep, p), (a, p)
+            assert all(type(x) is int and x for col in cx.constraint(p)._built.values() for _, x in col)
+            assert cx.space(p).constraint is cx.constraint(p)
+
+
+def test_a_constraint_column_with_one_sign_flipped_fails_the_oracle():
+    rng = random.Random(24)
+    flipped = 0
+    for a, rep in BATTERY + [fractional_shear()]:
+        for p in (1, 2):
+            good = cochain.twist_constraint(a, rep, p)
+            built = good.read(range(good.size))
+            nonzero = [j for j in range(good.size) if built[j]]
+            if not nonzero:
+                assert a.alpha == Matrix.identity(a.dim)  # alpha_M o f = f: no constraint
+                continue
+            j = rng.choice(nonzero)
+            k = rng.randrange(len(built[j]))
+
+            def build(js, j=j, k=k):
+                cols = {i: list(good.read(js)[i]) for i in js}
+                if j in cols:
+                    r, x = cols[j][k]
+                    cols[j][k] = (r, -x)
+                return cols
+
+            assert constraint_agrees_with_rows(good, a, rep, p)
+            assert not constraint_agrees_with_rows(Columns(build, good.size, good.den), a, rep, p)
+            flipped += 1
+    assert flipped >= 10
+
+
+def outcome(f, *args):
+    """f(*args), or the ConstraintViolation class when it raises one."""
+    try:
+        return f(*args)
+    except ConstraintViolation:
+        return ConstraintViolation
+
+
+def test_ranks_of_certified_images_match_the_restricted_matrices():
+    # the calibration battery, every input the twisted benchmark can draw,
+    # fractional and non-diagonal twists, under the four calibrated survivors
+    cases = [(a, rep, 3) for a, rep in BATTERY + fractional_inputs() + [fractional_shear()]]
+    cases += [(yau_twist(h3(), diag(x, y, x * y)), None, 3) for x in (2, 3, 5, 7) for y in (2, 3, 5, 7) if x != y]
+    cases += [(twisted_ternary_fff_e(s), None, 4) for s in range(2, 8)]
+    cases += [(twisted_aff1(s), None, 6) for s in range(2, 8)]
+    nonzero = 0
+    for a, rep, top in cases:
+        base = CochainComplex(a, rep or adjoint_representation(a))
+        for cv in SURVIVORS:
+            cx = base.with_convention(cv)
+            for p in range(1, top + 1):
+                got = outcome(cx.rank, p)
+                assert got == outcome(lambda q: rank(cx.delta(q)), p), (a, cv, p)
+                nonzero += got not in (0, ConstraintViolation)
+    assert nonzero > len(cases)
+    for phi in fixture_morphisms():
+        for cv in SURVIVORS:
+            mc = MorphismComplex(phi, cv)
+            for p in (1, 2, 3):
+                assert mc.rank(p) == rank(mc.d_matrix(p)), (phi, cv, p)
+
+
+def test_a_rank_builds_no_space_of_its_target_degree():
+    a = yau_twist(h3(), Matrix(3, 3, [[Q(1, 2), Q(1, 3), 0], [0, 2, 0], [0, 0, 1]]))
+    cx = CochainComplex(a, adjoint_representation(a))
+    for p in (1, 2, 3):
+        cx.cohomology_dim(p)
+    assert cx._spaces.keys() == {1, 2, 3} and cx._constraints.keys() == {1, 2, 3, 4}
+    # C^4's constraint is read on the images' support only
+    assert 0 < len(cx.constraint(4)._built) < cx.constraint(4).size

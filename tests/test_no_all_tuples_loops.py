@@ -4,9 +4,9 @@ The package reads tensors off their supports.  A call
 itertools.product(range(d), repeat=k) walks all d^k tuples whatever the
 tensors hold; the references in tests/oracles.py keep such loops, the
 package does not.  One all-input walk stays by design, and it is not such
-a call: cochain._kron_columns runs over the inputs of a cochain space, one
-Kronecker step per prefix, because the kernel basis needs every ambient
-coordinate anyway.
+a call: a cochain space reads every column of its twist constraint, each
+row of alpha^{tensor k} built by one Kronecker step on its prefix's,
+because the kernel basis needs every ambient coordinate anyway.
 """
 
 import ast
