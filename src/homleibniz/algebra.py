@@ -133,9 +133,6 @@ class HomNaryAlgebra:
         self.bracket = normalize_tensor(self.bracket, [self.dim] * (self.arity + 1), "bracket")
         self.untwisted = self.alpha == Matrix.identity(self.dim)  # alpha = id, decided once
 
-    def alpha_combo(self, i):
-        return self.alpha.column(i)
-
 @dataclass
 class Morphism:
     source: HomNaryAlgebra

@@ -19,7 +19,9 @@ finds the conventions under which the composite coboundary vanishes exactly.
 coboundary_operator assembles delta^p column by column from its terms' small
 maps (alpha, abar, the bracket, the actions), transposed once per (algebra,
 rep, p) in SlotTables, which cache each term group's int columns per setting
-of the flags it reads.  A Columns cache builds each column on first read.
+of the flags it reads; abar's rows and the bracket's are read, like the
+constraint's, off memoised rows of alpha^{tensor j}.  A Columns cache builds
+each column on first read.
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
 constraint on their support, so ranks, eliminated on those images, build no
 space C^{p+1}; restrict_operator reads coordinates off them.  delta o delta
@@ -130,21 +132,11 @@ def _flat(tup, d):
     return pos
 
 
-def _kron_columns(cols, k, inp, col):
-    """(flat input, its column of col tensor cols^{tensor k} by flat index) for
-    each k-digit extension of the prefix inp, in lexicographic order."""
-    if k == 0:
-        yield inp, col
-        return
-    d = len(cols)
-    for i, c in enumerate(cols):
-        step = {key * d + j: x * v for key, x in col.items() for j, v in c.items()}
-        yield from _kron_columns(cols, k - 1, inp * d + i, step)
-
-
 def _power_row(rows, memo, j, key):
     """Row key of alpha^{tensor j}, alpha given by its sparse rows: row key // d
-    of alpha^{tensor j-1} tensor row key % d of alpha, each row memoised by (j, key)."""
+    of alpha^{tensor j-1} tensor row key % d of alpha, each row memoised by (j, key).
+    It serves the twist constraint (j = input_length) and, from one memo per
+    SlotTables, abar (j = n-1) and the bracket table (j = n-2)."""
     d, todo = len(rows), []
     while j and (j, key) not in memo:
         todo.append((j, key))
@@ -313,9 +305,8 @@ class SlotTables:
             for mo, c in out.items():
                 self.action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
         self.bracket = {}
-        alpha_cols = [a.alpha_combo(x) for x in range(d)]
         for yf in (False, True):
-            self.bracket[yf], self.den["bracket"][yf] = _bracket_rows(a, yf, alpha_cols)
+            self.bracket[yf], self.den["bracket"][yf] = _bracket_rows(a, yf, rows_a, den_a, memo)
         # q[yf]: the common denominator of delta^p's columns (coboundary_operator)
         den = self.den
         rest = (den["mu"] * den["abar"] ** (p - 1), den["action_c"], den["action_d"])
@@ -324,24 +315,26 @@ class SlotTables:
         self.groups = {}
 
 
-def _bracket_rows(a, yf, alpha_cols):
+def _bracket_rows(a, yf, rows_a, den_a, memo):
     """(bracket[yf], its den) of SlotTables, from the support
     of a's bracket: the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts
     [K] at slot k of each X that holds x_k there, and alpha at its other slots.
-    Each column is the Kronecker product of a length-k prefix of alpha
-    columns, the entry [K], and a suffix of alpha columns."""
+    Row (pre, z, suf) of that map is row pre of alpha^{tensor k}, [K] at z and
+    row suf of alpha^{tensor n-2-k}; the first and last are read together as
+    row (pre, suf) of alpha^{tensor n-2}, over den_a^(n-2), from _power_row's memo."""
     n, d = a.arity, a.dim
-    prefixes = [list(_kron_columns(alpha_cols, k, 0, {0: Q(1)})) for k in range(n - 1)]
     acc = {}
     for K, out in a.bracket.items():
         xk, ys = (K[-1], K[:-1]) if yf else (K[0], K[1:])
         X2 = _flat(ys, d)
-        for k, prefix in enumerate(prefixes):
-            for P, col in prefix:
-                step = {key * d + z: x * v for key, x in col.items() for z, v in out.items()}
-                for X, full in _kron_columns(alpha_cols, n - 2 - k, P * d + xk, step):
-                    for Y, c in full.items():
-                        cadd(acc, (Y, X, X2), c)
+        for R in range(d ** (n - 2)):
+            for XR, u in _power_row(rows_a, memo, n - 2, R).items():
+                u = Fraction(u, den_a ** (n - 2))
+                for k in range(n - 1):
+                    s = d ** (n - 2 - k)  # the place value of slot k's suffix
+                    X = (XR // s * d + xk) * s + XR % s
+                    for z, v in out.items():
+                        cadd(acc, ((R // s * d + z) * s + R % s, X, X2), v * u)
     rows = [[] for _ in range(d ** (n - 1))]
     (nums,), den = integral_rows([acc])
     for (Y, X, X2), c in nums.items():

@@ -332,6 +332,8 @@ def load_json(path):
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from None
+    except RecursionError:
+        raise DocumentError(f"{path}: JSON nested too deeply") from None
 
 
 def canonical_text(obj) -> str:

@@ -248,7 +248,7 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
     """
     n, d, m = algebra.arity, algebra.dim, rep.module_dim
     cv = convention
-    alpha_cols = [algebra.alpha_combo(i) for i in range(d)]
+    alpha_cols = [algebra.alpha.column(i) for i in range(d)]
     apow = algebra.alpha.power(p - 1)
     apow_cols = [apow.column(i) for i in range(d)]
     entries = {}
@@ -359,7 +359,7 @@ def bracket_table_by_tuples(algebra, yf):
     tuples = list(itertools.product(range(d), repeat=n - 1))
     acc = {}
     for (X, xs), (X2, ys), k in itertools.product(enumerate(tuples), enumerate(tuples), range(n - 1)):
-        factors = [algebra.alpha_combo(x) for x in xs]
+        factors = [algebra.alpha.column(x) for x in xs]
         factors[k] = algebra.bracket.get(ys + xs[k : k + 1] if yf else xs[k : k + 1] + ys, {})
         for key, c in tensor_combo(factors).items():
             cadd(acc, (_flat(key, d), X, X2), c)
@@ -517,7 +517,7 @@ def per_input_constraint_rows(algebra, rep, p):
     alpha^{tensor k} of each input expanded by its own tensor_combo."""
     d, m = algebra.dim, rep.module_dim
     rows = []
-    alpha_cols = [algebra.alpha_combo(i) for i in range(d)]
+    alpha_cols = [algebra.alpha.column(i) for i in range(d)]
     alpha_m_cols = [rep.alpha_module.column(mm) for mm in range(m)]
     for inp in itertools.product(range(d), repeat=input_length(algebra.arity, p)):
         block = [{} for _ in range(m)]
@@ -772,7 +772,7 @@ def quadratic_part(d, l):
     """sum_{i+j=l, i,j>0} [ xi_i(xi_j(X), abar Y) - sum_k xi_i(..., xi_j(x_k, Y), ...) ]."""
     a = d.base
     n = a.arity
-    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    alpha = [a.alpha.column(i) for i in range(a.dim)]
     out = {}
     for tup in basis_tuples(a, 2 * n - 1):
         xs, ys = tup[:n], tup[n:]
@@ -884,7 +884,7 @@ def regrouping_identity_check(d, l):
         raise ValueError("regrouping is stated for orders l >= 1")
     a = d.base
     n = a.arity
-    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    alpha = [a.alpha.column(i) for i in range(a.dim)]
     full = algebra_order_residual(d, l)
     mismatches = []
     fl = d.coeff(l)
@@ -951,7 +951,7 @@ def hom_composition_by_tuples(a, pairs):
     if not pairs:
         return {}
     n = a.arity
-    alpha = [a.alpha_combo(i) for i in range(a.dim)]
+    alpha = [a.alpha.column(i) for i in range(a.dim)]
     out = {}
     for tup in basis_tuples(a, 2 * n - 1):
         xs, ys = tup[:n], tup[n:]
@@ -1010,7 +1010,7 @@ def check_multiplicative_by_tuples(a):
     report = []
     for tup in basis_tuples(a):
         lhs = matrix_combo(a.alpha, bracket_apply(a, [basis_combo(i) for i in tup]))
-        rhs = bracket_apply(a, [a.alpha_combo(i) for i in tup])
+        rhs = bracket_apply(a, [a.alpha.column(i) for i in tup])
         v = _residual_violation("multiplicative", tup, csub(lhs, rhs))
         if v:
             report.append(v)

@@ -511,9 +511,11 @@ def test_exponent_and_boolean_values_are_input_errors(capsys, tmp_path):
         "bool_bracket": dict(base, bracket={"f,f": {"e": True}}),
         "bool_arity": dict(base, arity=True),
     }
-    for name, obj in documents.items():
+    documents = {name: json.dumps(obj) for name, obj in documents.items()}
+    documents["deep"] = "[" * 200000 + "]" * 200000  # json.load runs out of stack on it
+    for name, text in documents.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(obj))
+        path.write_text(text)
         code, out, err = run(capsys, "validate", str(path))
         assert code == 2, name
         assert out == "" and "input error" in err and "Traceback" not in err
@@ -642,12 +644,14 @@ def test_cohomology_builds_no_space_above_its_top_degree(capsys, monkeypatch):
 
 def test_degree_ranges_of_a_high_arity_one_dimensional_algebra_end_in_a_report(capsys, tmp_path):
     # arity 20 at degree 64: C^64's inputs have 1198 slots, and alpha^{tensor 1198}
-    # is built one slot at a time, with no recursion as deep as the slots
+    # is built one slot at a time, with no recursion as deep as the slots; at
+    # arity 1200 and degree 1 the slot tables read alpha^{tensor j} the same way
     from homleibniz.documents import dump_json, serialize_algebra
     from homleibniz.fixtures import abelian_algebra
 
-    path = str(tmp_path / "a1_arity20.json")
-    dump_json(serialize_algebra(abelian_algebra(1, 20)), path)
-    code, out, err = run(capsys, "cohomology", path, "--degrees", "60..64", "--format", "json")
-    assert code == 0, err
-    assert json.loads(out)["tables"][0]["rows"] == [[p, 1, 0, 1] for p in range(60, 65)]
+    for arity, first, last in ((20, 60, 64), (1200, 1, 1)):
+        path = str(tmp_path / f"a1_arity{arity}.json")
+        dump_json(serialize_algebra(abelian_algebra(1, arity)), path)
+        code, out, err = run(capsys, "cohomology", path, "--degrees", f"{first}..{last}", "--format", "json")
+        assert code == 0, err
+        assert json.loads(out)["tables"][0]["rows"] == [[p, 1, 0, 1] for p in range(first, last + 1)]

@@ -556,13 +556,21 @@ def test_bracket_table_from_the_support_matches_the_all_pairs_oracle():
     algebras = [a for a, _ in BATTERY + fractional_inputs()]
     algebras += [phi.target for phi in fixture_morphisms()] + [h3_sheared()]
     algebras += [random_bracket_algebra(rng, arity, dim) for arity, dim in ((2, 3), (3, 2), (3, 3), (4, 2))]
-    for a in algebras:
+    # 1-dim, [e, .., e] = 3/2 e and alpha = (2): each of the n - 1 slots adds (3/2) 2^(n-2)
+    lines = {n: HomNaryAlgebra(n, 1, ("e",), {(0,) * n: {0: Q(3, 2)}}, Matrix(1, 1, [[2]])) for n in (2, 3, 7, 50)}
+    for a in algebras + list(lines.values()):
         t = SlotTables(a, adjoint_representation(a), 1)
         for yf in (False, True):
             rows, den = t.bracket[yf], t.den["bracket"][yf]
             table = {(Y, X, X2): Q(c, den) for Y, row in enumerate(rows) for X, X2, c in row}
             assert len(table) == sum(map(len, rows))
             assert table == bracket_table_by_tuples(a, yf)
+    for n, a in lines.items():
+        t = SlotTables(a, adjoint_representation(a), 1)
+        for yf in (False, True):
+            den = t.den["bracket"][yf]
+            closed = [[(0, 0, (n - 1) * Q(3, 2) * 2 ** (n - 2))]]
+            assert [[(X, X2, Q(c, den)) for X, X2, c in row] for row in t.bracket[yf]] == closed
 
 
 def row_passes(k, cx):
