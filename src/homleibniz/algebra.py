@@ -68,12 +68,12 @@ def normalize_tensor(tensor, dims, what):
     """tensor with tuple keys and nonzero Fraction cells, zeros dropped after
     conversion.  dims lists each key slot's dimension, then the output's; a
     key of another length or an index outside its dimension is a ValueError."""
-    *slots, out_dim = dims
+    out_dim, arity = dims[-1], len(dims) - 1  # no copy of dims: one call per action
     out = {}
     for key, entry in tensor.items():
         key = tuple(key)
-        if len(key) != len(slots) or min(key) < 0 or not all(map(gt, slots, key)):
-            raise ValueError(f"{what} key {key} is not {len(slots)} indices below {tuple(slots)}")
+        if len(key) != arity or min(key) < 0 or not all(map(gt, dims, key)):
+            raise ValueError(f"{what} key {key} is not {arity} indices below {tuple(dims[:-1])}")
         if not all(0 <= k < out_dim for k in entry):
             raise ValueError(f"output index out of range in {what} entry {key}")
         cleaned = {k: q for k, v in entry.items() if (q := _q(v))}
@@ -340,10 +340,14 @@ def _module_actions(bracket, n, phi=None):
     """The n actions of a bracket on its output space through phi: action i
     is bracket o (phi, .., id at slot i, .., phi), read off the bracket's
     support by precompose (the bracket itself when phi is None), with the
-    slot-i argument moved last."""
+    slot-i argument moved last.  One map list serves every action, so the
+    work is linear in n beyond the bracket's support."""
     actions = []
+    maps = [phi] * n
     for i in range(n):
-        t = precompose(bracket, [None if j == i else phi for j in range(n)])
+        maps[i] = None
+        t = bracket if phi is None else precompose(bracket, maps)
+        maps[i] = phi
         actions.append({K[:i] + K[i + 1 :] + K[i : i + 1]: e for K, e in t.items()})
     return tuple(actions)
 

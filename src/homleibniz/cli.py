@@ -10,11 +10,16 @@ sha256 digests of the input documents, and render deterministically.
 depend on it.  validate checks identities no convention enters, and deform
 solves equations whose linear part is d^2 under DEFAULT_CONVENTION, so both
 run under the default.
+
+main(argv) may be called any number of times in one process.  Every call
+parses with the one parser build_parser makes per process, gets a fresh
+namespace, and keeps nothing across calls that is derived from an input.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -355,6 +360,7 @@ def _echo(args):
     return [args.prog_name] + args.raw_argv
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(
         prog="homleibniz",

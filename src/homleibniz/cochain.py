@@ -291,8 +291,11 @@ class SlotTables:
         for (z0, *xs), out in zip(a.bracket, nums):
             for z, c in out.items():
                 self.mu[z].append((z0, _flat(xs, d), c))
-        apow = a.alpha.power(p - 1)
-        moved = [precompose(action, [apow] * (n - 1) + [None]) for action in rep.actions]
+        if p == 1 or a.untwisted:  # alpha^{p-1} = id moves nothing
+            moved = rep.actions
+        else:
+            maps = [a.alpha.power(p - 1)] * (n - 1) + [None]
+            moved = [precompose(action, maps) for action in rep.actions]
         self.action_c = [[] for _ in range(m)]
         nums, self.den["action_c"] = integral_rows(list(moved[0].values()))
         for (*ws, mf), out in zip(moved[0], nums):
@@ -371,11 +374,24 @@ def coboundary_operator(tables, columns, convention=DEFAULT_CONVENTION):
     signed = list(zip(groups, (cv.sign_a, cv.sign_b, cv.sign_c, cv.sign_d)))
     out = {}
     for col in columns:
-        acc = {}
+        # acc is the first nonempty group's cached column, read in place with
+        # its sign (borrowed, +-1, so truthy), until a second one needs a sum
+        acc, borrowed = None, 0
         for group, sign in signed:
-            for row, v in group[col].items():
+            column = group[col]
+            if not column:
+                continue
+            if acc is None:
+                acc, borrowed = column, sign
+                continue
+            if borrowed:
+                acc, borrowed = {row: borrowed * v for row, v in acc.items()}, 0
+            for row, v in column.items():
                 acc[row] = acc.get(row, 0) + sign * v
-        entries = [(row, v) for row, v in sorted(acc.items()) if v]
+        if acc is None:
+            continue
+        rows = sorted(acc.items())
+        entries = [(row, borrowed * v) for row, v in rows if v] if borrowed else [(row, v) for row, v in rows if v]
         if entries:
             out[col] = entries
     return out

@@ -53,6 +53,12 @@ Deliberately separate implementations:
   of a bracket through a map on every (n-1)-tuple and module vector, the
   reference for the support walk behind adjoint_representation and
   pullback_representation; both apply an action through action_apply; and
+* the action builders as they were before their identity shortcuts: every
+  module action through precompose with one fresh map list per action, and
+  SlotTables' action tables through precompose with alpha^{p-1} in every
+  algebra slot even where it is the identity, the references for
+  _module_actions re-keying the bracket and for the tables skipping
+  precompose when p = 1 or the algebra is untwisted; and
 * dense ambient packing: tensors keyed by input tuples, and matrices, as
   full-length lists over the ambient coordinates and back, the reference
   for the sparse packing of the extension solve and the input of the dense
@@ -83,6 +89,7 @@ from homleibniz.algebra import (
     cadd,
     csub,
     matrix_combo,
+    precompose,
 )
 from homleibniz.cochain import (
     Columns,
@@ -1140,3 +1147,34 @@ def module_actions_by_tuples(bracket, n, phi, src_dim, tgt_dim):
                     tensor[alg + (m,)] = out
         actions.append(tensor)
     return tuple(actions)
+
+
+def module_actions_by_precompose(bracket, n, phi=None):
+    """The n actions of a bracket through phi, each built by precompose with
+    a map list of its own, phi in every slot but slot i (None there and
+    everywhere when phi is None), the slot-i argument then moved last."""
+    actions = []
+    for i in range(n):
+        t = precompose(bracket, [None if j == i else phi for j in range(n)])
+        actions.append({K[:i] + K[i + 1 :] + K[i : i + 1]: e for K, e in t.items()})
+    return tuple(actions)
+
+
+def action_tables_by_precompose(algebra, rep, p):
+    """(action_c, action_d, {"action_c": den, "action_d": den}) of
+    SlotTables(algebra, rep, p), every action moved through precompose with
+    alpha^{p-1} in its n-1 algebra slots, the identity included."""
+    n, d, m = algebra.arity, algebra.dim, rep.module_dim
+    apow = algebra.alpha.power(p - 1)
+    moved = [precompose(action, [apow] * (n - 1) + [None]) for action in rep.actions]
+    action_c, action_d = [[] for _ in range(m)], [[] for _ in range(m)]
+    nums, den_c = integral_rows(list(moved[0].values()))
+    for (*ws, mf), out in zip(moved[0], nums):
+        for mo, c in out.items():
+            action_c[mf].append((_flat(ws, d), mo, c))
+    keys = [(i, key) for i in range(1, n) for key in moved[i]]
+    nums, den_d = integral_rows([moved[i][key] for i, key in keys])
+    for (i, (*ws, mf)), out in zip(keys, nums):
+        for mo, c in out.items():
+            action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
+    return action_c, action_d, {"action_c": den_c, "action_d": den_d}

@@ -1,9 +1,11 @@
+import argparse
 import json
 import os
 import time
 
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from homleibniz import cli
 from homleibniz.cli import main
 from oracles import representation_violations_by_tuples
 
@@ -41,6 +43,58 @@ def _non_multiplicative_algebra(tmp_path):
     dump_json(serialize_algebra(a), str(tmp_path / "ff_e_diag21.json"))
     dump_json(serialize_morphism(identity_morphism(a)), str(tmp_path / "id_ff_e_diag21.json"))
     return str(tmp_path / "ff_e_diag21.json"), str(tmp_path / "id_ff_e_diag21.json")
+
+
+def test_build_parser_makes_one_parser_per_process(capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    counts = []
+    for _ in range(10):
+        assert main(["cohomology", fx("abelian.json"), "--degrees", "1"]) == 0
+        counts.append(len(built))
+    capsys.readouterr()
+    assert counts[0] > 0 and counts == [counts[0]] * 10
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(capsys, monkeypatch, tmp_path):
+    # an interleaved sequence with usage and input errors between the
+    # commands reads the same twice on the shared parser and once on a
+    # parser built for every call
+    monkeypatch.setenv("COLUMNS", "80")
+    battery = json.load(open(fx("deform_battery.json")))
+    good = next(e for e in battery["entries"] if e["extends"])
+    emit = str(tmp_path / "ext.json")
+    calls = [
+        ["cohomology"],
+        ["--help"],
+        ["validate", fx("leibniz_ff_e.json"), fx("identity_leibniz.json")],
+        ["cohomology", fx("leibniz_ff_e.json"), "--format", "json"],
+        ["deform", "extend", fx(good["file"]), "--order", "2", "--emit", emit],
+        ["cohomology", fx("abelian.json"), "--convention", "bogus"],
+    ]
+
+    def answers():
+        got = []
+        for argv in calls:
+            code, out, err = run(capsys, *argv)
+            got.append((code, out, err, open(emit).read() if "--emit" in argv else None))
+            if "--emit" in argv:
+                os.remove(emit)
+        return got
+
+    shared = answers() + answers()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = answers()
+    assert [code for code, *_ in fresh] == [2, 0, 0, 0, 0, 2]
+    assert "usage: homleibniz cohomology" in fresh[0][2] and "input error" in fresh[5][2]
+    assert shared == fresh * 2
 
 
 def test_cohomology_reports_non_multiplicative_input(capsys, tmp_path):

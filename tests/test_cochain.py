@@ -1,6 +1,8 @@
 import collections
 import functools
+import glob
 import math
+import os
 import random
 from fractions import Fraction as Q
 
@@ -16,6 +18,7 @@ from homleibniz.algebra import (
     pullback_representation,
     yau_twist,
 )
+from homleibniz.documents import load_json, parse_algebra, parse_deformation, parse_morphism
 from homleibniz.cochain import (
     CochainComplex,
     CochainSpace,
@@ -36,6 +39,7 @@ from homleibniz.cochain import (
 from homleibniz.fixtures import (
     abelian_algebra,
     aff1,
+    battery_algebras,
     calibration_battery,
     diag,
     fixture_morphisms,
@@ -48,6 +52,7 @@ from homleibniz.fixtures import (
 from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_rows, kernel_basis, rank, sparse_vector
 from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
+    action_tables_by_precompose,
     apply_operator,
     assert_kernel_born_in_ints,
     as_columns,
@@ -60,6 +65,7 @@ from oracles import (
     dense_restriction,
     fraction_columns,
     fractions_made,
+    module_actions_by_precompose,
     per_input_constraint_rows,
     random_cochain,
     row_coboundary_operator,
@@ -571,6 +577,38 @@ def test_bracket_table_from_the_support_matches_the_all_pairs_oracle():
             den = t.den["bracket"][yf]
             closed = [[(0, 0, (n - 1) * Q(3, 2) * 2 ** (n - 2))]]
             assert [[(X, X2, Q(c, den)) for X, X2, c in row] for row in t.bracket[yf]] == closed
+
+
+def test_action_builders_match_the_precompose_path():
+    # adjoint actions re-key the bracket, and the slot tables skip precompose
+    # when alpha^{p-1} = id; on the fixture corpus and the battery both must
+    # equal the tensors the precompose path builds
+    algebras, morphisms = battery_algebras(), fixture_morphisms()
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    for path in sorted(glob.glob(os.path.join(fixtures, "**", "*.json"), recursive=True)):
+        obj, base = load_json(path), os.path.dirname(path)
+        if "xi" in obj:
+            morphisms.append(parse_deformation(obj, base).phi)
+        elif "source" in obj:
+            morphisms.append(parse_morphism(obj, base))
+        elif "bracket" in obj:
+            algebras.append(parse_algebra(obj))
+    reps = []
+    for a in algebras:
+        reps.append(adjoint_representation(a))
+        assert reps[-1].actions == module_actions_by_precompose(a.bracket, a.arity)
+    for phi in morphisms:
+        reps.append(pullback_representation(phi))
+        assert reps[-1].actions == module_actions_by_precompose(phi.target.bracket, phi.target.arity, phi.matrix)
+    shortcuts = collections.Counter()
+    for rep in reps:
+        for p in (1, 2, 3):
+            t = SlotTables(rep.algebra, rep, p)
+            action_c, action_d, den = action_tables_by_precompose(rep.algebra, rep, p)
+            assert (t.action_c, t.action_d) == (action_c, action_d)
+            assert {k: t.den[k] for k in den} == den
+            shortcuts[p == 1 or rep.algebra.untwisted] += 1
+    assert len(reps) > 60 and shortcuts[True] and shortcuts[False]
 
 
 def row_passes(k, cx):
