@@ -18,10 +18,10 @@ from homleibniz.fixtures import calibration_battery
 
 
 def main():
-    t0 = time.time()
+    t0 = time.perf_counter()
     passing = calibration_report(calibration_battery())
-    dt = time.time() - t0
-    print(f"{len(passing)} of 128 conventions pass the battery ({dt:.1f}s):")
+    ms = (time.perf_counter() - t0) * 1000
+    print(f"{len(passing)} of 128 conventions pass the battery ({ms:.0f} ms):")
     for conv in sorted(passing):
         mark = "  <- default" if conv == DEFAULT_CONVENTION else ""
         print(f"  {conv.label()}{mark}")

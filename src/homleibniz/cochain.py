@@ -14,7 +14,9 @@ a cochain space is the kernel of all of them, transposed.
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
 order of the bracket on (n-1)-tuples and the twist after the hat (read by
 T_A), and the range of T_C are collected in SignConvention; calibration_report
-finds the conventions under which the composite coboundary vanishes exactly.
+finds the conventions under which the composite coboundary vanishes exactly,
+checking one convention per distinct delta: -s gives -delta, and with
+alpha = id the hat flag moves no column.
 
 coboundary_operator assembles delta^p column by column from its terms' small
 maps (alpha, abar, the bracket, the actions), transposed once per (algebra,
@@ -658,18 +660,31 @@ def convention_passes(cx):
     return True
 
 
+def _representative(cv, untwisted):
+    """The convention whose delta^p is cv's up to sign: every term-group column
+    is linear in its sign, so flipping all four keeps the verdict, and with
+    alpha = id abar's rows are units over den 1, so the hat flag moves no column."""
+    s = cv.sign_a
+    return SignConvention(1, s * cv.sign_b, s * cv.sign_c, s * cv.sign_d, cv.bracket_y_first,
+                          cv.twist_after_hat or untwisted, cv.c_full_range)
+
+
 def calibration_report(battery, conventions=None):
     """All conventions, of the given ones or all 128, for which every
-    battery member is a complex.
+    battery member is a complex, in the given order.
 
     Filters member by member so that expensive battery entries only see the
-    conventions that survived the cheap ones; each member's conventions are
-    checked on siblings of one complex, sharing its spaces and tables.
+    conventions that survived the cheap ones.  Each member checks one
+    _representative per distinct delta, on siblings of one complex sharing
+    its spaces and tables, and every convention takes its representative's
+    verdict.
     """
     surviving = list(all_conventions() if conventions is None else conventions)
     for algebra, rep in battery:
         base = CochainComplex(algebra, rep)
-        surviving = [cv for cv in surviving if convention_passes(base.with_convention(cv))]
+        keys = [_representative(cv, algebra.untwisted) for cv in surviving]
+        verdict = {key: convention_passes(base.with_convention(key)) for key in dict.fromkeys(keys)}
+        surviving = [cv for cv, key in zip(surviving, keys) if verdict[key]]
         if not surviving:
             break
     return surviving

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 import glob
 import math
@@ -399,8 +400,8 @@ def group_flags(cv):
 def test_calibration_builds_each_term_group_column_once(monkeypatch):
     battery = calibration_battery()
     members = {id(rep): k for k, (_, rep) in enumerate(battery)}
-    built, calls, operators = collections.Counter(), [], []
-    term_groups, operator = cochain._term_groups, cochain.coboundary_operator
+    built, calls, operators, checks = collections.Counter(), [], [], collections.Counter()
+    term_groups, operator, passes = cochain._term_groups, cochain.coboundary_operator, cochain.convention_passes
 
     def counting(t, cv, groups, todo):
         calls.append((members[id(t.rep)], t.p))
@@ -412,15 +413,87 @@ def test_calibration_builds_each_term_group_column_once(monkeypatch):
         operators.append(args)
         return operator(*args, **kwargs)
 
+    def checks_counted(cx):
+        checks[members[id(cx.rep)]] += 1
+        return passes(cx)
+
     monkeypatch.setattr(cochain, "_term_groups", counting)
     monkeypatch.setattr(cochain, "coboundary_operator", operators_counted)
+    monkeypatch.setattr(cochain, "convention_passes", checks_counted)
     passing = calibration_report(battery)
     assert built and max(built.values()) == 1
-    # member 0 sees all 128 conventions, so every flag setting of every group
+    # member 0 sees all 128 conventions, but alpha = id there, so its 32
+    # representatives are hat-twisted and never read the hat-bare A groups
     keys = {key for cv in all_conventions() for key in group_flags(cv)}
-    assert len(keys) == 12 and {key for k, _, key, _ in built if k == 0} == keys
-    assert len(operators) == 364 and len(calls) < len(operators) / 2
+    bare = {("A", yf, False) for yf in (False, True)}
+    assert len(keys) == 12 and {key for k, _, key, _ in built if k == 0} == keys - bare
+    # one check per distinct delta: sign pairs, and both hat flags where alpha = id
+    assert [checks[k] for k in range(len(battery))] == [32, 4, 2, 2, 2, 1, 2, 1]
+    assert len(operators) == 103 and len(calls) < len(operators) / 2
     assert len(passing) == 4
+
+
+def sign_flipped(cv):
+    return dataclasses.replace(cv, sign_a=-cv.sign_a, sign_b=-cv.sign_b, sign_c=-cv.sign_c, sign_d=-cv.sign_d)
+
+
+def hat_flipped(cv):
+    return dataclasses.replace(cv, twist_after_hat=not cv.twist_after_hat)
+
+
+def test_negated_signs_negate_delta_and_the_hat_flag_is_inert_when_alpha_is_id():
+    inputs = list(BATTERY)
+    for phi in fixture_morphisms():
+        inputs += [(phi.source, pullback_representation(phi)), (phi.source, adjoint_representation(phi.source))]
+    trivial = Representation(aff1(), 2, diag(2, 3), ({}, {}))  # alpha_M != id over alpha = id
+    inputs.append((trivial.algebra, trivial))
+    conventions, untwisted = list(all_conventions()), 0
+    for a, rep in inputs:
+        for p in (1, 2, 3):
+            t, cols = SlotTables(a, rep, p), range(ambient_dim(a, rep, p))
+            op = {cv: coboundary_operator(t, cols, cv) for cv in conventions}
+            for cv in conventions:
+                assert op[sign_flipped(cv)] == {j: [(r, -x) for r, x in col] for j, col in op[cv].items()}
+                if a.untwisted:
+                    assert op[hat_flipped(cv)] == op[cv]
+            untwisted += a.untwisted and any(op.values())
+    assert untwisted >= 20
+
+
+def test_each_convention_takes_its_representatives_verdict_and_no_more():
+    for a, rep in BATTERY:
+        base = CochainComplex(a, rep)
+        for cv in all_conventions():
+            key = cochain._representative(cv, a.untwisted)
+            assert key.sign_a == 1 and key.twist_after_hat == (cv.twist_after_hat or a.untwisted)
+            assert convention_passes(base.with_convention(cv)) == convention_passes(base.with_convention(key))
+    # guards: on the twisted members the hat flag moves delta^3, so the key keeps it
+    twisted = [(a, rep) for a, rep in BATTERY if not a.untwisted]
+    assert len(twisted) == 4
+    for a, rep in twisted:
+        t, cols = SlotTables(a, rep, 3), range(ambient_dim(a, rep, 3))
+        for cv in all_conventions():
+            assert coboundary_operator(t, cols, cv) != coboundary_operator(t, cols, hat_flipped(cv))
+            assert cochain._representative(cv, False) != cochain._representative(hat_flipped(cv), False)
+    # and on member 0, c_full_range splits 8 pairs of verdicts: a key without it would merge them
+    a, rep = BATTERY[0]
+    base = CochainComplex(a, rep)
+    verdict = {cv: convention_passes(base.with_convention(cv)) for cv in all_conventions()}
+    split = [cv for cv in verdict if verdict[cv] != verdict[dataclasses.replace(cv, c_full_range=not cv.c_full_range)]]
+    assert len(split) == 16
+    assert all(cochain._representative(cv, True).c_full_range == cv.c_full_range for cv in split)
+
+
+def test_calibration_filters_a_custom_list_in_its_order():
+    lone = [SignConvention.from_label("A-B-C-D-|xy|hat-bare|c-full")]
+    assert cochain._representative(lone[0], True) != lone[0]  # checked, yet not in the list
+    got = calibration_report(BATTERY, lone)
+    assert len(got) == 1 and got[0] is lone[0]
+    conventions = list(all_conventions())
+    random.Random(27).shuffle(conventions)
+    expected = [cv for cv in conventions if all(convention_passes(CochainComplex(a, rep, cv)) for a, rep in BATTERY)]
+    got = calibration_report(BATTERY, conventions)
+    assert len(got) == len(expected) == 4 and all(g is e for g, e in zip(got, expected))
 
 
 def test_shared_term_groups_match_a_fresh_build_and_the_row_oracle():
