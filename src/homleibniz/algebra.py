@@ -132,6 +132,7 @@ class HomNaryAlgebra:
             raise ValueError("alpha must be a dim x dim matrix")
         self.bracket = normalize_tensor(self.bracket, [self.dim] * (self.arity + 1), "bracket")
         self.untwisted = self.alpha == Matrix.identity(self.dim)  # alpha = id, decided once
+        self.power_rows = {}  # cochain._power_row's memo
 
 @dataclass
 class Morphism:

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import cadd, precompose
-from .linalg import Matrix, Q, coords_in_basis, dense_vector, direct_sum
+from .linalg import Matrix, coords_in_basis, dense_vector, direct_sum
 from .linalg import integral_rows, kernel_basis, rank, sparse_vector, transpose
 
 
@@ -134,11 +134,11 @@ def _flat(tup, d):
     return pos
 
 
-def _power_row(rows, memo, j, key):
-    """Row key of alpha^{tensor j}, alpha given by its sparse rows: row key // d
-    of alpha^{tensor j-1} tensor row key % d of alpha, each row memoised by (j, key).
-    It serves the twist constraint (j = input_length) and, from one memo per
-    SlotTables, abar (j = n-1) and the bracket table (j = n-2)."""
+def _power_row(algebra, j, key):
+    """Row key of alpha^{tensor j}: row key // d of alpha^{tensor j-1} tensor
+    row key % d of alpha, memoised by (j, key) in algebra.power_rows, which
+    twist_constraint and SlotTables (abar, the bracket) of every degree share."""
+    rows, memo = algebra.alpha.numerators()[0], algebra.power_rows
     d, todo = len(rows), []
     while j and (j, key) not in memo:
         todo.append((j, key))
@@ -157,23 +157,23 @@ def twist_constraint(algebra, rep, p):
     """Columns of alpha_M o f - f o alpha^{tensor k} on C^p's ambient cells,
     k = input_length, in ints: alpha^{tensor k} is over den_a^k, and both
     terms go over one lcm."""
-    rows_a, den_a = algebra.alpha.numerators()
+    den_a = algebra.alpha.den
     rows_m, den_m = rep.alpha_module.numerators()
     k = input_length(algebra.arity, p)
     den = math.lcm(den_m, den_a ** k)
     cols_m = transpose(rows_m, rep.module_dim)
-    build = functools.partial(_constraint_columns, rows_a, cols_m, den // den_m, den // den_a ** k, k, {})
+    build = functools.partial(_constraint_columns, algebra, cols_m, den // den_m, den // den_a ** k, k)
     return Columns(build, ambient_dim(algebra, rep, p), den)
 
 
-def _constraint_columns(rows_a, cols_m, w_m, w_k, k, memo, js):
+def _constraint_columns(algebra, cols_m, w_m, w_k, k, js):
     """{j: column} of the twist constraint.  Column (key, mf) holds alpha_M's
     column mf at the cells (key, mo), less row key of alpha^{tensor k} at (inp, mf)."""
     m, out = len(cols_m), {}
     for j in js:
         key, mf = divmod(j, m)
         col = {key * m + mo: c * w_m for mo, c in cols_m[mf].items()}
-        for inp, v in _power_row(rows_a, memo, k, key).items():
+        for inp, v in _power_row(algebra, k, key).items():
             col[inp * m + mf] = col.get(inp * m + mf, 0) - v * w_k
         out[j] = [(r, x) for r, x in col.items() if x]
     return out
@@ -200,53 +200,34 @@ class CochainSpace:
     def dim(self):
         return self.basis.dim
 
-    def _sparse(self, coeffs):
-        if len(coeffs) != self.ambient:
-            raise ValueError("vector length does not match ambient dimension")
-        return sparse_vector(coeffs)
-
-    def coords(self, coeffs):
-        c = coords_in_basis(self.basis, self._sparse(coeffs))
+    def coords(self, vector):
+        """Sparse coordinates of a sparse ambient vector; ConstraintViolation outside the space."""
+        c = coords_in_basis(self.basis, vector)
         if c is None:
             raise ConstraintViolation(
                 f"tensor is not twist-compatible in degree {self.degree}"
             )
-        return dense_vector(c, self.dim)
-
-    def contains(self, coeffs):
-        return coords_in_basis(self.basis, self._sparse(coeffs)) is not None
+        return c
 
     def from_coords(self, coords):
         if len(coords) != self.dim:
             raise ValueError("coordinate length does not match space dimension")
-        combo = self.basis.combination(sparse_vector(coords))
-        return Cochain(self, dense_vector(combo, self.ambient))
-
-    def zero(self):
-        return Cochain(self, [Q(0)] * self.ambient)
+        return Cochain(self, self.basis.combination(sparse_vector(coords)))
 
 
 class Cochain:
-    """A member of a CochainSpace: ambient coefficient tensor plus its space."""
+    """A member of a CochainSpace: a sparse ambient vector {index: nonzero
+    Fraction}, refused (ConstraintViolation) at construction when outside it."""
 
-    def __init__(self, space, coeffs):
-        if len(coeffs) != space.ambient:
-            raise ValueError("coefficient length does not match ambient dimension")
+    def __init__(self, space, vector):
+        space.coords(vector)
         self.space = space
-        self.coeffs = [x if isinstance(x, Fraction) else Fraction(x) for x in coeffs]
+        self.vector = vector
 
-    def is_zero(self):
-        return all(x == 0 for x in self.coeffs)
-
-    def __add__(self, other):
-        if self.space is not other.space:
-            raise ValueError("cochains belong to different spaces")
-        return Cochain(self.space, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        if self.space is not other.space:
-            raise ValueError("cochains belong to different spaces")
-        return Cochain(self.space, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+    @property
+    def coeffs(self):
+        """The dense ambient coefficient list, built on each read."""
+        return dense_vector(self.vector, self.space.ambient)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +266,7 @@ class SlotTables:
         self.D = d ** (n - 1)
         rows_a, den_a = a.alpha.numerators()
         self.alpha = [list(row.items()) for row in rows_a]
-        memo = {}
-        self.abar = [list(_power_row(rows_a, memo, n - 1, Y).items()) for Y in range(self.D)]
+        self.abar = [list(_power_row(a, n - 1, Y).items()) for Y in range(self.D)]
         self.den = {"bracket": {}, "alpha": den_a, "abar": den_a ** (n - 1)}
         self.mu = [[] for _ in range(d)]
         nums, self.den["mu"] = integral_rows(list(a.bracket.values()))
@@ -311,7 +291,7 @@ class SlotTables:
                 self.action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
         self.bracket = {}
         for yf in (False, True):
-            self.bracket[yf], self.den["bracket"][yf] = _bracket_rows(a, yf, rows_a, den_a, memo)
+            self.bracket[yf], self.den["bracket"][yf] = _bracket_rows(a, yf)
         # q[yf]: the common denominator of delta^p's columns (coboundary_operator)
         den = self.den
         rest = (den["mu"] * den["abar"] ** (p - 1), den["action_c"], den["action_d"])
@@ -320,20 +300,20 @@ class SlotTables:
         self.groups = {}
 
 
-def _bracket_rows(a, yf, rows_a, den_a, memo):
+def _bracket_rows(a, yf):
     """(bracket[yf], its den) of SlotTables, from the support
     of a's bracket: the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts
     [K] at slot k of each X that holds x_k there, and alpha at its other slots.
     Row (pre, z, suf) of that map is row pre of alpha^{tensor k}, [K] at z and
     row suf of alpha^{tensor n-2-k}; the first and last are read together as
     row (pre, suf) of alpha^{tensor n-2}, over den_a^(n-2), from _power_row's memo."""
-    n, d = a.arity, a.dim
+    n, d, den_a = a.arity, a.dim, a.alpha.den
     acc = {}
     for K, out in a.bracket.items():
         xk, ys = (K[-1], K[:-1]) if yf else (K[0], K[1:])
         X2 = _flat(ys, d)
         for R in range(d ** (n - 2)):
-            for XR, u in _power_row(rows_a, memo, n - 2, R).items():
+            for XR, u in _power_row(a, n - 2, R).items():
                 u = Fraction(u, den_a ** (n - 2))
                 for k in range(n - 1):
                     s = d ** (n - 2 - k)  # the place value of slot k's suffix

@@ -45,7 +45,7 @@ from .algebra import (
     precompose,
 )
 from .cochain import Cochain, ConstraintViolation, _flat
-from .linalg import Matrix, dense_vector, solve, sparse_vector, transpose
+from .linalg import Matrix, solve, sparse_vector, transpose
 from .morphism_complex import MorphismCochain, MorphismComplex
 
 
@@ -355,18 +355,16 @@ def infinitesimal(md: MorphismDeformation) -> MorphismCochain:
         raise ValueError("deformation carries no order-1 coefficients")
     mc = MorphismComplex(md.phi)
     L, M = md.phi.source, md.phi.target
-    au, av, aw = mc.ambient_dims(2)
     phi1 = md.phi_coeff(1)
-    u_raw = dense_vector(_pack(md.xi.coeff(1), L.dim, L.dim), au)
-    v_raw = dense_vector(_pack(md.eta.coeff(1), M.dim, M.dim), av)
-    w_raw = dense_vector(_pack({(j,): phi1.column(j) for j in range(L.dim)}, L.dim, M.dim), aw)
     try:
-        mc.left.space(2).coords(u_raw)
-        mc.right.space(2).coords(v_raw)
-        mc.mixed.space(1).coords(w_raw)
+        return MorphismCochain(
+            2,
+            Cochain(mc.left.space(2), _pack(md.xi.coeff(1), L.dim, L.dim)),
+            Cochain(mc.right.space(2), _pack(md.eta.coeff(1), M.dim, M.dim)),
+            Cochain(mc.mixed.space(1), _pack({(j,): phi1.column(j) for j in range(L.dim)}, L.dim, M.dim)),
+        )
     except ConstraintViolation as exc:
         raise ConstraintViolation(
             "order-1 coefficients are not twist-compatible; the infinitesimal "
             "does not define a morphism cochain"
         ) from exc
-    return MorphismCochain(2, Cochain(mc.left.space(2), u_raw), Cochain(mc.right.space(2), v_raw), Cochain(mc.mixed.space(1), w_raw))

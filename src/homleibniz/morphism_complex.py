@@ -10,8 +10,8 @@ whose columns are built on first read from the summand complexes' operator
 columns plus the push and pull columns, in ints over one denominator.  rank
 eliminates d^p's images of the direct-sum basis, each block certified by
 its summand's twist constraint, so no space of degree p+1 is built;
-d_matrix reads their coordinates for differential and the vanishing-transfer
-witness, and deformation.solve_extension reads every column.
+differential applies it to a cochain's stacked sparse vectors, and
+deformation.solve_extension reads every column.
 cochain.squares_to_zero certifies d o d = 0 on the operators.  _d_columns
 alone applies phi to a cochain: a push column phi.u applies phi to the
 output index; a pull column -v.phi is the unit tensor of v precomposed with
@@ -32,13 +32,14 @@ from .cochain import (
     CochainComplex,
     DEFAULT_CONVENTION,
     ambient_dim,
+    apply_sparse,
     cohomology_dim_of,
     image_rank,
     input_length,
     restrict_operator,
     _products,
 )
-from .linalg import Matrix, Q, solve, transpose
+from .linalg import Matrix, Q, dense_vector, direct_sum, integral_rows, solve, sparse_vector, transpose
 
 
 class HypothesisNotMet(Exception):
@@ -95,11 +96,10 @@ class MorphismCochain:
     degree: int
     u: Cochain
     v: Cochain
-    w: Cochain | None
+    w: Cochain | None = None
 
     def __post_init__(self):
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
+        # spaces refuse degree < 1, so this check covers it
         if self.u.space.degree != self.degree or self.v.space.degree != self.degree:
             raise ValueError("u and v degrees must equal the cochain degree")
         if self.degree == 1:
@@ -109,7 +109,7 @@ class MorphismCochain:
             raise ValueError("w must have degree one below the cochain degree")
 
     def is_zero(self):
-        return self.u.is_zero() and self.v.is_zero() and (self.w is None or self.w.is_zero())
+        return not (self.u.vector or self.v.vector or self.w and self.w.vector)
 
 
 class MorphismComplex:
@@ -154,9 +154,15 @@ class MorphismComplex:
     # -- the differential ---------------------------------------------------
 
     def differential(self, c: MorphismCochain) -> MorphismCochain:
-        """d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), through d_matrix."""
-        p = c.degree
-        return self.from_coords(p + 1, self.d_matrix(p).matvec(self.coords(c)))
+        """d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w): operator(p)
+        on u, v and w stacked, split into Cochains, which certify each block."""
+        stacked, offset = {}, 0
+        for b in self._blocks(c):
+            stacked.update((offset + i, x) for i, x in b.vector.items())
+            offset += b.space.ambient
+        (nums,), den = integral_rows([stacked])
+        ((image, den),) = apply_sparse(self.operator(c.degree), [(nums, den)])
+        return self._split(c.degree + 1, {r: Q(x, den) for r, x in image.items()})
 
     def operator(self, p) -> Columns:
         """Sparse ambient columns of d^p, each built on its first read.
@@ -189,27 +195,31 @@ class MorphismComplex:
 
     # -- coordinates --------------------------------------------------------
 
+    def _blocks(self, c: MorphismCochain):
+        """c's u, v and w; ValueError unless each lies in this complex's summand."""
+        spaces = self.summands(c.degree)
+        blocks = [c.u, c.v, c.w][: len(spaces)]
+        if any((b.space.algebra, b.space.rep) != (s.algebra, s.rep) for b, s in zip(blocks, spaces)):
+            raise ValueError("cochain does not belong to this morphism complex")
+        return blocks
+
     def coords(self, c: MorphismCochain):
-        u = c.u.space.coords(c.u.coeffs)
-        v = c.v.space.coords(c.v.coeffs)
-        w = c.w.space.coords(c.w.coeffs) if c.w is not None else []
-        return u + v + w
+        """c's dense coordinates over the direct-sum basis, for the witness's solves."""
+        return [x for b in self._blocks(c) for x in dense_vector(b.space.coords(b.vector), b.space.dim)]
 
     def from_coords(self, p, coords) -> MorphismCochain:
-        du, dv, dw = self.space_dims(p)
-        if len(coords) != du + dv + dw:
+        basis = direct_sum([s.basis for s in self.summands(p)])
+        if len(coords) != basis.dim:
             raise ValueError("coordinate length does not match C^p(phi)")
-        u = self.left.space(p).from_coords(coords[:du])
-        v = self.right.space(p).from_coords(coords[du : du + dv])
-        w = (
-            self.mixed.space(p - 1).from_coords(coords[du + dv :])
-            if p >= 2
-            else None
-        )
-        return MorphismCochain(p, u, v, w)
+        return self._split(p, basis.combination(sparse_vector(coords)))
 
-    def zero(self, p) -> MorphismCochain:
-        return self.from_coords(p, [Q(0)] * self.total_dim(p))
+    def _split(self, p, vector) -> MorphismCochain:
+        """The p-cochain whose u, v and w, stacked, are the sparse ambient vector."""
+        blocks, offset = [], 0
+        for space in self.summands(p):
+            blocks.append(Cochain(space, {r - offset: x for r, x in vector.items() if 0 <= r - offset < space.ambient}))
+            offset += space.ambient
+        return MorphismCochain(p, *blocks)
 
     # -- cohomology ---------------------------------------------------------
 
@@ -223,14 +233,14 @@ class MorphismComplex:
 
         Requires H^p(L,L) = H^p(M,M) = H^{p-1}(L,M) = 0; solves for u1, then
         v1, then w1 in three successive exact linear solves, in coordinates,
-        reading phi.u1 - v1.phi off d_matrix(p-1).
+        reading phi.u1 - v1.phi off differential, which checks the witness.
         """
         if p < 2:
             raise ValueError("transfer needs degree at least 2 (C^0 = 0)")
         if c.degree != p:
             raise ValueError("cocycle degree mismatch")
         cc = self.coords(c)
-        if any(self.d_matrix(p).matvec(cc)):
+        if not self.differential(c).is_zero():
             raise ValueError("input is not a cocycle")
         hL = self.left.cohomology_dim(p)
         hM = self.right.cohomology_dim(p)
@@ -246,8 +256,8 @@ class MorphismComplex:
             raise RuntimeError("solve failed despite vanishing cohomology")
         # the w-block of d(u1, v1, 0) - c is phi.u1 - v1.phi - w, a (p-1)-cocycle
         # of the mixed complex that delta w1 must equal
-        w0 = [Q(0)] * self.space_dims(p - 1)[2]
-        image = self.d_matrix(p - 1).matvec(u1c + v1c + w0)
+        w0 = [0] * self.space_dims(p - 1)[2]
+        image = self.coords(self.differential(self.from_coords(p - 1, u1c + v1c + w0)))
         residue = [x - y for x, y in zip(image[du + dv :], cc[du + dv :])]
         if p >= 3:
             w1c = solve(self.mixed.delta(p - 2), residue)
@@ -258,6 +268,8 @@ class MorphismComplex:
             if any(residue):
                 raise RuntimeError("nonzero 1-cocycle contradicts H^1(L,M) = 0")
             w1c = []
-        if self.d_matrix(p - 1).matvec(u1c + v1c + w1c) != cc:
+        witness = self.from_coords(p - 1, u1c + v1c + w1c)
+        d = self.differential(witness)
+        if (d.u.vector, d.v.vector, d.w.vector) != (c.u.vector, c.v.vector, c.w.vector):
             raise RuntimeError("witness failed exact verification")
-        return self.from_coords(p - 1, u1c + v1c + w1c)
+        return witness

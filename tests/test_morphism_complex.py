@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from homleibniz import morphism_complex
 from homleibniz.fixtures import (
     abelian_algebra,
     fixture_morphisms,
@@ -10,7 +11,7 @@ from homleibniz.fixtures import (
     leibniz_ff_e,
     vanishing_pair,
 )
-from homleibniz.linalg import kernel_basis
+from homleibniz.linalg import kernel_basis, sparse_vector
 from homleibniz.morphism_complex import (
     HypothesisNotMet,
     MorphismCochain,
@@ -46,6 +47,7 @@ def test_differential_matches_blockwise_definition():
         for p in (1, 2):
             c = random_morphism_cochain(mc, p, rng)
             assert morphism_ambient(mc.differential(c)) == blockwise_differential(mc, c)
+            assert mc._d_matrices == {}  # applied on the operator, never restricted
 
 
 def test_d_squared_zero_on_random_cochains():
@@ -60,10 +62,10 @@ def test_d_squared_zero_on_random_cochains():
 
 def test_degree_one_has_no_w_component():
     mc = MorphismComplex(identity_morphism(leibniz_ff_e()))
-    c = mc.zero(1)
+    c = mc.from_coords(1, [0] * mc.total_dim(1))
     assert c.w is None
     with pytest.raises(ValueError):
-        MorphismCochain(1, c.u, c.v, mc.mixed.space(1).zero())
+        MorphismCochain(1, c.u, c.v, mc.mixed.space(1).from_coords([0] * mc.mixed.space(1).dim))
 
 
 def test_vanishing_pair_satisfies_the_hypotheses_nonvacuously():
@@ -105,6 +107,41 @@ def test_vanishing_transfer_reports_failed_hypotheses():
         mc.vanishing_transfer_witness(2, c)
 
 
+def test_cochains_of_another_complex_are_refused():
+    # both complexes have space_dims(1) == (4, 4, 0), so only the spaces tell them apart
+    mc = MorphismComplex(identity_morphism(leibniz_ff_e()))
+    other = MorphismComplex(identity_morphism(abelian_algebra(2, 2)))
+    assert mc.space_dims(1) == other.space_dims(1) == (4, 4, 0)
+    for p in (1, 2):
+        c = other.from_coords(p, [1] * other.total_dim(p))
+        with pytest.raises(ValueError, match="does not belong"):
+            mc.differential(c)
+        with pytest.raises(ValueError, match="does not belong"):
+            mc.coords(c)
+    with pytest.raises(ValueError, match="does not belong"):
+        mc.vanishing_transfer_witness(2, c)
+    # a complex of the same morphism has the same spaces and accepts them
+    twin = MorphismComplex(identity_morphism(leibniz_ff_e()))
+    c = twin.from_coords(2, [1] * twin.total_dim(2))
+    assert mc.coords(c) == twin.coords(c)
+    assert morphism_ambient(mc.differential(c)) == morphism_ambient(twin.differential(c))
+
+
+def test_a_wrong_solve_fails_the_witness_verification(monkeypatch):
+    mc = MorphismComplex(vanishing_pair())
+    c = mc.from_coords(2, kernel_basis(mc.d_matrix(2)).vectors[0])
+    assert not c.is_zero()
+    exact = morphism_complex.solve
+
+    def perturbed(m, b):
+        x = exact(m, b)
+        return [x[0] + 1] + x[1:]
+
+    monkeypatch.setattr(morphism_complex, "solve", perturbed)
+    with pytest.raises(RuntimeError, match="witness failed exact verification"):
+        mc.vanishing_transfer_witness(2, c)
+
+
 def test_push_pull_land_in_mixed_space():
     rng = random.Random(8)
     for phi in fixture_morphisms():
@@ -112,5 +149,6 @@ def test_push_pull_land_in_mixed_space():
         for _ in range(3):
             u = random_cochain(mc.left.space(1), rng)
             v = random_cochain(mc.right.space(1), rng)
-            assert mc.mixed.space(1).contains(push_tensor(phi, u.coeffs, phi.source.dim))
-            assert mc.mixed.space(1).contains(pull_tensor(phi, 1, v.coeffs))
+            # coords raises ConstraintViolation off the space
+            mc.mixed.space(1).coords(sparse_vector(push_tensor(phi, u.coeffs, phi.source.dim)))
+            mc.mixed.space(1).coords(sparse_vector(pull_tensor(phi, 1, v.coeffs)))
