@@ -170,6 +170,7 @@ class Representation:
             raise ValueError(f"expected {n} action tensors")
         dims = [self.algebra.dim] * (n - 1) + [self.module_dim] * 2
         self.actions = tuple(normalize_tensor(a, dims, f"action {i}") for i, a in enumerate(self.actions))
+        self.untwisted = self.alpha_module == Matrix.identity(self.module_dim)  # alpha_M = id, decided once
 
 
 # ---------------------------------------------------------------------------

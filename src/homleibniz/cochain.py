@@ -8,8 +8,9 @@ are cut out by the twist-compatibility constraint
     alpha_M o f = f o (alpha tensor abar^{tensor p-1}),
 
 with abar acting componentwise on (n-1)-tuples.  twist_constraint gives its
-int columns, each built on first read from memoised rows of alpha^{tensor k};
-a cochain space is the kernel of all of them, transposed.
+int columns, each built on first read from memoised rows of alpha^{tensor k},
+and empty with no work when alpha = id and alpha_M = id; a cochain space is
+the kernel of all of them, transposed.
 
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
 order of the bracket on (n-1)-tuples and the twist after the hat (read by
@@ -156,7 +157,11 @@ def _power_row(algebra, j, key):
 def twist_constraint(algebra, rep, p):
     """Columns of alpha_M o f - f o alpha^{tensor k} on C^p's ambient cells,
     k = input_length, in ints: alpha^{tensor k} is over den_a^k, and both
-    terms go over one lcm."""
+    terms go over one lcm.  When alpha = id and alpha_M = id both terms are
+    the unit over den 1 and cancel cell by cell, so every column is empty
+    and none is computed."""
+    if algebra.untwisted and rep.untwisted:
+        return Columns(lambda js: {}, ambient_dim(algebra, rep, p), 1)
     den_a = algebra.alpha.den
     rows_m, den_m = rep.alpha_module.numerators()
     k = input_length(algebra.arity, p)
@@ -561,7 +566,8 @@ def cohomology_dim_of(cx, p, symbol) -> int:
 
 
 class CochainComplex:
-    """Caches spaces, slot tables, operators, matrices and ranks of one (algebra, rep, convention)."""
+    """Caches spaces, slot tables, operators, matrices, ranks and cohomology
+    dimensions of one (algebra, rep, convention); a failed certificate is not cached."""
 
     def __init__(self, algebra, rep, convention=DEFAULT_CONVENTION):
         self.algebra = algebra
@@ -573,6 +579,7 @@ class CochainComplex:
         self._matrices = {}
         self._operators = {}
         self._ranks = {}
+        self._cohomology = {}
 
     def with_convention(self, convention) -> CochainComplex:
         """This complex under convention, sharing the spaces, tables and constraints."""
@@ -620,7 +627,9 @@ class CochainComplex:
         return self._ranks[p]
 
     def cohomology_dim(self, p) -> int:
-        return cohomology_dim_of(self, p, "delta")
+        if p not in self._cohomology:
+            self._cohomology[p] = cohomology_dim_of(self, p, "delta")
+        return self._cohomology[p]
 
 
 # ---------------------------------------------------------------------------

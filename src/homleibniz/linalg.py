@@ -169,11 +169,6 @@ class Matrix:
         rows = [{j: c.numerator * x for j, x in row.items()} if c else {} for row in self._data]
         return Matrix.from_rows(rows, self.cols, self.den * c.denominator)
 
-    def matvec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length does not match cols")
-        return [sum((a * vec[c] for c, a in row.items()), _ZERO) / self.den for row in self._data]
-
     def power(self, k):
         if self.rows != self.cols:
             raise ValueError("power of a non-square matrix")

@@ -3,7 +3,10 @@
 C^p(phi) = C^p(L;L) + C^p(M;M) + C^{p-1}(L;M), where the mixed summand uses
 the target as a module over the source through phi, and C^0 := 0.  The
 differential is d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w).
-All three summands share one sign convention.
+All three summands share one sign convention, and a summand equal to the
+first as (algebra, rep) is that complex itself: all three for an identity
+morphism, the first two for an endomorphism, so each distinct complex builds
+its spaces, tables, operators and ranks once.
 
 d^p is assembled in one place, MorphismComplex.operator: a Columns cache
 whose columns are built on first read from the summand complexes' operator
@@ -113,23 +116,22 @@ class MorphismCochain:
 
 
 class MorphismComplex:
-    """The three summand complexes of a morphism, wired to one convention."""
+    """The three summand complexes of a morphism, wired to one convention;
+    a summand equal to left as (algebra, rep) is left itself."""
 
     def __init__(self, phi: Morphism, convention=DEFAULT_CONVENTION):
         # pullback_representation checks that phi is a morphism
         mixed_rep = pullback_representation(phi)
+        right_rep = adjoint_representation(phi.target)
         self.phi = phi
         self.convention = convention
-        self.left = CochainComplex(
-            phi.source, adjoint_representation(phi.source), convention
-        )
-        self.right = CochainComplex(
-            phi.target, adjoint_representation(phi.target), convention
-        )
-        self.mixed = CochainComplex(phi.source, mixed_rep, convention)
+        self.left = CochainComplex(phi.source, adjoint_representation(phi.source), convention)
+        self.right = self.left if right_rep == self.left.rep else CochainComplex(phi.target, right_rep, convention)
+        self.mixed = self.left if mixed_rep == self.left.rep else CochainComplex(phi.source, mixed_rep, convention)
         self._operators = {}
         self._d_matrices = {}
         self._ranks = {}
+        self._cohomology = {}
 
     # -- summand dimensions -------------------------------------------------
 
@@ -224,7 +226,9 @@ class MorphismComplex:
     # -- cohomology ---------------------------------------------------------
 
     def cohomology_dim(self, p) -> int:
-        return cohomology_dim_of(self, p, "d")
+        if p not in self._cohomology:
+            self._cohomology[p] = cohomology_dim_of(self, p, "d")
+        return self._cohomology[p]
 
     # -- constructive vanishing transfer ------------------------------------
 

@@ -36,10 +36,10 @@ Deliberately separate implementations:
   the Fraction elimination fraction_rref it replaced, whose kernel vectors
   in integral_rows form pin kernel_basis's int pairs; and
 * dense references for linalg's sparse storage: the row-by-column matrix
-  product, the membership check that rebuilds a basis combination as a
-  dense vector and compares it cell by cell, and the restriction of a
-  coboundary operator built on those, the reference for cochain's
-  restrict_operator; and
+  and matrix-vector products, the membership check that rebuilds a basis
+  combination as a dense vector and compares it cell by cell, and the
+  restriction of a coboundary operator built on those, the reference for
+  cochain's restrict_operator; and
 * the residual evaluators on every basis tuple: B(F, G) on all of
   L^(2n-1), the morphism equation summed over every composition of the
   order, and the multiplicativity and bracket-preservation checks on all
@@ -730,6 +730,13 @@ def dense_matmul(a, b):
     if not out or a.cols == 0:
         out = [[Q(0)] * b.cols for _ in range(a.rows)]
     return Matrix(a.rows, b.cols, out)
+
+
+def matvec(m, vec):
+    """m times the dense vector vec by the row-by-column formula, in Fractions."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length does not match cols")
+    return [sum((x * y for x, y in zip(row, vec)), Q(0)) for row in m.entries]
 
 
 def dense_coords_in_basis(basis, vec, vectors=None):

@@ -689,11 +689,34 @@ def test_cohomology_builds_no_space_above_its_top_degree(capsys, monkeypatch):
     built.clear()
     code, _, _ = run(capsys, "morphism-cohomology", fx("twist_endo.json"), "--degrees", "1..3")
     (mc,) = complexes
-    summand = {id(mc.left.rep): "left", id(mc.right.rep): "right", id(mc.mixed.rep): "mixed"}
-    assert code == 0 and len(summand) == 3
+    # an endomorphism: C(L;L) and C(M;M) are one complex, built once
+    assert mc.right is mc.left and mc.mixed is not mc.left
+    summand = {id(mc.left.rep): "left", id(mc.mixed.rep): "mixed"}
+    assert code == 0 and len(summand) == 2
     assert sorted((summand[id(rep)], p) for rep, p in built) == sorted(
-        [(side, p) for side in ("left", "right") for p in (1, 2, 3)] + [("mixed", 1), ("mixed", 2)]
+        [("left", p) for p in (1, 2, 3)] + [("mixed", 1), ("mixed", 2)]
     )
+
+
+def test_morphism_cohomology_certifies_each_square_once(capsys, monkeypatch, tmp_path):
+    # the identity's three summands are one complex, and its H^p, read again
+    # by the vanishing-transfer row as H^p(M,M) and H^{p-1}(L,M), is cached
+    from homleibniz import cochain
+    from homleibniz.documents import dump_json, load_json, parse_algebra, serialize_morphism
+    from homleibniz.fixtures import identity_morphism
+
+    path = str(tmp_path / "ternary_identity.json")
+    dump_json(serialize_morphism(identity_morphism(parse_algebra(load_json(fx("ternary_fff_e.json"))))), path)
+    certified, squares = [], cochain.squares_to_zero
+
+    def counting(cx, p):
+        certified.append((type(cx).__name__, p))
+        return squares(cx, p)
+
+    monkeypatch.setattr(cochain, "squares_to_zero", counting)
+    code, out, _ = run(capsys, "morphism-cohomology", path, "--degrees", "1..3")
+    assert code == 0 and "vanishing transfer" not in out
+    assert certified == [("MorphismComplex", 2), ("CochainComplex", 2), ("MorphismComplex", 3), ("CochainComplex", 3)]
 
 
 def test_degree_ranges_of_a_high_arity_one_dimensional_algebra_end_in_a_report(capsys, tmp_path):

@@ -35,6 +35,7 @@ from homleibniz.cochain import (
     calibration_report,
     coboundary_operator,
     convention_passes,
+    input_length,
     restrict_operator,
     squares_to_zero,
 )
@@ -51,7 +52,7 @@ from homleibniz.fixtures import (
     twisted_ff_e,
     twisted_ternary_fff_e,
 )
-from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_rows, kernel_basis, rank, sparse_vector
+from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_rows, kernel_basis, rank, sparse_vector, transpose
 from homleibniz.morphism_complex import MorphismComplex
 from oracles import (
     action_tables_by_precompose,
@@ -908,6 +909,33 @@ def test_a_constraint_column_with_one_sign_flipped_fails_the_oracle():
             assert not constraint_agrees_with_rows(Columns(build, good.size, good.den), a, rep, p)
             flipped += 1
     assert flipped >= 10
+
+
+def test_identity_twists_give_the_empty_constraint_and_only_they_do():
+    # with alpha = id and alpha_M = id the generic builder cancels every cell,
+    # so twist_constraint returns the empty columns without building them
+    inputs = list(BATTERY)
+    for phi in fixture_morphisms():
+        inputs += [(phi.source, adjoint_representation(phi.source)), (phi.target, adjoint_representation(phi.target))]
+        inputs.append((phi.source, pullback_representation(phi)))
+    both = [(a, rep) for a, rep in inputs if a.untwisted and rep.untwisted]
+    assert len(both) >= 10
+    for a, rep in both:
+        assert a.alpha.den == rep.alpha_module.den == 1
+        cols_m = transpose(rep.alpha_module.numerators()[0], rep.module_dim)
+        for p in (1, 2, 3, 4):
+            generic = cochain._constraint_columns(a, cols_m, 1, 1, input_length(a.arity, p), range(ambient_dim(a, rep, p)))
+            assert len(generic) == ambient_dim(a, rep, p) and not any(generic.values())
+            short = cochain.twist_constraint(a, rep, p)
+            assert short.den == 1 and not any(short.read(range(short.size)).values())
+    # alpha = id alone is not enough: alpha_M = diag(2, 3) leaves f = 0 the only compatible cochain
+    trivial = Representation(aff1(), 2, diag(2, 3), ({}, {}))
+    assert trivial.algebra.untwisted and not trivial.untwisted
+    for p in (1, 2):
+        constraint = cochain.twist_constraint(trivial.algebra, trivial, p)
+        assert any(constraint.read(range(constraint.size)).values())
+        with pytest.raises(ConstraintViolation):
+            Cochain(CochainSpace(trivial.algebra, trivial, p), {0: Q(1)})
 
 
 def outcome(f, *args):

@@ -1,9 +1,14 @@
+import collections
+import os
 import random
 from fractions import Fraction as Q
 
 import pytest
 
 from homleibniz import morphism_complex
+from homleibniz.algebra import adjoint_representation, pullback_representation
+from homleibniz.cochain import CochainComplex
+from homleibniz.documents import load_json, parse_deformation
 from homleibniz.fixtures import (
     abelian_algebra,
     fixture_morphisms,
@@ -17,7 +22,7 @@ from homleibniz.morphism_complex import (
     MorphismCochain,
     MorphismComplex,
 )
-from oracles import blockwise_differential, morphism_ambient, pull_tensor, push_tensor, random_cochain
+from oracles import blockwise_differential, matvec, morphism_ambient, pull_tensor, push_tensor, random_cochain
 
 
 def random_morphism_cochain(mc, p, rng):
@@ -92,7 +97,7 @@ def test_vanishing_transfer_rejects_non_cocycles():
     rng = random.Random(7)
     for _ in range(20):
         c = random_morphism_cochain(mc, 2, rng)
-        if any(x != 0 for x in mc.d_matrix(2).matvec(mc.coords(c))):
+        if any(x != 0 for x in matvec(mc.d_matrix(2), mc.coords(c))):
             with pytest.raises(ValueError):
                 mc.vanishing_transfer_witness(2, c)
             return
@@ -152,3 +157,34 @@ def test_push_pull_land_in_mixed_space():
             # coords raises ConstraintViolation off the space
             mc.mixed.space(1).coords(sparse_vector(push_tensor(phi, u.coeffs, phi.source.dim)))
             mc.mixed.space(1).coords(sparse_vector(pull_tensor(phi, 1, v.coeffs)))
+
+
+def battery_morphisms():
+    """The fixture morphisms, then the distinct base morphisms of the deformation battery."""
+    fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+    phis = fixture_morphisms()
+    for entry in load_json(os.path.join(fixtures, "deform_battery.json"))["entries"]:
+        phi = parse_deformation(load_json(os.path.join(fixtures, entry["file"])), fixtures).phi
+        if phi not in phis:
+            phis.append(phi)
+    return phis
+
+
+def test_equal_summands_are_one_complex():
+    # twist_endo shares C(L;L) with C(M;M) but not with the mixed C(L;M),
+    # though its source and target are one algebra
+    shared = collections.Counter()
+    for phi in battery_morphisms():
+        mc = MorphismComplex(phi)
+        reps = adjoint_representation(phi.source), adjoint_representation(phi.target), pullback_representation(phi)
+        assert (mc.right is mc.left) == (reps[1] == reps[0])
+        assert (mc.mixed is mc.left) == (reps[2] == reps[0])
+        shared[mc.right is mc.left, mc.mixed is mc.left] += 1
+        fresh = MorphismComplex(phi)
+        fresh.left, fresh.right, fresh.mixed = (
+            CochainComplex(a, rep) for a, rep in zip((phi.source, phi.target, phi.source), reps)
+        )
+        for p in (1, 2, 3):
+            assert (mc.rank(p), mc.cohomology_dim(p)) == (fresh.rank(p), fresh.cohomology_dim(p)), (phi, p)
+    assert shared[True, True] and shared[True, False] and shared[False, False]
+
