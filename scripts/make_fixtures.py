@@ -34,6 +34,7 @@ from homleibniz.documents import (
 from homleibniz.fixtures import (
     abelian_algebra,
     aff1,
+    h3_sheared,
     identity_morphism,
     leibniz_ff_e,
     ternary_fff_e,
@@ -167,6 +168,7 @@ def main():
         "twisted_ff_e_4.json": twisted_ff_e(4),
         "aff1.json": aff1(),
         "ternary_fff_e.json": ternary_fff_e(),
+        "h3_sheared.json": h3_sheared(),
     }
     for name, a in algebras.items():
         write(name, serialize_algebra(a))

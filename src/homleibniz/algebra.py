@@ -112,6 +112,11 @@ def _residual_violation(identity, where, residual_combo):
 # core types
 
 
+def _is_diagonal(m: Matrix):
+    """Whether the square matrix m has no nonzero entry off its diagonal."""
+    return all(row.keys() <= {i} for i, row in enumerate(m.numerators()[0]))
+
+
 @dataclass
 class HomNaryAlgebra:
     arity: int
@@ -132,7 +137,8 @@ class HomNaryAlgebra:
             raise ValueError("alpha must be a dim x dim matrix")
         self.bracket = normalize_tensor(self.bracket, [self.dim] * (self.arity + 1), "bracket")
         self.untwisted = self.alpha == Matrix.identity(self.dim)  # alpha = id, decided once
-        self.power_rows = {}  # cochain._power_row's memo
+        self.diagonal = _is_diagonal(self.alpha)
+        self.power_rows = {}  # cochain._power_row's memo, or cochain._weights' when diagonal
 
 @dataclass
 class Morphism:
@@ -170,7 +176,7 @@ class Representation:
             raise ValueError(f"expected {n} action tensors")
         dims = [self.algebra.dim] * (n - 1) + [self.module_dim] * 2
         self.actions = tuple(normalize_tensor(a, dims, f"action {i}") for i, a in enumerate(self.actions))
-        self.untwisted = self.alpha_module == Matrix.identity(self.module_dim)  # alpha_M = id, decided once
+        self.diagonal = _is_diagonal(self.alpha_module)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ are cut out by the twist-compatibility constraint
     alpha_M o f = f o (alpha tensor abar^{tensor p-1}),
 
 with abar acting componentwise on (n-1)-tuples.  twist_constraint gives its
-int columns, each built on first read from memoised rows of alpha^{tensor k},
-and empty with no work when alpha = id and alpha_M = id; a cochain space is
-the kernel of all of them, transposed.
+int columns, each built on first read.  When alpha and alpha_M are diagonal
+(decided once, when each is built) so is the constraint: cell (key, mf) is
+compatible exactly when alpha_M[mf] is the product of alpha's diagonal
+entries over key's digits, the weight decomposition of a Yau twist by a
+diagonal map, and the cochain space is the unit vectors at those cells.
+Otherwise the columns come from memoised rows of alpha^{tensor k} and the
+space is the kernel of all of them, transposed.
 
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
 order of the bracket on (n-1)-tuples and the twist after the hat (read by
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import cadd, precompose
-from .linalg import Matrix, coords_in_basis, dense_vector, direct_sum
+from .linalg import Matrix, SubspaceBasis, coords_in_basis, dense_vector, direct_sum
 from .linalg import integral_rows, kernel_basis, rank, sparse_vector, transpose
 
 
@@ -135,10 +139,28 @@ def _flat(tup, d):
     return pos
 
 
+def _weights(algebra, k):
+    """w_k of a diagonal alpha: the Kronecker power of its diagonal int
+    numerators, so w_k[key] is the product of the entries at key's k base-d
+    digits.  Memoised by k alone in algebra.power_rows: only the powers asked
+    for are kept, not the ones on the way."""
+    memo = algebra.power_rows
+    if k not in memo:
+        diagonal, w = [row.get(i, 0) for i, row in enumerate(algebra.alpha.numerators()[0])], [1]
+        for _ in range(k):
+            w = [x * a for x in w for a in diagonal]
+        memo[k] = w
+    return memo[k]
+
+
 def _power_row(algebra, j, key):
-    """Row key of alpha^{tensor j}: row key // d of alpha^{tensor j-1} tensor
-    row key % d of alpha, memoised by (j, key) in algebra.power_rows, which
-    twist_constraint and SlotTables (abar, the bracket) of every degree share."""
+    """Row key of alpha^{tensor j}: {key: w_j[key]} for a diagonal alpha, else
+    row key // d of alpha^{tensor j-1} tensor row key % d of alpha, memoised
+    by (j, key) in algebra.power_rows, which twist_constraint and SlotTables
+    (abar, the bracket) of every degree share."""
+    if algebra.diagonal:
+        x = _weights(algebra, j)[key]
+        return {key: x} if x else {}
     rows, memo = algebra.alpha.numerators()[0], algebra.power_rows
     d, todo = len(rows), []
     while j and (j, key) not in memo:
@@ -157,18 +179,34 @@ def _power_row(algebra, j, key):
 def twist_constraint(algebra, rep, p):
     """Columns of alpha_M o f - f o alpha^{tensor k} on C^p's ambient cells,
     k = input_length, in ints: alpha^{tensor k} is over den_a^k, and both
-    terms go over one lcm.  When alpha = id and alpha_M = id both terms are
-    the unit over den 1 and cancel cell by cell, so every column is empty
-    and none is computed."""
-    if algebra.untwisted and rep.untwisted:
-        return Columns(lambda js: {}, ambient_dim(algebra, rep, p), 1)
+    terms go over one lcm.  When alpha and alpha_M are diagonal, so is the
+    constraint: column (key, mf) is its one cell, alpha_M[mf] less w_k[key],
+    the product of alpha's diagonal entries over key's digits, and empty
+    where they are equal (every cell when alpha = id and alpha_M = id)."""
     den_a = algebra.alpha.den
     rows_m, den_m = rep.alpha_module.numerators()
     k = input_length(algebra.arity, p)
     den = math.lcm(den_m, den_a ** k)
-    cols_m = transpose(rows_m, rep.module_dim)
-    build = functools.partial(_constraint_columns, algebra, cols_m, den // den_m, den // den_a ** k, k)
+    if algebra.diagonal and rep.diagonal:
+        diagonal_m = [row.get(i, 0) * (den // den_m) for i, row in enumerate(rows_m)]
+        build = functools.partial(_diagonal_columns, algebra, diagonal_m, den // den_a ** k, k)
+    else:
+        cols_m = transpose(rows_m, rep.module_dim)
+        build = functools.partial(_constraint_columns, algebra, cols_m, den // den_m, den // den_a ** k, k)
     return Columns(build, ambient_dim(algebra, rep, p), den)
+
+
+def _diagonal_columns(algebra, diagonal_m, scale, k, js):
+    """{j: column} of a diagonal twist constraint: cell (key, mf) = j holds
+    alpha_M's diagonal entry mf, already over the constraint's den, less
+    w_k[key], over den_a^k, times scale = den / den_a^k."""
+    m, w = len(diagonal_m), _weights(algebra, k)
+    out = {}
+    for j in js:
+        key, mf = divmod(j, m)
+        x = diagonal_m[mf] - w[key] * scale
+        out[j] = [(j, x)] if x else []
+    return out
 
 
 def _constraint_columns(algebra, cols_m, w_m, w_k, k, js):
@@ -198,8 +236,13 @@ class CochainSpace:
         self.ambient = ambient_dim(algebra, rep, degree)
         c = self.constraint = constraint or twist_constraint(algebra, rep, degree)
         cols = c.read(range(self.ambient))
-        rows = transpose([dict(cols[j]) for j in range(self.ambient)], self.ambient)
-        self.basis = kernel_basis(Matrix.from_rows(rows, self.ambient, c.den))
+        if algebra.diagonal and rep.diagonal:
+            # kernel_basis of a diagonal matrix: the unit vectors at its empty columns
+            free = [j for j in range(self.ambient) if not cols[j]]
+            self.basis = SubspaceBasis(self.ambient, [({j: 1}, 1) for j in free], free)
+        else:
+            rows = transpose([dict(cols[j]) for j in range(self.ambient)], self.ambient)
+            self.basis = kernel_basis(Matrix.from_rows(rows, self.ambient, c.den))
 
     @property
     def dim(self):

@@ -2,8 +2,9 @@
 
 These are the instances the calibration battery, the acceptance suite and
 the CLI self-test all run against: abelian algebras, the two-dimensional
-Leibniz algebra with [f,f] = e, its diagonal Yau twists, and a ternary
-example with [f,f,f] = e.
+Leibniz algebra with [f,f] = e, its diagonal Yau twists, a ternary
+example with [f,f,f] = e, and the Heisenberg algebra h3 with the one
+non-diagonal twist, a shear.
 """
 
 from __future__ import annotations
@@ -67,6 +68,20 @@ def ternary_fff_e():
 def twisted_ternary_fff_e(scale=2):
     """Yau twist of ternary_fff_e by diag(scale^3, scale)."""
     return yau_twist(ternary_fff_e(), diag(scale ** 3, scale))
+
+
+def h3(constant=1):
+    """The Heisenberg Lie algebra [x, y] = constant z, alpha = id."""
+    return HomNaryAlgebra(
+        2, 3, ("x", "y", "z"), {(0, 1): {2: constant}, (1, 0): {2: -constant}}, Matrix.identity(3)
+    )
+
+
+def h3_sheared():
+    """h3 Yau-twisted by the shear y -> x + y: unlike every diagonal twist of
+    the battery, its Kronecker powers have columns with several entries, so
+    its cochain spaces are kernels of a non-diagonal constraint."""
+    return yau_twist(h3(), Matrix(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
 
 
 def identity_morphism(a):

@@ -27,7 +27,10 @@ Deliberately separate implementations:
   pull columns of MorphismComplex.operator and for differential; and
 * the per-input twist-compatibility constraint: one k-fold tensor_combo
   per basis input, whose rows, transposed, are the reference for the
-  columns of cochain.twist_constraint; and
+  columns of cochain.twist_constraint; and the generic constraint matrix,
+  cochain._constraint_columns on every cell with alpha^{tensor k} walked
+  row by row even for a diagonal twist, the reference for the diagonal
+  rule and the matrix the constraint kernels are eliminated on; and
 * the bracket of fundamental objects on every pair of (n-1)-tuples: one
   tensor_combo per pair and slot, the reference for the bracket table that
   SlotTables builds from the support of the bracket; and
@@ -76,6 +79,7 @@ package has neither, nor any loop over all basis tuples.
 """
 
 import contextlib
+import copy
 import functools
 import itertools
 import math
@@ -96,6 +100,7 @@ from homleibniz.cochain import (
     ConstraintViolation,
     DEFAULT_CONVENTION,
     SignConvention,
+    _constraint_columns,
     _flat,
     ambient_dim,
     apply_sparse,
@@ -103,7 +108,7 @@ from homleibniz.cochain import (
     input_length,
 )
 from homleibniz.deformation import ObstructionCochain, algebra_order_residual
-from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_rows, kernel_basis, sparse_vector
+from homleibniz.linalg import Matrix, _add_scaled, dense_vector, integral_rows, kernel_basis, sparse_vector, transpose
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scripts"))
 from make_fixtures import order_l_system, oracle_extends, random_valid_order1  # noqa: E402,F401
@@ -538,6 +543,23 @@ def per_input_constraint_rows(algebra, rep, p):
                 row[at + mo] = row.get(at + mo, 0) - v
         rows += [{c: x for c, x in row.items() if x} for row in block]
     return rows
+
+
+def generic_constraint_matrix(algebra, rep, p):
+    """C^p's twist constraint as a Matrix with one row per ambient cell, over
+    twist_constraint's den, from every column of the generic builder
+    cochain._constraint_columns.  It runs on a copy of algebra with the
+    diagonal flag cleared, so the rows of alpha^{tensor k} come from the
+    (j, key) chain and not from the diagonal weights: for any twist, the
+    matrix whose kernel the generic path eliminates."""
+    a = copy.copy(algebra)
+    a.diagonal, a.power_rows = False, {}
+    k, size = input_length(a.arity, p), ambient_dim(a, rep, p)
+    rows_m, den_m = rep.alpha_module.numerators()
+    den = math.lcm(den_m, a.alpha.den ** k)
+    w_m, w_k = den // den_m, den // a.alpha.den ** k
+    cols = _constraint_columns(a, transpose(rows_m, rep.module_dim), w_m, w_k, k, range(size))
+    return Matrix.from_rows(transpose([dict(cols[j]) for j in range(size)], size), size, den)
 
 
 # ---------------------------------------------------------------------------

@@ -732,3 +732,25 @@ def test_degree_ranges_of_a_high_arity_one_dimensional_algebra_end_in_a_report(c
         code, out, err = run(capsys, "cohomology", path, "--degrees", f"{first}..{last}", "--format", "json")
         assert code == 0, err
         assert json.loads(out)["tables"][0]["rows"] == [[p, 1, 0, 1] for p in range(first, last + 1)]
+
+
+def test_a_high_arity_diagonal_twist_keeps_only_the_powers_it_reads(capsys, tmp_path):
+    # the 65-byte document of a 1-dim algebra of arity 10,000 with alpha = (2):
+    # w_j = [2^j] is kept for the j the slot tables and the constraints read
+    # (n - 2, n - 1 and each degree's input length), not for every j below the
+    # arity, which would hold about n^2 / 2 bits (11.7 MiB traced here)
+    import tracemalloc
+
+    path = tmp_path / "a1_arity10000.json"
+    path.write_text(json.dumps({"arity": 10000, "basis": ["e"], "bracket": {}, "alpha": [["2"]]}))
+    assert len(path.read_bytes()) == 65
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "cohomology", str(path), "--degrees", "1..2", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    # f o alpha^{tensor k} = alpha f holds only for k = 1: C^2 is cut to 0
+    assert json.loads(out)["tables"][0]["rows"] == [[1, 1, 0, 1], [2, 0, 0, 0]]
+    assert peak < 4 * 2**20

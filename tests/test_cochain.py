@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from homleibniz import cochain
+from homleibniz import cli, cochain
 from homleibniz.algebra import (
     HomNaryAlgebra,
     Morphism,
@@ -46,6 +46,8 @@ from homleibniz.fixtures import (
     calibration_battery,
     diag,
     fixture_morphisms,
+    h3,
+    h3_sheared,
     leibniz_ff_e,
     ternary_fff_e,
     twisted_aff1,
@@ -68,6 +70,7 @@ from oracles import (
     dense_restriction,
     fraction_columns,
     fractions_made,
+    generic_constraint_matrix,
     module_actions_by_precompose,
     per_input_constraint_rows,
     random_cochain,
@@ -130,22 +133,7 @@ def test_twisted_ternary_space_dims():
     assert cc.space(2).dim == 1
 
 
-def h3(constant=1):
-    """The Heisenberg Lie algebra [x, y] = constant z, alpha = id."""
-    return HomNaryAlgebra(
-        2, 3, ("x", "y", "z"), {(0, 1): {2: constant}, (1, 0): {2: -constant}}, Matrix.identity(3)
-    )
-
-
-def h3_sheared():
-    """h3 Yau-twisted by the shear y -> x + y: unlike every diagonal twist of
-    the battery, its Kronecker powers have columns with several entries."""
-    return yau_twist(h3(), Matrix(3, 3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]))
-
-
-def test_constraint_kernel_matches_the_per_input_oracle(monkeypatch):
-    built = []
-    monkeypatch.setattr(cochain, "kernel_basis", lambda m: built.append(m) or kernel_basis(m))
+def test_constraint_kernel_matches_the_per_input_oracle():
     cases = [(a, rep, 3) for a, rep in BATTERY]
     for a, top in ((h3_generic(), 4), (twisted_ternary_fff_e(2), 6), (twisted_aff1(2), 11), (h3_sheared(), 4)):
         cases.append((a, adjoint_representation(a), top))
@@ -154,28 +142,22 @@ def test_constraint_kernel_matches_the_per_input_oracle(monkeypatch):
             space = CochainSpace(a, rep, p)
             rows = per_input_constraint_rows(a, rep, p)
             want = Matrix.from_rationals(rows, space.ambient)
-            assert built.pop().numerators() == want.numerators()
+            assert generic_constraint_matrix(a, rep, p).numerators() == want.numerators()
             ref = kernel_basis(want)
             assert space.basis.integral == ref.integral
             assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items())
 
 
-def test_constraint_kernels_are_born_in_ints_as_the_fraction_rref_gave_them(monkeypatch):
-    seen = []
-    monkeypatch.setattr(cochain, "kernel_basis", lambda m: seen.append(m) or kernel_basis(m))
+def test_constraint_kernels_are_born_in_ints_as_the_fraction_rref_gave_them():
     inputs = list(calibration_battery()) + fractional_inputs()
     for a, rep in inputs:
         for p in (1, 2, 3):
-            CochainSpace(a, rep, p)
-    assert len(seen) == 3 * len(inputs)
-    for m in seen:
-        assert_kernel_born_in_ints(m)
+            assert_kernel_born_in_ints(generic_constraint_matrix(a, rep, p))
     # h3 twisted by diag(2, 3, 6): C^3's constraint has rank 81 and no free
     # column, so its kernel basis is built without a Fraction
-    seen.clear()
     a = yau_twist(h3(), diag(2, 3, 6))
     assert CochainSpace(a, adjoint_representation(a), 3).dim == 0
-    (m,) = seen
+    m = generic_constraint_matrix(a, adjoint_representation(a), 3)
     assert rank(m) == m.cols == 81
     with fractions_made() as made:
         assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
@@ -643,11 +625,10 @@ def test_bracket_table_from_the_support_matches_the_all_pairs_oracle():
             assert [[(X, X2, Q(c, den)) for X, X2, c in row] for row in t.bracket[yf]] == closed
 
 
-def test_action_builders_match_the_precompose_path():
-    # adjoint actions re-key the bracket, and the slot tables skip precompose
-    # when alpha^{p-1} = id; on the fixture corpus and the battery both must
-    # equal the tensors the precompose path builds
-    algebras, morphisms = battery_algebras(), fixture_morphisms()
+def fixture_documents():
+    """(algebras, morphisms) of the documents under fixtures/, a deformation
+    giving its morphism, in path order."""
+    algebras, morphisms = [], []
     fixtures = os.path.join(os.path.dirname(__file__), "..", "fixtures")
     for path in sorted(glob.glob(os.path.join(fixtures, "**", "*.json"), recursive=True)):
         obj, base = load_json(path), os.path.dirname(path)
@@ -657,6 +638,15 @@ def test_action_builders_match_the_precompose_path():
             morphisms.append(parse_morphism(obj, base))
         elif "bracket" in obj:
             algebras.append(parse_algebra(obj))
+    return algebras, morphisms
+
+
+def test_action_builders_match_the_precompose_path():
+    # adjoint actions re-key the bracket, and the slot tables skip precompose
+    # when alpha^{p-1} = id; on the fixture corpus and the battery both must
+    # equal the tensors the precompose path builds
+    algebras, morphisms = fixture_documents()
+    algebras, morphisms = battery_algebras() + algebras, fixture_morphisms() + morphisms
     reps = []
     for a in algebras:
         reps.append(adjoint_representation(a))
@@ -913,12 +903,12 @@ def test_a_constraint_column_with_one_sign_flipped_fails_the_oracle():
 
 def test_identity_twists_give_the_empty_constraint_and_only_they_do():
     # with alpha = id and alpha_M = id the generic builder cancels every cell,
-    # so twist_constraint returns the empty columns without building them
+    # and twist_constraint's diagonal rule, every weight 1, gives the same empty columns
     inputs = list(BATTERY)
     for phi in fixture_morphisms():
         inputs += [(phi.source, adjoint_representation(phi.source)), (phi.target, adjoint_representation(phi.target))]
         inputs.append((phi.source, pullback_representation(phi)))
-    both = [(a, rep) for a, rep in inputs if a.untwisted and rep.untwisted]
+    both = [(a, rep) for a, rep in inputs if a.untwisted and rep.alpha_module == Matrix.identity(rep.module_dim)]
     assert len(both) >= 10
     for a, rep in both:
         assert a.alpha.den == rep.alpha_module.den == 1
@@ -930,12 +920,62 @@ def test_identity_twists_give_the_empty_constraint_and_only_they_do():
             assert short.den == 1 and not any(short.read(range(short.size)).values())
     # alpha = id alone is not enough: alpha_M = diag(2, 3) leaves f = 0 the only compatible cochain
     trivial = Representation(aff1(), 2, diag(2, 3), ({}, {}))
-    assert trivial.algebra.untwisted and not trivial.untwisted
+    assert trivial.algebra.untwisted and trivial.alpha_module != Matrix.identity(2)
     for p in (1, 2):
         constraint = cochain.twist_constraint(trivial.algebra, trivial, p)
         assert any(constraint.read(range(constraint.size)).values())
         with pytest.raises(ConstraintViolation):
             Cochain(CochainSpace(trivial.algebra, trivial, p), {0: Q(1)})
+
+
+def off_diagonal_free(m):
+    """Whether every entry of m off its diagonal is zero, read off the dense grid."""
+    return all(x == 0 for i, row in enumerate(m.entries) for j, x in enumerate(row) if i != j)
+
+
+def cli_top_degree(a, rep):
+    """The highest degree p the CLI takes for (a, rep): delta^p's images,
+    in C^{p+1}, within cli.MAX_AMBIENT, and p at most cli.MAX_DEGREE."""
+    p = 1
+    while p < cli.MAX_DEGREE and ambient_dim(a, rep, p + 2) <= cli.MAX_AMBIENT:
+        p += 1
+    return p
+
+
+def test_the_diagonal_rule_equals_the_generic_rule_up_to_the_cli_top_degree():
+    # every diagonal (algebra, rep) of the fixtures, the battery and the twisted
+    # benchmark's draws, and two shears, which must take the generic rule
+    algebras, morphisms = fixture_documents()
+    algebras += battery_algebras() + [h3_sheared(), fractional_shear()[0]]
+    algebras += [yau_twist(h3(), diag(x, y, x * y)) for x in (2, 3, 5, 7) for y in (2, 3, 5, 7) if x != y]
+    algebras += [f(s) for f in (twisted_ternary_fff_e, twisted_aff1) for s in range(2, 8)]
+    inputs = []
+    for a in algebras:
+        inputs.append((a, adjoint_representation(a)))
+    for phi in fixture_morphisms() + morphisms:
+        inputs += [(phi.source, adjoint_representation(phi.source)), (phi.target, adjoint_representation(phi.target))]
+        inputs.append((phi.source, pullback_representation(phi)))
+    distinct = []
+    for a, rep in inputs:
+        # equal pairs may differ in their flags, so every pair's are checked
+        assert a.diagonal == off_diagonal_free(a.alpha) and rep.diagonal == off_diagonal_free(rep.alpha_module)
+        if (a, rep) not in distinct:
+            distinct.append((a, rep))
+    diagonal = 0
+    for a, rep in distinct:
+        top = cli_top_degree(a, rep)
+        for p in range(1, top + 2):
+            generic = generic_constraint_matrix(a, rep, p)
+            c = cochain.twist_constraint(a, rep, p)
+            cols = c.read(range(c.size))
+            rows = transpose([dict(cols[j]) for j in range(c.size)], c.size)
+            assert (c.size, rows, c.den) == (generic.cols, *generic.numerators()), (a, rep, p)
+            if p <= top:
+                space, ref = CochainSpace(a, rep, p, c), kernel_basis(generic)
+                assert space.basis.integral == ref.integral, (a, rep, p)
+                assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items()), (a, rep, p)
+        diagonal += a.diagonal and rep.diagonal
+    assert diagonal >= 30 and len(distinct) - diagonal == 2
 
 
 def outcome(f, *args):

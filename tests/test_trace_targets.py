@@ -74,6 +74,8 @@ def test_every_probe_runs_under_the_recorder(capsys, tmp_path):
         assert cli.main(["deform", "extend", os.path.join(fx, "deform", "d01.json"), "--order", "2", "--emit", emitted]) == 0
         assert cli.main(["deform", "check", emitted]) == 0
         assert cli.main(["cohomology", os.path.join(fx, "leibniz_ff_e.json")]) == 0
+        # a diagonal twist's space is read off its weights: only a non-diagonal one reaches kernel_basis
+        assert cli.main(["cohomology", os.path.join(fx, "h3_sheared.json")]) == 0
         assert cli.main(["morphism-cohomology", os.path.join(fx, "identity_leibniz.json")]) == 0
         conventions = [cochain.DEFAULT_CONVENTION, cochain.SignConvention.from_label("A-B+C+D+|xy|hat-twisted|c-full")]
         assert cochain.calibration_report(fixtures.calibration_battery(), conventions) == conventions[:1]
