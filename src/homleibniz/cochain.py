@@ -25,10 +25,11 @@ alpha = id the hat flag moves no column.
 
 coboundary_operator assembles delta^p column by column from its terms' small
 maps (alpha, abar, the bracket, the actions), transposed once per (algebra,
-rep, p) in SlotTables, which cache each term group's int columns per setting
-of the flags it reads; abar's rows and the bracket's are read, like the
-constraint's, off memoised rows of alpha^{tensor j}.  A Columns cache builds
-each column on first read.
+rep, p) in SlotTables, built in ints from the algebra's int numerators over
+one denominator q per degree, which cache each term group's columns per
+setting of the flags it reads; abar's rows and the bracket's are read, like
+the constraint's, off memoised rows of alpha^{tensor j}.  A Columns cache
+builds each column on first read.
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
 constraint on their support, so ranks, eliminated on those images, build no
 space C^{p+1}; restrict_operator reads coordinates off them.  delta o delta
@@ -42,9 +43,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .algebra import cadd, precompose
 from .linalg import Matrix, SubspaceBasis, coords_in_basis, dense_vector, direct_sum
 from .linalg import integral_rows, kernel_basis, rank, sparse_vector, transpose
 
@@ -96,7 +95,6 @@ class SignConvention:
             f"|{'hat-twisted' if self.twist_after_hat else 'hat-bare'}"
             f"|{'c-full' if self.c_full_range else 'c-short'}"
         )
-
 
     @classmethod
     def from_label(cls, label):
@@ -294,18 +292,18 @@ class SlotTables:
         mu[z]                [(z0, X, c)]           the bracket [z0, X]
         bracket[yf][Y]       [(X, X2, c)]           [X, X2] of fundamental objects
         action_c[mf]         [(X, mo, c)]           right action of alpha^{p-1}(X)
-        action_d[mf]         [(i, z0, X, mo, c)]    action i of alpha^{p-1}(z0, X
-                                                    but x_i, which X holds as 0)
+        action_d[mf]         [(i, ZX, mo, c)]       action i of alpha^{p-1}(z0 X
+                                                    but x_i, which ZX holds as 0)
 
-    with the actions on the unit module vector mf, read off each action's
-    support precomposed with alpha^{p-1}.  Every coefficient c is an int
+    with the actions on the unit module vector mf, placed through the rows of
+    alpha^{p-1}.  Each c is an int, built from the algebra's int numerators,
     over its table's den[name]: alpha's Matrix.den, its power n-1 for abar,
-    else the lcm of the denominators of the table's rational entries
-    (den["bracket"] maps yf to that order's denominator).
-    groups caches delta^p's term
-    groups, {column: {row: coeff}} over q[yf] with sign +1, by yf and the
-    flags each reads: ("A", yf, twist_after_hat), ("B", yf), ("C", yf,
-    c_full_range) and ("D", yf).
+    the bracket's lcm for mu, den["mu"] den_a^(n-2) for both bracket orders,
+    and den["action"], the actions' lcm times den_a^((n-1)(p-1)), for both
+    action tables.  bracket_rows(yf) builds bracket[yf] on its first read.
+    groups caches delta^p's term groups, {column: {row: coeff}} over the one
+    q with sign +1, by the flags each reads: ("A", yf, twist_after_hat),
+    ("B",), ("C", c_full_range) and ("D",).
     """
 
     def __init__(self, algebra, rep, p):
@@ -315,64 +313,60 @@ class SlotTables:
         rows_a, den_a = a.alpha.numerators()
         self.alpha = [list(row.items()) for row in rows_a]
         self.abar = [list(_power_row(a, n - 1, Y).items()) for Y in range(self.D)]
-        self.den = {"bracket": {}, "alpha": den_a, "abar": den_a ** (n - 1)}
         self.mu = [[] for _ in range(d)]
-        nums, self.den["mu"] = integral_rows(list(a.bracket.values()))
+        nums, den_mu = integral_rows(list(a.bracket.values()))
         for (z0, *xs), out in zip(a.bracket, nums):
             for z, c in out.items():
                 self.mu[z].append((z0, _flat(xs, d), c))
-        if p == 1 or a.untwisted:  # alpha^{p-1} = id moves nothing
-            moved = rep.actions
-        else:
-            maps = [a.alpha.power(p - 1)] * (n - 1) + [None]
-            moved = [precompose(action, maps) for action in rep.actions]
-        self.action_c = [[] for _ in range(m)]
-        nums, self.den["action_c"] = integral_rows(list(moved[0].values()))
-        for (*ws, mf), out in zip(moved[0], nums):
-            for mo, c in out.items():
-                self.action_c[mf].append((_flat(ws, d), mo, c))
-        self.action_d = [[] for _ in range(m)]
-        keys = [(i, key) for i in range(1, n) for key in moved[i]]
-        nums, self.den["action_d"] = integral_rows([moved[i][key] for i, key in keys])
+        # slot s of action i (module at i) is digit s + (s >= i) of the n-digit z0 X
+        power, den_p = a.alpha.power(p - 1).numerators()
+        keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
+        nums, den_act = integral_rows([rep.actions[i][key] for i, key in keys])
+        self.action_c, self.action_d = [[] for _ in range(m)], [[] for _ in range(m)]
         for (i, (*ws, mf)), out in zip(keys, nums):
-            for mo, c in out.items():
-                self.action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
-        self.bracket = {}
-        for yf in (False, True):
-            self.bracket[yf], self.den["bracket"][yf] = _bracket_rows(a, yf)
-        # q[yf]: the common denominator of delta^p's columns (coboundary_operator)
-        den = self.den
-        rest = (den["mu"] * den["abar"] ** (p - 1), den["action_c"], den["action_d"])
-        self.q = {yf: math.lcm(den["alpha"] * den["bracket"][yf] * den["abar"] ** max(p - 2, 0), *rest)
-                  for yf in (False, True)}
-        self.groups = {}
+            factors = [[(j * d ** (n - 1 - s - (s >= i)), x) for j, x in power[w].items()] for s, w in enumerate(ws)]
+            for offset, u in _products(factors, 0, 1):
+                if i:
+                    self.action_d[mf] += [(i, offset, mo, c * u) for mo, c in out.items()]
+                else:
+                    self.action_c[mf] += [(offset, mo, c * u) for mo, c in out.items()]
+        abar, den_b, den_act = den_a ** (n - 1), den_mu * den_a ** (n - 2), den_act * den_p ** (n - 1)
+        self.den = {"alpha": den_a, "abar": abar, "mu": den_mu, "bracket": den_b, "action": den_act}
+        # q: the denominator of delta^p's columns
+        self.q = math.lcm(den_a * den_b * abar ** max(p - 2, 0), den_mu * abar ** (p - 1), den_act)
+        self.bracket, self.groups = {}, {}
+
+    def bracket_rows(self, yf):
+        """bracket[yf], built by _bracket_rows on its first read."""
+        if yf not in self.bracket:
+            self.bracket[yf] = _bracket_rows(self, yf)
+        return self.bracket[yf]
 
 
-def _bracket_rows(a, yf):
-    """(bracket[yf], its den) of SlotTables, from the support
-    of a's bracket: the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts
-    [K] at slot k of each X that holds x_k there, and alpha at its other slots.
-    Row (pre, z, suf) of that map is row pre of alpha^{tensor k}, [K] at z and
-    row suf of alpha^{tensor n-2-k}; the first and last are read together as
-    row (pre, suf) of alpha^{tensor n-2}, over den_a^(n-2), from _power_row's memo."""
-    n, d, den_a = a.arity, a.dim, a.alpha.den
+def _bracket_rows(t, yf):
+    """bracket[yf] of the SlotTables t, from mu, the support of the bracket:
+    the entry at K = (x_k, *X2) (K = (*X2, x_k) when yf) puts [K] at slot k of
+    each X that holds x_k there, and alpha at its other slots.  Row (pre, z,
+    suf) of that map is row pre of alpha^{tensor k}, [K] at z and row suf of
+    alpha^{tensor n-2-k}; the first and last are read together as row
+    (pre, suf) of alpha^{tensor n-2}, over den_a^(n-2), from _power_row's
+    memo."""
+    a, D, n, d = t.algebra, t.D, t.algebra.arity, t.algebra.dim
     acc = {}
-    for K, out in a.bracket.items():
-        xk, ys = (K[-1], K[:-1]) if yf else (K[0], K[1:])
-        X2 = _flat(ys, d)
-        for R in range(d ** (n - 2)):
-            for XR, u in _power_row(a, n - 2, R).items():
-                u = Fraction(u, den_a ** (n - 2))
-                for k in range(n - 1):
-                    s = d ** (n - 2 - k)  # the place value of slot k's suffix
-                    X = (XR // s * d + xk) * s + XR % s
-                    for z, v in out.items():
-                        cadd(acc, ((R // s * d + z) * s + R % s, X, X2), v * u)
-    rows = [[] for _ in range(d ** (n - 1))]
-    (nums,), den = integral_rows([acc])
-    for (Y, X, X2), c in nums.items():
-        rows[Y].append((X, X2, c))
-    return rows, den
+    for z, row in enumerate(t.mu):
+        for z0, X1, v in row:
+            xk, X2 = (X1 % d, (z0 * D + X1) // d) if yf else (z0, X1)
+            for R in range(d ** (n - 2)):
+                for XR, u in _power_row(a, n - 2, R).items():
+                    for k in range(n - 1):
+                        s = d ** (n - 2 - k)  # the place value of slot k's suffix
+                        key = ((R // s * d + z) * s + R % s, (XR // s * d + xk) * s + XR % s, X2)
+                        acc[key] = acc.get(key, 0) + v * u
+    rows = [[] for _ in range(D)]
+    for (Y, X, X2), c in acc.items():
+        if c:
+            rows[Y].append((X, X2, c))
+    return rows
 
 
 def _products(factors, base, weight):
@@ -391,12 +385,12 @@ def coboundary_operator(tables, columns, convention=DEFAULT_CONVENTION):
 
     columns lists the ambient columns wanted; empty columns are omitted and
     every column is sorted by row.  delta^p = s_a T_A + s_b T_B + s_c T_C +
-    s_d T_D over q = tables.q[bracket_y_first]: each column sums the signed
-    columns of the term groups that the flags select, built once per flag
-    setting and column by _term_groups and cached on the tables.
+    s_d T_D over q = tables.q: each column sums the signed columns of the
+    term groups that the flags select, built once per flag setting and
+    column by _term_groups and cached on the tables.
     """
     cv, yf = convention, convention.bracket_y_first
-    keys = (("A", yf, cv.twist_after_hat), ("B", yf), ("C", yf, cv.c_full_range), ("D", yf))
+    keys = (("A", yf, cv.twist_after_hat), ("B",), ("C", cv.c_full_range), ("D",))
     groups = [tables.groups.setdefault(key, {}) for key in keys]
     todo = [{j for j in columns if j not in group} for group in groups]
     if any(todo):
@@ -440,13 +434,15 @@ def _term_groups(t, cv, groups, todo):
     p, n, d, m, D = t.p, t.algebra.arity, t.algebra.dim, t.rep.module_dim, t.D
     w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
     yf, twist_after_hat, c_top = cv.bracket_y_first, cv.twist_after_hat, p if cv.c_full_range else p - 1
-    bracket, den, abar, q = t.bracket[yf], t.den, t.den["abar"], t.q[yf]
+    bracket = t.bracket_rows(yf) if want_a else None
+    den, abar, q = t.den, t.den["abar"], t.q
 
     # term A's products are over den_a times abar^(p - 2), or abar^(j - 2) when hat-bare
-    den_a = den["alpha"] * den["bracket"][yf]
+    den_a = den["alpha"] * den["bracket"]
     weight_a = {j: (-1) ** j * (q // (den_a * abar ** (p - 2 if twist_after_hat else j - 2))) for j in range(2, p + 1)}
     weight_b = [(-1) ** i * (q // (den["mu"] * abar ** (p - 1))) for i in range(p + 1)]
-    weight_c, weight_d = [(-1) ** (i + 1) * (q // den["action_c"]) for i in range(c_top + 1)], q // den["action_d"]
+    weight_d = q // den["action"]
+    weight_c = [(-1) ** (i + 1) * weight_d for i in range(c_top + 1)]
 
     for col in set().union(*todo):
         key, mf = divmod(col, m)
@@ -488,8 +484,8 @@ def _term_groups(t, cv, groups, todo):
 
         # term D: action i of alpha^{p-1}(z, X_1 but x_i) on f(x_i, X_2, .., X_p)
         base = [Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1] for i in range(n)]
-        for i, z0, X, mo, c in t.action_d[mf] if col in want_d else ():
-            row = (z0 * w[0] + X * w[1] + base[i]) * m + mo
+        for i, ZX, mo, c in t.action_d[mf] if col in want_d else ():
+            row = (ZX * w[1] + base[i]) * m + mo
             acc_d[row] = acc_d.get(row, 0) + weight_d * c
 
 
@@ -654,7 +650,7 @@ class CochainComplex:
                 self._tables[p] = SlotTables(self.algebra, self.rep, p)
             t, cv = self._tables[p], self.convention
             build = functools.partial(coboundary_operator, t, convention=cv)
-            self._operators[p] = Columns(build, ambient_dim(self.algebra, self.rep, p), t.q[cv.bracket_y_first])
+            self._operators[p] = Columns(build, ambient_dim(self.algebra, self.rep, p), t.q)
         return self._operators[p]
 
     def delta(self, p) -> Matrix:

@@ -332,6 +332,11 @@ def load_json(path):
         raise DocumentError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise DocumentError(f"{path}: invalid JSON at line {exc.lineno} col {exc.colno}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}") from None
+    except ValueError as exc:
+        # json.load's int() refuses a literal longer than Python's int-string digit limit
+        raise DocumentError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:
         raise DocumentError(f"{path}: JSON nested too deeply") from None
 

@@ -56,12 +56,12 @@ Deliberately separate implementations:
   of a bracket through a map on every (n-1)-tuple and module vector, the
   reference for the support walk behind adjoint_representation and
   pullback_representation; both apply an action through action_apply; and
-* the action builders as they were before their identity shortcuts: every
-  module action through precompose with one fresh map list per action, and
-  SlotTables' action tables through precompose with alpha^{p-1} in every
-  algebra slot even where it is the identity, the references for
-  _module_actions re-keying the bracket and for the tables skipping
-  precompose when p = 1 or the algebra is untwisted; and
+* the action builders through precompose: every module action with one
+  fresh map list per action, and SlotTables' action tables with
+  alpha^{p-1} in every algebra slot even where it is the identity, merged
+  over the lcm of their entries, the references for _module_actions
+  re-keying the bracket and for the tables placing each action's support
+  through the int rows of alpha^{p-1}; and
 * dense ambient packing: tensors keyed by input tuples, and matrices, as
   full-length lists over the ambient coordinates and back, the reference
   for the sparse packing of the extension solve and the input of the dense
@@ -1192,7 +1192,8 @@ def module_actions_by_precompose(bracket, n, phi=None):
 def action_tables_by_precompose(algebra, rep, p):
     """(action_c, action_d, {"action_c": den, "action_d": den}) of
     SlotTables(algebra, rep, p), every action moved through precompose with
-    alpha^{p-1} in its n-1 algebra slots, the identity included."""
+    alpha^{p-1} in its n-1 algebra slots, the identity included, each table
+    over the lcm of its merged entries."""
     n, d, m = algebra.arity, algebra.dim, rep.module_dim
     apow = algebra.alpha.power(p - 1)
     moved = [precompose(action, [apow] * (n - 1) + [None]) for action in rep.actions]
@@ -1205,5 +1206,5 @@ def action_tables_by_precompose(algebra, rep, p):
     nums, den_d = integral_rows([moved[i][key] for i, key in keys])
     for (i, (*ws, mf)), out in zip(keys, nums):
         for mo, c in out.items():
-            action_d[mf].append((i, ws[0], _flat(ws[1:i] + [0] + ws[i:], d), mo, c))
+            action_d[mf].append((i, _flat(ws[:i] + [0] + ws[i:], d), mo, c))
     return action_c, action_d, {"action_c": den_c, "action_d": den_d}

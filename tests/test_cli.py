@@ -575,6 +575,32 @@ def test_exponent_and_boolean_values_are_input_errors(capsys, tmp_path):
         assert out == "" and "input error" in err and "Traceback" not in err
 
 
+def test_undecodable_documents_are_input_errors_on_every_reading_path(capsys, tmp_path):
+    # a byte that is not UTF-8, and an integer literal past Python's
+    # int-string digit limit, on each command that reads a document
+    texts = {"utf8": b'{"arity": 2, "basis": ["e\xff"]}', "digits": b'{"arity": ' + b"1" * 5000 + b"}"}
+    for name, text in texts.items():
+        bad = tmp_path / f"{name}.json"
+        bad.write_bytes(text)
+        morphism = tmp_path / f"{name}_morphism.json"
+        morphism.write_text(json.dumps({"source": bad.name, "target": bad.name, "matrix": [[1]]}))
+        for argv in (
+            ["validate", str(bad)],
+            ["cohomology", str(bad)],
+            ["cohomology", fx("leibniz_ff_e.json"), "--module", str(bad)],
+            ["morphism-cohomology", str(morphism)],
+            ["deform", "check", str(bad)],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"input error: {bad}: ") and "Traceback" not in err, argv
+    # a JSON syntax error, also a ValueError, keeps its line and column message
+    bad = tmp_path / "syntax.json"
+    bad.write_text('{"arity": 2,\n "basis": [1e]}')
+    code, out, err = run(capsys, "validate", str(bad))
+    assert code == 2 and err == f"input error: {bad}: invalid JSON at line 2 col 13\n"
+
+
 # each fixture and a command run on it besides validate; PATH is the mutated copy
 FUZZ_DOCUMENTS = {
     "abelian.json": ["cohomology", "PATH", "--degrees", "1..2"],

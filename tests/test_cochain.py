@@ -366,8 +366,7 @@ def test_calibration_builds_the_slot_tables_once_per_member_and_degree(monkeypat
 
 def group_flags(cv):
     """The keys of the term groups A, B, C, D that cv selects: the flags each reads."""
-    yf = cv.bracket_y_first
-    return [("A", yf, cv.twist_after_hat), ("B", yf), ("C", yf, cv.c_full_range), ("D", yf)]
+    return [("A", cv.bracket_y_first, cv.twist_after_hat), ("B",), ("C", cv.c_full_range), ("D",)]
 
 
 def test_calibration_builds_each_term_group_column_once(monkeypatch):
@@ -399,10 +398,11 @@ def test_calibration_builds_each_term_group_column_once(monkeypatch):
     # representatives are hat-twisted and never read the hat-bare A groups
     keys = {key for cv in all_conventions() for key in group_flags(cv)}
     bare = {("A", yf, False) for yf in (False, True)}
-    assert len(keys) == 12 and {key for k, _, key, _ in built if k == 0} == keys - bare
+    assert len(keys) == 8 and {key for k, _, key, _ in built if k == 0} == keys - bare
     # one check per distinct delta: sign pairs, and both hat flags where alpha = id
     assert [checks[k] for k in range(len(battery))] == [32, 4, 2, 2, 2, 1, 2, 1]
-    assert len(operators) == 103 and len(calls) < len(operators) / 2
+    # B, C and D do not read the bracket order, so both orders share their columns
+    assert len(operators) == 103 and len(calls) == 43
     assert len(passing) == 4
 
 
@@ -485,7 +485,7 @@ def test_shared_term_groups_match_a_fresh_build_and_the_row_oracle():
                 seen = sorted(set(seen + cols))
                 shared = coboundary_operator(t, cols, cv)
                 assert shared == coboundary_operator(SlotTables(a, rep, p), cols, cv)
-                assert fraction_columns(shared, t.q[cv.bracket_y_first]) == row_op(cv, sorted(set(cols)))
+                assert fraction_columns(shared, t.q) == row_op(cv, sorted(set(cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def test_column_assembly_matches_the_row_oracle():
             t = SlotTables(a, rep, p)  # shared across conventions
             for cv in all_conventions():
                 cols = coboundary_operator(t, range(ambient_dim(a, rep, p)), cv)
-                assert fraction_columns(cols, t.q[cv.bracket_y_first]) == battery_row_operators(k, p)(cv)
+                assert fraction_columns(cols, t.q) == battery_row_operators(k, p)(cv)
                 assert all(type(x) is int for col in cols.values() for _, x in col)
             # the linear reading of the oracle, checked at a convention it did not build
             cv = SignConvention.from_label("A-B+C-D-|yx|hat-bare|c-short")
@@ -524,13 +524,13 @@ def test_column_assembly_matches_the_row_oracle():
         for label in DEGREE_3_CONVENTIONS:
             cv = SignConvention.from_label(label)
             cols = coboundary_operator(t, range(ambient_dim(a, rep, 3)), cv)
-            assert fraction_columns(cols, t.q[cv.bracket_y_first]) == battery_row_operators(k, 3)(cv)
+            assert fraction_columns(cols, t.q) == battery_row_operators(k, 3)(cv)
     for a, top in ((h3_generic(), 3), (twisted_ternary_fff_e(2), 4), (twisted_aff1(2), 6)):
         rep = adjoint_representation(a)
         for p in range(1, top + 1):
             t = SlotTables(a, rep, p)
             cols = coboundary_operator(t, range(ambient_dim(a, rep, p)))
-            assert fraction_columns(cols, t.q[False]) == row_coboundary_operator(a, rep, p)
+            assert fraction_columns(cols, t.q) == row_coboundary_operator(a, rep, p)
     for phi in fixture_morphisms():
         # d^p (u, v, w) = (delta u, delta v, phi.u - v.phi - delta w), with the row oracle's delta
         mc = MorphismComplex(phi)
@@ -564,22 +564,28 @@ def fractional_inputs():
 
 
 def slot_tables(t):
-    """{name: (rows, den)} for the tables of the SlotTables t."""
-    tables = {name: (getattr(t, name), t.den[name]) for name in ("alpha", "abar", "mu", "action_c", "action_d")}
-    for yf in (False, True):
-        tables["bracket", yf] = (t.bracket[yf], t.den["bracket"][yf])
+    """{name: (rows, the key of its den in t.den)} for the tables of the
+    SlotTables t, each bracket order read through its lazy builder."""
+    tables = {name: (getattr(t, name), name) for name in ("alpha", "abar", "mu")}
+    tables.update({name: (getattr(t, name), "action") for name in ("action_c", "action_d")})
+    tables.update({("bracket", yf): (t.bracket_rows(yf), "bracket") for yf in (False, True)})
     return tables
 
 
 def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
     for a, rep in fractional_inputs():
         for p in (1, 2, 3):
-            t = SlotTables(a, rep, p)
-            for name, (rows, den) in slot_tables(t).items():
+            t, n, den_a = SlotTables(a, rep, p), a.arity, a.alpha.den
+            # the bracket orders and the actions are over the den of the products they are built from
+            den_act = math.lcm(*(x.denominator for action in rep.actions for out in action.values() for x in out.values()))
+            products = {"bracket": t.den["mu"] * den_a ** (n - 2), "action": den_act * den_a ** ((n - 1) * (p - 1))}
+            for name, (rows, key) in slot_tables(t).items():
+                den = t.den[key]
                 assert den > 1, name
                 assert all(type(e[-1]) is int and e[-1] for row in rows for e in row), name
-                # each den is exactly the lcm of its table's denominators, no multiple of it
-                assert den == math.lcm(*{Q(e[-1], den).denominator for row in rows for e in row}), name
+                # alpha, abar and mu are over exactly the lcm of their table's denominators, no multiple of it
+                lcm = math.lcm(*{Q(e[-1], den).denominator for row in rows for e in row})
+                assert den == products.get(key, lcm) and den % lcm == 0, name
             row_op = row_operators(a, rep, p)
             labels = [cv.label() for cv in all_conventions()] if p < 3 else DEGREE_3_CONVENTIONS
             fractional = 0
@@ -587,10 +593,34 @@ def test_int_slot_tables_assemble_the_row_oracle_on_fractional_inputs():
                 cv = SignConvention.from_label(label)
                 cols = coboundary_operator(t, range(ambient_dim(a, rep, p)), cv)
                 assert all(type(x) is int for col in cols.values() for _, x in col)
-                cols = fraction_columns(cols, t.q[cv.bracket_y_first])
+                cols = fraction_columns(cols, t.q)
                 assert cols == row_op(cv), (p, label)
                 fractional += sum(x.denominator > 1 for col in cols.values() for _, x in col)
             assert fractional
+
+
+def test_slot_tables_and_term_groups_construct_no_fraction():
+    # fractional twists and actions, the fractional shear, and one draw of
+    # the twisted workload's diagonal twists: every table and both bracket
+    # orders are built from the algebra's int numerators
+    rng = random.Random(1)
+    u, v = rng.sample([2, 3, 5, 7], 2)
+    s = rng.randint(2, 7)
+    drawn = [yau_twist(h3(), diag(u, v, u * v)), twisted_ternary_fff_e(s), twisted_aff1(s)]
+    inputs = fractional_inputs() + [fractional_shear()] + [(a, adjoint_representation(a)) for a in drawn]
+    for a, rep in inputs:
+        for p in (1, 2, 3, 4):
+            cols = range(ambient_dim(a, rep, p))
+            with fractions_made() as made:
+                assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
+                made.clear()
+                t = SlotTables(a, rep, p)
+                coboundary_operator(t, cols)
+                assert t.bracket.keys() == {False}  # one convention builds one bracket order
+                for cv in all_conventions():
+                    coboundary_operator(t, cols, cv)
+            assert made == [], (a.basis, p)
+            assert t.bracket.keys() == {False, True} and len(t.groups) == 8
 
 
 def random_bracket_algebra(rng, arity, dim):
@@ -613,16 +643,16 @@ def test_bracket_table_from_the_support_matches_the_all_pairs_oracle():
     for a in algebras + list(lines.values()):
         t = SlotTables(a, adjoint_representation(a), 1)
         for yf in (False, True):
-            rows, den = t.bracket[yf], t.den["bracket"][yf]
+            rows, den = t.bracket_rows(yf), t.den["bracket"]
             table = {(Y, X, X2): Q(c, den) for Y, row in enumerate(rows) for X, X2, c in row}
             assert len(table) == sum(map(len, rows))
             assert table == bracket_table_by_tuples(a, yf)
     for n, a in lines.items():
         t = SlotTables(a, adjoint_representation(a), 1)
         for yf in (False, True):
-            den = t.den["bracket"][yf]
+            den = t.den["bracket"]
             closed = [[(0, 0, (n - 1) * Q(3, 2) * 2 ** (n - 2))]]
-            assert [[(X, X2, Q(c, den)) for X, X2, c in row] for row in t.bracket[yf]] == closed
+            assert [[(X, X2, Q(c, den)) for X, X2, c in row] for row in t.bracket_rows(yf)] == closed
 
 
 def fixture_documents():
@@ -641,10 +671,21 @@ def fixture_documents():
     return algebras, morphisms
 
 
+def action_map(table, den):
+    """{(mf, *entry but its coeff): the sum of its coeffs over den} of an
+    action table, zero sums dropped: the view in which a table that merges
+    equal entries and one that does not compare."""
+    out = {}
+    for mf, entries in enumerate(table):
+        for *key, c in entries:
+            out[mf, *key] = out.get((mf, *key), 0) + Q(c, den)
+    return {key: x for key, x in out.items() if x}
+
+
 def test_action_builders_match_the_precompose_path():
-    # adjoint actions re-key the bracket, and the slot tables skip precompose
-    # when alpha^{p-1} = id; on the fixture corpus and the battery both must
-    # equal the tensors the precompose path builds
+    # adjoint actions re-key the bracket, and the slot tables place each
+    # action's support through the rows of alpha^{p-1}; on the fixture corpus
+    # and the battery both must equal the tensors the precompose path builds
     algebras, morphisms = fixture_documents()
     algebras, morphisms = battery_algebras() + algebras, fixture_morphisms() + morphisms
     reps = []
@@ -654,15 +695,21 @@ def test_action_builders_match_the_precompose_path():
     for phi in morphisms:
         reps.append(pullback_representation(phi))
         assert reps[-1].actions == module_actions_by_precompose(phi.target.bracket, phi.target.arity, phi.matrix)
-    shortcuts = collections.Counter()
+    cases = collections.Counter()
     for rep in reps:
+        a = rep.algebra
         for p in (1, 2, 3):
-            t = SlotTables(rep.algebra, rep, p)
-            action_c, action_d, den = action_tables_by_precompose(rep.algebra, rep, p)
-            assert (t.action_c, t.action_d) == (action_c, action_d)
-            assert {k: t.den[k] for k in den} == den
-            shortcuts[p == 1 or rep.algebra.untwisted] += 1
-    assert len(reps) > 60 and shortcuts[True] and shortcuts[False]
+            t = SlotTables(a, rep, p)
+            action_c, action_d, den = action_tables_by_precompose(a, rep, p)
+            assert action_map(t.action_c, t.den["action"]) == action_map(action_c, den["action_c"])
+            assert action_map(t.action_d, t.den["action"]) == action_map(action_d, den["action_d"])
+            if any(t.action_c) and any(t.action_d):
+                cases["p = 1"] += p == 1
+                cases["alpha = id"] += a.untwisted
+                cases["diagonal twist"] += p > 1 and a.diagonal and not a.untwisted
+                cases["non-diagonal twist"] += p > 1 and not a.diagonal
+    # one path for every case: alpha^{p-1} = id, diagonal and not
+    assert len(reps) > 60 and len(cases) == 4 and all(cases.values())
 
 
 def row_passes(k, cx):
