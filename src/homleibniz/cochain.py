@@ -25,11 +25,11 @@ alpha = id the hat flag moves no column.
 
 coboundary_operator assembles delta^p column by column from its terms' small
 maps (alpha, abar, the bracket, the actions), transposed once per (algebra,
-rep, p) in SlotTables, built in ints from the algebra's int numerators over
-one denominator q per degree, which cache each term group's columns per
-setting of the flags it reads; abar's rows and the bracket's are read, like
-the constraint's, off memoised rows of alpha^{tensor j}.  A Columns cache
-builds each column on first read.
+rep, p) in SlotTables.  These are built in ints from the algebra's int
+numerators, put delta^p over one denominator q per degree and cache each
+term group's columns per setting of the flags it reads; abar's rows and the
+bracket's are read, like the constraint's, off memoised rows of
+alpha^{tensor j}.  A Columns cache builds each column on first read.
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
 constraint on their support, so ranks, eliminated on those images, build no
 space C^{p+1}; restrict_operator reads coordinates off them.  delta o delta
