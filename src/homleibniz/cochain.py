@@ -23,13 +23,12 @@ finds the conventions under which the composite coboundary vanishes exactly,
 checking one convention per distinct delta: -s gives -delta, and with
 alpha = id the hat flag moves no column.
 
-coboundary_operator assembles delta^p column by column from its terms' small
-maps (alpha, abar, the bracket, the actions), transposed once per (algebra,
-rep, p) in SlotTables.  These are built in ints from the algebra's int
-numerators, put delta^p over one denominator q per degree and cache each
-term group's columns per setting of the flags it reads; abar's rows and the
-bracket's are read, like the constraint's, off memoised rows of
-alpha^{tensor j}.  A Columns cache builds each column on first read.
+coboundary_operator sums each column of delta^p from its term groups' signed
+columns, built from small int maps in SlotTables: alpha, abar and the
+bracket once per algebra, in its memo of alpha^{tensor j}'s rows, and the
+actions once per (algebra, rep, p).  delta^p is over one q per degree; each
+term group's columns are cached per setting of the flags it reads, and a
+Columns cache builds each column on first read.
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
 constraint on their support, so ranks, eliminated on those images, build no
 space C^{p+1}; restrict_operator reads coordinates off them.  delta o delta
@@ -145,8 +144,10 @@ def _weights(algebra, k):
     memo = algebra.power_rows
     if k not in memo:
         diagonal, w = [row.get(i, 0) for i, row in enumerate(algebra.alpha.numerators()[0])], [1]
-        for _ in range(k):
-            w = [x * a for x in w for a in diagonal]
+        for bit in bin(k)[2:]:  # k's bits, highest first: w_e to w_2e, and to w_2e+1 on a 1
+            w = [x * a for x in w for a in w]
+            if bit == "1":
+                w = [x * a for x in w for a in diagonal]
         memo[k] = w
     return memo[k]
 
@@ -154,8 +155,7 @@ def _weights(algebra, k):
 def _power_row(algebra, j, key):
     """Row key of alpha^{tensor j}: {key: w_j[key]} for a diagonal alpha, else
     row key // d of alpha^{tensor j-1} tensor row key % d of alpha, memoised
-    by (j, key) in algebra.power_rows, which twist_constraint and SlotTables
-    (abar, the bracket) of every degree share."""
+    by (j, key) in algebra.power_rows for its constraints and slot tables."""
     if algebra.diagonal:
         x = _weights(algebra, j)[key]
         return {key: x} if x else {}
@@ -281,7 +281,7 @@ class Cochain:
 
 
 class SlotTables:
-    """The small maps of delta^p's term groups, transposed once per (algebra, rep, p).
+    """The small maps of delta^p's term groups, transposed once per algebra or per (rep, p).
 
     An (n-1)-tuple is one digit in base D = d^(n-1): an input of delta^p f is
     the base-D number z X_1 .. X_p, an input of f the number z Y_1 .. Y_{p-1}.
@@ -300,24 +300,21 @@ class SlotTables:
     over its table's den[name]: alpha's Matrix.den, its power n-1 for abar,
     the bracket's lcm for mu, den["mu"] den_a^(n-2) for both bracket orders,
     and den["action"], the actions' lcm times den_a^((n-1)(p-1)), for both
-    action tables.  bracket_rows(yf) builds bracket[yf] on its first read.
-    groups caches delta^p's term groups, {column: {row: coeff}} over the one
-    q with sign +1, by the flags each reads: ("A", yf, twist_after_hat),
-    ("B",), ("C", c_full_range) and ("D",).
+    action tables.  alpha, abar, mu, their dens and bracket are the algebra's,
+    kept in its power_rows by _algebra_tables and bracket_rows(yf), which
+    builds bracket[yf] on its first read.  groups caches delta^p's term
+    groups, {column: {row: coeff}} over the one q with sign +1, by the flags
+    each reads: ("A", yf, twist_after_hat), ("B",), ("C", c_full_range), ("D",).
     """
 
     def __init__(self, algebra, rep, p):
         self.algebra, self.rep, self.p = algebra, rep, p
         a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
         self.D = d ** (n - 1)
-        rows_a, den_a = a.alpha.numerators()
-        self.alpha = [list(row.items()) for row in rows_a]
-        self.abar = [list(_power_row(a, n - 1, Y).items()) for Y in range(self.D)]
-        self.mu = [[] for _ in range(d)]
-        nums, den_mu = integral_rows(list(a.bracket.values()))
-        for (z0, *xs), out in zip(a.bracket, nums):
-            for z, c in out.items():
-                self.mu[z].append((z0, _flat(xs, d), c))
+        memo = a.power_rows
+        if "slots" not in memo:
+            memo["slots"], memo["bracket"] = _algebra_tables(a), {}
+        (self.alpha, self.abar, self.mu, den), self.bracket = memo["slots"], memo["bracket"]
         # slot s of action i (module at i) is digit s + (s >= i) of the n-digit z0 X
         power, den_p = a.alpha.power(p - 1).numerators()
         keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
@@ -330,17 +327,31 @@ class SlotTables:
                     self.action_d[mf] += [(i, offset, mo, c * u) for mo, c in out.items()]
                 else:
                     self.action_c[mf] += [(offset, mo, c * u) for mo, c in out.items()]
-        abar, den_b, den_act = den_a ** (n - 1), den_mu * den_a ** (n - 2), den_act * den_p ** (n - 1)
-        self.den = {"alpha": den_a, "abar": abar, "mu": den_mu, "bracket": den_b, "action": den_act}
+        den_act *= den_p ** (n - 1)
+        self.den, abar = {**den, "action": den_act}, den["abar"]
         # q: the denominator of delta^p's columns
-        self.q = math.lcm(den_a * den_b * abar ** max(p - 2, 0), den_mu * abar ** (p - 1), den_act)
-        self.bracket, self.groups = {}, {}
+        self.q = math.lcm(den["alpha"] * den["bracket"] * abar ** max(p - 2, 0), den["mu"] * abar ** (p - 1), den_act)
+        self.groups = {}
 
     def bracket_rows(self, yf):
         """bracket[yf], built by _bracket_rows on its first read."""
         if yf not in self.bracket:
             self.bracket[yf] = _bracket_rows(self, yf)
         return self.bracket[yf]
+
+
+def _algebra_tables(a):
+    """alpha, abar and mu of SlotTables, and their dens with the bracket
+    orders', from the algebra a alone."""
+    n, d, den_a = a.arity, a.dim, a.alpha.den
+    mu = [[] for _ in range(d)]
+    nums, den_mu = integral_rows(list(a.bracket.values()))
+    for (z0, *xs), out in zip(a.bracket, nums):
+        for z, c in out.items():
+            mu[z].append((z0, _flat(xs, d), c))
+    abar = [list(_power_row(a, n - 1, Y).items()) for Y in range(d ** (n - 1))]
+    den = {"alpha": den_a, "abar": den_a ** (n - 1), "mu": den_mu, "bracket": den_mu * den_a ** (n - 2)}
+    return [list(row.items()) for row in a.alpha.numerators()[0]], abar, mu, den
 
 
 def _bracket_rows(t, yf):
@@ -398,25 +409,11 @@ def coboundary_operator(tables, columns, convention=DEFAULT_CONVENTION):
     signed = list(zip(groups, (cv.sign_a, cv.sign_b, cv.sign_c, cv.sign_d)))
     out = {}
     for col in columns:
-        # acc is the first nonempty group's cached column, read in place with
-        # its sign (borrowed, +-1, so truthy), until a second one needs a sum
-        acc, borrowed = None, 0
+        acc = {}
         for group, sign in signed:
-            column = group[col]
-            if not column:
-                continue
-            if acc is None:
-                acc, borrowed = column, sign
-                continue
-            if borrowed:
-                acc, borrowed = {row: borrowed * v for row, v in acc.items()}, 0
-            for row, v in column.items():
+            for row, v in group[col].items():
                 acc[row] = acc.get(row, 0) + sign * v
-        if acc is None:
-            continue
-        rows = sorted(acc.items())
-        entries = [(row, borrowed * v) for row, v in rows if v] if borrowed else [(row, v) for row, v in rows if v]
-        if entries:
+        if entries := [(row, v) for row, v in sorted(acc.items()) if v]:
             out[col] = entries
     return out
 
@@ -553,6 +550,7 @@ def image_rank(op, sources, constraints) -> int:
     """Rank of op on the sources' direct sum: its certified images', one row
     per target cell; an image's den only scales its column."""
     images = [v for v, _ in certified_images(op, sources, constraints)]
+    # one row per cell: with the images as rows the ternary identity's d^1..d^5 rank 6x slower
     return rank(Matrix.from_rows(transpose(images, sum(c.size for c in constraints)), len(images)))
 
 

@@ -53,6 +53,7 @@ from homleibniz.fixtures import (
     twisted_aff1,
     twisted_ff_e,
     twisted_ternary_fff_e,
+    vanishing_pair,
 )
 from homleibniz.linalg import Matrix, coords_in_basis, dense_vector, integral_rows, kernel_basis, rank, sparse_vector, transpose
 from homleibniz.morphism_complex import MorphismComplex
@@ -326,6 +327,40 @@ def test_convention_flags_must_be_bools():
 
 def test_default_convention_is_all_plus():
     assert DEFAULT_CONVENTION.label() == "A+B+C+D+|xy|hat-twisted|c-full"
+
+
+def test_the_algebra_tables_are_built_once_per_algebra(monkeypatch):
+    # alpha, abar and mu read the algebra alone, and a bracket order only the
+    # algebra and bracket_y_first: every degree, every convention sibling and
+    # both summand complexes over a morphism's source share one build
+    built, orders = [], []
+    build_tables, build_bracket = cochain._algebra_tables, cochain._bracket_rows
+
+    def counting_tables(a):
+        built.append(id(a))
+        return build_tables(a)
+
+    def counting_bracket(t, yf):
+        orders.append((id(t.algebra), yf))
+        return build_bracket(t, yf)
+
+    monkeypatch.setattr(cochain, "_algebra_tables", counting_tables)
+    monkeypatch.setattr(cochain, "_bracket_rows", counting_bracket)
+    twisted = yau_twist(h3(), diag(2, 3, 6))
+    cx = CochainComplex(twisted, adjoint_representation(twisted))
+    assert [cx.cohomology_dim(p) for p in (1, 2, 3, 4)] and cx._tables.keys() == {1, 2, 3, 4}
+    member, rep = calibration_battery()[1]  # twisted_aff1(2), with a fresh memo
+    base = CochainComplex(member, rep)
+    verdicts = [convention_passes(base.with_convention(cv)) for cv in all_conventions()]
+    assert any(verdicts) and not all(verdicts)
+    phi = vanishing_pair()
+    mc = MorphismComplex(phi)
+    assert mc.mixed is not mc.left and mc.mixed.algebra is mc.left.algebra is phi.source
+    assert [mc.cohomology_dim(p) for p in (1, 2, 3)]
+    algebras = [twisted, member, phi.source, phi.target]
+    assert sorted(built) == sorted(map(id, algebras))
+    assert len(orders) == len(set(orders)) and {(id(member), False), (id(member), True)} <= set(orders)
+    assert all(t.mu is twisted.power_rows["slots"][2] for t in cx._tables.values())
 
 
 def test_a_convention_sibling_shares_the_spaces_and_tables():
@@ -611,16 +646,17 @@ def test_slot_tables_and_term_groups_construct_no_fraction():
     for a, rep in inputs:
         for p in (1, 2, 3, 4):
             cols = range(ambient_dim(a, rep, p))
+            a.power_rows.clear()  # so that this degree builds the algebra's tables too
             with fractions_made() as made:
                 assert Q(1, 2) + Q(1, 3) == Q(5, 6) and made  # the counter sees construction
                 made.clear()
                 t = SlotTables(a, rep, p)
                 coboundary_operator(t, cols)
-                assert t.bracket.keys() == {False}  # one convention builds one bracket order
+                assert a.power_rows["bracket"].keys() == {False}  # one convention builds one bracket order
                 for cv in all_conventions():
                     coboundary_operator(t, cols, cv)
             assert made == [], (a.basis, p)
-            assert t.bracket.keys() == {False, True} and len(t.groups) == 8
+            assert a.power_rows["bracket"].keys() == {False, True} and len(t.groups) == 8
 
 
 def random_bracket_algebra(rng, arity, dim):
@@ -1023,6 +1059,23 @@ def test_the_diagonal_rule_equals_the_generic_rule_up_to_the_cli_top_degree():
                 assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items()), (a, rep, p)
         diagonal += a.diagonal and rep.diagonal
     assert diagonal >= 30 and len(distinct) - diagonal == 2
+
+
+def test_diagonal_weights_are_the_k_fold_kronecker_power():
+    # binary powers give w_k, the product of alpha's diagonal entries over the
+    # k digits of each key, on diagonals with zero, negative and repeated
+    # entries, and keep only the power asked for
+    rng = random.Random(5)
+    for _ in range(40):
+        dim, k = rng.randint(1, 3), rng.randint(0, 7)
+        entries = [rng.choice((-3, -1, 0, 1, 2, 2, 3)) for _ in range(dim)]
+        a = HomNaryAlgebra(2, dim, tuple(f"e{i}" for i in range(dim)), {}, diag(*entries))
+        naive = [1]
+        for _ in range(k):
+            naive = [x * e for x in naive for e in entries]
+        assert cochain._weights(a, k) == naive and a.power_rows.keys() == {k}, (entries, k)
+    line = HomNaryAlgebra(2, 1, ("e",), {}, Matrix(1, 1, [[2]]))
+    assert cochain._weights(line, 100_000) == [2**100_000] and line.power_rows.keys() == {100_000}
 
 
 def outcome(f, *args):
