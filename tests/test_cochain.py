@@ -348,7 +348,9 @@ def test_the_algebra_tables_are_built_once_per_algebra(monkeypatch):
     monkeypatch.setattr(cochain, "_bracket_rows", counting_bracket)
     twisted = yau_twist(h3(), diag(2, 3, 6))
     cx = CochainComplex(twisted, adjoint_representation(twisted))
-    assert [cx.cohomology_dim(p) for p in (1, 2, 3, 4)] and cx._tables.keys() == {1, 2, 3, 4}
+    for p in (1, 2, 3, 4):
+        cx.cohomology_dim(p)
+    assert cx._tables.keys() == {1, 2, 3, 4}
     member, rep = calibration_battery()[1]  # twisted_aff1(2), with a fresh memo
     base = CochainComplex(member, rep)
     verdicts = [convention_passes(base.with_convention(cv)) for cv in all_conventions()]
@@ -356,7 +358,8 @@ def test_the_algebra_tables_are_built_once_per_algebra(monkeypatch):
     phi = vanishing_pair()
     mc = MorphismComplex(phi)
     assert mc.mixed is not mc.left and mc.mixed.algebra is mc.left.algebra is phi.source
-    assert [mc.cohomology_dim(p) for p in (1, 2, 3)]
+    for p in (1, 2, 3):
+        mc.cohomology_dim(p)
     algebras = [twisted, member, phi.source, phi.target]
     assert sorted(built) == sorted(map(id, algebras))
     assert len(orders) == len(set(orders)) and {(id(member), False), (id(member), True)} <= set(orders)
