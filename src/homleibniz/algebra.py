@@ -138,7 +138,7 @@ class HomNaryAlgebra:
         self.bracket = normalize_tensor(self.bracket, [self.dim] * (self.arity + 1), "bracket")
         self.untwisted = self.alpha == Matrix.identity(self.dim)  # alpha = id, decided once
         self.diagonal = _is_diagonal(self.alpha)
-        self.power_rows = {}  # cochain's memo: rows of alpha^{tensor j}, or w_j, and slot tables
+        self.power_rows = {}  # cochain's memo: rows of alpha^{tensor j}, or w_j, powers alpha^j and slot tables
 
 @dataclass
 class Morphism:

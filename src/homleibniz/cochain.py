@@ -24,16 +24,24 @@ checking one convention per distinct delta: -s gives -delta, and with
 alpha = id the hat flag moves no column.
 
 coboundary_operator sums each column of delta^p from its term groups' signed
-columns, built from small int maps in SlotTables: alpha, abar and the
-bracket once per algebra, in its memo of alpha^{tensor j}'s rows, and the
-actions once per (algebra, rep, p).  delta^p is over one q per degree; each
-term group's columns are cached per setting of the flags it reads, and a
-Columns cache builds each column on first read.
+columns, built from small int maps in SlotTables: alpha, abar, the bracket
+and the powers alpha^j once per algebra, in its memo of alpha^{tensor j}'s
+rows, and the actions once per (algebra, rep, p).  delta^p is over one q per
+degree; each term group's columns are cached per setting of the flags it
+reads, and a Columns cache builds each column on first read.
+A term's product takes one table row per slot.  A row with one entry, which
+is every row of alpha, abar and alpha^{p-1} when alpha is diagonal, folds
+into the product's running (base, weight) by _fold, and any other row is a
+Kronecker factor of _products: one rule, so a diagonal twist leaves only
+the bracket's row as a factor.  Term C's row base, f's input with a gap at
+slot i, is read off the column key in O(1).
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
 constraint on their support, so ranks, eliminated on those images, build no
-space C^{p+1}; restrict_operator reads coordinates off them.  delta o delta
-= 0 is certified by squares_to_zero, an int zero test on the ambient
-operators.  Cochain data stay in ints up to the rank.
+space C^{p+1}; restrict_operator reads coordinates off them.  apply_sparse's
+image of a one-entry vector, such as a diagonal space's unit basis vector,
+is its operator column scaled.  delta o delta = 0 is certified by
+squares_to_zero, an int zero test on the ambient operators.  Cochain data
+stay in ints up to the rank.
 """
 
 from __future__ import annotations
@@ -295,9 +303,12 @@ class SlotTables:
         action_d[mf]         [(i, ZX, mo, c)]       action i of alpha^{p-1}(z0 X
                                                     but x_i, which ZX holds as 0)
 
-    with the actions on the unit module vector mf, placed through the rows of
-    alpha^{p-1}.  Each c is an int, built from the algebra's int numerators,
-    over its table's den[name]: alpha's Matrix.den, its power n-1 for abar,
+    with the actions on the unit module vector mf, placed through the int
+    rows of alpha^{p-1}: power_rows["power"] holds alpha^0, alpha^1, .. once
+    per algebra, each one product past the last; a one-entry row folds into
+    the placed entry (_fold), and any other row is a Kronecker factor.  Each
+    c is an int, built from the algebra's int numerators, over its table's
+    den[name]: alpha's Matrix.den, its power n-1 for abar,
     the bracket's lcm for mu, den["mu"] den_a^(n-2) for both bracket orders,
     and den["action"], the actions' lcm times den_a^((n-1)(p-1)), for both
     action tables.  alpha, abar, mu, their dens and bracket are the algebra's,
@@ -313,16 +324,20 @@ class SlotTables:
         self.D = d ** (n - 1)
         memo = a.power_rows
         if "slots" not in memo:
-            memo["slots"], memo["bracket"] = _algebra_tables(a), {}
+            memo["slots"], memo["bracket"], memo["power"] = _algebra_tables(a), {}, [Matrix.identity(d)]
         (self.alpha, self.abar, self.mu, den), self.bracket = memo["slots"], memo["bracket"]
-        # slot s of action i (module at i) is digit s + (s >= i) of the n-digit z0 X
-        power, den_p = a.alpha.power(p - 1).numerators()
+        powers = memo["power"]  # alpha^0, alpha^1, ..: one product per exponent per algebra
+        while len(powers) < p:
+            powers.append(powers[-1] @ a.alpha)
+        rows, den_p = powers[p - 1].numerators()
+        power = [list(row.items()) for row in rows]
         keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
         nums, den_act = integral_rows([rep.actions[i][key] for i, key in keys])
         self.action_c, self.action_d = [[] for _ in range(m)], [[] for _ in range(m)]
         for (i, (*ws, mf)), out in zip(keys, nums):
-            factors = [[(j * d ** (n - 1 - s - (s >= i)), x) for j, x in power[w].items()] for s, w in enumerate(ws)]
-            for offset, u in _products(factors, 0, 1):
+            # slot s of action i (module at i) is digit s + (s >= i) of the n-digit z0 X
+            slots = [(power[x], d ** (n - 1 - s - (s >= i))) for s, x in enumerate(ws)]
+            for offset, u in _products(*_fold(slots, 0, 1)):
                 if i:
                     self.action_d[mf] += [(i, offset, mo, c * u) for mo, c in out.items()]
                 else:
@@ -380,10 +395,26 @@ def _bracket_rows(t, yf):
     return rows
 
 
+def _fold(slots, base, weight):
+    """(factors, base, weight) for _products from slots, (row, place) pairs
+    with row a list of (digit, coeff): a row with one entry folds into the
+    running base (digit * place) and weight (coeff), and any other row,
+    empty ones included, becomes a factor of (digit * place, coeff) pairs."""
+    factors = []
+    for row, place in slots:
+        if len(row) == 1:
+            ((x, c),) = row
+            base, weight = base + x * place, weight * c
+        else:
+            factors.append([(x * place, c) for x, c in row])
+    return factors, base, weight
+
+
 def _products(factors, base, weight):
     """(base + sum of offsets, weight times the product of coefficients) over
     every choice of one (offset, coeff) pair per factor: the factors'
-    Kronecker product."""
+    Kronecker product, with _fold's one-entry rows already in base and
+    weight, so a diagonal twist leaves only the bracket's factor."""
     out = [(base, weight)]
     for f in factors:
         out = [(o + fo, c * fc) for o, c in out for fo, fc in f]
@@ -426,6 +457,12 @@ def _term_groups(t, cv, groups, todo):
     per slot of f's input, with the X_i or X_j that the term drops put back at
     its slot, and an int weight (its alternating sign times q over the
     tables' denominators) brings it over q.
+
+    In terms A and B each one-entry row of alpha and abar folds into the
+    product's base and weight (_fold); the bracket's and mu's rows, and any
+    row of several entries, are the factors.  With the hat bare, the slots
+    after X_j keep f's digits, key % w[j].  Term C's base, z Y_1 .. Y_{p-1}
+    with a gap at slot i, is key // w[i] * w[i-1] + key % w[i].
     """
     want_a, want_b, want_c, want_d = todo
     p, n, d, m, D = t.p, t.algebra.arity, t.algebra.dim, t.rep.module_dim, t.D
@@ -452,29 +489,24 @@ def _term_groups(t, cv, groups, todo):
             if not bracket[Y[i]]:
                 continue  # then every product below is empty
             for j in range(i + 1, p + 1):
-                factors = [[(z0 * w[0], c) for z0, c in t.alpha[Y[0]]],
-                           [(X * w[i] + X2 * w[j], c) for X, X2, c in bracket[Y[i]]]]
-                base = 0
-                for r in range(1, p + 1):
-                    if r in (i, j):
-                        continue
-                    if r < j or twist_after_hat:
-                        factors.append([(X * w[r], c) for X, c in t.abar[Y[r - (r > j)]]])
-                    else:
-                        base += Y[r - 1] * w[r]
-                for off, c in _products(factors, base, weight_a[j]):
+                # hat-bare: X_{j+1} .. X_p are Y_j .. Y_{p-1} at their own places, key % w[j]
+                top = p if twist_after_hat else j - 1
+                slots = [(t.alpha[Y[0]], w[0])] + [(t.abar[Y[r - (r > j)]], w[r]) for r in range(1, top + 1) if r != i and r != j]
+                factors, base, weight = _fold(slots, 0 if twist_after_hat else key % w[j], weight_a[j])
+                factors.append([(X * w[i] + X2 * w[j], c) for X, X2, c in bracket[Y[i]]])
+                for off, c in _products(factors, base, weight):
                     acc_a[off * m + mf] = acc_a.get(off * m + mf, 0) + c
 
         # term B: f([z, X_i], abar X_r for r != i)
         for i in range(1, p + 1) if col in want_b and t.mu[Y[0]] else ():
-            factors = [[(z0 * w[0] + X * w[i], c) for z0, X, c in t.mu[Y[0]]]]
-            factors += [[(X * w[r], c) for X, c in t.abar[Y[r - (r > i)]]] for r in range(1, p + 1) if r != i]
-            for off, c in _products(factors, 0, weight_b[i]):
+            factors, base, weight = _fold([(t.abar[Y[r - (r > i)]], w[r]) for r in range(1, p + 1) if r != i], 0, weight_b[i])
+            factors.append([(z0 * w[0] + X * w[i], c) for z0, X, c in t.mu[Y[0]]])
+            for off, c in _products(factors, base, weight):
                 acc_b[off * m + mf] = acc_b.get(off * m + mf, 0) + c
 
         # term C: right action of alpha^{p-1}(X_i) on f(z, X_r for r != i)
         for i in range(1, c_top + 1) if col in want_c and t.action_c[mf] else ():
-            base = Y[0] * w[0] + sum(Y[r - (r > i)] * w[r] for r in range(1, p + 1) if r != i)
+            base = key // w[i] * w[i - 1] + key % w[i]  # z Y_1 .. Y_{p-1} with a gap at slot i
             for X, mo, c in t.action_c[mf]:
                 row = (base + X * w[i]) * m + mo
                 acc_c[row] = acc_c.get(row, 0) + weight_c[i] * c
@@ -490,7 +522,7 @@ class Columns:
     """The columns of a sparse ambient operator, each built on its first read.
 
     build(js) returns {j: [(row, coeff), ...]} for the columns js, empty ones
-    omitted, each coeff an int numerator over den.  Every read builds the
+    omitted, each coeff a nonzero int numerator over den and each row once.  Every read builds the
     missing columns first, so a column that was never built never reads as
     zero.
     """
@@ -513,11 +545,16 @@ class Columns:
 
 def apply_sparse(op, vectors):
     """Images of the sparse vectors under the Columns op, read in one batch.
-    Each vector, and each image, is (int numerators, den); an image's den is
-    its vector's times op.den."""
+    Each vector, and each image, is (nonzero int numerators, den); an image's
+    den is its vector's times op.den.  A one-entry vector's image is its
+    column scaled, with no accumulator: a column holds each row once."""
     built = op.read(sorted({j for vec, _ in vectors for j in vec}))
     images = []
     for vec, den in vectors:
+        if len(vec) == 1:  # a unit vector's image is its column, scaled
+            ((j, x),) = vec.items()
+            images.append(({row: v * x for row, v in built[j]}, den * op.den))
+            continue
         out = {}
         for j, x in vec.items():
             for row, v in built[j]:
@@ -535,11 +572,15 @@ def certified_images(op, sources, constraints):
     """apply_sparse's images of the sources' direct-sum basis under the Columns
     op.  Each image's block on each target summand, stacked in order, must be
     sent to zero by that summand's constraint columns, read on its support,
-    or ConstraintViolation is raised."""
+    or ConstraintViolation is raised.  With a lone target the block is the
+    image itself, checked as it is, with no copy."""
     images = apply_sparse(op, direct_sum([s.basis for s in sources]).integral[0])
     start = 0
     for c in constraints:
-        blocks = [({r - start: x for r, x in v.items() if start <= r < start + c.size}, 1) for v, _ in images]
+        if len(constraints) == 1:  # the lone block is the image itself, den aside
+            blocks = images
+        else:
+            blocks = [({r - start: x for r, x in v.items() if start <= r < start + c.size}, 1) for v, _ in images]
         if any(v for v, _ in apply_sparse(c, blocks)):
             raise ConstraintViolation("an image is not twist-compatible")
         start += c.size

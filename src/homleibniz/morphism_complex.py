@@ -156,15 +156,22 @@ class MorphismComplex:
     # -- the differential ---------------------------------------------------
 
     def differential(self, c: MorphismCochain) -> MorphismCochain:
-        """d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w): operator(p)
-        on u, v and w stacked, split into Cochains, which certify each block."""
+        """d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w): _image
+        split into Cochains, which certify each block."""
+        image, den = self._image(c)
+        return self._split(c.degree + 1, {r: Q(x, den) for r, x in image.items()})
+
+    def _image(self, c: MorphismCochain):
+        """(int numerators, den) of operator(p) on c's u, v and w stacked.
+        Empty exactly when c is a cocycle: a zero image lies in every space,
+        so that test builds no space of degree p+1."""
         stacked, offset = {}, 0
         for b in self._blocks(c):
             stacked.update((offset + i, x) for i, x in b.vector.items())
             offset += b.space.ambient
         (nums,), den = integral_rows([stacked])
         ((image, den),) = apply_sparse(self.operator(c.degree), [(nums, den)])
-        return self._split(c.degree + 1, {r: Q(x, den) for r, x in image.items()})
+        return image, den
 
     def operator(self, p) -> Columns:
         """Sparse ambient columns of d^p, each built on its first read.
@@ -244,7 +251,7 @@ class MorphismComplex:
         if c.degree != p:
             raise ValueError("cocycle degree mismatch")
         cc = self.coords(c)
-        if not self.differential(c).is_zero():
+        if self._image(c)[0]:
             raise ValueError("input is not a cocycle")
         hL = self.left.cohomology_dim(p)
         hM = self.right.cohomology_dim(p)

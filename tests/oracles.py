@@ -256,7 +256,8 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
 
     One traversal of the degree p+1 inputs produces every matrix entry,
     each row term by term from the formula; the bracket of fundamental
-    objects is evaluated once per (X_i, X_j) pair.
+    objects is evaluated once per (X_i, X_j) pair, and abar, the bracket
+    [z, X] and each action once per argument tuple.
     """
     n, d, m = algebra.arity, algebra.dim, rep.module_dim
     cv = convention
@@ -272,8 +273,18 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
         else:
             entries.pop((row, col), None)
 
+    @functools.cache
     def abar(X):
         return tensor_combo([alpha_cols[i] for i in X])
+
+    @functools.cache
+    def z_bracket(z, X):
+        return bracket_apply(algebra, [basis_combo(x) for x in (z, *X)])
+
+    @functools.cache
+    def acted(action_idx, digits, mf):
+        # action action_idx of alpha^{p-1} on the basis digits, on module vector mf
+        return action_apply(rep, action_idx, [apow_cols[x] for x in digits], {mf: Q(1)})
 
     def bare(X):
         return {tuple(X): Q(1)}
@@ -295,15 +306,15 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
                 for mo in range(m):
                     put(row_base + mo, col_base + mo, v)
 
-        def add_action(expansion, action_idx, alg, sign):
-            # terms that feed f's output into a module action
+        def add_action(expansion, action_idx, digits, sign):
+            # terms that feed f's output into a module action of alpha^{p-1} on digits
             for mf in range(m):
-                acted = action_apply(rep, action_idx, alg, {mf: Q(1)})
-                if not acted:
+                image = acted(action_idx, tuple(digits), mf)
+                if not image:
                     continue
                 for key, c in expansion.items():
                     col = _flat(key, d) * m + mf
-                    for mo, av in acted.items():
+                    for mo, av in image.items():
                         put(row_base + mo, col, sign * c * av)
 
         # term A: contract X_i with X_j, drop X_j
@@ -331,8 +342,7 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
 
         # term B: contract z with X_i, drop X_i
         for i in range(1, p + 1):
-            zb = bracket_apply(algebra, [basis_combo(x) for x in (z, *Xs[i - 1])])
-            slots = [zb] + [abar(Xs[r - 1]) for r in range(1, p + 1) if r != i]
+            slots = [z_bracket(z, Xs[i - 1])] + [abar(Xs[r - 1]) for r in range(1, p + 1) if r != i]
             add_diag(_expand_slots(slots), cv.sign_b * (-1) ** i)
 
         # term C: right action of abar^{p-1}(X_i) on f with X_i dropped
@@ -340,8 +350,7 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
             slots = [basis_combo(z)] + [bare(Xs[r - 1]) for r in range(1, p + 1) if r != i]
             exp = _expand_slots(slots)
             if exp:
-                alg = [apow_cols[x] for x in Xs[i - 1]]
-                add_action(exp, 0, alg, cv.sign_c * (-1) ** (i + 1))
+                add_action(exp, 0, Xs[i - 1], cv.sign_c * (-1) ** (i + 1))
 
         # term D: left actions with f consuming the components of X_1
         X1 = Xs[0]
@@ -349,10 +358,7 @@ def row_coboundary_operator(algebra, rep, p, convention=DEFAULT_CONVENTION):
             slots = [basis_combo(X1[i - 1])] + [bare(X) for X in Xs[1:]]
             exp = _expand_slots(slots)
             if exp:
-                alg = [apow_cols[z]] + [
-                    apow_cols[X1[r]] for r in range(n - 1) if r != i - 1
-                ]
-                add_action(exp, i, alg, cv.sign_d)
+                add_action(exp, i, [z] + [X1[r] for r in range(n - 1) if r != i - 1], cv.sign_d)
 
     cols = {}
     for (row, col), v in entries.items():

@@ -366,6 +366,40 @@ def test_the_algebra_tables_are_built_once_per_algebra(monkeypatch):
     assert all(t.mu is twisted.power_rows["slots"][2] for t in cx._tables.values())
 
 
+def test_alpha_powers_are_built_once_per_algebra(monkeypatch, capsys):
+    # the action tables read alpha^{p-1}'s rows from the algebra's memo, where
+    # each power is one product past the one before: no Matrix.power call in a
+    # deform extend, one product per exponent per algebra, and the rows and
+    # den are the ones Matrix.power gives
+    powers, products = [], []
+    power, matmul = Matrix.power, Matrix.__matmul__
+
+    def counting_power(m, k):
+        powers.append(k)
+        return power(m, k)
+
+    def counting_matmul(m, other):
+        products.append((m, other))
+        return matmul(m, other)
+
+    monkeypatch.setattr(Matrix, "power", counting_power)
+    monkeypatch.setattr(Matrix, "__matmul__", counting_matmul)
+    fixture = os.path.join(os.path.dirname(__file__), "..", "fixtures", "deform", "d05.json")
+    assert cli.main(["deform", "extend", fixture, "--order", "2"]) in (0, 1)
+    assert "order 2" in capsys.readouterr().out and powers == []
+    phi = vanishing_pair()
+    mc = MorphismComplex(phi)
+    for p in (1, 2, 3, 4):
+        mc.cohomology_dim(p)
+    assert powers == []
+    monkeypatch.undo()
+    # left and mixed over the source read alpha^0..alpha^3, right over the target too
+    for a in (phi.source, phi.target):
+        memo = a.power_rows["power"]
+        assert sum(m is memo[j] and other is a.alpha for m, other in products for j in range(len(memo))) == 3
+        assert [m.numerators() for m in memo] == [a.alpha.power(j).numerators() for j in range(4)]
+
+
 def test_a_convention_sibling_shares_the_spaces_and_tables():
     a, rep = BATTERY[1]
     cx = CochainComplex(a, rep)
@@ -1049,19 +1083,116 @@ def test_the_diagonal_rule_equals_the_generic_rule_up_to_the_cli_top_degree():
             distinct.append((a, rep))
     diagonal = 0
     for a, rep in distinct:
-        top = cli_top_degree(a, rep)
-        for p in range(1, top + 2):
-            generic = generic_constraint_matrix(a, rep, p)
-            c = cochain.twist_constraint(a, rep, p)
-            cols = c.read(range(c.size))
-            rows = transpose([dict(cols[j]) for j in range(c.size)], c.size)
-            assert (c.size, rows, c.den) == (generic.cols, *generic.numerators()), (a, rep, p)
-            if p <= top:
-                space, ref = CochainSpace(a, rep, p, c), kernel_basis(generic)
-                assert space.basis.integral == ref.integral, (a, rep, p)
-                assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items()), (a, rep, p)
+        assert_the_generic_rule(a, rep)
         diagonal += a.diagonal and rep.diagonal
     assert diagonal >= 30 and len(distinct) - diagonal == 2
+
+
+def assert_the_generic_rule(a, rep, top=None):
+    """twist_constraint's columns equal oracles.generic_constraint_matrix, and
+    CochainSpace's basis its kernel_basis, the spaces up to top (by default
+    cli_top_degree, every degree the CLI reaches) and the constraints one above."""
+    top = top or cli_top_degree(a, rep)
+    for p in range(1, top + 2):
+        generic = generic_constraint_matrix(a, rep, p)
+        c = cochain.twist_constraint(a, rep, p)
+        cols = c.read(range(c.size))
+        rows = transpose([dict(cols[j]) for j in range(c.size)], c.size)
+        assert (c.size, rows, c.den) == (generic.cols, *generic.numerators()), (a, rep, p)
+        if p <= top:
+            space, ref = CochainSpace(a, rep, p, c), kernel_basis(generic)
+            assert space.basis.integral == ref.integral, (a, rep, p)
+            assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items()), (a, rep, p)
+
+
+# ---------------------------------------------------------------------------
+# folded columns and the diagonal rule off the fixtures
+
+COEFFS = (-2, -1, 1, 2, 3, Q(1, 2), Q(-3, 4))
+# zero, negative and repeated entries; 2 * 1/2 and (-1) * (-1) are weight products equal to 1
+WEIGHTS = (-2, -1, -1, 0, 1, 2, 2, Q(1, 2), 3)
+
+
+def drawn_twist(draw, size, shear):
+    """A size x size twist: diagonal over WEIGHTS, or, when shear, one with a
+    row of two entries, a row of one entry and any other row of one or two."""
+    grid = [[Q(draw(st.sampled_from(WEIGHTS))) if i == j else Q(0) for j in range(size)] for i in range(size)]
+    if shear:
+        several, one, *rest = draw(st.permutations(range(size)))
+        grid[several][several] = grid[several][several] or Q(1)
+        grid[one][one] = grid[one][one] or Q(1)
+        grid[several][one] = Q(draw(st.sampled_from(COEFFS)))
+        for i in rest:
+            if draw(st.booleans()):
+                grid[i][draw(st.sampled_from([j for j in range(size) if j != i]))] = Q(draw(st.sampled_from(COEFFS)))
+    return Matrix(size, size, grid)
+
+
+@st.composite
+def off_fixture_pairs(draw):
+    """(algebra, rep) with n in {2, 3} and d <= 3: a few random bracket and
+    action entries, since the formulas need no identity, and alpha either
+    diagonal, with alpha_M diagonal too, or a shear, with alpha_M a shear or not."""
+    n, d, m = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    index = lambda k: st.integers(0, k - 1)  # noqa: E731
+    value = lambda k: st.dictionaries(index(k), st.sampled_from(COEFFS), min_size=1, max_size=2)  # noqa: E731
+    bracket = draw(st.dictionaries(st.tuples(*[index(d)] * n), value(d), max_size=4))
+    actions = tuple(draw(st.dictionaries(st.tuples(*[index(d)] * (n - 1), index(m)), value(m), max_size=3)) for _ in range(n))
+    shear = d > 1 and draw(st.booleans())
+    alpha = drawn_twist(draw, d, shear)
+    alpha_m = drawn_twist(draw, m, shear and m > 1 and draw(st.booleans()))
+    a = HomNaryAlgebra(n, d, tuple(f"e{i}" for i in range(d)), bracket, alpha)
+    return a, Representation(a, m, alpha_m, actions)
+
+
+def weight_one_pair():
+    """Ternary, d = 2, alpha = diag(2, 1/2), alpha_M = (1): every key with as
+    many 0 digits as 1 digits has weight 1 and a free cell."""
+    a = HomNaryAlgebra(3, 2, ("e0", "e1"), {(0, 1, 1): {0: Q(1)}, (1, 0, 1): {1: Q(-2)}}, diag(2, Q(1, 2)))
+    actions = ({(0, 1, 0): {0: Q(3)}}, {(1, 1, 0): {0: Q(1, 2)}}, {(0, 0, 0): {0: Q(-1)}})
+    return a, Representation(a, 1, diag(1), actions)
+
+
+def mixed_shear_pair():
+    """Binary, d = 3, alpha with rows of two, one and three entries and alpha_M
+    diag(-1, 2)."""
+    alpha = Matrix(3, 3, [[2, 1, 0], [0, -1, 0], [1, Q(1, 2), 1]])
+    a = HomNaryAlgebra(2, 3, ("e0", "e1", "e2"), {(0, 1): {1: Q(1)}, (2, 2): {0: Q(2), 2: Q(-1)}}, alpha)
+    actions = ({(1, 0): {1: Q(1)}, (2, 1): {0: Q(-3, 4)}}, {(0, 1): {1: Q(2)}})
+    return a, Representation(a, 2, diag(-1, 2), actions)
+
+
+@settings(max_examples=15, deadline=None)
+@given(off_fixture_pairs(), st.randoms(use_true_random=False))
+@example(weight_one_pair(), random.Random(0))
+@example(mixed_shear_pair(), random.Random(1))
+def test_folded_columns_match_the_row_oracle_off_the_fixtures(pair, rnd):
+    # a one-entry row folds into the product's base and weight, any other row
+    # is a factor, and term C's base is read off the key: on diagonal twists
+    # nearly every row folds, on a shear both kinds meet in one product
+    a, rep = pair
+    conventions = rnd.sample(list(all_conventions()), 8)
+    conventions[0] = dataclasses.replace(conventions[0], bracket_y_first=True, twist_after_hat=False)
+    conventions[1] = dataclasses.replace(conventions[1], bracket_y_first=False, twist_after_hat=True)
+    for p in (1, 2, 3):
+        t, cols = SlotTables(a, rep, p), range(ambient_dim(a, rep, p))
+        for cv in conventions:
+            got = coboundary_operator(t, cols, cv)
+            assert fraction_columns(got, t.q) == row_coboundary_operator(a, rep, p, cv), (p, cv.label())
+
+
+@settings(max_examples=25, deadline=None)
+@given(off_fixture_pairs())
+@example(weight_one_pair())
+@example(mixed_shear_pair())
+def test_the_diagonal_rule_equals_the_generic_rule_off_the_fixtures(pair):
+    # diagonal pairs up to the CLI's top degree; a shear takes the generic
+    # builder on both sides, so it stops at degree 3, short of the dense
+    # kernels of its top degrees (2048 cells at d = 2, n = 2)
+    a, rep = pair
+    assert a.diagonal == off_diagonal_free(a.alpha) and rep.diagonal == off_diagonal_free(rep.alpha_module)
+    top = cli_top_degree(a, rep)
+    assert_the_generic_rule(a, rep, top if a.diagonal and rep.diagonal else min(top, 3))
 
 
 def test_diagonal_weights_are_the_k_fold_kronecker_power():

@@ -14,6 +14,7 @@ from homleibniz.fixtures import (
     fixture_morphisms,
     identity_morphism,
     leibniz_ff_e,
+    ternary_fff_e,
     vanishing_pair,
 )
 from homleibniz.linalg import kernel_basis, sparse_vector
@@ -102,6 +103,28 @@ def test_vanishing_transfer_rejects_non_cocycles():
                 mc.vanishing_transfer_witness(2, c)
             return
     raise AssertionError("no non-cocycle found")
+
+
+def test_the_cocycle_check_builds_no_space_above_the_cocycle_degree():
+    # the witness tests its input's image for emptiness: a zero image lies in
+    # every space, so C^3's spaces are never built, and a nonzero one is refused
+    mc = MorphismComplex(identity_morphism(ternary_fff_e()))
+    assert mc.left is mc.right is mc.mixed  # one complex serves all three summands
+    rng = random.Random(3)
+    cocycle = mc.differential(random_morphism_cochain(mc, 1, rng))
+    assert not cocycle.is_zero() and sorted(mc.left._spaces) == [1, 2]
+    with pytest.raises(HypothesisNotMet):  # past the cocycle check
+        mc.vanishing_transfer_witness(2, cocycle)
+    d2, rejected = mc.d_matrix(2), 0
+    mc.left._spaces.pop(3)  # d_matrix's target, which the check must not rebuild
+    for _ in range(10):
+        c = random_morphism_cochain(mc, 2, rng)
+        if any(x != 0 for x in matvec(d2, mc.coords(c))):
+            with pytest.raises(ValueError, match="not a cocycle"):
+                mc.vanishing_transfer_witness(2, c)
+            rejected += 1
+        assert sorted(mc.left._spaces) == [1, 2]
+    assert rejected
 
 
 def test_vanishing_transfer_reports_failed_hypotheses():

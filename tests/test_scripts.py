@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -48,3 +49,24 @@ def test_report_digests_script_is_deterministic():
     assert first.startswith("32 calls  sha256 ")
     assert digest(*docs) == first
     assert digest(*docs[::-1]) != first
+
+
+def test_ladder_script_prints_one_json_line_per_rung():
+    result = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "ladder.py"), "--top", "3"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    lines = [json.loads(line) for line in result.stdout.splitlines()]
+    assert [line["rung"] for line in lines] == ["h3", "ternary_identity", "h3_sheared"]
+    assert [line["dims"] for line in lines] == [[6, 8, 17], [2, 3, 6], [3, 3, 6]]
+    assert all(line["degrees"] == [1, 3] and line["seconds"] >= 0 and line["ru_maxrss_mb"] > 0 for line in lines)
+    one = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", "ladder.py"), "--rung", "h3_sheared", "--top", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert one.returncode == 0 and json.loads(one.stdout)["dims"] == [3, 3]
