@@ -9,7 +9,9 @@ The rungs are:
 * ternary_identity: H^1..H^5 of the identity morphism of the ternary
   algebra [f, f, f] = e (d^1..d^5 of its morphism complex);
 * h3_sheared: H^1..H^5 of h3 Yau-twisted by a shear, the rung whose cochain
-  spaces come from the constraint kernel.
+  spaces come from the constraint kernel;
+* twisted: H^1..H^16 of aff1 Yau-twisted by diag(3, 1), whose cochain spaces
+  are a few cells of ambients up to 2^17, read off alpha's weights.
 
 Each line is {"rung", "degrees", "seconds", "ru_maxrss_mb", "dims"}: the wall
 time from building the complex to the last dimension, the process's peak
@@ -31,7 +33,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from homleibniz.algebra import adjoint_representation  # noqa: E402
 from homleibniz.cochain import CochainComplex  # noqa: E402
-from homleibniz.fixtures import h3, h3_sheared, identity_morphism, ternary_fff_e  # noqa: E402
+from homleibniz.fixtures import h3, h3_sheared, identity_morphism, ternary_fff_e, twisted_aff1  # noqa: E402
 from homleibniz.morphism_complex import MorphismComplex  # noqa: E402
 
 
@@ -43,6 +45,7 @@ RUNGS = {
     "h3": (lambda: _adjoint_complex(h3()), 6),
     "ternary_identity": (lambda: MorphismComplex(identity_morphism(ternary_fff_e())), 5),
     "h3_sheared": (lambda: _adjoint_complex(h3_sheared()), 5),
+    "twisted": (lambda: _adjoint_complex(twisted_aff1(3)), 16),
 }
 
 

@@ -177,6 +177,7 @@ class Representation:
         dims = [self.algebra.dim] * (n - 1) + [self.module_dim] * 2
         self.actions = tuple(normalize_tensor(a, dims, f"action {i}") for i, a in enumerate(self.actions))
         self.diagonal = _is_diagonal(self.alpha_module)
+        self.action_rows = None  # cochain's memo: the actions' int numerators over their lcm
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ int columns, each built on first read.  When alpha and alpha_M are diagonal
 (decided once, when each is built) so is the constraint: cell (key, mf) is
 compatible exactly when alpha_M[mf] is the product of alpha's diagonal
 entries over key's digits, the weight decomposition of a Yau twist by a
-diagonal map, and the cochain space is the unit vectors at those cells.
-Otherwise the columns come from memoised rows of alpha^{tensor k} and the
+diagonal map, and the cochain space is the unit vectors at those cells,
+read off the weights with no column built.  Otherwise the columns come from memoised rows of alpha^{tensor k} and the
 space is the kernel of all of them, transposed.
 
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
@@ -26,9 +26,11 @@ alpha = id the hat flag moves no column.
 coboundary_operator sums each column of delta^p from its term groups' signed
 columns, built from small int maps in SlotTables: alpha, abar, the bracket
 and the powers alpha^j once per algebra, in its memo of alpha^{tensor j}'s
-rows, and the actions once per (algebra, rep, p).  delta^p is over one q per
-degree; each term group's columns are cached per setting of the flags it
-reads, and a Columns cache builds each column on first read.
+rows, the actions' int numerators once per rep, and their placement once
+per (algebra, rep, p), on delta^p's first column read, so an empty C^p
+builds none.  delta^p is over one q per degree, read off the dens alone;
+each term group's columns are cached per setting of the flags it reads,
+and a Columns cache builds each column on first read.
 A term's product takes one table row per slot.  A row with one entry, which
 is every row of alpha, abar and alpha^{p-1} when alpha is diagonal, folds
 into the product's running (base, weight) by _fold, and any other row is a
@@ -36,10 +38,12 @@ Kronecker factor of _products: one rule, so a diagonal twist leaves only
 the bracket's row as a factor.  Term C's row base, f's input with a gap at
 slot i, is read off the column key in O(1).
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
-constraint on their support, so ranks, eliminated on those images, build no
-space C^{p+1}; restrict_operator reads coordinates off them.  apply_sparse's
-image of a one-entry vector, such as a diagonal space's unit basis vector,
-is its operator column scaled.  delta o delta = 0 is certified by
+constraint on their support, for a diagonal twist the only constraint
+columns ever built, so ranks, eliminated on those images with one row per
+cell they reach, build no space C^{p+1} and no ambient-size row list;
+restrict_operator reads coordinates off them.  apply_sparse's image of a
+one-entry vector, such as a diagonal space's unit basis vector, is its
+operator column scaled.  delta o delta = 0 is certified by
 squares_to_zero, an int zero test on the ambient operators.  Cochain data
 stay in ints up to the rank.
 """
@@ -194,25 +198,44 @@ def twist_constraint(algebra, rep, p):
     k = input_length(algebra.arity, p)
     den = math.lcm(den_m, den_a ** k)
     if algebra.diagonal and rep.diagonal:
-        diagonal_m = [row.get(i, 0) * (den // den_m) for i, row in enumerate(rows_m)]
-        build = functools.partial(_diagonal_columns, algebra, diagonal_m, den // den_a ** k, k)
+        build = functools.partial(_diagonal_columns, *_diagonal_twist(algebra, rep, p, den))
     else:
         cols_m = transpose(rows_m, rep.module_dim)
         build = functools.partial(_constraint_columns, algebra, cols_m, den // den_m, den // den_a ** k, k)
     return Columns(build, ambient_dim(algebra, rep, p), den)
 
 
-def _diagonal_columns(algebra, diagonal_m, scale, k, js):
-    """{j: column} of a diagonal twist constraint: cell (key, mf) = j holds
-    alpha_M's diagonal entry mf, already over the constraint's den, less
-    w_k[key], over den_a^k, times scale = den / den_a^k."""
-    m, w = len(diagonal_m), _weights(algebra, k)
-    out = {}
+def _diagonal_twist(algebra, rep, p, den):
+    """(t, w, scale) of a diagonal twist on C^p, over the constraint's den:
+    t, alpha_M's diagonal int numerators over den; w = w_k, k = input_length,
+    over den_a^k; and scale = den / den_a^k.  Cell (key, mf) of the
+    constraint holds t[mf] - w[key] * scale, and is free where that is 0."""
+    rows_m, den_m = rep.alpha_module.numerators()
+    k = input_length(algebra.arity, p)
+    t = [row.get(i, 0) * (den // den_m) for i, row in enumerate(rows_m)]
+    return t, _weights(algebra, k), den // algebra.alpha.den ** k
+
+
+def _diagonal_columns(t, w, scale, js):
+    """{j: column} of a diagonal twist constraint, from _diagonal_twist:
+    cell (key, mf) = j holds t[mf] - w[key] * scale, or is empty at 0."""
+    m, out = len(t), {}
     for j in js:
         key, mf = divmod(j, m)
-        x = diagonal_m[mf] - w[key] * scale
+        x = t[mf] - w[key] * scale
         out[j] = [(j, x)] if x else []
     return out
+
+
+def _free_cells(t, w, scale):
+    """The empty columns of _diagonal_columns(t, w, scale), in ascending
+    order: the cells (key, mf) with w[key] * scale = t[mf], read off w key by
+    key, so no column is built."""
+    at = {}
+    for mf, x in enumerate(t):
+        at.setdefault(x, []).append(mf)
+    m = len(t)
+    return [key * m + mf for key, x in enumerate(w) for mf in at.get(x * scale, ())]
 
 
 def _constraint_columns(algebra, cols_m, w_m, w_k, k, js):
@@ -241,12 +264,12 @@ class CochainSpace:
         self.degree = degree
         self.ambient = ambient_dim(algebra, rep, degree)
         c = self.constraint = constraint or twist_constraint(algebra, rep, degree)
-        cols = c.read(range(self.ambient))
         if algebra.diagonal and rep.diagonal:
-            # kernel_basis of a diagonal matrix: the unit vectors at its empty columns
-            free = [j for j in range(self.ambient) if not cols[j]]
+            # kernel_basis of a diagonal matrix: the unit vectors at its empty columns, read off the weights
+            free = _free_cells(*_diagonal_twist(algebra, rep, degree, c.den))
             self.basis = SubspaceBasis(self.ambient, [({j: 1}, 1) for j in free], free)
         else:
+            cols = c.read(range(self.ambient))
             rows = transpose([dict(cols[j]) for j in range(self.ambient)], self.ambient)
             self.basis = kernel_basis(Matrix.from_rows(rows, self.ambient, c.den))
 
@@ -322,17 +345,14 @@ class SlotTables:
         self.algebra, self.rep, self.p = algebra, rep, p
         a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
         self.D = d ** (n - 1)
+        self.den, self.q = _dens(a, rep, p)  # which builds the memos read below
         memo = a.power_rows
-        if "slots" not in memo:
-            memo["slots"], memo["bracket"], memo["power"] = _algebra_tables(a), {}, [Matrix.identity(d)]
-        (self.alpha, self.abar, self.mu, den), self.bracket = memo["slots"], memo["bracket"]
+        (self.alpha, self.abar, self.mu, _), self.bracket = memo["slots"], memo["bracket"]
         powers = memo["power"]  # alpha^0, alpha^1, ..: one product per exponent per algebra
         while len(powers) < p:
             powers.append(powers[-1] @ a.alpha)
-        rows, den_p = powers[p - 1].numerators()
-        power = [list(row.items()) for row in rows]
-        keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
-        nums, den_act = integral_rows([rep.actions[i][key] for i, key in keys])
+        power = [list(row.items()) for row in powers[p - 1].numerators()[0]]
+        keys, nums, _ = rep.action_rows
         self.action_c, self.action_d = [[] for _ in range(m)], [[] for _ in range(m)]
         for (i, (*ws, mf)), out in zip(keys, nums):
             # slot s of action i (module at i) is digit s + (s >= i) of the n-digit z0 X
@@ -342,10 +362,6 @@ class SlotTables:
                     self.action_d[mf] += [(i, offset, mo, c * u) for mo, c in out.items()]
                 else:
                     self.action_c[mf] += [(offset, mo, c * u) for mo, c in out.items()]
-        den_act *= den_p ** (n - 1)
-        self.den, abar = {**den, "action": den_act}, den["abar"]
-        # q: the denominator of delta^p's columns
-        self.q = math.lcm(den["alpha"] * den["bracket"] * abar ** max(p - 2, 0), den["mu"] * abar ** (p - 1), den_act)
         self.groups = {}
 
     def bracket_rows(self, yf):
@@ -367,6 +383,25 @@ def _algebra_tables(a):
     abar = [list(_power_row(a, n - 1, Y).items()) for Y in range(d ** (n - 1))]
     den = {"alpha": den_a, "abar": den_a ** (n - 1), "mu": den_mu, "bracket": den_mu * den_a ** (n - 2)}
     return [list(row.items()) for row in a.alpha.numerators()[0]], abar, mu, den
+
+
+def _dens(a, rep, p):
+    """(den, q) of the SlotTables of (a, rep, p), from the dens alone: the
+    algebra's table dens and den["action"], the actions' lcm times
+    den_a^((n-1)(p-1)), and q, the denominator of delta^p's columns.  The
+    first call for a builds its tables into a.power_rows (_algebra_tables),
+    and the first for rep the actions' (keys, int numerators, lcm) into
+    rep.action_rows."""
+    memo = a.power_rows
+    if "slots" not in memo:
+        memo["slots"], memo["bracket"], memo["power"] = _algebra_tables(a), {}, [Matrix.identity(a.dim)]
+    if rep.action_rows is None:
+        keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
+        rep.action_rows = keys, *integral_rows([rep.actions[i][key] for i, key in keys])
+    den = memo["slots"][3]
+    den = {**den, "action": rep.action_rows[2] * den["alpha"] ** ((a.arity - 1) * (p - 1))}
+    abar = den["abar"]
+    return den, math.lcm(den["alpha"] * den["bracket"] * abar ** max(p - 2, 0), den["mu"] * abar ** (p - 1), den["action"])
 
 
 def _bracket_rows(t, yf):
@@ -518,6 +553,15 @@ def _term_groups(t, cv, groups, todo):
             acc_d[row] = acc_d.get(row, 0) + weight_d * c
 
 
+def _delta_columns(tables, algebra, rep, p, convention, js):
+    """coboundary_operator's columns js of delta^p on the SlotTables of
+    degree p, which the first read builds into tables, so a degree whose
+    columns are never read builds none."""
+    if p not in tables:
+        tables[p] = SlotTables(algebra, rep, p)
+    return coboundary_operator(tables[p], js, convention)
+
+
 class Columns:
     """The columns of a sparse ambient operator, each built on its first read.
 
@@ -589,10 +633,14 @@ def certified_images(op, sources, constraints):
 
 def image_rank(op, sources, constraints) -> int:
     """Rank of op on the sources' direct sum: its certified images', one row
-    per target cell; an image's den only scales its column."""
-    images = [v for v, _ in certified_images(op, sources, constraints)]
-    # one row per cell: with the images as rows the ternary identity's d^1..d^5 rank 6x slower
-    return rank(Matrix.from_rows(transpose(images, sum(c.size for c in constraints)), len(images)))
+    per target cell they reach, in cell order; an image's den only scales
+    its column."""
+    images = certified_images(op, sources, constraints)
+    rows = {}
+    for j, (image, _) in enumerate(images):
+        for r, x in image.items():
+            rows.setdefault(r, {})[j] = x
+    return rank(Matrix.from_rows([rows[r] for r in sorted(rows)], len(images)))
 
 
 def restrict_operator(op, sources, targets) -> Matrix:
@@ -680,16 +728,15 @@ class CochainComplex:
         return [self.space(p)]
 
     def operator(self, p) -> Columns:
-        """delta^p's ambient columns, each built on its first read from the
-        SlotTables of degree p; no cochain space is built.  The builder
-        holds no reference to the complex: a reference cycle would leave
+        """delta^p's ambient columns over q, read off the dens alone, each
+        built on its first read from the SlotTables of degree p, which the
+        first read builds (_delta_columns); no cochain space is built.  The
+        builder holds no reference to the complex: a reference cycle would leave
         every complex to the cyclic collector and raise peak memory."""
         if p not in self._operators:
-            if p not in self._tables:
-                self._tables[p] = SlotTables(self.algebra, self.rep, p)
-            t, cv = self._tables[p], self.convention
-            build = functools.partial(coboundary_operator, t, convention=cv)
-            self._operators[p] = Columns(build, ambient_dim(self.algebra, self.rep, p), t.q)
+            a, rep = self.algebra, self.rep
+            build = functools.partial(_delta_columns, self._tables, a, rep, p, self.convention)
+            self._operators[p] = Columns(build, ambient_dim(a, rep, p), _dens(a, rep, p)[1])
         return self._operators[p]
 
     def delta(self, p) -> Matrix:

@@ -33,6 +33,7 @@ from homleibniz.cochain import (
     ambient_dim,
     apply_sparse,
     calibration_report,
+    certified_images,
     coboundary_operator,
     convention_passes,
     input_length,
@@ -350,7 +351,8 @@ def test_the_algebra_tables_are_built_once_per_algebra(monkeypatch):
     cx = CochainComplex(twisted, adjoint_representation(twisted))
     for p in (1, 2, 3, 4):
         cx.cohomology_dim(p)
-    assert cx._tables.keys() == {1, 2, 3, 4}
+    # a degree builds its tables on its first column read, so exactly where C^p is not empty
+    assert cx._tables.keys() == {p for p in (1, 2, 3, 4) if cx.space(p).dim}
     member, rep = calibration_battery()[1]  # twisted_aff1(2), with a fresh memo
     base = CochainComplex(member, rep)
     verdicts = [convention_passes(base.with_convention(cv)) for cv in all_conventions()]
@@ -393,11 +395,14 @@ def test_alpha_powers_are_built_once_per_algebra(monkeypatch, capsys):
         mc.cohomology_dim(p)
     assert powers == []
     monkeypatch.undo()
-    # left and mixed over the source read alpha^0..alpha^3, right over the target too
-    for a in (phi.source, phi.target):
+    # a degree p whose C^p is not empty reads alpha^{p-1}: left and mixed over
+    # the source read alpha^0..alpha^2, right over the target alpha^0 and alpha^1
+    for a, summands in ((phi.source, (mc.left, mc.mixed)), (phi.target, (mc.right,))):
+        top = max(p for cx in summands for p, space in cx._spaces.items() if space.dim)
         memo = a.power_rows["power"]
-        assert sum(m is memo[j] and other is a.alpha for m, other in products for j in range(len(memo))) == 3
-        assert [m.numerators() for m in memo] == [a.alpha.power(j).numerators() for j in range(4)]
+        assert sum(m is memo[j] and other is a.alpha for m, other in products for j in range(len(memo))) == top - 1
+        assert [m.numerators() for m in memo] == [a.alpha.power(j).numerators() for j in range(top)]
+    assert [len(phi.source.power_rows["power"]), len(phi.target.power_rows["power"])] == [3, 2]
 
 
 def test_a_convention_sibling_shares_the_spaces_and_tables():
@@ -427,7 +432,9 @@ def test_calibration_builds_the_slot_tables_once_per_member_and_degree(monkeypat
 
     monkeypatch.setattr(SlotTables, "__init__", counting)
     passing = calibration_report(battery)
-    assert sorted(built) == [(k, p) for k in range(len(battery)) for p in (1, 2, 3)]
+    # a degree builds its tables on its first column read: where C^p is not empty
+    read = [(k, p) for k, (a, rep) in enumerate(battery) for p in (1, 2, 3) if CochainComplex(a, rep).space(p).dim]
+    assert sorted(built) == read and len(read) == 3 * len(battery) - 3
     assert sorted(cv.label() for cv in passing) == [
         "A+B+C+D+|xy|hat-bare|c-full",
         "A+B+C+D+|xy|hat-twisted|c-full",
@@ -1162,7 +1169,7 @@ def mixed_shear_pair():
     return a, Representation(a, 2, diag(-1, 2), actions)
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15, deadline=None, derandomize=True)
 @given(off_fixture_pairs(), st.randoms(use_true_random=False))
 @example(weight_one_pair(), random.Random(0))
 @example(mixed_shear_pair(), random.Random(1))
@@ -1193,6 +1200,131 @@ def test_the_diagonal_rule_equals_the_generic_rule_off_the_fixtures(pair):
     assert a.diagonal == off_diagonal_free(a.alpha) and rep.diagonal == off_diagonal_free(rep.alpha_module)
     top = cli_top_degree(a, rep)
     assert_the_generic_rule(a, rep, top if a.diagonal and rep.diagonal else min(top, 3))
+
+
+@st.composite
+def diagonal_pairs(draw):
+    """(algebra, rep) with n in {2, 3}, d <= 3 and m <= 3, alpha and alpha_M
+    diagonal over WEIGHTS; the constraint reads neither bracket nor actions."""
+    n, d, m = draw(st.sampled_from((2, 3))), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    a = HomNaryAlgebra(n, d, tuple(f"e{i}" for i in range(d)), {}, drawn_twist(draw, d, False))
+    return a, Representation(a, m, drawn_twist(draw, m, False), ({},) * n)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(diagonal_pairs())
+@example(weight_one_pair())
+@example((aff1(), Representation(aff1(), 3, diag(Q(1, 2), 0, -1), ({}, {}))))
+def test_the_weight_read_free_cells_are_the_empty_constraint_columns(pair):
+    # zero, negative, repeated and Fraction entries, and weight products of 1:
+    # the cells read off w_k and alpha_M's diagonal are the empty columns of
+    # the fully read constraint, in ascending order, and the space's basis
+    a, rep = pair
+    for p in range(1, cli_top_degree(a, rep) + 2):
+        c = cochain.twist_constraint(a, rep, p)
+        cols = c.read(range(c.size))
+        free = cochain._free_cells(*cochain._diagonal_twist(a, rep, p, c.den))
+        assert free == [j for j in range(c.size) if not cols[j]], (a, rep, p)
+        assert list(CochainSpace(a, rep, p, c).basis.unit_rows) == free
+
+
+def twisted_draws():
+    """(algebra, top degree) of every input the twisted benchmark can draw."""
+    cases = [(yau_twist(h3(), diag(x, y, x * y)), 3) for x in (2, 3, 5, 7) for y in (2, 3, 5, 7) if x != y]
+    cases += [(twisted_ternary_fff_e(s), 4) for s in range(2, 8)]
+    return cases + [(twisted_aff1(s), 6) for s in range(2, 8)]
+
+
+def test_a_diagonal_space_builds_no_constraint_column(monkeypatch):
+    # C^p's free cells come off the weights, and C^p's constraint is read only
+    # by certified_images, on the support of delta^{p-1}'s images
+    built = []
+    columns = cochain._diagonal_columns
+
+    def counting(*args):
+        built.append(args[-1])
+        return columns(*args)
+
+    monkeypatch.setattr(cochain, "_diagonal_columns", counting)
+    cases = twisted_draws() + [(a, 3) for a, rep in BATTERY if rep.algebra.diagonal and rep.diagonal]
+    for a, top in cases:
+        for p in range(1, top + 1):
+            space = CochainSpace(a, adjoint_representation(a), p)
+            assert not space.constraint._built
+    assert built == []
+    reached = 0
+    for a, top in cases:
+        cx = complex_for(a)
+        for p in range(1, top + 1):
+            cx.cohomology_dim(p)
+        assert not cx.constraint(1)._built
+        for p in range(2, top + 2):
+            vectors = cx.space(p - 1).basis.integral[0]
+            support = {r for image, _ in apply_sparse(cx.operator(p - 1), vectors) for r in image}
+            assert cx.constraint(p)._built.keys() == support, (a, p)
+            reached += bool(support)
+    assert reached and sum(len(js) for js in built) < sum(ambient_dim(a, adjoint_representation(a), top + 1) for a, top in cases)
+
+
+def full_transpose_rank(op, sources, constraints):
+    """(rank, nonempty rows) of the certified images' transpose with one row
+    per ambient target cell, empty rows included."""
+    images = [v for v, _ in certified_images(op, sources, constraints)]
+    rows = transpose(images, sum(c.size for c in constraints))
+    return rank(Matrix.from_rows(rows, len(images))), [r for r in rows if r]
+
+
+def test_image_rank_eliminates_the_ambient_transposes_rows_and_empty_spaces_build_no_tables(monkeypatch):
+    # image_rank builds rows only at the cells the images reach, in cell
+    # order: the ambient transpose's nonempty rows, in its order, so the same
+    # RREF; and a degree whose C^p is empty reads no column of delta^p, so it
+    # builds neither SlotTables nor a term group
+    eliminated, tables, groups = [], [], []
+    init, term_groups = SlotTables.__init__, cochain._term_groups
+
+    def recording_rank(m):
+        eliminated.append((m.numerators()[0], m.cols))
+        return rank(m)
+
+    def counting_tables(self, algebra, rep, p):
+        tables.append((id(rep), p))
+        init(self, algebra, rep, p)
+
+    def counting_groups(t, cv, groups_, todo):
+        groups.append((id(t.rep), t.p))
+        term_groups(t, cv, groups_, todo)
+
+    monkeypatch.setattr(cochain, "rank", recording_rank)
+    monkeypatch.setattr(SlotTables, "__init__", counting_tables)
+    monkeypatch.setattr(cochain, "_term_groups", counting_groups)
+
+    def check(got, op, sources, constraints):
+        want = outcome(full_transpose_rank, op, sources, constraints)
+        if want is ConstraintViolation:
+            assert got is ConstraintViolation
+        else:
+            assert got == want[0] and eliminated[-1] == (want[1], sum(s.dim for s in sources))
+
+    algebras, morphisms = fixture_documents()
+    cases = [(a, adjoint_representation(a), 3) for a in algebras] + [(a, rep, 3) for a, rep in BATTERY]
+    cases += [(a, adjoint_representation(a), top) for a, top in twisted_draws()]
+    complexes, empty = [], 0
+    for a, rep, top in cases:
+        cx = CochainComplex(a, rep)
+        complexes.append(cx)
+        for p in range(1, top + 1):
+            check(outcome(cx.rank, p), cx.operator(p), [cx.space(p)], [cx.constraint(p + 1)])
+            empty += not cx.space(p).dim
+    for phi in fixture_morphisms() + morphisms:
+        mc = MorphismComplex(phi)
+        complexes += [mc.left, mc.right, mc.mixed]
+        for p in (1, 2, 3):
+            targets = [mc.left.constraint(p + 1), mc.right.constraint(p + 1), mc.mixed.constraint(p)]
+            check(outcome(mc.rank, p), mc.operator(p), mc.summands(p), targets)
+    assert empty >= 20
+    for cx in complexes:
+        assert cx._tables.keys() == {p for p, space in cx._spaces.items() if space.dim}
+    assert len(tables) == len(set(tables)) and set(groups) <= set(tables)
 
 
 def test_diagonal_weights_are_the_k_fold_kronecker_power():

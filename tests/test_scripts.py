@@ -60,8 +60,8 @@ def test_ladder_script_prints_one_json_line_per_rung():
     )
     assert result.returncode == 0, result.stderr
     lines = [json.loads(line) for line in result.stdout.splitlines()]
-    assert [line["rung"] for line in lines] == ["h3", "ternary_identity", "h3_sheared"]
-    assert [line["dims"] for line in lines] == [[6, 8, 17], [2, 3, 6], [3, 3, 6]]
+    assert [line["rung"] for line in lines] == ["h3", "ternary_identity", "h3_sheared", "twisted"]
+    assert [line["dims"] for line in lines] == [[6, 8, 17], [2, 3, 6], [3, 3, 6], [1, 0, 0]]
     assert all(line["degrees"] == [1, 3] and line["seconds"] >= 0 and line["ru_maxrss_mb"] > 0 for line in lines)
     one = subprocess.run(
         [sys.executable, os.path.join(ROOT, "scripts", "ladder.py"), "--rung", "h3_sheared", "--top", "2"],
