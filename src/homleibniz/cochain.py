@@ -13,8 +13,9 @@ int columns, each built on first read.  When alpha and alpha_M are diagonal
 compatible exactly when alpha_M[mf] is the product of alpha's diagonal
 entries over key's digits, the weight decomposition of a Yau twist by a
 diagonal map, and the cochain space is the unit vectors at those cells,
-read off the weights with no column built.  Otherwise the columns come from memoised rows of alpha^{tensor k} and the
-space is the kernel of all of them, transposed.
+read off the weights with no column built.  Otherwise the columns come
+from memoised rows of alpha^{tensor k} and the space is the kernel of all
+of them, transposed.
 
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
 order of the bracket on (n-1)-tuples and the twist after the hat (read by
@@ -231,10 +232,9 @@ def _free_cells(t, w, scale):
     """The empty columns of _diagonal_columns(t, w, scale), in ascending
     order: the cells (key, mf) with w[key] * scale = t[mf], read off w key by
     key, so no column is built."""
-    at = {}
+    m, at = len(t), {}
     for mf, x in enumerate(t):
         at.setdefault(x, []).append(mf)
-    m = len(t)
     return [key * m + mf for key, x in enumerate(w) for mf in at.get(x * scale, ())]
 
 
@@ -265,7 +265,8 @@ class CochainSpace:
         self.ambient = ambient_dim(algebra, rep, degree)
         c = self.constraint = constraint or twist_constraint(algebra, rep, degree)
         if algebra.diagonal and rep.diagonal:
-            # kernel_basis of a diagonal matrix: the unit vectors at its empty columns, read off the weights
+            # kernel_basis of a diagonal matrix: the unit vectors at its empty
+            # columns, read off the weights
             free = _free_cells(*_diagonal_twist(algebra, rep, degree, c.den))
             self.basis = SubspaceBasis(self.ambient, [({j: 1}, 1) for j in free], free)
         else:
@@ -386,20 +387,17 @@ def _algebra_tables(a):
 
 
 def _dens(a, rep, p):
-    """(den, q) of the SlotTables of (a, rep, p), from the dens alone: the
-    algebra's table dens and den["action"], the actions' lcm times
-    den_a^((n-1)(p-1)), and q, the denominator of delta^p's columns.  The
-    first call for a builds its tables into a.power_rows (_algebra_tables),
-    and the first for rep the actions' (keys, int numerators, lcm) into
-    rep.action_rows."""
+    """(den, q) of the SlotTables of (a, rep, p), q delta^p's denominator,
+    from the dens alone; den["action"] is the actions' lcm times
+    den_a^((n-1)(p-1)).  Builds a's tables into a.power_rows and rep's
+    action (keys, int numerators, lcm) into rep.action_rows, once each."""
     memo = a.power_rows
     if "slots" not in memo:
         memo["slots"], memo["bracket"], memo["power"] = _algebra_tables(a), {}, [Matrix.identity(a.dim)]
     if rep.action_rows is None:
         keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
         rep.action_rows = keys, *integral_rows([rep.actions[i][key] for i, key in keys])
-    den = memo["slots"][3]
-    den = {**den, "action": rep.action_rows[2] * den["alpha"] ** ((a.arity - 1) * (p - 1))}
+    den = {**memo["slots"][3], "action": rep.action_rows[2] * a.alpha.den ** ((a.arity - 1) * (p - 1))}
     abar = den["abar"]
     return den, math.lcm(den["alpha"] * den["bracket"] * abar ** max(p - 2, 0), den["mu"] * abar ** (p - 1), den["action"])
 
@@ -554,9 +552,8 @@ def _term_groups(t, cv, groups, todo):
 
 
 def _delta_columns(tables, algebra, rep, p, convention, js):
-    """coboundary_operator's columns js of delta^p on the SlotTables of
-    degree p, which the first read builds into tables, so a degree whose
-    columns are never read builds none."""
+    """coboundary_operator's columns js of delta^p, on the SlotTables of
+    degree p that the first read builds into tables."""
     if p not in tables:
         tables[p] = SlotTables(algebra, rep, p)
     return coboundary_operator(tables[p], js, convention)
@@ -640,6 +637,8 @@ def image_rank(op, sources, constraints) -> int:
     for j, (image, _) in enumerate(images):
         for r, x in image.items():
             rows.setdefault(r, {})[j] = x
+    # the transpose: the images as rows rank the ternary identity's d^1..d^5
+    # about 8x slower, and gain nothing on small diagonal twists
     return rank(Matrix.from_rows([rows[r] for r in sorted(rows)], len(images)))
 
 
@@ -731,8 +730,8 @@ class CochainComplex:
         """delta^p's ambient columns over q, read off the dens alone, each
         built on its first read from the SlotTables of degree p, which the
         first read builds (_delta_columns); no cochain space is built.  The
-        builder holds no reference to the complex: a reference cycle would leave
-        every complex to the cyclic collector and raise peak memory."""
+        builder holds no reference to the complex: a reference cycle would
+        leave every complex to the cyclic collector and raise peak memory."""
         if p not in self._operators:
             a, rep = self.algebra, self.rep
             build = functools.partial(_delta_columns, self._tables, a, rep, p, self.convention)

@@ -1356,9 +1356,7 @@ def test_ranks_of_certified_images_match_the_restricted_matrices():
     # the calibration battery, every input the twisted benchmark can draw,
     # fractional and non-diagonal twists, under the four calibrated survivors
     cases = [(a, rep, 3) for a, rep in BATTERY + fractional_inputs() + [fractional_shear()]]
-    cases += [(yau_twist(h3(), diag(x, y, x * y)), None, 3) for x in (2, 3, 5, 7) for y in (2, 3, 5, 7) if x != y]
-    cases += [(twisted_ternary_fff_e(s), None, 4) for s in range(2, 8)]
-    cases += [(twisted_aff1(s), None, 6) for s in range(2, 8)]
+    cases += [(a, None, top) for a, top in twisted_draws()]
     nonzero = 0
     for a, rep, top in cases:
         base = CochainComplex(a, rep or adjoint_representation(a))
