@@ -216,17 +216,10 @@ def cmd_cohomology(args):
     if report.exit_code:
         return report
     degrees = _degrees(args.degrees, lambda q: ambient_dim(a, rep, q))
-    complex_ = CochainComplex(a, rep, conv)
-    rows = []
-    try:
-        for p in degrees:
-            rows.append((p, complex_.space(p).dim, complex_.rank(p), complex_.cohomology_dim(p)))
-        report.add_check("coboundary squares to zero", True)
-    except NotACochainComplex as exc:
-        report.add_check("coboundary squares to zero", False, str(exc))
-        return report
-    report.add_table("cohomology", ["p", "dim C^p", "rank delta^p", "dim H^p"], rows)
-    return report
+    cx = CochainComplex(a, rep, conv)
+    row = lambda p: (p, cx.space(p).dim, cx.rank(p), cx.cohomology_dim(p))  # noqa: E731
+    headers = ["p", "dim C^p", "rank delta^p", "dim H^p"]
+    return _cohomology_table(report, degrees, row, "coboundary squares to zero", "cohomology", headers)
 
 
 def cmd_morphism_cohomology(args):
@@ -241,27 +234,27 @@ def cmd_morphism_cohomology(args):
         return report
     mc = MorphismComplex(phi, conv)
     degrees = _degrees(args.degrees, lambda q: max(mc.ambient_dims(q)))
-    rows = []
+
+    def row(p):
+        hp = mc.cohomology_dim(p)
+        if p >= 2 and not any([mc.left.cohomology_dim(p), mc.right.cohomology_dim(p), mc.mixed.cohomology_dim(p - 1)]):
+            report.add_check(f"vanishing transfer at p={p} (hypotheses hold)", hp == 0, f"H^{p}(phi)={hp}")
+        return p, mc.total_dim(p), mc.rank(p), hp
+
+    headers = ["p", "dim C^p(phi)", "rank d^p", "dim H^p(phi)"]
+    return _cohomology_table(report, degrees, row, "differential squares to zero", "morphism cohomology", headers)
+
+
+def _cohomology_table(report, degrees, row, check, title, headers):
+    """report with the table of row(p) over degrees after the check that
+    every square vanished; a NotACochainComplex fails it and adds no table."""
     try:
-        for p in degrees:
-            hp = mc.cohomology_dim(p)
-            rows.append((p, mc.total_dim(p), mc.rank(p), hp))
-            if p >= 2:
-                hL = mc.left.cohomology_dim(p)
-                hM = mc.right.cohomology_dim(p)
-                hmix = mc.mixed.cohomology_dim(p - 1)
-                if not (hL or hM or hmix):
-                    report.add_check(
-                        f"vanishing transfer at p={p} (hypotheses hold)", hp == 0,
-                        f"H^{p}(phi)={hp}",
-                    )
-        report.add_check("differential squares to zero", True)
+        rows = [row(p) for p in degrees]
     except NotACochainComplex as exc:
-        report.add_check("differential squares to zero", False, str(exc))
+        report.add_check(check, False, str(exc))
         return report
-    report.add_table(
-        "morphism cohomology", ["p", "dim C^p(phi)", "rank d^p", "dim H^p(phi)"], rows
-    )
+    report.add_check(check, True)
+    report.add_table(title, headers, rows)
     return report
 
 

@@ -8,14 +8,16 @@ are cut out by the twist-compatibility constraint
     alpha_M o f = f o (alpha tensor abar^{tensor p-1}),
 
 with abar acting componentwise on (n-1)-tuples.  twist_constraint gives its
-int columns, each built on first read.  When alpha and alpha_M are diagonal
-(decided once, when each is built) so is the constraint: cell (key, mf) is
-compatible exactly when alpha_M[mf] is the product of alpha's diagonal
-entries over key's digits, the weight decomposition of a Yau twist by a
-diagonal map, and the cochain space is the unit vectors at those cells,
-read off the weights with no column built.  Otherwise the columns come
-from memoised rows of alpha^{tensor k} and the space is the kernel of all
-of them, transposed.
+int columns, each built on first read.  A CochainSpace makes its constraint
+when it is made and builds its basis on first read.  When alpha and alpha_M
+are diagonal (decided once, when each is built) so is the constraint: cell
+(key, mf) is compatible exactly when alpha_M[mf] is the product of alpha's
+diagonal entries over key's digits, the weight decomposition of a Yau twist
+by a diagonal map, and the basis is the unit vectors at those cells, read
+off the weights with no column built.  Otherwise the columns come from
+memoised rows of alpha^{tensor k} and the basis is the kernel of all of
+them, transposed.  A Cochain is certified by its space's constraint on its
+support, so it builds no basis.
 
 delta^p = s_a T_A + s_b T_B + s_c T_C + s_d T_D.  Its unit signs, the slot
 order of the bracket on (n-1)-tuples and the twist after the hat (read by
@@ -28,10 +30,10 @@ coboundary_operator sums each column of delta^p from its term groups' signed
 columns, built from small int maps in SlotTables: alpha, abar, the bracket
 and the powers alpha^j once per algebra, in its memo of alpha^{tensor j}'s
 rows, the actions' int numerators once per rep, and their placement once
-per (algebra, rep, p), on delta^p's first column read, so an empty C^p
-builds none.  delta^p is over one q per degree, read off the dens alone;
-each term group's columns are cached per setting of the flags it reads,
-and a Columns cache builds each column on first read.
+per (algebra, rep, p), on the tables' first column read, so an empty C^p
+places none.  delta^p is over one q per degree, which its tables compute
+when they are made; each term group's columns are cached per setting of
+the flags it reads, and a Columns cache builds each column on first read.
 A term's product takes one table row per slot.  A row with one entry, which
 is every row of alpha, abar and alpha^{p-1} when alpha is diagonal, folds
 into the product's running (base, weight) by _fold, and any other row is a
@@ -41,7 +43,7 @@ slot i, is read off the column key in O(1).
 certified_images checks delta^p's images of C^p's basis against C^{p+1}'s
 constraint on their support, for a diagonal twist the only constraint
 columns ever built, so ranks, eliminated on those images with one row per
-cell they reach, build no space C^{p+1} and no ambient-size row list;
+cell they reach, build no basis of C^{p+1} and no ambient-size row list;
 restrict_operator reads coordinates off them.  apply_sparse's image of a
 one-entry vector, such as a diagonal space's unit basis vector, is its
 operator column scaled.  delta o delta = 0 is certified by
@@ -252,9 +254,10 @@ def _constraint_columns(algebra, cols_m, w_m, w_k, k, js):
 
 
 class CochainSpace:
-    """Twist-compatible p-cochains, as a kernel basis in ambient coordinates."""
+    """Twist-compatible p-cochains: the kernel of the twist constraint, made
+    with the space, as a basis in ambient coordinates built on first read."""
 
-    def __init__(self, algebra, rep, degree, constraint=None):
+    def __init__(self, algebra, rep, degree):
         if degree < 1:
             raise ValueError("cochain degree must be at least 1")
         if rep.algebra != algebra:
@@ -263,16 +266,19 @@ class CochainSpace:
         self.rep = rep
         self.degree = degree
         self.ambient = ambient_dim(algebra, rep, degree)
-        c = self.constraint = constraint or twist_constraint(algebra, rep, degree)
-        if algebra.diagonal and rep.diagonal:
+        self.constraint = twist_constraint(algebra, rep, degree)
+
+    @functools.cached_property
+    def basis(self):
+        a, rep, c = self.algebra, self.rep, self.constraint
+        if a.diagonal and rep.diagonal:
             # kernel_basis of a diagonal matrix: the unit vectors at its empty
             # columns, read off the weights
-            free = _free_cells(*_diagonal_twist(algebra, rep, degree, c.den))
-            self.basis = SubspaceBasis(self.ambient, [({j: 1}, 1) for j in free], free)
-        else:
-            cols = c.read(range(self.ambient))
-            rows = transpose([dict(cols[j]) for j in range(self.ambient)], self.ambient)
-            self.basis = kernel_basis(Matrix.from_rows(rows, self.ambient, c.den))
+            free = _free_cells(*_diagonal_twist(a, rep, self.degree, c.den))
+            return SubspaceBasis(self.ambient, [({j: 1}, 1) for j in free], free)
+        cols = c.read(range(self.ambient))
+        rows = transpose([dict(cols[j]) for j in range(self.ambient)], self.ambient)
+        return kernel_basis(Matrix.from_rows(rows, self.ambient, c.den))
 
     @property
     def dim(self):
@@ -295,10 +301,12 @@ class CochainSpace:
 
 class Cochain:
     """A member of a CochainSpace: a sparse ambient vector {index: nonzero
-    Fraction}, refused (ConstraintViolation) at construction when outside it."""
+    Fraction}, which certify refuses (ConstraintViolation) outside it."""
 
     def __init__(self, space, vector):
-        space.coords(vector)
+        if not all(0 <= j < space.ambient for j in vector):
+            raise ConstraintViolation(f"tensor is outside the ambient of degree {space.degree}")
+        certify([(vector, 1)], [space])
         self.space = space
         self.vector = vector
 
@@ -327,43 +335,57 @@ class SlotTables:
         action_d[mf]         [(i, ZX, mo, c)]       action i of alpha^{p-1}(z0 X
                                                     but x_i, which ZX holds as 0)
 
-    with the actions on the unit module vector mf, placed through the int
-    rows of alpha^{p-1}: power_rows["power"] holds alpha^0, alpha^1, .. once
-    per algebra, each one product past the last; a one-entry row folds into
-    the placed entry (_fold), and any other row is a Kronecker factor.  Each
-    c is an int, built from the algebra's int numerators, over its table's
-    den[name]: alpha's Matrix.den, its power n-1 for abar,
+    with the actions on the unit module vector mf, placed by actions on its
+    first read.  Each c is an int, built from the algebra's int numerators,
+    over its table's den[name]: alpha's Matrix.den, its power n-1 for abar,
     the bracket's lcm for mu, den["mu"] den_a^(n-2) for both bracket orders,
     and den["action"], the actions' lcm times den_a^((n-1)(p-1)), for both
     action tables.  alpha, abar, mu, their dens and bracket are the algebra's,
     kept in its power_rows by _algebra_tables and bracket_rows(yf), which
-    builds bracket[yf] on its first read.  groups caches delta^p's term
-    groups, {column: {row: coeff}} over the one q with sign +1, by the flags
-    each reads: ("A", yf, twist_after_hat), ("B",), ("C", c_full_range), ("D",).
+    builds bracket[yf] on its first read; the actions' keys, int numerators
+    and lcm are rep.action_rows, once per rep.  q, delta^p's denominator,
+    comes from the dens alone.  groups caches delta^p's term groups,
+    {column: {row: coeff}} over q with sign +1, by the flags each reads:
+    ("A", yf, twist_after_hat), ("B",), ("C", c_full_range), ("D",).
     """
 
     def __init__(self, algebra, rep, p):
         self.algebra, self.rep, self.p = algebra, rep, p
-        a, n, d, m = algebra, algebra.arity, algebra.dim, rep.module_dim
-        self.D = d ** (n - 1)
-        self.den, self.q = _dens(a, rep, p)  # which builds the memos read below
-        memo = a.power_rows
-        (self.alpha, self.abar, self.mu, _), self.bracket = memo["slots"], memo["bracket"]
-        powers = memo["power"]  # alpha^0, alpha^1, ..: one product per exponent per algebra
+        a, n, memo = algebra, algebra.arity, algebra.power_rows
+        self.D = a.dim ** (n - 1)
+        if "slots" not in memo:
+            memo["slots"], memo["bracket"], memo["power"] = _algebra_tables(a), {}, [Matrix.identity(a.dim)]
+        if rep.action_rows is None:
+            keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
+            rep.action_rows = keys, *integral_rows([rep.actions[i][key] for i, key in keys])
+        (self.alpha, self.abar, self.mu, den), self.bracket = memo["slots"], memo["bracket"]
+        self.den = {**den, "action": rep.action_rows[2] * a.alpha.den ** ((n - 1) * (p - 1))}
+        abar = den["abar"]
+        self.q = math.lcm(den["alpha"] * den["bracket"] * abar ** max(p - 2, 0), den["mu"] * abar ** (p - 1), self.den["action"])
+        self.groups = {}
+
+    @functools.cached_property
+    def actions(self):
+        """(action_c, action_d), placed through the int rows of alpha^{p-1}:
+        power_rows["power"] holds alpha^0, alpha^1, .. once per algebra, each
+        one product past the last; a one-entry row folds into the placed
+        entry (_fold), and any other row is a Kronecker factor."""
+        a, p, n, d, m = self.algebra, self.p, self.algebra.arity, self.algebra.dim, self.rep.module_dim
+        powers = a.power_rows["power"]
         while len(powers) < p:
             powers.append(powers[-1] @ a.alpha)
         power = [list(row.items()) for row in powers[p - 1].numerators()[0]]
-        keys, nums, _ = rep.action_rows
-        self.action_c, self.action_d = [[] for _ in range(m)], [[] for _ in range(m)]
+        keys, nums, _ = self.rep.action_rows
+        action_c, action_d = [[] for _ in range(m)], [[] for _ in range(m)]
         for (i, (*ws, mf)), out in zip(keys, nums):
             # slot s of action i (module at i) is digit s + (s >= i) of the n-digit z0 X
             slots = [(power[x], d ** (n - 1 - s - (s >= i))) for s, x in enumerate(ws)]
             for offset, u in _products(*_fold(slots, 0, 1)):
                 if i:
-                    self.action_d[mf] += [(i, offset, mo, c * u) for mo, c in out.items()]
+                    action_d[mf] += [(i, offset, mo, c * u) for mo, c in out.items()]
                 else:
-                    self.action_c[mf] += [(offset, mo, c * u) for mo, c in out.items()]
-        self.groups = {}
+                    action_c[mf] += [(offset, mo, c * u) for mo, c in out.items()]
+        return action_c, action_d
 
     def bracket_rows(self, yf):
         """bracket[yf], built by _bracket_rows on its first read."""
@@ -384,22 +406,6 @@ def _algebra_tables(a):
     abar = [list(_power_row(a, n - 1, Y).items()) for Y in range(d ** (n - 1))]
     den = {"alpha": den_a, "abar": den_a ** (n - 1), "mu": den_mu, "bracket": den_mu * den_a ** (n - 2)}
     return [list(row.items()) for row in a.alpha.numerators()[0]], abar, mu, den
-
-
-def _dens(a, rep, p):
-    """(den, q) of the SlotTables of (a, rep, p), q delta^p's denominator,
-    from the dens alone; den["action"] is the actions' lcm times
-    den_a^((n-1)(p-1)).  Builds a's tables into a.power_rows and rep's
-    action (keys, int numerators, lcm) into rep.action_rows, once each."""
-    memo = a.power_rows
-    if "slots" not in memo:
-        memo["slots"], memo["bracket"], memo["power"] = _algebra_tables(a), {}, [Matrix.identity(a.dim)]
-    if rep.action_rows is None:
-        keys = [(i, key) for i, action in enumerate(rep.actions) for key in action]
-        rep.action_rows = keys, *integral_rows([rep.actions[i][key] for i, key in keys])
-    den = {**memo["slots"][3], "action": rep.action_rows[2] * a.alpha.den ** ((a.arity - 1) * (p - 1))}
-    abar = den["abar"]
-    return den, math.lcm(den["alpha"] * den["bracket"] * abar ** max(p - 2, 0), den["mu"] * abar ** (p - 1), den["action"])
 
 
 def _bracket_rows(t, yf):
@@ -502,6 +508,7 @@ def _term_groups(t, cv, groups, todo):
     w = [D ** (p - r) for r in range(p + 1)]  # row weights of z (r = 0) and of X_r
     yf, twist_after_hat, c_top = cv.bracket_y_first, cv.twist_after_hat, p if cv.c_full_range else p - 1
     bracket = t.bracket_rows(yf) if want_a else None
+    action_c, action_d = t.actions
     den, abar, q = t.den, t.den["abar"], t.q
 
     # term A's products are over den_a times abar^(p - 2), or abar^(j - 2) when hat-bare
@@ -538,25 +545,18 @@ def _term_groups(t, cv, groups, todo):
                 acc_b[off * m + mf] = acc_b.get(off * m + mf, 0) + c
 
         # term C: right action of alpha^{p-1}(X_i) on f(z, X_r for r != i)
-        for i in range(1, c_top + 1) if col in want_c and t.action_c[mf] else ():
+        for i in range(1, c_top + 1) if col in want_c and action_c[mf] else ():
             base = key // w[i] * w[i - 1] + key % w[i]  # z Y_1 .. Y_{p-1} with a gap at slot i
-            for X, mo, c in t.action_c[mf]:
+            for X, mo, c in action_c[mf]:
                 row = (base + X * w[i]) * m + mo
                 acc_c[row] = acc_c.get(row, 0) + weight_c[i] * c
 
         # term D: action i of alpha^{p-1}(z, X_1 but x_i) on f(x_i, X_2, .., X_p)
-        base = [Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1] for i in range(n)]
-        for i, ZX, mo, c in t.action_d[mf] if col in want_d else ():
-            row = (ZX * w[1] + base[i]) * m + mo
-            acc_d[row] = acc_d.get(row, 0) + weight_d * c
-
-
-def _delta_columns(tables, algebra, rep, p, convention, js):
-    """coboundary_operator's columns js of delta^p, on the SlotTables of
-    degree p that the first read builds into tables."""
-    if p not in tables:
-        tables[p] = SlotTables(algebra, rep, p)
-    return coboundary_operator(tables[p], js, convention)
+        if col in want_d and action_d[mf]:
+            base = [Y[0] * d ** (n - 1 - i) * w[1] + key - Y[0] * w[1] for i in range(n)]
+            for i, ZX, mo, c in action_d[mf]:
+                row = (ZX * w[1] + base[i]) * m + mo
+                acc_d[row] = acc_d.get(row, 0) + weight_d * c
 
 
 class Columns:
@@ -609,30 +609,37 @@ def coboundary_matrix(space: CochainSpace, target_space, op) -> Matrix:
     return restrict_operator(op, [space], [target_space])
 
 
-def certified_images(op, sources, constraints):
-    """apply_sparse's images of the sources' direct-sum basis under the Columns
-    op.  Each image's block on each target summand, stacked in order, must be
-    sent to zero by that summand's constraint columns, read on its support,
-    or ConstraintViolation is raised.  With a lone target the block is the
-    image itself, checked as it is, with no copy."""
-    images = apply_sparse(op, direct_sum([s.basis for s in sources]).integral[0])
+def certify(vectors, targets):
+    """ConstraintViolation unless each of vectors, (sparse numerators, den),
+    lies in the direct sum of the target spaces: its block on each target,
+    stacked in order, must be sent to zero by that target's constraint
+    columns, read on its support, so no basis is built.  With a lone target
+    the block is the vector itself, checked as it is, with no copy."""
     start = 0
-    for c in constraints:
-        if len(constraints) == 1:  # the lone block is the image itself, den aside
-            blocks = images
+    for t in targets:
+        c = t.constraint
+        if len(targets) == 1:  # the lone block is the vector itself, den aside
+            blocks = vectors
         else:
-            blocks = [({r - start: x for r, x in v.items() if start <= r < start + c.size}, 1) for v, _ in images]
+            blocks = [({r - start: x for r, x in v.items() if start <= r < start + c.size}, 1) for v, _ in vectors]
         if any(v for v, _ in apply_sparse(c, blocks)):
-            raise ConstraintViolation("an image is not twist-compatible")
+            raise ConstraintViolation(f"a tensor is not twist-compatible in degree {t.degree}")
         start += c.size
+
+
+def certified_images(op, sources, targets):
+    """apply_sparse's images of the sources' direct-sum basis under the Columns
+    op, each certified in the targets' direct sum."""
+    images = apply_sparse(op, direct_sum([s.basis for s in sources]).integral[0])
+    certify(images, targets)
     return images
 
 
-def image_rank(op, sources, constraints) -> int:
-    """Rank of op on the sources' direct sum: its certified images', one row
-    per target cell they reach, in cell order; an image's den only scales
-    its column."""
-    images = certified_images(op, sources, constraints)
+def image_rank(op, sources, targets) -> int:
+    """Rank of op on the sources' direct sum: the rank of its images,
+    certified in the targets, with one row per target cell they reach, in
+    cell order; an image's den only scales its column."""
+    images = certified_images(op, sources, targets)
     rows = {}
     for j, (image, _) in enumerate(images):
         for r, x in image.items():
@@ -652,7 +659,7 @@ def restrict_operator(op, sources, targets) -> Matrix:
     """
     units = direct_sum([t.basis for t in targets]).unit_rows
     lcm = direct_sum([s.basis for s in sources]).integral[1]
-    images = certified_images(op, sources, [t.constraint for t in targets])
+    images = certified_images(op, sources, targets)
     rows = [{} for _ in units]
     for j, (image, den) in enumerate(images):
         for r, x in image.items():
@@ -700,42 +707,37 @@ class CochainComplex:
         self.convention = convention
         self._spaces = {}
         self._tables = {}
-        self._constraints = {}
         self._matrices = {}
         self._operators = {}
         self._ranks = {}
         self._cohomology = {}
 
     def with_convention(self, convention) -> CochainComplex:
-        """This complex under convention, sharing the spaces, tables and constraints."""
+        """This complex under convention, sharing the spaces and tables."""
         sibling = CochainComplex(self.algebra, self.rep, convention)
-        sibling._spaces, sibling._tables, sibling._constraints = self._spaces, self._tables, self._constraints
+        sibling._spaces, sibling._tables = self._spaces, self._tables
         return sibling
-
-    def constraint(self, p) -> Columns:
-        """C^p's twist constraint, read by its space and by certified_images."""
-        if p not in self._constraints:
-            self._constraints[p] = twist_constraint(self.algebra, self.rep, p)
-        return self._constraints[p]
 
     def space(self, p) -> CochainSpace:
         if p not in self._spaces:
-            self._spaces[p] = CochainSpace(self.algebra, self.rep, p, self.constraint(p))
+            self._spaces[p] = CochainSpace(self.algebra, self.rep, p)
         return self._spaces[p]
 
     def summands(self, p):
         return [self.space(p)]
 
     def operator(self, p) -> Columns:
-        """delta^p's ambient columns over q, read off the dens alone, each
-        built on its first read from the SlotTables of degree p, which the
-        first read builds (_delta_columns); no cochain space is built.  The
-        builder holds no reference to the complex: a reference cycle would
-        leave every complex to the cyclic collector and raise peak memory."""
+        """delta^p's ambient columns over q, each built on its first read by
+        coboundary_operator from the SlotTables of degree p, which the
+        siblings share; no cochain space is built.  The builder holds the
+        tables, not the complex: a reference cycle would leave every complex
+        to the cyclic collector and raise peak memory."""
         if p not in self._operators:
-            a, rep = self.algebra, self.rep
-            build = functools.partial(_delta_columns, self._tables, a, rep, p, self.convention)
-            self._operators[p] = Columns(build, ambient_dim(a, rep, p), _dens(a, rep, p)[1])
+            if p not in self._tables:
+                self._tables[p] = SlotTables(self.algebra, self.rep, p)
+            t = self._tables[p]
+            build = functools.partial(coboundary_operator, t, convention=self.convention)
+            self._operators[p] = Columns(build, ambient_dim(self.algebra, self.rep, p), t.q)
         return self._operators[p]
 
     def delta(self, p) -> Matrix:
@@ -747,7 +749,7 @@ class CochainComplex:
 
     def rank(self, p) -> int:
         if p not in self._ranks:
-            self._ranks[p] = image_rank(self.operator(p), [self.space(p)], [self.constraint(p + 1)])
+            self._ranks[p] = image_rank(self.operator(p), [self.space(p)], [self.space(p + 1)])
         return self._ranks[p]
 
     def cohomology_dim(self, p) -> int:
@@ -765,7 +767,7 @@ def convention_passes(cx):
     twist-compatible and delta^{p+1} o delta^p vanishes exactly, p = 1 and 2."""
     try:
         for p in (1, 2, 3):
-            certified_images(cx.operator(p), [cx.space(p)], [cx.constraint(p + 1)])
+            certified_images(cx.operator(p), [cx.space(p)], [cx.space(p + 1)])
             if p > 1 and not squares_to_zero(cx, p):
                 return False
     except ConstraintViolation:

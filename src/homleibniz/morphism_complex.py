@@ -12,9 +12,10 @@ d^p is assembled in one place, MorphismComplex.operator: a Columns cache
 whose columns are built on first read from the summand complexes' operator
 columns plus the push and pull columns, in ints over one denominator.  rank
 eliminates d^p's images of the direct-sum basis, each block certified by
-its summand's twist constraint, so no space of degree p+1 is built;
-differential applies it to a cochain's stacked sparse vectors, and
-deformation.solve_extension reads every column.
+its summand's twist constraint, so no basis of degree p+1 is built;
+differential applies it to a cochain's stacked sparse vectors, whose
+Cochains are certified the same way, and deformation.solve_extension reads
+every column.
 cochain.squares_to_zero certifies d o d = 0 on the operators.  _d_columns
 alone applies phi to a cochain: a push column phi.u applies phi to the
 output index; a pull column -v.phi is the unit tensor of v precomposed with
@@ -157,7 +158,8 @@ class MorphismComplex:
 
     def differential(self, c: MorphismCochain) -> MorphismCochain:
         """d(u, v, w) = (delta u, delta v, phi.u - v.phi - delta w): _image
-        split into Cochains, which certify each block."""
+        split into Cochains, which certify each block on its support, so no
+        basis of degree p+1 is built."""
         image, den = self._image(c)
         return self._split(c.degree + 1, {r: Q(x, den) for r, x in image.items()})
 
@@ -198,8 +200,7 @@ class MorphismComplex:
 
     def rank(self, p) -> int:
         if p not in self._ranks:
-            targets = [self.left.constraint(p + 1), self.right.constraint(p + 1), self.mixed.constraint(p)]
-            self._ranks[p] = image_rank(self.operator(p), self.summands(p), targets)
+            self._ranks[p] = image_rank(self.operator(p), self.summands(p), self.summands(p + 1))
         return self._ranks[p]
 
     # -- coordinates --------------------------------------------------------

@@ -176,6 +176,13 @@ def test_constraint_violation_raised_for_incompatible_tensor():
         space.coords(off_diagonal)
     with pytest.raises(ConstraintViolation):
         Cochain(space, off_diagonal)
+    # a cell past the ambient, on the diagonal rule and on the generic one
+    for space in (space, CochainSpace(h3_sheared(), adjoint_representation(h3_sheared()), 1)):
+        for outside in ({space.ambient: Q(1)}, {-1: Q(1)}):
+            with pytest.raises(ConstraintViolation):
+                space.coords(outside)
+            with pytest.raises(ConstraintViolation):
+                Cochain(space, outside)
 
 
 def test_from_coords_refuses_a_coordinate_list_of_the_wrong_length():
@@ -307,8 +314,8 @@ def test_calibration_rejects_an_image_outside_the_compatible_subspace():
     rep = adjoint_representation(a)
     cx = CochainComplex(a, rep)
     with pytest.raises(ConstraintViolation):
-        cx.rank(1)  # certified on the images, without C^2's space
-    assert 2 not in cx._spaces
+        cx.rank(1)  # certified on the images, without C^2's basis
+    assert "basis" not in vars(cx._spaces[2])
     with pytest.raises(ConstraintViolation):
         cx.delta(1)
     assert squares_to_zero(cx, 2) and squares_to_zero(cx, 3)
@@ -351,8 +358,8 @@ def test_the_algebra_tables_are_built_once_per_algebra(monkeypatch):
     cx = CochainComplex(twisted, adjoint_representation(twisted))
     for p in (1, 2, 3, 4):
         cx.cohomology_dim(p)
-    # a degree builds its tables on its first column read, so exactly where C^p is not empty
-    assert cx._tables.keys() == {p for p in (1, 2, 3, 4) if cx.space(p).dim}
+    # a degree places its actions on its first column read, so exactly where C^p is not empty
+    assert {p for p, t in cx._tables.items() if "actions" in vars(t)} == {p for p in (1, 2, 3, 4) if cx.space(p).dim}
     member, rep = calibration_battery()[1]  # twisted_aff1(2), with a fresh memo
     base = CochainComplex(member, rep)
     verdicts = [convention_passes(base.with_convention(cv)) for cv in all_conventions()]
@@ -395,10 +402,10 @@ def test_alpha_powers_are_built_once_per_algebra(monkeypatch, capsys):
         mc.cohomology_dim(p)
     assert powers == []
     monkeypatch.undo()
-    # a degree p whose C^p is not empty reads alpha^{p-1}: left and mixed over
-    # the source read alpha^0..alpha^2, right over the target alpha^0 and alpha^1
+    # a degree p with an operator and a nonempty C^p reads alpha^{p-1}: left and
+    # mixed over the source read alpha^0..alpha^2, right over the target alpha^0 and alpha^1
     for a, summands in ((phi.source, (mc.left, mc.mixed)), (phi.target, (mc.right,))):
-        top = max(p for cx in summands for p, space in cx._spaces.items() if space.dim)
+        top = max(p for cx in summands for p in cx._tables if cx.space(p).dim)
         memo = a.power_rows["power"]
         assert sum(m is memo[j] and other is a.alpha for m, other in products for j in range(len(memo))) == top - 1
         assert [m.numerators() for m in memo] == [a.alpha.power(j).numerators() for j in range(top)]
@@ -412,11 +419,11 @@ def test_a_convention_sibling_shares_the_spaces_and_tables():
     sibling = cx.with_convention(cv)
     assert (sibling.algebra, sibling.rep, sibling.convention) == (a, rep, cv)
     assert sibling._spaces is cx._spaces and sibling._tables is cx._tables
-    assert sibling._constraints is cx._constraints
     assert sibling._operators is not cx._operators and sibling._matrices is not cx._matrices
     sibling.delta(1)  # what the sibling builds, the parent reads
     assert cx._spaces.keys() == {1, 2} and cx._tables.keys() == {1}
     assert cx.operator(1) is not sibling.operator(1)
+    assert cx.space(2).constraint is sibling.space(2).constraint  # a space owns its constraint
 
 
 def test_calibration_builds_the_slot_tables_once_per_member_and_degree(monkeypatch):
@@ -427,14 +434,17 @@ def test_calibration_builds_the_slot_tables_once_per_member_and_degree(monkeypat
     init = SlotTables.__init__
 
     def counting(self, algebra, rep, p):
-        built.append((members[id(rep)], p))
+        built.append((members[id(rep)], p, self))
         init(self, algebra, rep, p)
 
     monkeypatch.setattr(SlotTables, "__init__", counting)
     passing = calibration_report(battery)
-    # a degree builds its tables on its first column read: where C^p is not empty
+    # each degree's operator makes its tables, and a degree places its actions
+    # on its first column read: where C^p is not empty
+    assert sorted((k, p) for k, p, _ in built) == [(k, p) for k in range(len(battery)) for p in (1, 2, 3)]
     read = [(k, p) for k, (a, rep) in enumerate(battery) for p in (1, 2, 3) if CochainComplex(a, rep).space(p).dim]
-    assert sorted(built) == read and len(read) == 3 * len(battery) - 3
+    placed = sorted((k, p) for k, p, t in built if "actions" in vars(t))
+    assert placed == read and len(read) == 3 * len(battery) - 3
     assert sorted(cv.label() for cv in passing) == [
         "A+B+C+D+|xy|hat-bare|c-full",
         "A+B+C+D+|xy|hat-twisted|c-full",
@@ -646,7 +656,7 @@ def slot_tables(t):
     """{name: (rows, the key of its den in t.den)} for the tables of the
     SlotTables t, each bracket order read through its lazy builder."""
     tables = {name: (getattr(t, name), name) for name in ("alpha", "abar", "mu")}
-    tables.update({name: (getattr(t, name), "action") for name in ("action_c", "action_d")})
+    tables.update({name: (rows, "action") for name, rows in zip(("action_c", "action_d"), t.actions)})
     tables.update({("bracket", yf): (t.bracket_rows(yf), "bracket") for yf in (False, True)})
     return tables
 
@@ -780,10 +790,10 @@ def test_action_builders_match_the_precompose_path():
         a = rep.algebra
         for p in (1, 2, 3):
             t = SlotTables(a, rep, p)
-            action_c, action_d, den = action_tables_by_precompose(a, rep, p)
-            assert action_map(t.action_c, t.den["action"]) == action_map(action_c, den["action_c"])
-            assert action_map(t.action_d, t.den["action"]) == action_map(action_d, den["action_d"])
-            if any(t.action_c) and any(t.action_d):
+            (placed_c, placed_d), (action_c, action_d, den) = t.actions, action_tables_by_precompose(a, rep, p)
+            assert action_map(placed_c, t.den["action"]) == action_map(action_c, den["action_c"])
+            assert action_map(placed_d, t.den["action"]) == action_map(action_d, den["action_d"])
+            if any(placed_c) and any(placed_d):
                 cases["p = 1"] += p == 1
                 cases["alpha = id"] += a.untwisted
                 cases["diagonal twist"] += p > 1 and a.diagonal and not a.untwisted
@@ -996,9 +1006,9 @@ def test_constraint_columns_are_the_transposed_per_input_rows():
     for a, rep, top in cases:
         cx = CochainComplex(a, rep)
         for p in range(1, top + 1):
-            assert constraint_agrees_with_rows(cx.constraint(p), a, rep, p), (a, p)
-            assert all(type(x) is int and x for col in cx.constraint(p)._built.values() for _, x in col)
-            assert cx.space(p).constraint is cx.constraint(p)
+            c = cx.space(p).constraint
+            assert constraint_agrees_with_rows(c, a, rep, p), (a, p)
+            assert all(type(x) is int and x for col in c._built.values() for _, x in col)
 
 
 def test_a_constraint_column_with_one_sign_flipped_fails_the_oracle():
@@ -1101,13 +1111,13 @@ def assert_the_generic_rule(a, rep, top=None):
     cli_top_degree, every degree the CLI reaches) and the constraints one above."""
     top = top or cli_top_degree(a, rep)
     for p in range(1, top + 2):
-        generic = generic_constraint_matrix(a, rep, p)
-        c = cochain.twist_constraint(a, rep, p)
+        generic, space = generic_constraint_matrix(a, rep, p), CochainSpace(a, rep, p)
+        c = space.constraint
         cols = c.read(range(c.size))
         rows = transpose([dict(cols[j]) for j in range(c.size)], c.size)
         assert (c.size, rows, c.den) == (generic.cols, *generic.numerators()), (a, rep, p)
         if p <= top:
-            space, ref = CochainSpace(a, rep, p, c), kernel_basis(generic)
+            ref = kernel_basis(generic)
             assert space.basis.integral == ref.integral, (a, rep, p)
             assert list(space.basis.unit_rows.items()) == list(ref.unit_rows.items()), (a, rep, p)
 
@@ -1225,7 +1235,7 @@ def test_the_weight_read_free_cells_are_the_empty_constraint_columns(pair):
         cols = c.read(range(c.size))
         free = cochain._free_cells(*cochain._diagonal_twist(a, rep, p, c.den))
         assert free == [j for j in range(c.size) if not cols[j]], (a, rep, p)
-        assert list(CochainSpace(a, rep, p, c).basis.unit_rows) == free
+        assert list(CochainSpace(a, rep, p).basis.unit_rows) == free
 
 
 def twisted_draws():
@@ -1250,6 +1260,7 @@ def test_a_diagonal_space_builds_no_constraint_column(monkeypatch):
     for a, top in cases:
         for p in range(1, top + 1):
             space = CochainSpace(a, adjoint_representation(a), p)
+            space.basis  # the free cells, read off the weights
             assert not space.constraint._built
     assert built == []
     reached = 0
@@ -1257,28 +1268,28 @@ def test_a_diagonal_space_builds_no_constraint_column(monkeypatch):
         cx = complex_for(a)
         for p in range(1, top + 1):
             cx.cohomology_dim(p)
-        assert not cx.constraint(1)._built
+        assert not cx.space(1).constraint._built
         for p in range(2, top + 2):
             vectors = cx.space(p - 1).basis.integral[0]
             support = {r for image, _ in apply_sparse(cx.operator(p - 1), vectors) for r in image}
-            assert cx.constraint(p)._built.keys() == support, (a, p)
+            assert cx.space(p).constraint._built.keys() == support, (a, p)
             reached += bool(support)
     assert reached and sum(len(js) for js in built) < sum(ambient_dim(a, adjoint_representation(a), top + 1) for a, top in cases)
 
 
-def full_transpose_rank(op, sources, constraints):
+def full_transpose_rank(op, sources, targets):
     """(rank, nonempty rows) of the certified images' transpose with one row
     per ambient target cell, empty rows included."""
-    images = [v for v, _ in certified_images(op, sources, constraints)]
-    rows = transpose(images, sum(c.size for c in constraints))
+    images = [v for v, _ in certified_images(op, sources, targets)]
+    rows = transpose(images, sum(t.ambient for t in targets))
     return rank(Matrix.from_rows(rows, len(images))), [r for r in rows if r]
 
 
 def test_image_rank_eliminates_the_ambient_transposes_rows_and_empty_spaces_build_no_tables(monkeypatch):
     # image_rank builds rows only at the cells the images reach, in cell
     # order: the ambient transpose's nonempty rows, in its order, so the same
-    # RREF; and a degree whose C^p is empty reads no column of delta^p, so it
-    # builds neither SlotTables nor a term group
+    # RREF; and a degree whose C^p is empty reads no column of delta^p, so its
+    # SlotTables place no action and build no term group
     eliminated, tables, groups = [], [], []
     init, term_groups = SlotTables.__init__, cochain._term_groups
 
@@ -1287,7 +1298,7 @@ def test_image_rank_eliminates_the_ambient_transposes_rows_and_empty_spaces_buil
         return rank(m)
 
     def counting_tables(self, algebra, rep, p):
-        tables.append((id(rep), p))
+        tables.append(self)
         init(self, algebra, rep, p)
 
     def counting_groups(t, cv, groups_, todo):
@@ -1298,8 +1309,8 @@ def test_image_rank_eliminates_the_ambient_transposes_rows_and_empty_spaces_buil
     monkeypatch.setattr(SlotTables, "__init__", counting_tables)
     monkeypatch.setattr(cochain, "_term_groups", counting_groups)
 
-    def check(got, op, sources, constraints):
-        want = outcome(full_transpose_rank, op, sources, constraints)
+    def check(got, op, sources, targets):
+        want = outcome(full_transpose_rank, op, sources, targets)
         if want is ConstraintViolation:
             assert got is ConstraintViolation
         else:
@@ -1313,18 +1324,18 @@ def test_image_rank_eliminates_the_ambient_transposes_rows_and_empty_spaces_buil
         cx = CochainComplex(a, rep)
         complexes.append(cx)
         for p in range(1, top + 1):
-            check(outcome(cx.rank, p), cx.operator(p), [cx.space(p)], [cx.constraint(p + 1)])
+            check(outcome(cx.rank, p), cx.operator(p), [cx.space(p)], [cx.space(p + 1)])
             empty += not cx.space(p).dim
     for phi in fixture_morphisms() + morphisms:
         mc = MorphismComplex(phi)
         complexes += [mc.left, mc.right, mc.mixed]
         for p in (1, 2, 3):
-            targets = [mc.left.constraint(p + 1), mc.right.constraint(p + 1), mc.mixed.constraint(p)]
-            check(outcome(mc.rank, p), mc.operator(p), mc.summands(p), targets)
+            check(outcome(mc.rank, p), mc.operator(p), mc.summands(p), mc.summands(p + 1))
     assert empty >= 20
     for cx in complexes:
-        assert cx._tables.keys() == {p for p, space in cx._spaces.items() if space.dim}
-    assert len(tables) == len(set(tables)) and set(groups) <= set(tables)
+        assert {p for p, t in cx._tables.items() if "actions" in vars(t)} == {p for p in cx._tables if cx.space(p).dim}
+    keys = [(id(t.rep), t.p) for t in tables]
+    assert len(keys) == len(set(keys)) and set(groups) == {(id(t.rep), t.p) for t in tables if "actions" in vars(t)}
 
 
 def test_diagonal_weights_are_the_k_fold_kronecker_power():
@@ -1374,11 +1385,51 @@ def test_ranks_of_certified_images_match_the_restricted_matrices():
                 assert mc.rank(p) == rank(mc.d_matrix(p)), (phi, cv, p)
 
 
-def test_a_rank_builds_no_space_of_its_target_degree():
+def test_a_rank_builds_no_basis_of_its_target_degree():
     a = yau_twist(h3(), Matrix(3, 3, [[Q(1, 2), Q(1, 3), 0], [0, 2, 0], [0, 0, 1]]))
     cx = CochainComplex(a, adjoint_representation(a))
     for p in (1, 2, 3):
         cx.cohomology_dim(p)
-    assert cx._spaces.keys() == {1, 2, 3} and cx._constraints.keys() == {1, 2, 3, 4}
+    assert cx._spaces.keys() == {1, 2, 3, 4} and {p for p, s in cx._spaces.items() if "basis" in vars(s)} == {1, 2, 3}
     # C^4's constraint is read on the images' support only
-    assert 0 < len(cx.constraint(4)._built) < cx.constraint(4).size
+    c = cx.space(4).constraint
+    assert 0 < len(c._built) < c.size
+
+
+def certificates(space, rnd):
+    """(Cochain's verdict, coords' verdict) on members of space drawn by
+    from_coords, each also with one cell perturbed: True where it raises
+    ConstraintViolation."""
+    verdicts = []
+    for _ in range(3):
+        v = space.from_coords([Q(rnd.randint(-2, 2)) for _ in range(space.dim)]).vector
+        j = rnd.randrange(space.ambient)
+        w = {**v, j: v.get(j, 0) + Q(rnd.choice(COEFFS))}
+        for vec in (v, {r: x for r, x in w.items() if x}):
+            verdicts.append((outcome(Cochain, space, vec) is ConstraintViolation, outcome(space.coords, vec) is ConstraintViolation))
+    return verdicts
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(diagonal_pairs(), st.randoms(use_true_random=False))
+@example(weight_one_pair(), random.Random(0))
+def test_the_support_certificate_agrees_with_the_coordinates_on_diagonal_pairs(pair, rnd):
+    # a Cochain reads its space's constraint on its support and builds no
+    # basis; coords solves in the basis: both refuse the same vectors
+    a, rep = pair
+    for p in range(1, cli_top_degree(a, rep) + 1):
+        space = CochainSpace(a, rep, p)
+        assert all(mine == theirs for mine, theirs in certificates(space, rnd)), (a, rep, p)
+
+
+def test_the_support_certificate_agrees_with_the_coordinates_on_shears_and_pullbacks():
+    rnd = random.Random(35)
+    pairs = [(h3_sheared(), adjoint_representation(h3_sheared())), fractional_shear()]
+    pairs += [(phi.source, pullback_representation(phi)) for phi in fixture_morphisms()]
+    seen = collections.Counter()
+    for a, rep in pairs:
+        for p in range(1, cli_top_degree(a, rep) + 1):
+            verdicts = certificates(CochainSpace(a, rep, p), rnd)
+            assert all(mine == theirs for mine, theirs in verdicts), (a, rep, p)
+            seen.update(mine for mine, _ in verdicts)
+    assert seen[True] and seen[False]  # both verdicts are reached

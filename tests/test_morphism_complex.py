@@ -6,12 +6,14 @@ from fractions import Fraction as Q
 import pytest
 
 from homleibniz import morphism_complex
-from homleibniz.algebra import adjoint_representation, pullback_representation
-from homleibniz.cochain import CochainComplex
+from homleibniz.algebra import HomNaryAlgebra, adjoint_representation, pullback_representation
+from homleibniz.cochain import CochainComplex, ConstraintViolation
 from homleibniz.documents import load_json, parse_deformation
 from homleibniz.fixtures import (
     abelian_algebra,
+    diag,
     fixture_morphisms,
+    h3_sheared,
     identity_morphism,
     leibniz_ff_e,
     ternary_fff_e,
@@ -125,6 +127,32 @@ def test_the_cocycle_check_builds_no_space_above_the_cocycle_degree():
             rejected += 1
         assert sorted(mc.left._spaces) == [1, 2]
     assert rejected
+
+
+def test_the_differential_builds_no_basis_above_its_degree():
+    # each block of d c is a Cochain, certified by its space's constraint on
+    # its support: C^3's basis stays unbuilt, and the image is d_matrix's
+    rng = random.Random(35)
+    for phi in (identity_morphism(ternary_fff_e()), identity_morphism(h3_sheared())):
+        mc = MorphismComplex(phi)
+        coords = [Q(rng.randint(-3, 3)) for _ in range(mc.total_dim(2))]
+        image = mc.differential(mc.from_coords(2, coords))
+        assert [space.degree for space in mc.summands(3)] == [3, 3, 2]
+        assert "basis" not in vars(mc.left.space(3)) and "basis" in vars(mc.left.space(2))
+        assert not image.is_zero() and mc.coords(image) == matvec(mc.d_matrix(2), coords)
+    # [f,f]=e with alpha = diag(2,1) is not multiplicative: some d c leaves
+    # C^2, and the Cochain refuses it without building C^2's basis
+    a = HomNaryAlgebra(2, 2, ("e", "f"), {(1, 1): {0: 1}}, diag(2, 1))
+    mc = MorphismComplex(identity_morphism(a))
+    refused = 0
+    for j in range(mc.total_dim(1)):
+        try:
+            mc.differential(mc.from_coords(1, [Q(int(i == j)) for i in range(mc.total_dim(1))]))
+        except ConstraintViolation:
+            refused += 1
+    assert refused and "basis" not in vars(mc.left.space(2))
+    with pytest.raises(ConstraintViolation):
+        mc.rank(1)
 
 
 def test_vanishing_transfer_reports_failed_hypotheses():
