@@ -217,7 +217,10 @@ def cmd_cohomology(args):
         return report
     degrees = _degrees(args.degrees, lambda q: ambient_dim(a, rep, q))
     cx = CochainComplex(a, rep, conv)
-    row = lambda p: (p, cx.space(p).dim, cx.rank(p), cx.cohomology_dim(p))  # noqa: E731
+
+    def row(p):
+        return p, cx.space(p).dim, cx.rank(p), cx.cohomology_dim(p)
+
     headers = ["p", "dim C^p", "rank delta^p", "dim H^p"]
     return _cohomology_table(report, degrees, row, "coboundary squares to zero", "cohomology", headers)
 
